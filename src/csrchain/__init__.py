@@ -34,7 +34,6 @@ from .scenario import Scenario, load_scenario
 from .stationarity import (
     StationaritySystem,
     assemble_system,
-    eliminate_controls,
     residual_norm,
     residual_norms,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "assemble_system",
     "backward_sweep",
     "dense_solve",
-    "eliminate_controls",
     "emit_csv",
     "emit_report",
     "follower_stationarity_check",

@@ -72,15 +72,14 @@ def main(argv=None) -> int:
         scenario = load_scenario(
             args.scenario,
             strict_alpha=False if args.no_strict_alpha else None,
+        ).with_overrides(
+            oracle=args.oracle,
+            tolerance=args.tolerance,
+            seed=args.seed,
         )
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    scenario = scenario.with_overrides(
-        oracle=args.oracle,
-        tolerance=args.tolerance,
-        seed=args.seed,
-    )
     try:
         trajectory, report = run(scenario)
     except CsrChainError as exc:

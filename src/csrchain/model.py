@@ -177,15 +177,6 @@ class Trajectory:
     def horizon(self) -> int:
         return self.controls.horizon
 
-    def x_at(self, t: int) -> float:
-        """State at time t, t = 1..T+1."""
-        return self.x[t - 1]
-
-    def costate_next(self, player: str, t: int) -> float:
-        """Costate of ``player`` entering period t (time t+1), t = 1..T."""
-        arr = {"S": self.p_s, "M": self.p_m, "R": self.p_r}[player]
-        return arr[t - 1]
-
     def has_auxiliary(self) -> bool:
         return all(
             getattr(self, name) is not None

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularSystemError, UndeterminedControlsError
+from .errors import SingularSystemError
 from .model import ModelParams, Trajectory, optimal_quantity, rollout, stage_payoff
-from .stationarity import assemble_system, vector_to_trajectory
+from .stationarity import assemble_system, restricted_system, vector_to_trajectory
 
 _COND_LIMIT = 1e12
 
@@ -53,50 +53,21 @@ def dense_solve(params: ModelParams) -> Trajectory:
 # Follower response sub-solvers (small dense systems, re-used by the checks)
 # ---------------------------------------------------------------------------
 
+# Unknown blocks of the two follower responses; every other block is either
+# a fixed leader path or absent from the follower's equations.
+_RETAILER_BLOCKS = ("x", "i_r", "p_r")
+_FOLLOWER_BLOCKS = ("x", "i_m", "i_r", "lam", "p_r", "p_m", "u")
+
+
 def solve_retailer_response(params: ModelParams, i_s, i_m):
     """Retailer stationarity response to fixed upstream paths.
 
-    Solves the retailer's own first-order system (control FOC, costate
-    recursion, transversality, state equation) for (i_r, x).
+    Solves the retailer's own first-order system (state equation, control
+    FOC, costate recursion, and their boundary rows) for (i_r, x).
     """
-    if params.tau * params.theta == 0.0:
-        raise UndeterminedControlsError()
-    i_s = np.asarray(i_s, dtype=float)
-    i_m = np.asarray(i_m, dtype=float)
-    T = i_s.shape[0]
-    k = params.tau * params.theta
-    al, br = params.alpha, params.beta_r
-    # unknowns: i_r (T), x_{2..T+1} (T), p_r_{2..T+1} (T)
-    o_ir, o_x, o_pr = 0, T, 2 * T
-    n = 3 * T
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-    row = 0
-    for t in range(1, T + 1):    # retailer FOC
-        A[row, o_ir + t - 1] = 2 * k
-        A[row, o_pr + t - 1] = br
-        b[row] = 1.0 - params.tau - k * (i_s[t - 1] + i_m[t - 1])
-        row += 1
-    for t in range(1, T + 1):    # state equation
-        A[row, o_x + t - 1] = 1.0
-        if t > 1:
-            A[row, o_x + t - 2] = -al
-        A[row, o_ir + t - 1] = -br
-        b[row] = (params.beta_s * i_s[t - 1] + params.beta_m * i_m[t - 1]
-                  + (al * params.x1 if t == 1 else 0.0))
-        row += 1
-    for t in range(2, T + 1):    # costate recursion
-        A[row, o_pr + t - 2] = 1.0
-        A[row, o_x + t - 2] = -2 * params.delta_r
-        A[row, o_pr + t - 1] = -al
-        row += 1
-    A[row, o_pr + T - 1] = 1.0   # transversality
-    row += 1
-    assert row == n
+    A, b, ix = restricted_system(params, _RETAILER_BLOCKS, {"i_s": i_s, "i_m": i_m})
     sol = np.linalg.solve(A, b)
-    i_r = sol[o_ir:o_ir + T]
-    x = np.concatenate([[params.x1], sol[o_x:o_x + T]])
-    return i_r, x
+    return ix.block(sol, "i_r"), ix.block(sol, "x")
 
 
 def solve_inner_response(params: ModelParams, i_s):
@@ -105,74 +76,9 @@ def solve_inner_response(params: ModelParams, i_s):
     Solves the complete inner first-order system (both followers) for
     (i_m, i_r, x).
     """
-    if params.tau * params.theta == 0.0:
-        raise UndeterminedControlsError()
-    i_s = np.asarray(i_s, dtype=float)
-    T = i_s.shape[0]
-    k = params.tau * params.theta
-    al, bm, br = params.alpha, params.beta_m, params.beta_r
-    # unknowns: i_m, i_r, lam (3T), x_{2..T+1}, p_r, p_m (3T), u_{1..T+1}
-    o_im, o_ir, o_lam = 0, T, 2 * T
-    o_x, o_pr, o_pm, o_u = 3 * T, 4 * T, 5 * T, 6 * T
-    n = 7 * T + 1
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-    row = 0
-    for t in range(1, T + 1):    # retailer FOC
-        A[row, o_im + t - 1] = k
-        A[row, o_ir + t - 1] = 2 * k
-        A[row, o_pr + t - 1] = br
-        b[row] = 1.0 - params.tau - k * i_s[t - 1]
-        row += 1
-    for t in range(1, T + 1):    # manufacturer FOC
-        A[row, o_im + t - 1] = 2 * k
-        A[row, o_ir + t - 1] = k
-        A[row, o_lam + t - 1] = k
-        A[row, o_pm + t - 1] = bm
-        b[row] = 1.0 - params.tau - k * i_s[t - 1]
-        row += 1
-    for t in range(1, T + 1):    # manufacturer reaction identity
-        A[row, o_im + t - 1] = k
-        A[row, o_lam + t - 1] = 2 * k
-        A[row, o_pm + t - 1] = br
-        b[row] = -params.d_hat
-        row += 1
-    for t in range(1, T + 1):    # state equation
-        A[row, o_x + t - 1] = 1.0
-        if t > 1:
-            A[row, o_x + t - 2] = -al
-        A[row, o_im + t - 1] = -bm
-        A[row, o_ir + t - 1] = -br
-        b[row] = params.beta_s * i_s[t - 1] + (al * params.x1 if t == 1 else 0.0)
-        row += 1
-    for t in range(2, T + 1):    # retailer costate
-        A[row, o_pr + t - 2] = 1.0
-        A[row, o_x + t - 2] = -2 * params.delta_r
-        A[row, o_pr + t - 1] = -al
-        row += 1
-    A[row, o_pr + T - 1] = 1.0
-    row += 1
-    for t in range(2, T + 1):    # manufacturer costate (carries u)
-        A[row, o_pm + t - 2] = 1.0
-        A[row, o_x + t - 2] = -2 * params.delta_m
-        A[row, o_pm + t - 1] = -al
-        A[row, o_u + t - 1] = -2 * params.delta_r
-        row += 1
-    A[row, o_pm + T - 1] = 1.0
-    row += 1
-    A[row, o_u] = 1.0            # u_1 = 0
-    row += 1
-    for t in range(1, T + 1):    # u step
-        A[row, o_u + t] = 1.0
-        A[row, o_u + t - 1] = -al
-        A[row, o_lam + t - 1] = -br
-        row += 1
-    assert row == n
+    A, b, ix = restricted_system(params, _FOLLOWER_BLOCKS, {"i_s": i_s})
     sol = np.linalg.solve(A, b)
-    i_m = sol[o_im:o_im + T]
-    i_r = sol[o_ir:o_ir + T]
-    x = np.concatenate([[params.x1], sol[o_x:o_x + T]])
-    return i_m, i_r, x
+    return ix.block(sol, "i_m"), ix.block(sol, "i_r"), ix.block(sol, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +96,12 @@ def _directions(T, n_directions, seed):
     return dirs
 
 
-def _fd_step(controls):
-    return 1e-5 * (1.0 + float(np.max(np.abs(controls.stacked()))))
+def _worst_slope(objective, path, trajectory, n_directions, seed) -> float:
+    """Max central-difference slope of ``objective`` at ``path`` over the
+    probe directions, with a step scaled to the trajectory's investments."""
+    h = 1e-5 * (1.0 + float(np.max(np.abs(trajectory.controls.stacked()))))
+    return max(abs(objective(path + h * eta) - objective(path - h * eta)) / (2.0 * h)
+               for eta in _directions(len(path), n_directions, seed))
 
 
 def follower_stationarity_check(trajectory: Trajectory, params: ModelParams,
@@ -205,26 +115,20 @@ def follower_stationarity_check(trajectory: Trajectory, params: ModelParams,
     before differencing the manufacturer's objective.
     """
     c = trajectory.controls
-    T = trajectory.horizon
     q = trajectory.q[0]
-    h = _fd_step(c)
-    worst = 0.0
-    for eta in _directions(T, n_directions, seed):
-        if level == "R":
-            def value(eps):
-                i_r = c.i_r + eps * eta
-                x = rollout(params, params.x1, c.i_s, c.i_m, i_r)
-                return _stacked_objective("R", params, x, c.i_s, c.i_m, i_r, q)
-        elif level == "M":
-            def value(eps):
-                i_m = c.i_m + eps * eta
-                i_r, x = solve_retailer_response(params, c.i_s, i_m)
-                return _stacked_objective("M", params, x, c.i_s, i_m, i_r, q)
-        else:
-            raise ValueError(f"unknown follower level {level!r}; expected 'R' or 'M'")
-        derivative = (value(h) - value(-h)) / (2.0 * h)
-        worst = max(worst, abs(derivative))
-    return worst
+    if level == "R":
+        def objective(i_r):
+            x = rollout(params, params.x1, c.i_s, c.i_m, i_r)
+            return _stacked_objective("R", params, x, c.i_s, c.i_m, i_r, q)
+        path = c.i_r
+    elif level == "M":
+        def objective(i_m):
+            i_r, x = solve_retailer_response(params, c.i_s, i_m)
+            return _stacked_objective("M", params, x, c.i_s, i_m, i_r, q)
+        path = c.i_m
+    else:
+        raise ValueError(f"unknown follower level {level!r}; expected 'R' or 'M'")
+    return _worst_slope(objective, path, trajectory, n_directions, seed)
 
 
 def leader_stationarity_check(trajectory: Trajectory, params: ModelParams,
@@ -232,18 +136,12 @@ def leader_stationarity_check(trajectory: Trajectory, params: ModelParams,
     """Max directional derivative of the supplier's objective with the whole
     follower subsystem re-solved per probe."""
     c = trajectory.controls
-    T = trajectory.horizon
     q = trajectory.q[0]
-    h = _fd_step(c)
-    worst = 0.0
-    for eta in _directions(T, n_directions, seed):
-        def value(eps):
-            i_s = c.i_s + eps * eta
-            i_m, i_r, x = solve_inner_response(params, i_s)
-            return _stacked_objective("S", params, x, i_s, i_m, i_r, q)
-        derivative = (value(h) - value(-h)) / (2.0 * h)
-        worst = max(worst, abs(derivative))
-    return worst
+
+    def objective(i_s):
+        i_m, i_r, x = solve_inner_response(params, i_s)
+        return _stacked_objective("S", params, x, i_s, i_m, i_r, q)
+    return _worst_slope(objective, c.i_s, trajectory, n_directions, seed)
 
 
 def grid_scan_supplier(params: ModelParams, center: float, half_width: float,

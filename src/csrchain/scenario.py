@@ -18,6 +18,7 @@ problems at once, each message naming the line or field involved.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,6 +41,21 @@ _OPTION_DEFAULTS = {
 }
 
 
+def _tolerance_problems(tolerance) -> list[str]:
+    """The residual tolerance must be a finite positive number."""
+    if math.isfinite(tolerance) and tolerance > 0.0:
+        return []
+    return [f"tolerance must be finite and positive, got {tolerance!r}"]
+
+
+def _name_problems(name: str, lineno: int) -> list[str]:
+    """The name becomes an output file name, so it must be a plain one."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        return [f"line {lineno}: field 'name' must be a plain file name "
+                f"without path separators, got {name!r}"]
+    return []
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A named parameter set plus solver options."""
@@ -51,11 +67,17 @@ class Scenario:
     seed: int = 0
 
     def with_overrides(self, *, oracle=None, tolerance=None, seed=None) -> "Scenario":
-        """Apply command-line overrides on top of the file contents."""
+        """Apply command-line overrides on top of the file contents.
+
+        Raises ScenarioError when the tolerance override is invalid.
+        """
         out = self
         if oracle is not None:
             out = replace(out, oracle=oracle)
         if tolerance is not None:
+            problems = _tolerance_problems(tolerance)
+            if problems:
+                raise ScenarioError(problems)
             out = replace(out, tolerance=tolerance)
         if seed is not None:
             out = replace(out, seed=seed)
@@ -110,6 +132,7 @@ def load_scenario(path, *, strict_alpha: bool | None = None) -> Scenario:
                 values[key] = _parse_bool(raw_value)
             elif key == "name":
                 values[key] = raw_value
+                problems.extend(_name_problems(raw_value, lineno))
             else:
                 problems.append(f"line {lineno}: unknown key {key!r}")
         except ValueError as exc:
@@ -124,9 +147,7 @@ def load_scenario(path, *, strict_alpha: bool | None = None) -> Scenario:
     options = {k: values.pop(k, v) for k, v in _OPTION_DEFAULTS.items()}
     if strict_alpha is not None:
         options["strict_alpha"] = strict_alpha
-    if options["tolerance"] <= 0.0:
-        problems.append(
-            f"tolerance must be positive, got {options['tolerance']!r}")
+    problems.extend(_tolerance_problems(options["tolerance"]))
     name = values.pop("name", path.stem)
     params = ModelParams(strict_alpha=options["strict_alpha"], **values)
     problems.extend(params.validate())

@@ -6,49 +6,31 @@ adjoins every equation of its follower's first-order system, so each level's
 conditions are exactly the stationarity of that player's objective along the
 followers' re-solved reaction.
 
-With k = tau*theta, Sigma_t = i_s + i_m + i_r, and costates entering period t
-written with subscript +, the per-period equations are (all residuals zero at
-a solution):
+The unknowns are the state x; the investments i_s, i_m, i_r; the player
+costates p_s, p_m, p_r; lam, the manufacturer's per-period Lagrange value on
+the retailer's control FOC; lam', mu', nu, the supplier's Lagrange values on
+the retailer FOC, the manufacturer FOC and the manufacturer's reaction
+identity (m_react); u, w, u', the forward multipliers each leader attaches to
+a follower costate chain; and r, the supplier's costate for the u chain.
 
-  state     x_{t+1} - alpha x_t - beta_s i_s - beta_m i_m - beta_r i_r
-  foc_r     tau(1 + theta(i_s + i_m + 2 i_r)) - 1 + beta_r p_r+
-  foc_m     tau(1 + theta(i_s + 2 i_m + i_r)) - 1 + beta_m p_m+ + k lam
-  m_react   k i_m + d_hat + beta_r p_m+ + 2 k lam
-  foc_s     tau(1 + theta(2 i_s + i_m + i_r)) - 1 + beta_s p_s+ + k (lam' + mu')
-  s_react_m k i_s + d + beta_m p_s+ + k lam' + 2 k mu' + k nu
-  s_react_r k i_s + beta_r p_s+ + 2 k lam' + k mu'
-  s_react_l k mu' + 2 k nu + beta_r r+
+The system is linear in the stacked unknowns, and ``equation_table`` writes
+each of its fifteen equation families once, as coefficients.  Every other
+view is derived from that table: the square stacked system
+(``assemble_system``), the residual vector (``stationarity_residuals``), the
+per-period blocks of the sweep, including its costate block D22
+(``level_blocks``), and the follower sub-systems of the oracle
+(``restricted_system``).
 
-backward recursions (t = 2..T, terminal value zero at T+1):
-
-  p_r_t = 2 delta_r x_t + alpha p_r+
-  p_m_t = 2 delta_m x_t + alpha p_m+ + 2 delta_r u_t
-  p_s_t = 2 delta_s x_t + alpha p_s+ + 2 delta_m u'_t + 2 delta_r w_t
-  r_t   = alpha r+ + 2 delta_r u'_t
-
-forward recursions (t = 1..T, initial value zero at t = 1):
-
-  u_{t+1}  = alpha u_t  + beta_r lam_t
-  w_{t+1}  = alpha w_t  + beta_r lam'_t
-  u'_{t+1} = alpha u'_t + beta_m mu'_t + beta_r nu_t
-
-Here lam is the manufacturer's per-period Lagrange value on the retailer's
-control FOC; lam', mu', nu are the supplier's Lagrange values on the
-retailer FOC, the manufacturer FOC, and the manufacturer's reaction identity
-(m_react); u, w, u' are the forward multipliers each leader attaches to a
-follower costate chain; r is the supplier's costate for the u chain.
-
-Every equation above is a partial derivative of one of three Hamiltonians
-(retailer plain, manufacturer and supplier augmented with their adjoined
-follower systems), which is what the finite-difference checks in the test
-suite verify row by row.
-
-The whole system is linear in the stacked unknowns; ``assemble_system``
-emits it as one square matrix with labelled rows.
+The table's independent witness is the three Hamiltonians.  The retailer's is
+built from the payoff and the state transition alone; the manufacturer's and
+the supplier's adjoin their followers' table rows.  Every family is a partial
+derivative of one of them, which the finite-difference checks in the test
+suite verify level by level from the retailer up.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,285 +44,212 @@ from .model import (
     state_transition,
 )
 
-# Order of the per-period algebraic unknowns in the 7x7 period system.
-PERIOD_UNKNOWNS = ("i_s", "i_m", "i_r", "lam", "lam_prime", "mu_prime", "nu")
-# Order of the costate-like inputs the period system depends on.
-PERIOD_INPUTS = ("p_r_next", "p_m_next", "p_s_next", "r_next")
+# Unknown blocks of the stacked vector in column order, each with the first
+# and last time it covers (the last as an offset from T).
+BLOCKS = (
+    ("x", 1, 1), ("i_s", 1, 0), ("i_m", 1, 0), ("i_r", 1, 0),
+    ("lam", 1, 0), ("lam_prime", 1, 0), ("mu_prime", 1, 0), ("nu", 1, 0),
+    ("p_r", 2, 1), ("p_m", 2, 1), ("p_s", 2, 1),
+    ("u", 1, 1), ("w", 1, 1), ("u_prime", 1, 1), ("r", 2, 1),
+)
+BLOCK_NAMES = tuple(name for name, _, _ in BLOCKS)
+_FIRST = {name: first for name, first, _ in BLOCKS}
+_LAST = {name: last for name, _, last in BLOCKS}
+
+
+def block_length(name: str, T: int) -> int:
+    return T + _LAST[name] - _FIRST[name] + 1
 
 
 # ---------------------------------------------------------------------------
-# Per-period residual functions
+# The equation table
 # ---------------------------------------------------------------------------
 
-def retailer_foc_residual(controls_t, p_r_next, params: ModelParams):
-    """d(retailer Hamiltonian)/d(i_r)."""
-    i_s, i_m, i_r = controls_t
-    return (params.tau * (1.0 + params.theta * (i_s + i_m + 2.0 * i_r))
-            - 1.0 + params.beta_r * p_r_next)
+class Boundary(NamedTuple):
+    """Row fixing the first (initial) or last (terminal) entry of a block."""
+
+    label: str
+    at_end: bool
+    value: float
 
 
-def manufacturer_foc_residual(controls_t, p_m_next, lam_t, params: ModelParams):
-    """d(manufacturer augmented Hamiltonian)/d(i_m)."""
-    i_s, i_m, i_r = controls_t
-    k = params.tau * params.theta
-    return (params.tau * (1.0 + params.theta * (i_s + 2.0 * i_m + i_r))
-            - 1.0 + params.beta_m * p_m_next + k * lam_t)
+class Family(NamedTuple):
+    """One equation family: rows t = first..T of
 
+        sum(coefficient * block[t + shift] for block, shift, coefficient in terms)
+            = constant
 
-def manufacturer_reaction_residual(controls_t, p_m_next, lam_t, params: ModelParams):
-    """d(manufacturer augmented Hamiltonian)/d(i_r); pins lam_t."""
-    _, i_m, _ = controls_t
-    k = params.tau * params.theta
-    return (k * i_m + params.d_hat + params.beta_r * p_m_next + 2.0 * k * lam_t)
-
-
-def supplier_foc_residual(controls_t, p_s_next, lam_prime_t, mu_prime_t,
-                          params: ModelParams):
-    """d(supplier augmented Hamiltonian)/d(i_s)."""
-    i_s, i_m, i_r = controls_t
-    k = params.tau * params.theta
-    return (params.tau * (1.0 + params.theta * (2.0 * i_s + i_m + i_r))
-            - 1.0 + params.beta_s * p_s_next + k * (lam_prime_t + mu_prime_t))
-
-
-def supplier_reaction_im_residual(controls_t, p_s_next, lam_prime_t, mu_prime_t,
-                                  nu_t, params: ModelParams):
-    """d(supplier augmented Hamiltonian)/d(i_m); part of the lagrange block."""
-    i_s, _, _ = controls_t
-    k = params.tau * params.theta
-    return (k * i_s + params.d + params.beta_m * p_s_next
-            + k * lam_prime_t + 2.0 * k * mu_prime_t + k * nu_t)
-
-
-def supplier_reaction_ir_residual(controls_t, p_s_next, lam_prime_t, mu_prime_t,
-                                  params: ModelParams):
-    """d(supplier augmented Hamiltonian)/d(i_r)."""
-    i_s, _, _ = controls_t
-    k = params.tau * params.theta
-    return (k * i_s + params.beta_r * p_s_next
-            + 2.0 * k * lam_prime_t + k * mu_prime_t)
-
-
-def supplier_reaction_lam_residual(mu_prime_t, nu_t, r_next, params: ModelParams):
-    """d(supplier augmented Hamiltonian)/d(lam)."""
-    k = params.tau * params.theta
-    return k * mu_prime_t + 2.0 * k * nu_t + params.beta_r * r_next
-
-
-def costate_step(player, x_t, p_next, params: ModelParams,
-                 aux_multiplier=0.0, aux_retail_multiplier=0.0):
-    """Backward costate value at t: d(Hamiltonian)/d(x_t).
-
-    ``aux_multiplier`` is u_t at the manufacturer level and u'_t at the
-    supplier level; ``aux_retail_multiplier`` is the supplier-level w_t.
-    Both are ignored for the retailer.
+    A family with a boundary row is a recursion.  Its first term is the block
+    it steps, with coefficient 1, and the boundary fixes that block's other
+    end.
     """
-    if player == "R":
-        return 2.0 * params.delta_r * x_t + params.alpha * p_next
-    if player == "M":
-        return (2.0 * params.delta_m * x_t + params.alpha * p_next
-                + 2.0 * params.delta_r * aux_multiplier)
-    if player == "S":
-        return (2.0 * params.delta_s * x_t + params.alpha * p_next
-                + 2.0 * params.delta_m * aux_multiplier
-                + 2.0 * params.delta_r * aux_retail_multiplier)
-    raise ValueError(f"unknown player {player!r}")
+
+    label: str
+    first: int
+    terms: tuple
+    constant: float
+    boundary: Boundary | None = None
+
+    def residual(self, point) -> float:
+        """The row at one period; ``point`` maps (block, shift) to a value."""
+        return sum(coef * point[block, shift]
+                   for block, shift, coef in self.terms) - self.constant
+
+    def stepped(self, point) -> float:
+        """The value a recursion gives its stepped block at one period."""
+        return self.constant - sum(coef * point[block, shift]
+                                   for block, shift, coef in self.terms[1:])
 
 
-def multiplier_step(level, multiplier_t, lagrange_on_foc, params: ModelParams,
-                    lagrange_on_reaction=0.0):
-    """Forward multiplier value at t+1 from its value at t.
+def equation_table(params: ModelParams) -> tuple[Family, ...]:
+    """The fifteen equation families, in the row order of the stacked system."""
+    k = params.tau * params.theta
+    al = params.alpha
+    bs, bm, br = params.beta_s, params.beta_m, params.beta_r
+    ds, dm, dr = params.delta_s, params.delta_m, params.delta_r
+    net = 1.0 - params.tau
+    return (
+        Family("state", 1, (("x", 1, 1.0), ("x", 0, -al), ("i_s", 0, -bs),
+                            ("i_m", 0, -bm), ("i_r", 0, -br)),
+               0.0, Boundary("x[1] given", False, params.x1)),
+        Family("foc_r", 1, (("i_s", 0, k), ("i_m", 0, k), ("i_r", 0, 2 * k),
+                            ("p_r", 1, br)), net),
+        Family("foc_m", 1, (("i_s", 0, k), ("i_m", 0, 2 * k), ("i_r", 0, k),
+                            ("p_m", 1, bm), ("lam", 0, k)), net),
+        Family("m_react", 1, (("i_m", 0, k), ("p_m", 1, br), ("lam", 0, 2 * k)),
+               -params.d_hat),
+        Family("foc_s", 1, (("i_s", 0, 2 * k), ("i_m", 0, k), ("i_r", 0, k),
+                            ("p_s", 1, bs), ("lam_prime", 0, k),
+                            ("mu_prime", 0, k)), net),
+        Family("s_react_m", 1, (("i_s", 0, k), ("p_s", 1, bm), ("lam_prime", 0, k),
+                                ("mu_prime", 0, 2 * k), ("nu", 0, k)), -params.d),
+        Family("s_react_r", 1, (("i_s", 0, k), ("p_s", 1, br),
+                                ("lam_prime", 0, 2 * k), ("mu_prime", 0, k)), 0.0),
+        Family("s_react_l", 1, (("mu_prime", 0, k), ("nu", 0, 2 * k),
+                                ("r", 1, br)), 0.0),
+        Family("costate_r", 2, (("p_r", 0, 1.0), ("x", 0, -2 * dr), ("p_r", 1, -al)),
+               0.0, Boundary("p_r[T+1]=0", True, 0.0)),
+        Family("costate_m", 2, (("p_m", 0, 1.0), ("x", 0, -2 * dm), ("p_m", 1, -al),
+                                ("u", 0, -2 * dr)),
+               0.0, Boundary("p_m[T+1]=0", True, 0.0)),
+        Family("costate_s", 2, (("p_s", 0, 1.0), ("x", 0, -2 * ds), ("p_s", 1, -al),
+                                ("u_prime", 0, -2 * dm), ("w", 0, -2 * dr)),
+               0.0, Boundary("p_s[T+1]=0", True, 0.0)),
+        Family("u_step", 1, (("u", 1, 1.0), ("u", 0, -al), ("lam", 0, -br)),
+               0.0, Boundary("u[1]=0", False, 0.0)),
+        Family("w_step", 1, (("w", 1, 1.0), ("w", 0, -al), ("lam_prime", 0, -br)),
+               0.0, Boundary("w[1]=0", False, 0.0)),
+        Family("u_prime_step", 1, (("u_prime", 1, 1.0), ("u_prime", 0, -al),
+                                   ("mu_prime", 0, -bm), ("nu", 0, -br)),
+               0.0, Boundary("u_prime[1]=0", False, 0.0)),
+        Family("r_step", 2, (("r", 0, 1.0), ("r", 1, -al), ("u_prime", 0, -2 * dr)),
+               0.0, Boundary("r[T+1]=0", True, 0.0)),
+    )
 
-    Level M: u_{t+1} = alpha u_t + beta_r * lam_t.
-    Level S: u'_{t+1} = alpha u'_t + beta_m * mu'_t + beta_r * nu_t, where the
-    second lagrange rides on the manufacturer's reaction identity.
-    """
-    if level == "M":
-        return params.alpha * multiplier_t + params.beta_r * lagrange_on_foc
-    if level == "S":
-        return (params.alpha * multiplier_t + params.beta_m * lagrange_on_foc
-                + params.beta_r * lagrange_on_reaction)
-    raise ValueError(f"unknown level {level!r}; expected 'M' or 'S'")
+
+def _solvable_table(params: ModelParams):
+    """The table, refused when tau*theta = 0 leaves the controls undetermined."""
+    if params.tau * params.theta == 0.0:
+        raise UndeterminedControlsError()
+    return equation_table(params)
 
 
-def aux_costate_step(r_next, u_prime_t, params: ModelParams):
-    """Backward value of the supplier's costate for the u chain."""
-    return params.alpha * r_next + 2.0 * params.delta_r * u_prime_t
+def _level(table, blocks) -> list[Family]:
+    """The families whose every term lies in ``blocks``."""
+    return [fam for fam in table
+            if all(block in blocks for block, _, _ in fam.terms)]
+
+
+def _row_groups(families):
+    """(family, is_boundary) in row order: a recursion's boundary row comes
+    before its rows when it fixes the initial value, after them otherwise."""
+    for fam in families:
+        boundary = fam.boundary
+        if boundary is not None and not boundary.at_end:
+            yield fam, True
+        yield fam, False
+        if boundary is not None and boundary.at_end:
+            yield fam, True
+
+
+def _row_labels(families, T: int) -> list[str]:
+    labels = []
+    for fam, is_boundary in _row_groups(families):
+        if is_boundary:
+            labels.append(f"boundary: {fam.boundary.label}")
+        else:
+            labels.extend(f"{fam.label}[{t}]" for t in range(fam.first, T + 1))
+    return labels
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonians (the objects the finite-difference checks differentiate)
 # ---------------------------------------------------------------------------
 
-def retailer_hamiltonian(x_t, controls_t, p_r_next, q, params: ModelParams):
-    return (stage_payoff("R", x_t, q, controls_t, params)
-            + p_r_next * state_transition(x_t, controls_t, params))
+def _stage(player, point, q, params: ModelParams):
+    """Stage payoff plus the player's next costate times the state transition."""
+    x_t = point["x", 0]
+    controls_t = (point["i_s", 0], point["i_m", 0], point["i_r", 0])
+    costate = {"R": "p_r", "M": "p_m", "S": "p_s"}[player]
+    return (stage_payoff(player, x_t, q, controls_t, params)
+            + point[costate, 1] * state_transition(x_t, controls_t, params))
 
 
-def manufacturer_hamiltonian(x_t, controls_t, p_m_next, p_r_next, u_t, lam_t,
-                             q, params: ModelParams):
-    """Manufacturer Hamiltonian augmented with the adjoined retailer system:
-    the retailer costate expression weighted by u_t and the retailer control
-    FOC weighted by lam_t."""
-    retailer_costate = 2.0 * params.delta_r * x_t + params.alpha * p_r_next
-    return (stage_payoff("M", x_t, q, controls_t, params)
-            + p_m_next * state_transition(x_t, controls_t, params)
-            + u_t * retailer_costate
-            + lam_t * retailer_foc_residual(controls_t, p_r_next, params))
+def retailer_hamiltonian(point, q, params: ModelParams):
+    """Retailer Hamiltonian at a table point ((block, shift) -> value)."""
+    return _stage("R", point, q, params)
 
 
-def supplier_hamiltonian(x_t, u_t, controls_t, p_s_next, p_m_next, p_r_next,
-                         r_next, u_prime_t, w_t, lam_t, lam_prime_t,
-                         mu_prime_t, nu_t, q, params: ModelParams):
-    """Supplier Hamiltonian augmented with the complete manufacturer system:
-    manufacturer costate expression (u'_t), retailer costate expression (w_t),
-    the u-chain step (r_next), and the three per-period equations of the
-    follower level (lam'_t, mu'_t, nu_t)."""
-    manufacturer_costate = (2.0 * params.delta_m * x_t + params.alpha * p_m_next
-                            + 2.0 * params.delta_r * u_t)
-    retailer_costate = 2.0 * params.delta_r * x_t + params.alpha * p_r_next
-    u_next = multiplier_step("M", u_t, lam_t, params)
-    return (stage_payoff("S", x_t, q, controls_t, params)
-            + p_s_next * state_transition(x_t, controls_t, params)
-            + r_next * u_next
-            + u_prime_t * manufacturer_costate
-            + w_t * retailer_costate
-            + lam_prime_t * retailer_foc_residual(controls_t, p_r_next, params)
-            + mu_prime_t * manufacturer_foc_residual(controls_t, p_m_next, lam_t, params)
-            + nu_t * manufacturer_reaction_residual(controls_t, p_m_next, lam_t, params))
+def manufacturer_hamiltonian(point, q, params: ModelParams):
+    """Manufacturer Hamiltonian augmented with the retailer's table rows: the
+    retailer costate recursion weighted by u_t and the retailer control FOC
+    weighted by lam_t."""
+    rows = {fam.label: fam for fam in equation_table(params)}
+    return (_stage("M", point, q, params)
+            + point["u", 0] * rows["costate_r"].stepped(point)
+            + point["lam", 0] * rows["foc_r"].residual(point))
 
 
-# ---------------------------------------------------------------------------
-# Per-period control elimination
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PeriodControls:
-    """Solution of one period's algebraic block."""
-
-    i_s: float
-    i_m: float
-    i_r: float
-    lam: float
-    lam_prime: float
-    mu_prime: float
-    nu: float
-
-    def investments(self):
-        return (self.i_s, self.i_m, self.i_r)
-
-    def as_array(self):
-        return np.array([self.i_s, self.i_m, self.i_r, self.lam,
-                         self.lam_prime, self.mu_prime, self.nu])
-
-
-def period_matrix(params: ModelParams) -> np.ndarray:
-    """7x7 coefficient matrix of the per-period algebraic block over
-    PERIOD_UNKNOWNS; nonsingular iff tau*theta != 0."""
-    k = params.tau * params.theta
-    M = np.zeros((7, 7))
-    M[0, 0] = k; M[0, 1] = k; M[0, 2] = 2 * k                       # foc_r
-    M[1, 0] = k; M[1, 1] = 2 * k; M[1, 2] = k; M[1, 3] = k          # foc_m
-    M[2, 1] = k; M[2, 3] = 2 * k                                    # m_react
-    M[3, 0] = 2 * k; M[3, 1] = k; M[3, 2] = k; M[3, 4] = k; M[3, 5] = k   # foc_s
-    M[4, 0] = k; M[4, 4] = k; M[4, 5] = 2 * k; M[4, 6] = k          # s_react_m
-    M[5, 0] = k; M[5, 4] = 2 * k; M[5, 5] = k                       # s_react_r
-    M[6, 5] = k; M[6, 6] = 2 * k                                    # s_react_l
-    return M
-
-
-def period_rhs_maps(params: ModelParams):
-    """RHS of the period block as (constant r0, matrix R over PERIOD_INPUTS)."""
-    bs, bm, br = params.beta_s, params.beta_m, params.beta_r
-    one_less_tau = 1.0 - params.tau
-    r0 = np.array([one_less_tau, one_less_tau, -params.d_hat,
-                   one_less_tau, -params.d, 0.0, 0.0])
-    R = np.zeros((7, 4))
-    R[0, 0] = -br     # foc_r:     -beta_r p_r+
-    R[1, 1] = -bm     # foc_m:     -beta_m p_m+
-    R[2, 1] = -br     # m_react:   -beta_r p_m+
-    R[3, 2] = -bs     # foc_s:     -beta_s p_s+
-    R[4, 2] = -bm     # s_react_m: -beta_m p_s+
-    R[5, 2] = -br     # s_react_r: -beta_r p_s+
-    R[6, 3] = -br     # s_react_l: -beta_r r+
-    return r0, R
-
-
-def period_solution_maps(params: ModelParams):
-    """Affine map (G, g) with period solution = G @ inputs + g.
-
-    ``inputs`` are ordered per PERIOD_INPUTS.  Raises
-    UndeterminedControlsError when tau*theta = 0.
-    """
-    if params.tau * params.theta == 0.0:
-        raise UndeterminedControlsError()
-    M = period_matrix(params)
-    r0, R = period_rhs_maps(params)
-    G = np.linalg.solve(M, R)
-    g = np.linalg.solve(M, r0)
-    return G, g
-
-
-def solve_period_controls(p_r_next, p_m_next, p_s_next, r_next,
-                          params: ModelParams) -> PeriodControls:
-    """Solve one period's stacked control/lagrange block."""
-    G, g = period_solution_maps(params)
-    sol = G @ np.array([p_r_next, p_m_next, p_s_next, r_next]) + g
-    return PeriodControls(*sol)
-
-
-def eliminate_controls(costates_next, r_next, params: ModelParams):
-    """Investment triple solving the period's stacked FOCs.
-
-    ``costates_next`` is (p_r_next, p_m_next, p_s_next).  Only the auxiliary
-    costate r_next enters beyond the player costates: the forward multipliers
-    u, w, u' do not appear in any control equation.
-    """
-    p_r_next, p_m_next, p_s_next = costates_next
-    return solve_period_controls(p_r_next, p_m_next, p_s_next, r_next,
-                                 params).investments()
+def supplier_hamiltonian(point, q, params: ModelParams):
+    """Supplier Hamiltonian augmented with the manufacturer level's table
+    rows: the manufacturer costate recursion (u'_t), the retailer costate
+    recursion (w_t), the u-chain step (r_{t+1}), and the three per-period
+    equations of the follower level (lam'_t, mu'_t, nu_t)."""
+    rows = {fam.label: fam for fam in equation_table(params)}
+    return (_stage("S", point, q, params)
+            + point["r", 1] * rows["u_step"].stepped(point)
+            + point["u_prime", 0] * rows["costate_m"].stepped(point)
+            + point["w", 0] * rows["costate_r"].stepped(point)
+            + point["lam_prime", 0] * rows["foc_r"].residual(point)
+            + point["mu_prime", 0] * rows["foc_m"].residual(point)
+            + point["nu", 0] * rows["m_react"].residual(point))
 
 
 # ---------------------------------------------------------------------------
-# Full-horizon system assembly
+# Stacked systems
 # ---------------------------------------------------------------------------
 
 class IndexMap:
-    """Column offsets of the stacked unknown vector (size 15T + 4).
+    """Column offsets of a stacked unknown vector over ``names`` (all of
+    BLOCKS by default, 15T + 4 unknowns), in the given order."""
 
-    Blocks, in order: x (T+1), i_s, i_m, i_r, lam, lam_prime, mu_prime, nu
-    (T each), p_r, p_m, p_s (T each), u, w, u_prime (T+1 each), r (T).
-    """
-
-    def __init__(self, T: int):
+    def __init__(self, T: int, names=BLOCK_NAMES):
         self.T = T
-        offset = 0
-        for name, size in [
-            ("x", T + 1), ("i_s", T), ("i_m", T), ("i_r", T),
-            ("lam", T), ("lam_prime", T), ("mu_prime", T), ("nu", T),
-            ("p_r", T), ("p_m", T), ("p_s", T),
-            ("u", T + 1), ("w", T + 1), ("u_prime", T + 1), ("r", T),
-        ]:
-            setattr(self, name, offset)
-            offset += size
-        self.n = offset
+        self.names = tuple(names)
+        self.offset = {}
+        n = 0
+        for name in self.names:
+            self.offset[name] = n
+            n += block_length(name, T)
+        self.n = n
+
+    def block(self, z: np.ndarray, name: str) -> np.ndarray:
+        start = self.offset[name]
+        return z[start:start + block_length(name, self.T)]
 
     def column_labels(self) -> list[str]:
-        labels = []
-        T = self.T
-        labels += [f"x[{t}]" for t in range(1, T + 2)]
-        for name in ("i_s", "i_m", "i_r", "lam", "lam_prime", "mu_prime", "nu"):
-            labels += [f"{name}[{t}]" for t in range(1, T + 1)]
-        for name in ("p_r", "p_m", "p_s"):
-            labels += [f"{name}[{t}]" for t in range(2, T + 2)]
-        for name in ("u", "w", "u_prime"):
-            labels += [f"{name}[{t}]" for t in range(1, T + 2)]
-        labels += [f"r[{t}]" for t in range(2, T + 2)]
-        return labels
-
-
-BOUNDARY_ROWS = ("x[1] given", "p_r[T+1]=0", "p_m[T+1]=0", "p_s[T+1]=0",
-                 "u[1]=0", "w[1]=0", "u_prime[1]=0", "r[T+1]=0")
+        return [f"{name}[{t}]" for name in self.names
+                for t in range(_FIRST[name], self.T + _LAST[name] + 1)]
 
 
 @dataclass(frozen=True)
@@ -369,175 +278,143 @@ class StationaritySystem:
         return self.matrix @ z - self.rhs
 
 
-def assemble_system(params: ModelParams) -> StationaritySystem:
-    """Emit the square linear system of all stationarity conditions.
+def restricted_system(params: ModelParams, unknowns, fixed=None):
+    """The table restricted to the blocks ``unknowns``, as (matrix, rhs, index).
 
-    Per period: state equation, the three control FOCs, the four lagrange
-    equations, three costate recursions, the auxiliary costate recursion,
-    and three forward multiplier recursions; plus eight boundary rows
-    (initial state, three player transversality rows, the auxiliary
-    transversality row, and three initial-multiplier rows).
+    Its rows are the families whose terms all lie in ``unknowns`` or in the
+    paths ``fixed`` (block name -> array), with the fixed terms moved to the
+    right-hand side; columns follow the order of ``unknowns``.
     """
-    if params.tau * params.theta == 0.0:
-        raise UndeterminedControlsError()
+    fixed = {name: np.asarray(path, dtype=float)
+             for name, path in (fixed or {}).items()}
     T = params.horizon_T
-    ix = IndexMap(T)
+    families = _level(_solvable_table(params), set(unknowns) | set(fixed))
+    ix = IndexMap(T, unknowns)
     n = ix.n
     A = np.zeros((n, n))
     rhs = np.zeros(n)
-    labels = []
-    k = params.tau * params.theta
-    al = params.alpha
-    bs, bm, br = params.beta_s, params.beta_m, params.beta_r
+    # A term fills the diagonal run (row + i, col + i), i = 0..count-1, which
+    # is every (n+1)-th entry of the flattened matrix from row * n + col.
+    flat = A.ravel()
     row = 0
-
-    def emit(label):
-        nonlocal row
-        labels.append(label)
-        row += 1
-        return row - 1
-
-    i = emit("boundary: x[1] given")
-    A[i, ix.x] = 1.0
-    rhs[i] = params.x1
-
-    for t in range(1, T + 1):
-        i = emit(f"state[{t}]")
-        A[i, ix.x + t] = 1.0
-        A[i, ix.x + t - 1] = -al
-        A[i, ix.i_s + t - 1] = -bs
-        A[i, ix.i_m + t - 1] = -bm
-        A[i, ix.i_r + t - 1] = -br
-
-    for t in range(1, T + 1):
-        i = emit(f"foc_r[{t}]")
-        A[i, ix.i_s + t - 1] = k
-        A[i, ix.i_m + t - 1] = k
-        A[i, ix.i_r + t - 1] = 2 * k
-        A[i, ix.p_r + t - 1] = br
-        rhs[i] = 1.0 - params.tau
-
-    for t in range(1, T + 1):
-        i = emit(f"foc_m[{t}]")
-        A[i, ix.i_s + t - 1] = k
-        A[i, ix.i_m + t - 1] = 2 * k
-        A[i, ix.i_r + t - 1] = k
-        A[i, ix.p_m + t - 1] = bm
-        A[i, ix.lam + t - 1] = k
-        rhs[i] = 1.0 - params.tau
-
-    for t in range(1, T + 1):
-        i = emit(f"m_react[{t}]")
-        A[i, ix.i_m + t - 1] = k
-        A[i, ix.p_m + t - 1] = br
-        A[i, ix.lam + t - 1] = 2 * k
-        rhs[i] = -params.d_hat
-
-    for t in range(1, T + 1):
-        i = emit(f"foc_s[{t}]")
-        A[i, ix.i_s + t - 1] = 2 * k
-        A[i, ix.i_m + t - 1] = k
-        A[i, ix.i_r + t - 1] = k
-        A[i, ix.p_s + t - 1] = bs
-        A[i, ix.lam_prime + t - 1] = k
-        A[i, ix.mu_prime + t - 1] = k
-        rhs[i] = 1.0 - params.tau
-
-    for t in range(1, T + 1):
-        i = emit(f"s_react_m[{t}]")
-        A[i, ix.i_s + t - 1] = k
-        A[i, ix.p_s + t - 1] = bm
-        A[i, ix.lam_prime + t - 1] = k
-        A[i, ix.mu_prime + t - 1] = 2 * k
-        A[i, ix.nu + t - 1] = k
-        rhs[i] = -params.d
-
-    for t in range(1, T + 1):
-        i = emit(f"s_react_r[{t}]")
-        A[i, ix.i_s + t - 1] = k
-        A[i, ix.p_s + t - 1] = br
-        A[i, ix.lam_prime + t - 1] = 2 * k
-        A[i, ix.mu_prime + t - 1] = k
-
-    for t in range(1, T + 1):
-        i = emit(f"s_react_l[{t}]")
-        A[i, ix.mu_prime + t - 1] = k
-        A[i, ix.nu + t - 1] = 2 * k
-        A[i, ix.r + t - 1] = br
-
-    for t in range(2, T + 1):
-        i = emit(f"costate_r[{t}]")
-        A[i, ix.p_r + t - 2] = 1.0
-        A[i, ix.x + t - 1] = -2 * params.delta_r
-        A[i, ix.p_r + t - 1] = -al
-    i = emit("boundary: p_r[T+1]=0")
-    A[i, ix.p_r + T - 1] = 1.0
-
-    for t in range(2, T + 1):
-        i = emit(f"costate_m[{t}]")
-        A[i, ix.p_m + t - 2] = 1.0
-        A[i, ix.x + t - 1] = -2 * params.delta_m
-        A[i, ix.p_m + t - 1] = -al
-        A[i, ix.u + t - 1] = -2 * params.delta_r
-    i = emit("boundary: p_m[T+1]=0")
-    A[i, ix.p_m + T - 1] = 1.0
-
-    for t in range(2, T + 1):
-        i = emit(f"costate_s[{t}]")
-        A[i, ix.p_s + t - 2] = 1.0
-        A[i, ix.x + t - 1] = -2 * params.delta_s
-        A[i, ix.p_s + t - 1] = -al
-        A[i, ix.u_prime + t - 1] = -2 * params.delta_m
-        A[i, ix.w + t - 1] = -2 * params.delta_r
-    i = emit("boundary: p_s[T+1]=0")
-    A[i, ix.p_s + T - 1] = 1.0
-
-    i = emit("boundary: u[1]=0")
-    A[i, ix.u] = 1.0
-    for t in range(1, T + 1):
-        i = emit(f"u_step[{t}]")
-        A[i, ix.u + t] = 1.0
-        A[i, ix.u + t - 1] = -al
-        A[i, ix.lam + t - 1] = -br
-
-    i = emit("boundary: w[1]=0")
-    A[i, ix.w] = 1.0
-    for t in range(1, T + 1):
-        i = emit(f"w_step[{t}]")
-        A[i, ix.w + t] = 1.0
-        A[i, ix.w + t - 1] = -al
-        A[i, ix.lam_prime + t - 1] = -br
-
-    i = emit("boundary: u_prime[1]=0")
-    A[i, ix.u_prime] = 1.0
-    for t in range(1, T + 1):
-        i = emit(f"u_prime_step[{t}]")
-        A[i, ix.u_prime + t] = 1.0
-        A[i, ix.u_prime + t - 1] = -al
-        A[i, ix.mu_prime + t - 1] = -bm
-        A[i, ix.nu + t - 1] = -br
-
-    for t in range(2, T + 1):
-        i = emit(f"r_step[{t}]")
-        A[i, ix.r + t - 2] = 1.0
-        A[i, ix.r + t - 1] = -al
-        A[i, ix.u_prime + t - 1] = -2 * params.delta_r
-    i = emit("boundary: r[T+1]=0")
-    A[i, ix.r + T - 1] = 1.0
-
+    for fam, is_boundary in _row_groups(families):
+        if is_boundary:
+            block = fam.terms[0][0]
+            end = block_length(block, T) - 1 if fam.boundary.at_end else 0
+            flat[row * n + ix.offset[block] + end] = 1.0
+            rhs[row] = fam.boundary.value
+            row += 1
+            continue
+        count = T - fam.first + 1
+        rhs[row:row + count] = fam.constant
+        for block, shift, coef in fam.terms:
+            start = fam.first + shift - _FIRST[block]
+            if block in fixed:
+                rhs[row:row + count] -= coef * fixed[block][start:start + count]
+            else:
+                diag = row * n + ix.offset[block] + start
+                flat[diag:diag + count * (n + 1):n + 1] = coef
+        row += count
     if row != n:
         raise AssertionError(f"system is not square: {row} equations, {n} unknowns")
+    return A, rhs, ix
+
+
+def assemble_system(params: ModelParams) -> StationaritySystem:
+    """Emit the square linear system of all stationarity conditions.
+
+    Rows follow the table: per family its rows t = first..T, a recursion's
+    initial boundary row before them and its terminal boundary row after,
+    eight boundary rows in all.
+    """
+    A, rhs, ix = restricted_system(params, BLOCK_NAMES)
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(rhs)):
         raise AssertionError("non-finite coefficients in assembled system")
+    labels = _row_labels(equation_table(params), params.horizon_T)
     return StationaritySystem(
         matrix=A, rhs=rhs, row_labels=tuple(labels),
         column_labels=tuple(ix.column_labels()), index=ix,
     )
 
 
+class LevelBlocks(NamedTuple):
+    """Constant per-period blocks of one level of the game, read off the table.
+
+    With state s_t, costate P_t, period unknowns v_t and the exogenous path's
+    value e_t, the level's families read
+
+        M v_t   = R P_{t+1} + r0 + X e_t    (the algebraic rows)
+        s_{t+1} = A s_t + W v_t + E e_t     (the recursions stepping s)
+        P_t     = C s_t + D22 P_{t+1}       (the recursions stepping P)
+
+    X and E are None without an exogenous path.  The table's recursions have
+    no constant term.
+    """
+
+    M: np.ndarray
+    R: np.ndarray
+    r0: np.ndarray
+    X: np.ndarray | None
+    A: np.ndarray
+    W: np.ndarray
+    E: np.ndarray | None
+    C: np.ndarray
+    D22: np.ndarray
+
+
+def level_blocks(params: ModelParams, state, costate, unknowns,
+                 exogenous=None) -> LevelBlocks:
+    """Blocks of the level spanned by the named state, costate and period
+    unknown blocks plus at most one ``exogenous`` (fixed) block."""
+    blocks = {*state, *costate, *unknowns}
+    if exogenous is not None:
+        blocks.add(exogenous)
+    families = _level(_solvable_table(params), blocks)
+    stepping = {fam.terms[0][0]: fam for fam in families if fam.boundary}
+    columns = ([(name, 0) for name in unknowns], [(name, 1) for name in costate],
+               [(name, 0) for name in state], [(exogenous, 0)])
+    where = {key: (part, j) for part, keys in enumerate(columns)
+             for j, key in enumerate(keys)}
+
+    def split(rows, unknown_sign):
+        """The rows' coefficients on (period unknowns, costates at t+1, states
+        at t, exogenous), all but the first negated as they change sides."""
+        parts = [np.zeros((len(rows), len(keys))) for keys in columns]
+        for i, fam in enumerate(rows):
+            for block, shift, coef in fam.terms:
+                if (block, shift) in where:
+                    part, j = where[block, shift]
+                    parts[part][i, j] = (unknown_sign if part == 0 else -1.0) * coef
+        return parts
+
+    algebraic = [fam for fam in families if fam.boundary is None]
+    M, R, _, X = split(algebraic, 1.0)
+    W, _, A, E = split([stepping[name] for name in state], -1.0)
+    _, D22, C, _ = split([stepping[name] for name in costate], -1.0)
+    if exogenous is None:
+        X = E = None
+    else:
+        X, E = X[:, 0], E[:, 0]
+    r0 = np.array([fam.constant for fam in algebraic])
+    return LevelBlocks(M=M, R=R, r0=r0, X=X, A=A, W=W, E=E, C=C, D22=D22)
+
+
 # ---------------------------------------------------------------------------
 # Trajectory <-> stacked vector, residual evaluation
 # ---------------------------------------------------------------------------
+
+def trajectory_blocks(trajectory: Trajectory) -> dict:
+    """Block name -> path of the trajectory."""
+    c = trajectory.controls
+    return {
+        "x": trajectory.x, "i_s": c.i_s, "i_m": c.i_m, "i_r": c.i_r,
+        "lam": trajectory.lam, "lam_prime": trajectory.lam_prime,
+        "mu_prime": trajectory.mu_prime, "nu": trajectory.nu,
+        "p_r": trajectory.p_r, "p_m": trajectory.p_m, "p_s": trajectory.p_s,
+        "u": trajectory.u, "w": trajectory.w, "u_prime": trajectory.u_prime,
+        "r": trajectory.r,
+    }
+
 
 def trajectory_to_vector(trajectory: Trajectory) -> np.ndarray:
     if not trajectory.has_auxiliary():
@@ -545,141 +422,59 @@ def trajectory_to_vector(trajectory: Trajectory) -> np.ndarray:
             "trajectory is missing auxiliary adjoint fields; only full "
             "solver output can be stacked into the system vector"
         )
-    T = trajectory.horizon
-    ix = IndexMap(T)
-    z = np.zeros(ix.n)
-    z[ix.x:ix.x + T + 1] = trajectory.x
-    z[ix.i_s:ix.i_s + T] = trajectory.controls.i_s
-    z[ix.i_m:ix.i_m + T] = trajectory.controls.i_m
-    z[ix.i_r:ix.i_r + T] = trajectory.controls.i_r
-    z[ix.lam:ix.lam + T] = trajectory.lam
-    z[ix.lam_prime:ix.lam_prime + T] = trajectory.lam_prime
-    z[ix.mu_prime:ix.mu_prime + T] = trajectory.mu_prime
-    z[ix.nu:ix.nu + T] = trajectory.nu
-    z[ix.p_r:ix.p_r + T] = trajectory.p_r
-    z[ix.p_m:ix.p_m + T] = trajectory.p_m
-    z[ix.p_s:ix.p_s + T] = trajectory.p_s
-    z[ix.u:ix.u + T + 1] = trajectory.u
-    z[ix.w:ix.w + T + 1] = trajectory.w
-    z[ix.u_prime:ix.u_prime + T + 1] = trajectory.u_prime
-    z[ix.r:ix.r + T] = trajectory.r
-    return z
+    blocks = trajectory_blocks(trajectory)
+    return np.concatenate([blocks[name] for name in BLOCK_NAMES])
+
+
+def trajectory_from_blocks(blocks: dict, params: ModelParams) -> Trajectory:
+    """The trajectory holding a copy of every path in ``blocks`` (name -> path)."""
+    paths = {name: np.array(blocks[name]) for name in BLOCK_NAMES}
+    controls = Controls(i_s=paths.pop("i_s"), i_m=paths.pop("i_m"),
+                        i_r=paths.pop("i_r"))
+    return Trajectory(controls=controls,
+                      q=np.full(params.horizon_T, optimal_quantity(params)), **paths)
 
 
 def vector_to_trajectory(z: np.ndarray, params: ModelParams) -> Trajectory:
-    T = params.horizon_T
-    ix = IndexMap(T)
-    controls = Controls(
-        i_s=z[ix.i_s:ix.i_s + T].copy(),
-        i_m=z[ix.i_m:ix.i_m + T].copy(),
-        i_r=z[ix.i_r:ix.i_r + T].copy(),
-    )
-    q = np.full(T, optimal_quantity(params))
-    return Trajectory(
-        x=z[ix.x:ix.x + T + 1].copy(),
-        controls=controls,
-        q=q,
-        p_s=z[ix.p_s:ix.p_s + T].copy(),
-        p_m=z[ix.p_m:ix.p_m + T].copy(),
-        p_r=z[ix.p_r:ix.p_r + T].copy(),
-        u=z[ix.u:ix.u + T + 1].copy(),
-        u_prime=z[ix.u_prime:ix.u_prime + T + 1].copy(),
-        w=z[ix.w:ix.w + T + 1].copy(),
-        r=z[ix.r:ix.r + T].copy(),
-        lam=z[ix.lam:ix.lam + T].copy(),
-        lam_prime=z[ix.lam_prime:ix.lam_prime + T].copy(),
-        mu_prime=z[ix.mu_prime:ix.mu_prime + T].copy(),
-        nu=z[ix.nu:ix.nu + T].copy(),
-    )
+    ix = IndexMap(params.horizon_T)
+    return trajectory_from_blocks({name: ix.block(z, name) for name in BLOCK_NAMES},
+                                  params)
+
+
+def _residual_vector(trajectory: Trajectory, families) -> np.ndarray:
+    T = trajectory.horizon
+    blocks = trajectory_blocks(trajectory)
+    parts = []
+    for fam, is_boundary in _row_groups(families):
+        if is_boundary:
+            path = blocks[fam.terms[0][0]]
+            end = path[-1] if fam.boundary.at_end else path[0]
+            parts.append([end - fam.boundary.value])
+            continue
+        count = T - fam.first + 1
+        total = 0.0
+        for block, shift, coef in fam.terms:
+            start = fam.first + shift - _FIRST[block]
+            total = total + coef * blocks[block][start:start + count]
+        parts.append(total - fam.constant)
+    return np.concatenate(parts)
 
 
 def stationarity_residuals(trajectory: Trajectory, params: ModelParams):
-    """Evaluate every stationarity equation directly from the residual
-    functions (independently of assemble_system).
+    """Evaluate every stationarity equation at the trajectory, by slices of
+    its paths rather than through the stacked matrix.
 
-    Returns (values, labels) with one entry per equation.
+    Returns (values, labels) with one entry per equation, in the row order
+    of ``assemble_system``.
     """
-    T = trajectory.horizon
-    tr = trajectory
-    values, labels = [], []
-
-    def put(label, value):
-        labels.append(label)
-        values.append(value)
-
-    put("boundary: x[1] given", tr.x[0] - params.x1)
-    for t in range(1, T + 1):
-        put(f"state[{t}]",
-            tr.x[t] - state_transition(tr.x[t - 1], tr.controls.at(t), params))
-    for t in range(1, T + 1):
-        put(f"foc_r[{t}]",
-            retailer_foc_residual(tr.controls.at(t), tr.p_r[t - 1], params))
-    for t in range(1, T + 1):
-        put(f"foc_m[{t}]",
-            manufacturer_foc_residual(tr.controls.at(t), tr.p_m[t - 1],
-                                      tr.lam[t - 1], params))
-    for t in range(1, T + 1):
-        put(f"m_react[{t}]",
-            manufacturer_reaction_residual(tr.controls.at(t), tr.p_m[t - 1],
-                                           tr.lam[t - 1], params))
-    for t in range(1, T + 1):
-        put(f"foc_s[{t}]",
-            supplier_foc_residual(tr.controls.at(t), tr.p_s[t - 1],
-                                  tr.lam_prime[t - 1], tr.mu_prime[t - 1], params))
-    for t in range(1, T + 1):
-        put(f"s_react_m[{t}]",
-            supplier_reaction_im_residual(tr.controls.at(t), tr.p_s[t - 1],
-                                          tr.lam_prime[t - 1], tr.mu_prime[t - 1],
-                                          tr.nu[t - 1], params))
-    for t in range(1, T + 1):
-        put(f"s_react_r[{t}]",
-            supplier_reaction_ir_residual(tr.controls.at(t), tr.p_s[t - 1],
-                                          tr.lam_prime[t - 1], tr.mu_prime[t - 1],
-                                          params))
-    for t in range(1, T + 1):
-        put(f"s_react_l[{t}]",
-            supplier_reaction_lam_residual(tr.mu_prime[t - 1], tr.nu[t - 1],
-                                           tr.r[t - 1], params))
-    for t in range(2, T + 1):
-        put(f"costate_r[{t}]",
-            tr.p_r[t - 2] - costate_step("R", tr.x[t - 1], tr.p_r[t - 1], params))
-    put("boundary: p_r[T+1]=0", tr.p_r[T - 1])
-    for t in range(2, T + 1):
-        put(f"costate_m[{t}]",
-            tr.p_m[t - 2] - costate_step("M", tr.x[t - 1], tr.p_m[t - 1], params,
-                                         aux_multiplier=tr.u[t - 1]))
-    put("boundary: p_m[T+1]=0", tr.p_m[T - 1])
-    for t in range(2, T + 1):
-        put(f"costate_s[{t}]",
-            tr.p_s[t - 2] - costate_step("S", tr.x[t - 1], tr.p_s[t - 1], params,
-                                         aux_multiplier=tr.u_prime[t - 1],
-                                         aux_retail_multiplier=tr.w[t - 1]))
-    put("boundary: p_s[T+1]=0", tr.p_s[T - 1])
-    put("boundary: u[1]=0", tr.u[0])
-    for t in range(1, T + 1):
-        put(f"u_step[{t}]",
-            tr.u[t] - multiplier_step("M", tr.u[t - 1], tr.lam[t - 1], params))
-    put("boundary: w[1]=0", tr.w[0])
-    for t in range(1, T + 1):
-        put(f"w_step[{t}]",
-            tr.w[t] - multiplier_step("M", tr.w[t - 1], tr.lam_prime[t - 1], params))
-    put("boundary: u_prime[1]=0", tr.u_prime[0])
-    for t in range(1, T + 1):
-        put(f"u_prime_step[{t}]",
-            tr.u_prime[t] - multiplier_step("S", tr.u_prime[t - 1],
-                                            tr.mu_prime[t - 1], params,
-                                            lagrange_on_reaction=tr.nu[t - 1]))
-    for t in range(2, T + 1):
-        put(f"r_step[{t}]",
-            tr.r[t - 2] - aux_costate_step(tr.r[t - 1], tr.u_prime[t - 1], params))
-    put("boundary: r[T+1]=0", tr.r[T - 1])
-
-    return np.array(values), labels
+    table = equation_table(params)
+    return (_residual_vector(trajectory, table),
+            _row_labels(table, trajectory.horizon))
 
 
 def residual_norms(trajectory: Trajectory, params: ModelParams):
     """(max, rms) norms over every stationarity equation, in natural units."""
-    values, _ = stationarity_residuals(trajectory, params)
+    values = _residual_vector(trajectory, equation_table(params))
     return float(np.max(np.abs(values))), float(np.sqrt(np.mean(values ** 2)))
 
 

@@ -5,7 +5,7 @@ couple a forward vector xt (initial condition known) and a backward vector
 Pt (terminal condition zero) through constant blocks:
 
     xt_{t+1} = A xt_t + B Pt_{t+1} + f_t
-    Pt_t     = C xt_t + D22 Pt_{t+1} + e
+    Pt_t     = C xt_t + D22 Pt_{t+1}
 
 The two-point boundary problem is solved by positing the affine relation
 Pt_t = S_t xt_t + s_t, recursing (S_t, s_t) backward from zero terminal
@@ -20,8 +20,9 @@ Two instances of the machinery exist:
          blocks.  At the solved supplier path its solution must reproduce
          the outer one, which ``solve_game`` verifies on every run.
 
-Both derive D22 from the costate recursions rather than assuming it; for
-this model it comes out exactly equal to A (alpha times the identity).
+Every block, D22 included, is read off the equation table by
+``stationarity.level_blocks``; for this model D22 comes out exactly equal to
+A (alpha times the identity).
 """
 from __future__ import annotations
 
@@ -30,26 +31,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SweepSingularError, UndeterminedControlsError
+from .errors import SweepSingularError
 from .model import (
-    Controls,
     ModelParams,
     Trajectory,
     optimal_quantity,
     total_objective,
 )
 from .stationarity import (
+    level_blocks,
     own_control_second_derivative,
-    period_solution_maps,
     residual_norms,
+    trajectory_blocks,
+    trajectory_from_blocks,
 )
 
 _SWEEP_COND_LIMIT = 1e14
 
 OUTER_STATE = ("x", "u", "w", "u_prime")
 OUTER_COSTATE = ("p_r", "p_m", "p_s", "r")
+OUTER_PERIOD = ("i_s", "i_m", "i_r", "lam", "lam_prime", "mu_prime", "nu")
 INNER_STATE = ("x", "u")
 INNER_COSTATE = ("p_m", "p_r")
+INNER_PERIOD = ("i_m", "i_r", "lam")
+# level -> (state, costate and period unknown blocks, exogenous block)
+_LEVELS = {
+    "outer": (OUTER_STATE, OUTER_COSTATE, OUTER_PERIOD, None),
+    "inner": (INNER_STATE, INNER_COSTATE, INNER_PERIOD, "i_s"),
+}
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,6 @@ class AugmentedSystem:
     C: np.ndarray
     D22: np.ndarray
     f: np.ndarray
-    e: np.ndarray
     sol_G: np.ndarray
     sol_g: np.ndarray
 
@@ -85,11 +93,14 @@ class AugmentedSystem:
 class SweepCoefficients:
     """Affine backward-sweep pair: Pt_t = S[t-1] @ xt_t + s[t-1], t = 1..T+1.
 
-    Terminal values S[T] and s[T] are identically zero.
+    Terminal values S[T] and s[T] are identically zero.  ``steps[t-1]`` is
+    the step matrix I - S[t] B of period t, checked nonsingular by the
+    backward pass and solved again by the forward pass.
     """
 
-    S: np.ndarray   # (T+1, n, n)
-    s: np.ndarray   # (T+1, n)
+    S: np.ndarray       # (T+1, n, n)
+    s: np.ndarray       # (T+1, n)
+    steps: np.ndarray   # (T, n, n)
 
 
 @dataclass
@@ -120,120 +131,76 @@ def assemble_augmented(params: ModelParams, level: str,
     """Build the augmented blocks for one level of the game.
 
     ``supplier_investments`` (length T) is required at the inner level and
-    ignored at the outer level.  Entry for entry, expanding the blocks
-    reproduces the stationarity equations after control elimination.
+    ignored at the outer level.  Expanding the blocks reproduces the level's
+    rows of the equation table after control elimination.
     """
+    if level not in _LEVELS:
+        raise ValueError(f"unknown level {level!r}; expected 'inner' or 'outer'")
     T = params.horizon_T
-    k = params.tau * params.theta
-    if k == 0.0:
-        raise UndeterminedControlsError()
-    al = params.alpha
-    bs, bm, br = params.beta_s, params.beta_m, params.beta_r
-    ds, dm, dr = params.delta_s, params.delta_m, params.delta_r
-
-    if level == "outer":
-        G, g = period_solution_maps(params)   # inputs (p_r+, p_m+, p_s+, r+)
-        # weights of the period solution in each forward update
-        W = np.zeros((4, 7))
-        W[0, 0:3] = (bs, bm, br)   # x_{t+1}
-        W[1, 3] = br               # u_{t+1}  <- lam
-        W[2, 4] = br               # w_{t+1}  <- lam'
-        W[3, 5] = bm               # u'_{t+1} <- mu'
-        W[3, 6] = br               # u'_{t+1} <- nu
-        A = al * np.eye(4)
-        B = W @ G
-        f = np.tile(W @ g, (T, 1))
-        C = np.array([
-            [2 * dr, 0.0, 0.0, 0.0],        # p_r_t
-            [2 * dm, 2 * dr, 0.0, 0.0],     # p_m_t
-            [2 * ds, 0.0, 2 * dr, 2 * dm],  # p_s_t
-            [0.0, 0.0, 0.0, 2 * dr],        # r_t
-        ])
-        D22 = al * np.eye(4)
-        e = np.zeros(4)
-        return AugmentedSystem(level="outer", A=A, B=B, C=C, D22=D22, f=f,
-                               e=e, sol_G=G, sol_g=np.tile(g, (T, 1)))
-
-    if level == "inner":
+    state, costate, period, exogenous = _LEVELS[level]
+    blocks = level_blocks(params, state, costate, period, exogenous)
+    if exogenous is not None:
         if supplier_investments is None:
             raise ValueError("inner level requires the supplier investment path")
         i_s = np.asarray(supplier_investments, dtype=float)
         if i_s.shape != (T,):
             raise ValueError(f"supplier path must have shape ({T},), got {i_s.shape}")
-        # period block in (i_m, i_r, lam) given (p_m+, p_r+) and i_s_t
-        M3 = np.array([
-            [k, 2 * k, 0.0],        # retailer FOC
-            [2 * k, k, k],          # manufacturer FOC
-            [k, 0.0, 2 * k],        # manufacturer reaction identity
-        ])
-        R3 = np.array([
-            [0.0, -br],
-            [-bm, 0.0],
-            [-br, 0.0],
-        ])
-        r0 = np.array([1.0 - params.tau, 1.0 - params.tau, -params.d_hat])
-        sS = np.array([-k, -k, 0.0])    # coefficient of the exogenous i_s_t
-        G3 = np.linalg.solve(M3, R3)
-        g0 = np.linalg.solve(M3, r0)
-        gS = np.linalg.solve(M3, sS)
-        sol_g = g0[None, :] + i_s[:, None] * gS[None, :]
-        W = np.zeros((2, 3))
-        W[0, 0:2] = (bm, br)   # x_{t+1}
-        W[1, 2] = br           # u_{t+1} <- lam
-        A = al * np.eye(2)
-        B = W @ G3
-        f = sol_g @ W.T
-        f[:, 0] += bs * i_s    # exogenous supplier contribution to the state
-        C = np.array([
-            [2 * dm, 2 * dr],   # p_m_t
-            [2 * dr, 0.0],      # p_r_t
-        ])
-        D22 = al * np.eye(2)
-        e = np.zeros(2)
-        return AugmentedSystem(level="inner", A=A, B=B, C=C, D22=D22, f=f,
-                               e=e, sol_G=G3, sol_g=sol_g)
-
-    raise ValueError(f"unknown level {level!r}; expected 'inner' or 'outer'")
+    G = np.linalg.solve(blocks.M, blocks.R)
+    g = np.linalg.solve(blocks.M, blocks.r0)
+    if exogenous is None:
+        sol_g = np.tile(g, (T, 1))
+        f = np.tile(blocks.W @ g, (T, 1))
+    else:
+        # the supplier path enters as a per-period constant
+        sol_g = g[None, :] + i_s[:, None] * np.linalg.solve(blocks.M, blocks.X)[None, :]
+        f = sol_g @ blocks.W.T + i_s[:, None] * blocks.E[None, :]
+    return AugmentedSystem(level=level, A=blocks.A, B=blocks.W @ G, C=blocks.C,
+                           D22=blocks.D22, f=f, sol_G=G, sol_g=sol_g)
 
 
-def backward_sweep(aug: AugmentedSystem, params: ModelParams) -> SweepCoefficients:
+def backward_sweep(aug: AugmentedSystem) -> SweepCoefficients:
     """Recurse the affine pair (S_t, s_t) backward from zero terminal values."""
     T = aug.horizon
     n = aug.dim
     S = np.zeros((T + 1, n, n))
     s = np.zeros((T + 1, n))
+    steps = np.zeros((T, n, n))
     eye = np.eye(n)
     for t in range(T, 0, -1):
         S_next = S[t]            # S_{t+1}
         M = eye - S_next @ aug.B
         if not np.all(np.isfinite(M)) or np.linalg.cond(M) > _SWEEP_COND_LIMIT:
             raise SweepSingularError(t)
+        steps[t - 1] = M
         DMinv = np.linalg.solve(M.T, aug.D22.T).T   # D22 @ M^{-1}
         S[t - 1] = aug.C + DMinv @ (S_next @ aug.A)
-        s[t - 1] = DMinv @ (S_next @ aug.f[t - 1] + s[t]) + aug.e
-    return SweepCoefficients(S=S, s=s)
+        s[t - 1] = DMinv @ (S_next @ aug.f[t - 1] + s[t])
+    return SweepCoefficients(S=S, s=s, steps=steps)
 
 
 def _sweep_forward(aug: AugmentedSystem, coeffs: SweepCoefficients, xt1):
     """Forward recovery of (xt, Pt, eliminated per-period solutions)."""
     T = aug.horizon
     n = aug.dim
-    eye = np.eye(n)
     xt = np.zeros((T + 1, n))
     Pt = np.zeros((T, n))          # Pt[t-1] holds Pt_{t+1}
     sols = np.zeros((T, aug.sol_G.shape[0]))
     xt[0] = xt1
     for t in range(1, T + 1):
-        S_next = coeffs.S[t]
-        M = eye - S_next @ aug.B
-        if not np.all(np.isfinite(M)) or np.linalg.cond(M) > _SWEEP_COND_LIMIT:
-            raise SweepSingularError(t)
         drive = aug.A @ xt[t - 1] + aug.f[t - 1]
-        P_next = np.linalg.solve(M, S_next @ drive + coeffs.s[t])
+        P_next = np.linalg.solve(coeffs.steps[t - 1],
+                                 coeffs.S[t] @ drive + coeffs.s[t])
         Pt[t - 1] = P_next
         sols[t - 1] = aug.sol_G @ P_next + aug.sol_g[t - 1]
         xt[t] = drive + aug.B @ P_next
     return xt, Pt, sols
+
+
+def _paths(level: str, xt, Pt, sols) -> dict:
+    """Block name -> path of everything a sweep of ``level`` solved for."""
+    state, costate, period, _ = _LEVELS[level]
+    return {**dict(zip(state, xt.T)), **dict(zip(costate, Pt.T)),
+            **dict(zip(period, sols.T))}
 
 
 def forward_pass(aug: AugmentedSystem, coeffs: SweepCoefficients,
@@ -241,27 +208,8 @@ def forward_pass(aug: AugmentedSystem, coeffs: SweepCoefficients,
     """Forward pass over the outer system, yielding the full trajectory."""
     if aug.level != "outer":
         raise ValueError("forward_pass recovers the full game; pass the outer system")
-    T = params.horizon_T
-    xt1 = np.array([params.x1, 0.0, 0.0, 0.0])
-    xt, Pt, sols = _sweep_forward(aug, coeffs, xt1)
-    controls = Controls(i_s=sols[:, 0].copy(), i_m=sols[:, 1].copy(),
-                        i_r=sols[:, 2].copy())
-    return Trajectory(
-        x=xt[:, 0].copy(),
-        controls=controls,
-        q=np.full(T, optimal_quantity(params)),
-        p_s=Pt[:, 2].copy(),
-        p_m=Pt[:, 1].copy(),
-        p_r=Pt[:, 0].copy(),
-        u=xt[:, 1].copy(),
-        u_prime=xt[:, 3].copy(),
-        w=xt[:, 2].copy(),
-        r=Pt[:, 3].copy(),
-        lam=sols[:, 3].copy(),
-        lam_prime=sols[:, 4].copy(),
-        mu_prime=sols[:, 5].copy(),
-        nu=sols[:, 6].copy(),
-    )
+    xt, Pt, sols = _sweep_forward(aug, coeffs, np.array([params.x1, 0.0, 0.0, 0.0]))
+    return trajectory_from_blocks(_paths("outer", xt, Pt, sols), params)
 
 
 def solve_inner_given_supplier(params: ModelParams, supplier_investments):
@@ -271,29 +219,17 @@ def solve_inner_given_supplier(params: ModelParams, supplier_investments):
     """
     aug = assemble_augmented(params, "inner",
                              supplier_investments=supplier_investments)
-    coeffs = backward_sweep(aug, params)
+    coeffs = backward_sweep(aug)
     xt, Pt, sols = _sweep_forward(aug, coeffs, np.array([params.x1, 0.0]))
-    return {
-        "x": xt[:, 0], "u": xt[:, 1],
-        "p_m": Pt[:, 0], "p_r": Pt[:, 1],
-        "i_m": sols[:, 0], "i_r": sols[:, 1], "lam": sols[:, 2],
-    }
+    return _paths("inner", xt, Pt, sols)
 
 
 def _inner_consistency_delta(params: ModelParams, trajectory: Trajectory) -> float:
     """Max discrepancy between the solved game and the inner level re-run at
     the solved supplier path."""
     inner = solve_inner_given_supplier(params, trajectory.controls.i_s)
-    deltas = [
-        inner["x"] - trajectory.x,
-        inner["u"] - trajectory.u,
-        inner["p_m"] - trajectory.p_m,
-        inner["p_r"] - trajectory.p_r,
-        inner["i_m"] - trajectory.controls.i_m,
-        inner["i_r"] - trajectory.controls.i_r,
-        inner["lam"] - trajectory.lam,
-    ]
-    return float(max(np.max(np.abs(d)) for d in deltas))
+    solved = trajectory_blocks(trajectory)
+    return float(max(np.max(np.abs(inner[name] - solved[name])) for name in inner))
 
 
 def solve_game(params: ModelParams, *, scenario_name: str = "",
@@ -306,7 +242,7 @@ def solve_game(params: ModelParams, *, scenario_name: str = "",
     params.validated()
     started = time.perf_counter()
     aug = assemble_augmented(params, "outer")
-    coeffs = backward_sweep(aug, params)
+    coeffs = backward_sweep(aug)
     trajectory = forward_pass(aug, coeffs, params)
     res_max, res_rms = residual_norms(trajectory, params)
     inner_delta = _inner_consistency_delta(params, trajectory)

@@ -3,19 +3,10 @@ import pytest
 
 from csrchain import ModelParams, optimal_quantity
 from csrchain.stationarity import (
-    aux_costate_step,
-    costate_step,
-    manufacturer_foc_residual,
+    equation_table,
     manufacturer_hamiltonian,
-    manufacturer_reaction_residual,
-    multiplier_step,
-    retailer_foc_residual,
     retailer_hamiltonian,
-    supplier_foc_residual,
     supplier_hamiltonian,
-    supplier_reaction_im_residual,
-    supplier_reaction_ir_residual,
-    supplier_reaction_lam_residual,
 )
 
 
@@ -71,100 +62,67 @@ def draw_params(rng: np.random.Generator, horizon_T: int) -> ModelParams:
     )
 
 
+def family(params: ModelParams, label: str):
+    """The equation-table family with the given label."""
+    return {fam.label: fam for fam in equation_table(params)}[label]
+
+
 def random_evaluation_point(rng: np.random.Generator) -> dict:
-    """Random arguments for the per-period residual/Hamiltonian functions."""
-    return dict(
-        x_t=rng.uniform(-2, 2),
-        u_t=rng.uniform(-2, 2),
-        controls_t=tuple(rng.uniform(-3, 3, size=3)),
-        p_r_next=rng.uniform(-2, 2),
-        p_m_next=rng.uniform(-2, 2),
-        p_s_next=rng.uniform(-2, 2),
-        r_next=rng.uniform(-2, 2),
-        u_prime_t=rng.uniform(-2, 2),
-        w_t=rng.uniform(-2, 2),
-        lam_t=rng.uniform(-2, 2),
-        lam_prime_t=rng.uniform(-2, 2),
-        mu_prime_t=rng.uniform(-2, 2),
-        nu_t=rng.uniform(-2, 2),
-    )
+    """Random table point ((block, shift) -> value) for the per-period
+    Hamiltonians and table rows."""
+    point = {(name, 0): rng.uniform(-3, 3) for name in ("i_s", "i_m", "i_r")}
+    for key in [("x", 0), ("u", 0), ("p_r", 1), ("p_m", 1), ("p_s", 1), ("r", 1),
+                ("u_prime", 0), ("w", 0), ("lam", 0), ("lam_prime", 0),
+                ("mu_prime", 0), ("nu", 0)]:
+        point[key] = rng.uniform(-2, 2)
+    return point
+
+
+# Each family is a partial derivative of one Hamiltonian, named here by
+# (player, differentiated table key).  An algebraic family is the derivative
+# itself; a recursion gives its stepped block the derivative's value.
+WITNESS = {
+    "state": ("R", ("p_r", 1)),
+    "foc_r": ("R", ("i_r", 0)),
+    "costate_r": ("R", ("x", 0)),
+    "foc_m": ("M", ("i_m", 0)),
+    "m_react": ("M", ("i_r", 0)),
+    "costate_m": ("M", ("x", 0)),
+    "u_step": ("M", ("p_r", 1)),
+    "foc_s": ("S", ("i_s", 0)),
+    "s_react_m": ("S", ("i_m", 0)),
+    "s_react_r": ("S", ("i_r", 0)),
+    "s_react_l": ("S", ("lam", 0)),
+    "costate_s": ("S", ("x", 0)),
+    "w_step": ("S", ("p_r", 1)),
+    "u_prime_step": ("S", ("p_m", 1)),
+    "r_step": ("S", ("u", 0)),
+}
+HAMILTONIANS = {"R": retailer_hamiltonian, "M": manufacturer_hamiltonian,
+                "S": supplier_hamiltonian}
 
 
 def gradient_check_worst(params: ModelParams, pt: dict) -> float:
-    """Worst relative error between every coded residual function and the
-    central finite difference of the corresponding Hamiltonian.
+    """Worst relative error between every family of the equation table and
+    the central finite difference of the Hamiltonian it derives from.
 
-    Covers the three control FOCs, the three costate recursions, the four
-    lagrange-block equations, the two forward multiplier steps, and the
-    auxiliary costate step.  Relative error uses max(1, |analytic|) as the
-    denominator.
+    Covers all fifteen families: the state equation, the three control
+    FOCs, the four lagrange-block equations, the three costate recursions,
+    the three forward multiplier steps, and the auxiliary costate step.
+    Relative error uses max(1, |analytic|) as the denominator.
     """
     q = optimal_quantity(params)
-    h = 1e-5 * (1.0 + max(abs(value) for value in pt["controls_t"]))
-    i_s, i_m, i_r = pt["controls_t"]
+    h = 1e-5 * (1.0 + max(abs(pt[name, 0]) for name in ("i_s", "i_m", "i_r")))
+    table = equation_table(params)
+    assert sorted(fam.label for fam in table) == sorted(WITNESS)
+    worst = 0.0
+    for fam in table:
+        player, key = WITNESS[fam.label]
 
-    def diff(f, x0):
-        return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
+        def value(v):
+            return HAMILTONIANS[player]({**pt, key: v}, q, params)
 
-    ham_r = lambda **kw: retailer_hamiltonian(
-        kw.get("x_t", pt["x_t"]),
-        (kw.get("i_s", i_s), kw.get("i_m", i_m), kw.get("i_r", i_r)),
-        pt["p_r_next"], q, params)
-    ham_m = lambda **kw: manufacturer_hamiltonian(
-        kw.get("x_t", pt["x_t"]),
-        (kw.get("i_s", i_s), kw.get("i_m", i_m), kw.get("i_r", i_r)),
-        kw.get("p_m_next", pt["p_m_next"]),
-        kw.get("p_r_next", pt["p_r_next"]),
-        pt["u_t"], pt["lam_t"], q, params)
-    ham_s = lambda **kw: supplier_hamiltonian(
-        kw.get("x_t", pt["x_t"]), kw.get("u_t", pt["u_t"]),
-        (kw.get("i_s", i_s), kw.get("i_m", i_m), kw.get("i_r", i_r)),
-        kw.get("p_s_next", pt["p_s_next"]),
-        kw.get("p_m_next", pt["p_m_next"]),
-        kw.get("p_r_next", pt["p_r_next"]),
-        pt["r_next"], pt["u_prime_t"], pt["w_t"],
-        kw.get("lam_t", pt["lam_t"]), pt["lam_prime_t"],
-        pt["mu_prime_t"], pt["nu_t"], q, params)
-
-    pairs = [
-        (retailer_foc_residual(pt["controls_t"], pt["p_r_next"], params),
-         diff(lambda v: ham_r(i_r=v), i_r)),
-        (manufacturer_foc_residual(pt["controls_t"], pt["p_m_next"],
-                                   pt["lam_t"], params),
-         diff(lambda v: ham_m(i_m=v), i_m)),
-        (supplier_foc_residual(pt["controls_t"], pt["p_s_next"],
-                               pt["lam_prime_t"], pt["mu_prime_t"], params),
-         diff(lambda v: ham_s(i_s=v), i_s)),
-        (costate_step("R", pt["x_t"], pt["p_r_next"], params),
-         diff(lambda v: ham_r(x_t=v), pt["x_t"])),
-        (costate_step("M", pt["x_t"], pt["p_m_next"], params,
-                      aux_multiplier=pt["u_t"]),
-         diff(lambda v: ham_m(x_t=v), pt["x_t"])),
-        (costate_step("S", pt["x_t"], pt["p_s_next"], params,
-                      aux_multiplier=pt["u_prime_t"],
-                      aux_retail_multiplier=pt["w_t"]),
-         diff(lambda v: ham_s(x_t=v), pt["x_t"])),
-        (manufacturer_reaction_residual(pt["controls_t"], pt["p_m_next"],
-                                        pt["lam_t"], params),
-         diff(lambda v: ham_m(i_r=v), i_r)),
-        (supplier_reaction_im_residual(pt["controls_t"], pt["p_s_next"],
-                                       pt["lam_prime_t"], pt["mu_prime_t"],
-                                       pt["nu_t"], params),
-         diff(lambda v: ham_s(i_m=v), i_m)),
-        (supplier_reaction_ir_residual(pt["controls_t"], pt["p_s_next"],
-                                       pt["lam_prime_t"], pt["mu_prime_t"],
-                                       params),
-         diff(lambda v: ham_s(i_r=v), i_r)),
-        (supplier_reaction_lam_residual(pt["mu_prime_t"], pt["nu_t"],
-                                        pt["r_next"], params),
-         diff(lambda v: ham_s(lam_t=v), pt["lam_t"])),
-        (multiplier_step("M", pt["u_t"], pt["lam_t"], params),
-         diff(lambda v: ham_m(p_r_next=v), pt["p_r_next"])),
-        (multiplier_step("S", pt["u_prime_t"], pt["mu_prime_t"], params,
-                         lagrange_on_reaction=pt["nu_t"]),
-         diff(lambda v: ham_s(p_m_next=v), pt["p_m_next"])),
-        (aux_costate_step(pt["r_next"], pt["u_prime_t"], params),
-         diff(lambda v: ham_s(u_t=v), pt["u_t"])),
-    ]
-    return max(abs(analytic - fd) / max(1.0, abs(analytic))
-               for analytic, fd in pairs)
+        fd = (value(pt[key] + h) - value(pt[key] - h)) / (2.0 * h)
+        analytic = fam.residual(pt) if fam.boundary is None else fam.stepped(pt)
+        worst = max(worst, abs(analytic - fd) / max(1.0, abs(analytic)))
+    return worst

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from csrchain.cli import main, run
 from csrchain.output import emit_csv, render_report
 
 from conftest import REFERENCE
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 REFERENCE_FILE = """\
 name = reference
@@ -116,6 +121,18 @@ class TestLoadScenario:
         assert scenario.oracle is True
         assert scenario.tolerance == 1e-9
         assert scenario.seed == 7
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-8"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, value):
+        text = REFERENCE_FILE + f"tolerance = {value}\n"
+        with pytest.raises(ScenarioError, match="tolerance must be finite and positive"):
+            load_scenario(write_scenario(tmp_path, text))
+
+    @pytest.mark.parametrize("name", ["../escaped", "", ".", "..", "a/b", "a\\b"])
+    def test_name_must_be_plain_file_name(self, tmp_path, name):
+        text = REFERENCE_FILE.replace("name = reference", f"name = {name}")
+        with pytest.raises(ScenarioError, match="line 1: field 'name'"):
+            load_scenario(write_scenario(tmp_path, text))
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         text = "# header\n\n" + REFERENCE_FILE.replace(
@@ -252,6 +269,33 @@ class TestCli:
         capsys.readouterr()
         assert main(["solve", str(scenario_path), "--out-dir", str(tmp_path),
                      "--no-strict-alpha"]) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-8"])
+    def test_bad_tolerance_override_exits_two(self, tmp_path, capsys, value):
+        scenario_path = write_scenario(tmp_path, REFERENCE_FILE)
+        out = tmp_path / "out"
+        code = main(["solve", str(scenario_path), "--out-dir", str(out),
+                     f"--tolerance={value}"])
+        assert code == 2
+        assert "tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_escaping_name_writes_nothing(self, tmp_path, capsys):
+        text = REFERENCE_FILE.replace("name = reference", "name = ../escaped")
+        scenario_path = write_scenario(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["solve", str(scenario_path), "--out-dir", str(out)]) == 2
+        assert "'name'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["case.scenario"]
+
+    def test_golden_reference_artifacts(self, tmp_path):
+        """The shipped reference scenario reproduces the committed artifacts
+        byte for byte."""
+        code = main(["solve", str(REPO / "scenarios" / "reference.scenario"),
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        for name in ("reference.trajectory.csv", "reference.report"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
     def test_shipped_reference_scenario(self, tmp_path):
         code = main(["solve", "scenarios/reference.scenario",

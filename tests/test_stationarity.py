@@ -3,85 +3,89 @@ import pytest
 
 from csrchain import (
     UndeterminedControlsError,
+    assemble_augmented,
     assemble_system,
     dense_solve,
-    eliminate_controls,
     optimal_quantity,
     residual_norm,
     residual_norms,
 )
 from csrchain.stationarity import (
-    BOUNDARY_ROWS,
     IndexMap,
-    costate_step,
-    manufacturer_foc_residual,
-    manufacturer_reaction_residual,
-    multiplier_step,
+    equation_table,
     own_control_second_derivative,
-    retailer_foc_residual,
     retailer_hamiltonian,
-    solve_period_controls,
     stationarity_residuals,
-    supplier_foc_residual,
-    supplier_reaction_im_residual,
-    supplier_reaction_ir_residual,
-    supplier_reaction_lam_residual,
     trajectory_to_vector,
     vector_to_trajectory,
 )
 
 from conftest import (
     draw_params,
+    family,
     gradient_check_worst,
     make_params,
     random_evaluation_point,
 )
 
 
+def retailer_point(controls, p_r_next):
+    """Table point of the retailer FOC at one period."""
+    i_s, i_m, i_r = controls
+    return {("i_s", 0): i_s, ("i_m", 0): i_m, ("i_r", 0): i_r, ("p_r", 1): p_r_next}
+
+
 class TestHandValues:
     def test_retailer_foc_full_roi_offsets_cost(self):
         p = make_params(tau=1.0, theta=0.0)
-        assert retailer_foc_residual((3.0, -1.0, 2.0), 0.0, p) == 0.0
+        point = retailer_point((3.0, -1.0, 2.0), 0.0)
+        assert family(p, "foc_r").residual(point) == 0.0
 
     def test_retailer_foc_hand_value(self):
         p = make_params(tau=0.1, theta=0.05, beta_r=0.2)
-        assert retailer_foc_residual((1.0, 1.0, 1.0), 0.0, p) == pytest.approx(-0.88)
+        point = retailer_point((1.0, 1.0, 1.0), 0.0)
+        assert family(p, "foc_r").residual(point) == pytest.approx(-0.88)
 
     def test_retailer_foc_no_tax_channel(self):
         p = make_params(tau=0.0, beta_r=0.2)
         for controls in [(0, 0, 0), (5, -3, 2)]:
-            assert retailer_foc_residual(controls, 1.5, p) == pytest.approx(
+            point = retailer_point(controls, 1.5)
+            assert family(p, "foc_r").residual(point) == pytest.approx(
                 0.2 * 1.5 - 1.0)
 
     def test_costate_zero_point(self):
         p = make_params()
-        for player in "SMR":
-            assert costate_step(player, 0.0, 0.0, p) == 0.0
+        zero = {("x", 0): 0.0, ("u", 0): 0.0, ("w", 0): 0.0, ("u_prime", 0): 0.0}
+        for name, costate in [("costate_s", "p_s"), ("costate_m", "p_m"),
+                              ("costate_r", "p_r")]:
+            assert family(p, name).stepped({**zero, (costate, 1): 0.0}) == 0.0
 
     def test_costate_retailer_hand_value(self):
         p = make_params(delta_r=0.5, alpha=0.9)
-        assert costate_step("R", 1.0, 0.0, p) == pytest.approx(1.0)
+        point = {("x", 0): 1.0, ("p_r", 1): 0.0}
+        assert family(p, "costate_r").stepped(point) == pytest.approx(1.0)
 
     def test_costates_vanish_without_benefit(self):
         p = make_params(delta_s=0.0, delta_m=0.0, delta_r=0.0)
         value = 0.0
         for _ in range(5):   # alpha-contraction from zero terminal value
-            value = costate_step("R", 1.0, value, p)
+            value = family(p, "costate_r").stepped({("x", 0): 1.0, ("p_r", 1): value})
         assert value == 0.0
 
     def test_multiplier_zero_propagates(self):
         p = make_params()
-        assert multiplier_step("M", 0.0, 0.0, p) == 0.0
+        assert family(p, "u_step").stepped({("u", 0): 0.0, ("lam", 0): 0.0}) == 0.0
 
     def test_multiplier_hand_value(self):
         p = make_params(alpha=0.9, beta_r=0.2)
-        assert multiplier_step("M", 1.0, 0.5, p) == pytest.approx(1.0)
+        point = {("u", 0): 1.0, ("lam", 0): 0.5}
+        assert family(p, "u_step").stepped(point) == pytest.approx(1.0)
 
     def test_multiplier_homogeneous_recursion(self):
         p = make_params()
         u = 0.0
         for _ in range(4):
-            u = multiplier_step("M", u, 0.0, p)
+            u = family(p, "u_step").stepped({("u", 0): u, ("lam", 0): 0.0})
         assert u == 0.0
 
     def test_second_derivative_is_two_tau_theta(self):
@@ -91,14 +95,16 @@ class TestHandValues:
         q = optimal_quantity(p)
         h = 1e-4
         def ham(i_r):
-            return retailer_hamiltonian(1.0, (0.5, 0.5, i_r), 0.7, q, p)
+            point = {("x", 0): 1.0, ("i_s", 0): 0.5, ("i_m", 0): 0.5,
+                     ("i_r", 0): i_r, ("p_r", 1): 0.7}
+            return retailer_hamiltonian(point, q, p)
         second = (ham(h) - 2 * ham(0.0) + ham(-h)) / h**2
         assert second == pytest.approx(2 * 0.3 * 0.2, rel=1e-6)
 
 
 class TestGradientFidelity:
-    """Every residual function is a partial derivative of a Hamiltonian;
-    the shared battery covers all thirteen equation families."""
+    """Every family of the equation table is a partial derivative of a
+    Hamiltonian; the shared battery covers all fifteen families."""
 
     def test_reference_point(self, reference_params):
         rng = np.random.default_rng(17)
@@ -113,20 +119,27 @@ class TestGradientFidelity:
             assert gradient_check_worst(params, pt) < 1e-6
 
 
-class TestEliminateControls:
+def period_solution(params, inputs=(0.0, 0.0, 0.0, 0.0)):
+    """The period block's solution (i_s, i_m, i_r, lam, lam', mu', nu) at
+    costate inputs (p_r+, p_m+, p_s+, r+), from the outer solution maps."""
+    aug = assemble_augmented(params, "outer")
+    return aug.sol_G @ np.array(inputs) + aug.sol_g[0]
+
+
+class TestPeriodSolutionMaps:
     def test_zero_costates_solves_stacked_focs(self, reference_params):
         p = reference_params
-        triple = eliminate_controls((0.0, 0.0, 0.0), 0.0, p)
-        sol = solve_period_controls(0.0, 0.0, 0.0, 0.0, p)
-        assert triple == pytest.approx(sol.investments())
+        sol = period_solution(p)
+        point = {(name, 0): value for name, value in zip(
+            ("i_s", "i_m", "i_r", "lam", "lam_prime", "mu_prime", "nu"), sol)}
+        point.update({(name, 1): 0.0 for name in ("p_r", "p_m", "p_s", "r")})
         # residuals of every period equation vanish at the solution
-        assert retailer_foc_residual(triple, 0.0, p) == pytest.approx(0.0, abs=1e-12)
-        assert manufacturer_foc_residual(triple, 0.0, sol.lam, p) == pytest.approx(0.0, abs=1e-12)
-        assert manufacturer_reaction_residual(triple, 0.0, sol.lam, p) == pytest.approx(0.0, abs=1e-12)
-        assert supplier_foc_residual(triple, 0.0, sol.lam_prime, sol.mu_prime, p) == pytest.approx(0.0, abs=1e-12)
-        assert supplier_reaction_im_residual(triple, 0.0, sol.lam_prime, sol.mu_prime, sol.nu, p) == pytest.approx(0.0, abs=1e-12)
-        assert supplier_reaction_ir_residual(triple, 0.0, sol.lam_prime, sol.mu_prime, p) == pytest.approx(0.0, abs=1e-12)
-        assert supplier_reaction_lam_residual(sol.mu_prime, sol.nu, 0.0, p) == pytest.approx(0.0, abs=1e-12)
+        algebraic = [fam for fam in equation_table(p) if fam.boundary is None]
+        assert [fam.label for fam in algebraic] == [
+            "foc_r", "foc_m", "m_react", "foc_s", "s_react_m", "s_react_r",
+            "s_react_l"]
+        for fam in algebraic:
+            assert fam.residual(point) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_hierarchy_ladder(self):
         """With symmetric parameters, zero costates and zero auxiliary
@@ -136,7 +149,7 @@ class TestEliminateControls:
         p = make_params(beta_s=0.3, beta_m=0.3, beta_r=0.3,
                         delta_s=0.02, delta_m=0.02, delta_r=0.02,
                         d=0.0, d_hat=0.0, horizon_T=1)
-        i_s, i_m, i_r = eliminate_controls((0.0, 0.0, 0.0), 0.0, p)
+        i_s, i_m, i_r = period_solution(p)[:3]
         K = (1.0 - p.tau) / (p.tau * p.theta)
         assert i_s == pytest.approx(K / 2)
         assert i_m == pytest.approx(K / 4)
@@ -149,7 +162,7 @@ class TestEliminateControls:
     def test_degenerate_tax_structure_rejected(self):
         for p in [make_params(theta=0.0), make_params(tau=0.0)]:
             with pytest.raises(UndeterminedControlsError, match="undetermined"):
-                eliminate_controls((0.0, 0.0, 0.0), 0.0, p)
+                period_solution(p)
 
 
 class TestAssembleSystem:
@@ -163,7 +176,9 @@ class TestAssembleSystem:
     def test_single_period_counts(self):
         system = assemble_system(make_params(horizon_T=1))
         assert system.n_unknowns == 19
-        assert system.boundary_row_count == len(BOUNDARY_ROWS) == 8
+        boundaries = [fam.boundary for fam in equation_table(make_params())]
+        assert system.boundary_row_count == 8
+        assert sum(b is not None for b in boundaries) == 8
 
     def test_boundary_row_inventory(self, reference_params):
         system = assemble_system(reference_params)

@@ -14,28 +14,31 @@ from csrchain import (
     solve_game,
     trajectory_max_delta,
 )
-from csrchain.stationarity import (
-    aux_costate_step,
-    costate_step,
-    manufacturer_foc_residual,
-    manufacturer_reaction_residual,
-    multiplier_step,
-    retailer_foc_residual,
-    supplier_foc_residual,
-    supplier_reaction_im_residual,
-    supplier_reaction_ir_residual,
-    supplier_reaction_lam_residual,
-)
 from csrchain.model import state_transition
+from csrchain.stationarity import equation_table
 from csrchain.sweep import _sweep_forward, solve_inner_given_supplier
 
 from conftest import draw_params, make_params
+
+OUTER_PERIOD = ("i_s", "i_m", "i_r", "lam", "lam_prime", "mu_prime", "nu")
+
+
+def table_residuals(params, point, labels):
+    """The named algebraic families of the table at one period."""
+    rows = {fam.label: fam for fam in equation_table(params)}
+    return [rows[label].residual(point) for label in labels]
+
+
+def table_steps(params, point, labels):
+    """The values the named recursions of the table give their blocks."""
+    rows = {fam.label: fam for fam in equation_table(params)}
+    return [rows[label].stepped(point) for label in labels]
 
 
 class TestAssembleAugmented:
     def test_outer_blocks_reproduce_equations(self, reference_params):
         """Expanding the outer blocks at arbitrary values reproduces every
-        stationarity equation of the period, entry for entry."""
+        equation of the table's period, entry for entry."""
         p = reference_params
         aug = assemble_augmented(p, "outer")
         rng = np.random.default_rng(31)
@@ -44,34 +47,22 @@ class TestAssembleAugmented:
             xt = rng.uniform(-2, 2, size=4)        # (x, u, w, u')
             Pn = rng.uniform(-2, 2, size=4)        # (p_r+, p_m+, p_s+, r+)
             sol = aug.sol_G @ Pn + aug.sol_g[0]
-            triple = tuple(sol[:3])
-            lam, lamp, mup, nu = sol[3:]
-            residuals = [
-                retailer_foc_residual(triple, Pn[0], p),
-                manufacturer_foc_residual(triple, Pn[1], lam, p),
-                manufacturer_reaction_residual(triple, Pn[1], lam, p),
-                supplier_foc_residual(triple, Pn[2], lamp, mup, p),
-                supplier_reaction_im_residual(triple, Pn[2], lamp, mup, nu, p),
-                supplier_reaction_ir_residual(triple, Pn[2], lamp, mup, p),
-                supplier_reaction_lam_residual(mup, nu, Pn[3], p),
-            ]
+            point = {(name, 0): value for name, value in zip(OUTER_PERIOD, sol)}
+            point.update({(name, 1): value for name, value in
+                          zip(("p_r", "p_m", "p_s", "r"), Pn)})
+            point.update({(name, 0): value for name, value in
+                          zip(("x", "u", "w", "u_prime"), xt)})
+            residuals = table_residuals(p, point, (
+                "foc_r", "foc_m", "m_react", "foc_s", "s_react_m", "s_react_r",
+                "s_react_l"))
             worst = max(worst, max(abs(r) for r in residuals))
             forward = aug.A @ xt + aug.B @ Pn + aug.f[0]
-            expected_forward = [
-                state_transition(xt[0], triple, p),
-                multiplier_step("M", xt[1], lam, p),
-                multiplier_step("M", xt[2], lamp, p),
-                multiplier_step("S", xt[3], mup, p, lagrange_on_reaction=nu),
-            ]
+            expected_forward = [state_transition(xt[0], tuple(sol[:3]), p)]
+            expected_forward += table_steps(p, point, ("u_step", "w_step", "u_prime_step"))
             worst = max(worst, max(abs(a - b) for a, b in zip(forward, expected_forward)))
-            backward = aug.C @ xt + aug.D22 @ Pn + aug.e
-            expected_backward = [
-                costate_step("R", xt[0], Pn[0], p),
-                costate_step("M", xt[0], Pn[1], p, aux_multiplier=xt[1]),
-                costate_step("S", xt[0], Pn[2], p, aux_multiplier=xt[3],
-                             aux_retail_multiplier=xt[2]),
-                aux_costate_step(Pn[3], xt[3], p),
-            ]
+            backward = aug.C @ xt + aug.D22 @ Pn
+            expected_backward = table_steps(p, point, (
+                "costate_r", "costate_m", "costate_s", "r_step"))
             worst = max(worst, max(abs(a - b) for a, b in zip(backward, expected_backward)))
         assert worst <= 1e-12
 
@@ -85,24 +76,17 @@ class TestAssembleAugmented:
             xt = rng.uniform(-2, 2, size=2)        # (x, u)
             Pn = rng.uniform(-2, 2, size=2)        # (p_m+, p_r+)
             i_m, i_r, lam = aug.sol_G @ Pn + aug.sol_g[t]
-            triple = (i_s[t], i_m, i_r)
-            residuals = [
-                retailer_foc_residual(triple, Pn[1], p),
-                manufacturer_foc_residual(triple, Pn[0], lam, p),
-                manufacturer_reaction_residual(triple, Pn[0], lam, p),
-            ]
+            point = {("i_s", 0): i_s[t], ("i_m", 0): i_m, ("i_r", 0): i_r,
+                     ("lam", 0): lam, ("p_m", 1): Pn[0], ("p_r", 1): Pn[1],
+                     ("x", 0): xt[0], ("u", 0): xt[1]}
+            residuals = table_residuals(p, point, ("foc_r", "foc_m", "m_react"))
             worst = max(worst, max(abs(r) for r in residuals))
             forward = aug.A @ xt + aug.B @ Pn + aug.f[t]
-            expected_forward = [
-                state_transition(xt[0], triple, p),
-                multiplier_step("M", xt[1], lam, p),
-            ]
+            expected_forward = [state_transition(xt[0], (i_s[t], i_m, i_r), p)]
+            expected_forward += table_steps(p, point, ("u_step",))
             worst = max(worst, max(abs(a - b) for a, b in zip(forward, expected_forward)))
-            backward = aug.C @ xt + aug.D22 @ Pn + aug.e
-            expected_backward = [
-                costate_step("M", xt[0], Pn[0], p, aux_multiplier=xt[1]),
-                costate_step("R", xt[0], Pn[1], p),
-            ]
+            backward = aug.C @ xt + aug.D22 @ Pn
+            expected_backward = table_steps(p, point, ("costate_m", "costate_r"))
             worst = max(worst, max(abs(a - b) for a, b in zip(backward, expected_backward)))
         assert worst <= 1e-12
 
@@ -117,10 +101,16 @@ class TestAssembleAugmented:
         assert np.array_equal(outer.D22, reference_params.alpha * np.eye(4))
 
     def test_costate_block_zero_without_benefit(self):
+        """Without social benefit the costate recursions lose their state
+        terms, and they never carry a constant, so the backward recursion
+        needs no forcing term."""
         p = make_params(delta_s=0.0, delta_m=0.0, delta_r=0.0, d=0.0, d_hat=0.0)
         aug = assemble_augmented(p, "outer")
         assert np.array_equal(aug.C, np.zeros((4, 4)))
-        assert np.array_equal(aug.e, np.zeros(4))
+        backward = [fam for fam in equation_table(p)
+                    if fam.boundary is not None and fam.boundary.at_end]
+        assert len(backward) == 4
+        assert all(fam.constant == 0.0 for fam in backward)
 
     def test_degenerate_tax_structure_propagates(self):
         with pytest.raises(UndeterminedControlsError):
@@ -138,7 +128,7 @@ class TestAssembleAugmented:
 class TestBackwardSweep:
     def test_terminal_pair_is_zero(self, reference_params):
         aug = assemble_augmented(reference_params, "outer")
-        coeffs = backward_sweep(aug, reference_params)
+        coeffs = backward_sweep(aug)
         T = reference_params.horizon_T
         assert np.array_equal(coeffs.S[T], np.zeros((4, 4)))
         assert np.array_equal(coeffs.s[T], np.zeros(4))
@@ -147,15 +137,15 @@ class TestBackwardSweep:
     def test_single_period_single_step(self):
         p = make_params(horizon_T=1)
         aug = assemble_augmented(p, "outer")
-        coeffs = backward_sweep(aug, p)
-        # one recursion step from the zero terminal pair: S_1 = C, s_1 = e
+        coeffs = backward_sweep(aug)
+        # one recursion step from the zero terminal pair: S_1 = C, s_1 = 0
         assert np.allclose(coeffs.S[0], aug.C)
-        assert np.allclose(coeffs.s[0], aug.e)
+        assert np.allclose(coeffs.s[0], np.zeros(4))
 
     def test_zero_costate_block_kills_gains(self):
         p = make_params(delta_s=0.0, delta_m=0.0, delta_r=0.0, d=0.0, d_hat=0.0)
         aug = assemble_augmented(p, "outer")
-        coeffs = backward_sweep(aug, p)
+        coeffs = backward_sweep(aug)
         assert np.array_equal(coeffs.S, np.zeros_like(coeffs.S))
         assert np.array_equal(coeffs.s, np.zeros_like(coeffs.s))
 
@@ -172,12 +162,11 @@ class TestBackwardSweep:
         from csrchain.sweep import AugmentedSystem
         eye = np.eye(2)
         aug = AugmentedSystem(
-            level="outer", A=eye, B=eye, C=eye, D22=eye,
-            f=np.zeros((2, 2)), e=np.zeros(2),
+            level="outer", A=eye, B=eye, C=eye, D22=eye, f=np.zeros((2, 2)),
             sol_G=np.zeros((7, 2)), sol_g=np.zeros((2, 7)),
         )
         with pytest.raises(SweepSingularError) as excinfo:
-            backward_sweep(aug, make_params(horizon_T=2))
+            backward_sweep(aug)
         assert excinfo.value.time_index == 1
         assert "time index 1" in str(excinfo.value)
 
@@ -207,7 +196,7 @@ class TestForwardPass:
     def test_rejects_inner_system(self, reference_params):
         aug = assemble_augmented(reference_params, "inner",
                                  supplier_investments=np.zeros(3))
-        coeffs = backward_sweep(aug, reference_params)
+        coeffs = backward_sweep(aug)
         with pytest.raises(ValueError, match="outer"):
             forward_pass(aug, coeffs, reference_params)
 
@@ -216,7 +205,7 @@ class TestForwardPass:
         xt_{t+1} = A xt_t + f_t."""
         aug = assemble_augmented(reference_params, "outer")
         stripped = dataclasses.replace(aug, B=np.zeros_like(aug.B))
-        coeffs = backward_sweep(stripped, reference_params)
+        coeffs = backward_sweep(stripped)
         xt, _, _ = _sweep_forward(stripped, coeffs, np.array([1.0, 0.0, 0.0, 0.0]))
         expected = np.array([1.0, 0.0, 0.0, 0.0])
         for t in range(reference_params.horizon_T):
