@@ -241,15 +241,20 @@ def stage_payoff(player: str, x, q, controls_t, params: ModelParams):
 
 
 def rollout(params: ModelParams, x1, i_s, i_m, i_r) -> np.ndarray:
-    """State path implied by the state equation for the given investments."""
-    i_s = np.asarray(i_s, dtype=float)
-    i_m = np.asarray(i_m, dtype=float)
-    i_r = np.asarray(i_r, dtype=float)
-    T = i_s.shape[0]
-    x = np.empty(T + 1)
-    x[0] = x1
+    """State path implied by the state equation for the given investments.
+
+    The investment paths have shape (..., T) and are broadcast against each
+    other; the result has shape (..., T + 1), one state path per batch entry,
+    each computed with the same arithmetic as a single path.
+    """
+    i_s, i_m, i_r = np.broadcast_arrays(*(np.asarray(path, dtype=float)
+                                          for path in (i_s, i_m, i_r)))
+    T = i_s.shape[-1]
+    x = np.empty(i_s.shape[:-1] + (T + 1,))
+    x[..., 0] = x1
     for t in range(T):
-        x[t + 1] = state_transition(x[t], (i_s[t], i_m[t], i_r[t]), params)
+        x[..., t + 1] = state_transition(
+            x[..., t], (i_s[..., t], i_m[..., t], i_r[..., t]), params)
     return x
 
 

@@ -8,7 +8,10 @@ against the payoffs rather than one solver against another.
 
 All perturbation directions are fixed-seed pseudorandom, plus every
 coordinate direction, so results are reproducible and single-period
-deviations cannot hide in a random subspace.
+deviations cannot hide in a random subspace.  A perturbed leader path moves
+only the right-hand side of the follower system, so each check factors that
+system once and solves every probe, +h and -h, as one block of right-hand
+sides; the retailer check rolls all its probes out in one batched pass.
 """
 from __future__ import annotations
 
@@ -22,10 +25,10 @@ _COND_LIMIT = 1e12
 
 
 def _stacked_objective(player, params, x, i_s, i_m, i_r, q):
-    total = 0.0
-    for t in range(len(i_s)):
-        total += stage_payoff(player, x[t], q, (i_s[t], i_m[t], i_r[t]), params)
-    return total
+    """The player's payoff summed over periods 1..T, for every path of a
+    batch: the state ``x`` has shape (..., T + 1), the investments (..., T)."""
+    stage = stage_payoff(player, x[..., :-1], q, (i_s, i_m, i_r), params)
+    return np.sum(stage, axis=-1)
 
 
 def dense_solve(params: ModelParams) -> Trajectory:
@@ -51,6 +54,11 @@ def dense_solve(params: ModelParams) -> Trajectory:
 
 # ---------------------------------------------------------------------------
 # Follower response sub-solvers (small dense systems, re-used by the checks)
+#
+# A fixed leader path enters a follower system only through its right-hand
+# side, so a batch of paths (leading axes, (..., T)) is solved with one
+# factorization of the shared matrix, every path a column of the right-hand
+# side.  The responses come back with the same leading axes.
 # ---------------------------------------------------------------------------
 
 # Unknown blocks of the two follower responses; every other block is either
@@ -59,14 +67,21 @@ _RETAILER_BLOCKS = ("x", "i_r", "p_r")
 _FOLLOWER_BLOCKS = ("x", "i_m", "i_r", "lam", "p_r", "p_m", "u")
 
 
+def _solve_batch(A, rhs):
+    """Solve A z = rhs for right-hand sides of shape (..., n) at once."""
+    n = A.shape[0]
+    return np.linalg.solve(A, rhs.reshape(-1, n).T).T.reshape(rhs.shape)
+
+
 def solve_retailer_response(params: ModelParams, i_s, i_m):
     """Retailer stationarity response to fixed upstream paths.
 
     Solves the retailer's own first-order system (state equation, control
-    FOC, costate recursion, and their boundary rows) for (i_r, x).
+    FOC, costate recursion, and their boundary rows) for (i_r, x).  The paths
+    may be batches of shape (..., T), solved with one factorization.
     """
     A, b, ix = restricted_system(params, _RETAILER_BLOCKS, {"i_s": i_s, "i_m": i_m})
-    sol = np.linalg.solve(A, b)
+    sol = _solve_batch(A, b)
     return ix.block(sol, "i_r"), ix.block(sol, "x")
 
 
@@ -74,10 +89,11 @@ def solve_inner_response(params: ModelParams, i_s):
     """Manufacturer-with-retailer stationarity response to a supplier path.
 
     Solves the complete inner first-order system (both followers) for
-    (i_m, i_r, x).
+    (i_m, i_r, x).  ``i_s`` may be a batch of shape (..., T), solved with one
+    factorization.
     """
     A, b, ix = restricted_system(params, _FOLLOWER_BLOCKS, {"i_s": i_s})
-    sol = np.linalg.solve(A, b)
+    sol = _solve_batch(A, b)
     return ix.block(sol, "i_m"), ix.block(sol, "i_r"), ix.block(sol, "x")
 
 
@@ -86,22 +102,26 @@ def solve_inner_response(params: ModelParams, i_s):
 # ---------------------------------------------------------------------------
 
 def _directions(T, n_directions, seed):
-    """Unit probe directions: fixed-seed pseudorandom plus every coordinate."""
+    """Unit probe directions as rows: fixed-seed pseudorandom, then every
+    coordinate."""
     rng = np.random.default_rng(seed)
-    dirs = []
-    for _ in range(n_directions):
-        eta = rng.standard_normal(T)
-        dirs.append(eta / np.linalg.norm(eta))
-    dirs.extend(np.eye(T))
-    return dirs
+    eta = rng.standard_normal((n_directions, T))
+    eta /= np.linalg.norm(eta, axis=1, keepdims=True)
+    return np.vstack([eta, np.eye(T)])
 
 
 def _worst_slope(objective, path, trajectory, n_directions, seed) -> float:
     """Max central-difference slope of ``objective`` at ``path`` over the
-    probe directions, with a step scaled to the trajectory's investments."""
+    probe directions, with a step scaled to the trajectory's investments.
+
+    ``objective`` takes every probe at once, the +h probes stacked over the
+    -h probes as one (2k, T) batch, and returns their k + k values.
+    """
     h = 1e-5 * (1.0 + float(np.max(np.abs(trajectory.controls.stacked()))))
-    return max(abs(objective(path + h * eta) - objective(path - h * eta)) / (2.0 * h)
-               for eta in _directions(len(path), n_directions, seed))
+    eta = _directions(len(path), n_directions, seed)
+    values = objective(np.concatenate([path + h * eta, path - h * eta]))
+    plus, minus = np.split(values, 2)
+    return float(np.max(np.abs(plus - minus) / (2.0 * h)))
 
 
 def follower_stationarity_check(trajectory: Trajectory, params: ModelParams,
@@ -112,7 +132,8 @@ def follower_stationarity_check(trajectory: Trajectory, params: ModelParams,
 
     Level R perturbs the retailer path with the state re-rolled.  Level M
     perturbs the manufacturer path and re-solves the retailer's response
-    before differencing the manufacturer's objective.
+    before differencing the manufacturer's objective.  Either way every
+    probe is evaluated in one batched call.
     """
     c = trajectory.controls
     q = trajectory.q[0]
@@ -134,7 +155,7 @@ def follower_stationarity_check(trajectory: Trajectory, params: ModelParams,
 def leader_stationarity_check(trajectory: Trajectory, params: ModelParams,
                               n_directions: int = 12, seed: int = 0) -> float:
     """Max directional derivative of the supplier's objective with the whole
-    follower subsystem re-solved per probe."""
+    follower subsystem re-solved for every probe, all probes in one solve."""
     c = trajectory.controls
     q = trajectory.q[0]
 
@@ -147,21 +168,18 @@ def leader_stationarity_check(trajectory: Trajectory, params: ModelParams,
 def grid_scan_supplier(params: ModelParams, center: float, half_width: float,
                        n_points: int = 81) -> float:
     """Single-period brute-force cross-check: scan the supplier's investment
-    over a grid (followers re-solved per point), locate the sign change of
-    the first difference of its objective, and refine by fitting a parabola
-    through the bracketing triple.
+    over a grid (followers re-solved at every point, in one batched solve),
+    locate the sign change of the first difference of its objective, and
+    refine by fitting a parabola through the bracketing triple.
 
     Only defined for horizon 1, where the supplier's choice is a scalar.
     """
     if params.horizon_T != 1:
         raise ValueError("grid scan is a single-period check; horizon_T must be 1")
     grid = np.linspace(center - half_width, center + half_width, n_points)
-    values = np.empty(n_points)
-    q = optimal_quantity(params)
-    for idx, point in enumerate(grid):
-        i_s = np.array([point])
-        i_m, i_r, x = solve_inner_response(params, i_s)
-        values[idx] = _stacked_objective("S", params, x, i_s, i_m, i_r, q)
+    i_s = grid[:, np.newaxis]
+    i_m, i_r, x = solve_inner_response(params, i_s)
+    values = _stacked_objective("S", params, x, i_s, i_m, i_r, optimal_quantity(params))
     diffs = np.diff(values)
     signs = np.sign(diffs)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]

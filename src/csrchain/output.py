@@ -68,13 +68,22 @@ def parse_csv(path) -> Trajectory:
     """Re-read a trajectory CSV into a Trajectory.
 
     Only the reported columns are recovered; the auxiliary adjoint fields
-    are left unset.
+    are left unset.  Raises ValueError for a file that ``emit_csv`` cannot
+    have written: a wrong header, fewer than two data rows (one period plus
+    the terminal row), or a row without one cell per column.
     """
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows or rows[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}")
     data = rows[1:]
+    if len(data) < 2:
+        raise ValueError(f"truncated CSV {path}: {len(data)} data rows, need at "
+                         "least one period and the terminal row")
+    for line, row in enumerate(data, start=2):
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"line {line} of {path} has {len(row)} cells, "
+                             f"expected {len(CSV_HEADER)}")
     T = len(data) - 1
     x = np.array([float(r[1]) for r in data])
     i_s = np.array([float(r[2]) for r in data[:T]])

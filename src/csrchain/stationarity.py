@@ -244,8 +244,9 @@ class IndexMap:
         self.n = n
 
     def block(self, z: np.ndarray, name: str) -> np.ndarray:
+        """The block's entries of ``z`` along its last axis."""
         start = self.offset[name]
-        return z[start:start + block_length(name, self.T)]
+        return z[..., start:start + block_length(name, self.T)]
 
     def column_labels(self) -> list[str]:
         return [f"{name}[{t}]" for name in self.names
@@ -283,16 +284,26 @@ def restricted_system(params: ModelParams, unknowns, fixed=None):
 
     Its rows are the families whose terms all lie in ``unknowns`` or in the
     paths ``fixed`` (block name -> array), with the fixed terms moved to the
-    right-hand side; columns follow the order of ``unknowns``.
+    right-hand side; columns follow the order of ``unknowns``.  A fixed path
+    may carry leading batch axes, ``(..., length)``: the fixed paths are
+    broadcast against each other and ``rhs`` has shape ``(..., n)``, one
+    right-hand side per batch entry, while the matrix is shared.  Raises
+    ValueError when a path's last axis is not its block's length.
     """
+    T = params.horizon_T
     fixed = {name: np.asarray(path, dtype=float)
              for name, path in (fixed or {}).items()}
-    T = params.horizon_T
+    for name, path in fixed.items():
+        length = block_length(name, T)
+        if path.shape[-1:] != (length,):
+            raise ValueError(f"fixed path {name!r} has shape {path.shape}; its last "
+                             f"axis must have length {length} at horizon {T}")
     families = _level(_solvable_table(params), set(unknowns) | set(fixed))
     ix = IndexMap(T, unknowns)
     n = ix.n
     A = np.zeros((n, n))
-    rhs = np.zeros(n)
+    batch = np.broadcast_shapes(*(path.shape[:-1] for path in fixed.values()))
+    rhs = np.zeros(batch + (n,))
     # A term fills the diagonal run (row + i, col + i), i = 0..count-1, which
     # is every (n+1)-th entry of the flattened matrix from row * n + col.
     flat = A.ravel()
@@ -302,15 +313,15 @@ def restricted_system(params: ModelParams, unknowns, fixed=None):
             block = fam.terms[0][0]
             end = block_length(block, T) - 1 if fam.boundary.at_end else 0
             flat[row * n + ix.offset[block] + end] = 1.0
-            rhs[row] = fam.boundary.value
+            rhs[..., row] = fam.boundary.value
             row += 1
             continue
         count = T - fam.first + 1
-        rhs[row:row + count] = fam.constant
+        rhs[..., row:row + count] = fam.constant
         for block, shift, coef in fam.terms:
             start = fam.first + shift - _FIRST[block]
             if block in fixed:
-                rhs[row:row + count] -= coef * fixed[block][start:start + count]
+                rhs[..., row:row + count] -= coef * fixed[block][..., start:start + count]
             else:
                 diag = row * n + ix.offset[block] + start
                 flat[diag:diag + count * (n + 1):n + 1] = coef

@@ -161,6 +161,26 @@ class TestCsvRoundTrip:
         assert np.array_equal(traj.p_s, back.p_s)
         assert np.array_equal(traj.u_prime, back.u_prime)
 
+    @pytest.mark.parametrize("rows", [0, 1], ids=["header_only", "terminal_row_only"])
+    def test_truncated_file_rejected(self, tmp_path, reference_params, rows):
+        traj, _ = solve_game(reference_params)
+        path = tmp_path / "out.csv"
+        emit_csv(traj, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1] + lines[len(lines) - rows:]))
+        with pytest.raises(ValueError, match=rf"out\.csv: {rows} data rows"):
+            parse_csv(path)
+
+    def test_short_row_rejected(self, tmp_path, reference_params):
+        traj, _ = solve_game(reference_params)
+        path = tmp_path / "out.csv"
+        emit_csv(traj, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = ",".join(lines[2].split(",")[:6]) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=r"line 3 of .*out\.csv has 6 cells, expected 11"):
+            parse_csv(path)
+
     def test_zero_trajectory_all_zero_cells(self, tmp_path):
         from csrchain import Controls, Trajectory
         T = 3
