@@ -38,13 +38,17 @@ class SweepSingularError(CsrChainError):
 
 
 class SingularSystemError(CsrChainError):
-    """The stacked stationarity system is numerically singular."""
+    """The stacked stationarity system is numerically singular.
+
+    ``cond_estimate`` estimates the 1-norm condition number from below; it is
+    infinite when the factorization met an exactly zero pivot.
+    """
 
     def __init__(self, cond_estimate):
         self.cond_estimate = cond_estimate
         super().__init__(
             f"stationarity system is numerically singular "
-            f"(condition estimate {cond_estimate:.3e})"
+            f"(1-norm condition estimate {cond_estimate:.3e})"
         )
 
 

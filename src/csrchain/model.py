@@ -261,11 +261,8 @@ def rollout(params: ModelParams, x1, i_s, i_m, i_r) -> np.ndarray:
 def check_state_consistency(trajectory: Trajectory, params: ModelParams) -> float:
     """Max violation of the state equation along the trajectory."""
     c = trajectory.controls
-    worst = 0.0
-    for t in range(1, trajectory.horizon + 1):
-        predicted = state_transition(trajectory.x[t - 1], c.at(t), params)
-        worst = max(worst, abs(trajectory.x[t] - predicted))
-    return worst
+    predicted = state_transition(trajectory.x[:-1], (c.i_s, c.i_m, c.i_r), params)
+    return float(np.max(np.abs(trajectory.x[1:] - predicted)))
 
 
 def trajectory_max_delta(first: Trajectory, second: Trajectory) -> float:
@@ -303,10 +300,8 @@ def total_objective(player: str, trajectory: Trajectory, params: ModelParams):
             f"state equation violated by {gap:.3e} (tolerance "
             f"{_STATE_CONSISTENCY_RTOL * scale:.3e}); objective undefined"
         )
-    total = 0.0
-    for t in range(1, trajectory.horizon + 1):
-        total += stage_payoff(
-            player, trajectory.x[t - 1], trajectory.q[t - 1],
-            trajectory.controls.at(t), params,
-        )
-    return total
+    c = trajectory.controls
+    values = stage_payoff(player, trajectory.x[:-1], trajectory.q, (c.i_s, c.i_m, c.i_r), params)
+    # np.add.accumulate adds strictly left to right (np.sum adds pairwise), so
+    # the objective is bit-identical to a running total over t.
+    return float(np.add.accumulate(values)[-1])

@@ -70,7 +70,8 @@ def parse_csv(path) -> Trajectory:
     Only the reported columns are recovered; the auxiliary adjoint fields
     are left unset.  Raises ValueError for a file that ``emit_csv`` cannot
     have written: a wrong header, fewer than two data rows (one period plus
-    the terminal row), or a row without one cell per column.
+    the terminal row), a row without one cell per column, or ``t`` cells
+    that are not the integers 1..T+1 in order.
     """
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
@@ -80,10 +81,13 @@ def parse_csv(path) -> Trajectory:
     if len(data) < 2:
         raise ValueError(f"truncated CSV {path}: {len(data)} data rows, need at "
                          "least one period and the terminal row")
-    for line, row in enumerate(data, start=2):
+    for t, row in enumerate(data, start=1):
+        line = t + 1
         if len(row) != len(CSV_HEADER):
             raise ValueError(f"line {line} of {path} has {len(row)} cells, "
                              f"expected {len(CSV_HEADER)}")
+        if row[0] != str(t):
+            raise ValueError(f"line {line} of {path} has t = {row[0]!r}, expected {t}")
     T = len(data) - 1
     x = np.array([float(r[1]) for r in data])
     i_s = np.array([float(r[2]) for r in data[:T]])

@@ -223,6 +223,27 @@ class TestTotalObjective:
         traj.x[1] += 0.25
         assert check_state_consistency(traj, p) >= 0.25
 
+    @pytest.mark.parametrize("T", [1, 3, 12, 60])
+    def test_array_forms_equal_period_loops(self, T):
+        """The objective and the consistency gap equal a period-by-period
+        loop bit for bit: the objective is the running total over t, the
+        gap the largest per-period violation."""
+        p = make_params(horizon_T=T)
+        rng = np.random.default_rng(T)
+        traj = make_trajectory(p, *rng.uniform(-2, 2, size=(3, T)))
+        traj.x[1:] += 1e-9 * rng.standard_normal(T)
+        worst = 0.0
+        for t in range(1, T + 1):
+            predicted = state_transition(traj.x[t - 1], traj.controls.at(t), p)
+            worst = max(worst, abs(traj.x[t] - predicted))
+        assert check_state_consistency(traj, p) == worst
+        for player in "SMR":
+            total = 0.0
+            for t in range(1, T + 1):
+                total += stage_payoff(player, traj.x[t - 1], traj.q[t - 1],
+                                      traj.controls.at(t), p)
+            assert total_objective(player, traj, p) == total
+
 
 class TestParamsValidation:
     def test_reference_is_valid(self):

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,45 @@ class TestCsvRoundTrip:
         lines[2] = ",".join(lines[2].split(",")[:6]) + "\n"
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=r"line 3 of .*out\.csv has 6 cells, expected 11"):
+            parse_csv(path)
+
+    def _csv_lines(self, tmp_path, params, name="out.csv"):
+        traj, _ = solve_game(params)
+        path = tmp_path / name
+        emit_csv(traj, path)
+        return path, path.read_text().splitlines(keepends=True)
+
+    def test_reordered_rows_rejected(self, tmp_path, reference_params):
+        path, lines = self._csv_lines(tmp_path, reference_params)
+        lines[2], lines[3] = lines[3], lines[2]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=r"line 3 of .*out\.csv has t = '3', expected 2"):
+            parse_csv(path)
+
+    def test_spliced_rows_rejected(self, tmp_path, reference_params):
+        """Two periods of a T = 3 file followed by the last two rows of a
+        T = 5 file: as many rows as a T = 3 file, but t jumps 2 -> 5."""
+        path, short = self._csv_lines(tmp_path, reference_params)
+        _, long = self._csv_lines(tmp_path, dataclasses.replace(reference_params, horizon_T=5),
+                                  name="long.csv")
+        path.write_text("".join(short[:3] + long[-2:]))
+        with pytest.raises(ValueError, match=r"line 4 of .*out\.csv has t = '5', expected 3"):
+            parse_csv(path)
+
+    def test_out_of_place_t_values_rejected(self, tmp_path, reference_params):
+        path, lines = self._csv_lines(tmp_path, reference_params)
+        lines[1] = "99" + lines[1][1:]
+        lines[2] = "7" + lines[2][1:]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=r"line 2 of .*out\.csv has t = '99', expected 1"):
+            parse_csv(path)
+
+    @pytest.mark.parametrize("cell", ["2.0", "two", "", "0x2"])
+    def test_non_integer_t_rejected(self, tmp_path, reference_params, cell):
+        path, lines = self._csv_lines(tmp_path, reference_params)
+        lines[2] = cell + lines[2][1:]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=rf"line 3 of .*out\.csv has t = '{cell}', expected 2"):
             parse_csv(path)
 
     def test_zero_trajectory_all_zero_cells(self, tmp_path):
