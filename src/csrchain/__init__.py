@@ -34,7 +34,6 @@ from .scenario import Scenario, load_scenario
 from .stationarity import (
     StationaritySystem,
     assemble_system,
-    residual_norm,
     residual_norms,
 )
 from .sweep import (
@@ -79,7 +78,6 @@ __all__ = [
     "load_scenario",
     "optimal_quantity",
     "parse_csv",
-    "residual_norm",
     "residual_norms",
     "rollout",
     "social_benefit",

@@ -19,7 +19,7 @@ from .model import trajectory_max_delta
 from .oracle import dense_solve
 from .output import emit_csv, emit_report
 from .scenario import Scenario, load_scenario
-from .stationarity import residual_norm
+from .stationarity import residual_norms
 from .sweep import solve_game
 
 
@@ -38,7 +38,7 @@ def run(scenario: Scenario):
     if scenario.oracle:
         reference = dense_solve(scenario.params)
         report.oracle_max_delta = trajectory_max_delta(trajectory, reference)
-        report.oracle_residual_max = residual_norm(reference, scenario.params)
+        report.oracle_residual_max = residual_norms(reference, scenario.params)[0]
     return trajectory, report
 
 
@@ -60,7 +60,7 @@ def _build_parser():
     solve.add_argument("--tolerance", type=float, default=None,
                        help="residual max-norm accepted as a successful solve")
     solve.add_argument("--seed", type=int, default=None,
-                       help="seed recorded in the report and used by checks")
+                       help="seed recorded in the report")
     solve.add_argument("--no-strict-alpha", action="store_true",
                        help="allow carryover rates above 1")
     return parser

@@ -26,7 +26,7 @@ Index conventions used throughout the package (all arrays 0-based):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -177,12 +177,6 @@ class Trajectory:
     def horizon(self) -> int:
         return self.controls.horizon
 
-    def has_auxiliary(self) -> bool:
-        return all(
-            getattr(self, name) is not None
-            for name in ("w", "r", "lam", "lam_prime", "mu_prime", "nu")
-        )
-
 
 def inverse_demand(q: float, params: ModelParams) -> float:
     """Market price at traded quantity q: a - b*q."""
@@ -266,24 +260,16 @@ def check_state_consistency(trajectory: Trajectory, params: ModelParams) -> floa
 
 
 def trajectory_max_delta(first: Trajectory, second: Trajectory) -> float:
-    """Max absolute difference over every component both trajectories carry."""
-    pairs = [
-        (first.x, second.x),
-        (first.controls.i_s, second.controls.i_s),
-        (first.controls.i_m, second.controls.i_m),
-        (first.controls.i_r, second.controls.i_r),
-        (first.q, second.q),
-        (first.p_s, second.p_s),
-        (first.p_m, second.p_m),
-        (first.p_r, second.p_r),
-        (first.u, second.u),
-        (first.u_prime, second.u_prime),
-    ]
-    for name in ("w", "r", "lam", "lam_prime", "mu_prime", "nu"):
-        a, b = getattr(first, name), getattr(second, name)
+    """Max absolute difference over every component both trajectories carry;
+    NaN when any compared entry is NaN."""
+    deltas = []
+    for field in fields(Trajectory):
+        a, b = getattr(first, field.name), getattr(second, field.name)
+        if isinstance(a, Controls):
+            a, b = a.stacked(), b.stacked()
         if a is not None and b is not None:
-            pairs.append((a, b))
-    return float(max(np.max(np.abs(np.asarray(a) - np.asarray(b))) for a, b in pairs))
+            deltas.append(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+    return float(np.max(deltas))
 
 
 def total_objective(player: str, trajectory: Trajectory, params: ModelParams):
@@ -295,7 +281,8 @@ def total_objective(player: str, trajectory: Trajectory, params: ModelParams):
     """
     gap = check_state_consistency(trajectory, params)
     scale = 1.0 + float(np.max(np.abs(trajectory.x)))
-    if gap > _STATE_CONSISTENCY_RTOL * scale:
+    # Written so that a NaN gap (or scale) fails the check too.
+    if not gap <= _STATE_CONSISTENCY_RTOL * scale:
         raise TrajectoryConsistencyError(
             f"state equation violated by {gap:.3e} (tolerance "
             f"{_STATE_CONSISTENCY_RTOL * scale:.3e}); objective undefined"

@@ -22,6 +22,11 @@ from .model import ModelParams, Trajectory, optimal_quantity, rollout, stage_pay
 from .stationarity import assemble_system, restricted_system, vector_to_trajectory
 
 _COND_LIMIT = 1e12
+# The fixed probe sets: seeded directions (plus every coordinate) for the
+# stationarity checks, and the points of the single-period grid scan.
+_N_DIRECTIONS = 12
+_DIRECTION_SEED = 0
+_GRID_POINTS = 81
 
 
 def _stacked_objective(player, params, x, i_s, i_m, i_r, q):
@@ -121,16 +126,16 @@ def solve_inner_response(params: ModelParams, i_s):
 # Stationarity checks against the objectives themselves
 # ---------------------------------------------------------------------------
 
-def _directions(T, n_directions, seed):
+def _directions(T):
     """Unit probe directions as rows: fixed-seed pseudorandom, then every
     coordinate."""
-    rng = np.random.default_rng(seed)
-    eta = rng.standard_normal((n_directions, T))
+    rng = np.random.default_rng(_DIRECTION_SEED)
+    eta = rng.standard_normal((_N_DIRECTIONS, T))
     eta /= np.linalg.norm(eta, axis=1, keepdims=True)
     return np.vstack([eta, np.eye(T)])
 
 
-def _worst_slope(objective, path, trajectory, n_directions, seed) -> float:
+def _worst_slope(objective, path, trajectory) -> float:
     """Max central-difference slope of ``objective`` at ``path`` over the
     probe directions, with a step scaled to the trajectory's investments.
 
@@ -138,15 +143,14 @@ def _worst_slope(objective, path, trajectory, n_directions, seed) -> float:
     -h probes as one (2k, T) batch, and returns their k + k values.
     """
     h = 1e-5 * (1.0 + float(np.max(np.abs(trajectory.controls.stacked()))))
-    eta = _directions(len(path), n_directions, seed)
+    eta = _directions(len(path))
     values = objective(np.concatenate([path + h * eta, path - h * eta]))
     plus, minus = np.split(values, 2)
     return float(np.max(np.abs(plus - minus) / (2.0 * h)))
 
 
 def follower_stationarity_check(trajectory: Trajectory, params: ModelParams,
-                                level: str, n_directions: int = 12,
-                                seed: int = 0) -> float:
+                                level: str) -> float:
     """Max directional derivative of a follower's objective along its
     re-solved reaction; near zero exactly at a nested stationary point.
 
@@ -169,11 +173,10 @@ def follower_stationarity_check(trajectory: Trajectory, params: ModelParams,
         path = c.i_m
     else:
         raise ValueError(f"unknown follower level {level!r}; expected 'R' or 'M'")
-    return _worst_slope(objective, path, trajectory, n_directions, seed)
+    return _worst_slope(objective, path, trajectory)
 
 
-def leader_stationarity_check(trajectory: Trajectory, params: ModelParams,
-                              n_directions: int = 12, seed: int = 0) -> float:
+def leader_stationarity_check(trajectory: Trajectory, params: ModelParams) -> float:
     """Max directional derivative of the supplier's objective with the whole
     follower subsystem re-solved for every probe, all probes in one solve."""
     c = trajectory.controls
@@ -182,11 +185,10 @@ def leader_stationarity_check(trajectory: Trajectory, params: ModelParams,
     def objective(i_s):
         i_m, i_r, x = solve_inner_response(params, i_s)
         return _stacked_objective("S", params, x, i_s, i_m, i_r, q)
-    return _worst_slope(objective, c.i_s, trajectory, n_directions, seed)
+    return _worst_slope(objective, c.i_s, trajectory)
 
 
-def grid_scan_supplier(params: ModelParams, center: float, half_width: float,
-                       n_points: int = 81) -> float:
+def grid_scan_supplier(params: ModelParams, center: float, half_width: float) -> float:
     """Single-period brute-force cross-check: scan the supplier's investment
     over a grid (followers re-solved at every point, in one batched solve),
     locate the sign change of the first difference of its objective, and
@@ -196,7 +198,7 @@ def grid_scan_supplier(params: ModelParams, center: float, half_width: float,
     """
     if params.horizon_T != 1:
         raise ValueError("grid scan is a single-period check; horizon_T must be 1")
-    grid = np.linspace(center - half_width, center + half_width, n_points)
+    grid = np.linspace(center - half_width, center + half_width, _GRID_POINTS)
     i_s = grid[:, np.newaxis]
     i_m, i_r, x = solve_inner_response(params, i_s)
     values = _stacked_objective("S", params, x, i_s, i_m, i_r, optimal_quantity(params))

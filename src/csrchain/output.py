@@ -14,9 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from .model import Controls, Trajectory
+from .stationarity import BLOCKS, trajectory_blocks
 from .sweep import SolveReport
 
 CSV_HEADER = ["t", "x", "i_s", "i_m", "i_r", "q", "p_s", "p_m", "p_r", "u", "u_prime"]
+# Every column after t as (name, first time, last time as an offset from T):
+# the span of its block in stationarity.BLOCKS; q spans the controls' periods.
+_SPANS = {**{name: (first, last) for name, first, last in BLOCKS}, "q": (1, 0)}
+_COLUMNS = [(name, *_SPANS[name]) for name in CSV_HEADER[1:]]
 
 
 def _fmt(value) -> str:
@@ -26,41 +31,19 @@ def _fmt(value) -> str:
 def emit_csv(trajectory: Trajectory, path) -> None:
     """Write the trajectory as CSV: one row per period plus a terminal row.
 
-    Row t carries the values indexed at time t; costate cells are empty at
-    t = 1 (costates start at time 2) and control/quantity cells are empty on
-    the terminal row.
+    Row t carries the values indexed at time t; a cell is empty where its
+    path does not reach time t: costate cells at t = 1 (costates start at
+    time 2), control and quantity cells on the terminal row.
     """
     T = trajectory.horizon
+    paths = {**trajectory_blocks(trajectory), "q": trajectory.q}
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for t in range(1, T + 1):
-        costates = ["", "", ""] if t == 1 else [
-            _fmt(trajectory.p_s[t - 2]),
-            _fmt(trajectory.p_m[t - 2]),
-            _fmt(trajectory.p_r[t - 2]),
-        ]
-        writer.writerow([
-            t,
-            _fmt(trajectory.x[t - 1]),
-            _fmt(trajectory.controls.i_s[t - 1]),
-            _fmt(trajectory.controls.i_m[t - 1]),
-            _fmt(trajectory.controls.i_r[t - 1]),
-            _fmt(trajectory.q[t - 1]),
-            *costates,
-            _fmt(trajectory.u[t - 1]),
-            _fmt(trajectory.u_prime[t - 1]),
-        ])
-    writer.writerow([
-        T + 1,
-        _fmt(trajectory.x[T]),
-        "", "", "", "",
-        _fmt(trajectory.p_s[T - 1]),
-        _fmt(trajectory.p_m[T - 1]),
-        _fmt(trajectory.p_r[T - 1]),
-        _fmt(trajectory.u[T]),
-        _fmt(trajectory.u_prime[T]),
-    ])
+    for t in range(1, T + 2):
+        cells = [_fmt(paths[name][t - first]) if first <= t <= T + last else ""
+                 for name, first, last in _COLUMNS]
+        writer.writerow([t, *cells])
     Path(path).write_text(buffer.getvalue())
 
 
@@ -89,20 +72,10 @@ def parse_csv(path) -> Trajectory:
         if row[0] != str(t):
             raise ValueError(f"line {line} of {path} has t = {row[0]!r}, expected {t}")
     T = len(data) - 1
-    x = np.array([float(r[1]) for r in data])
-    i_s = np.array([float(r[2]) for r in data[:T]])
-    i_m = np.array([float(r[3]) for r in data[:T]])
-    i_r = np.array([float(r[4]) for r in data[:T]])
-    q = np.array([float(r[5]) for r in data[:T]])
-    p_s = np.array([float(r[6]) for r in data[1:]])
-    p_m = np.array([float(r[7]) for r in data[1:]])
-    p_r = np.array([float(r[8]) for r in data[1:]])
-    u = np.array([float(r[9]) for r in data])
-    u_prime = np.array([float(r[10]) for r in data])
-    return Trajectory(
-        x=x, controls=Controls(i_s=i_s, i_m=i_m, i_r=i_r), q=q,
-        p_s=p_s, p_m=p_m, p_r=p_r, u=u, u_prime=u_prime,
-    )
+    paths = {name: np.array([float(row[column]) for row in data[first - 1:T + last]])
+             for column, (name, first, last) in enumerate(_COLUMNS, start=1)}
+    controls = Controls(i_s=paths.pop("i_s"), i_m=paths.pop("i_m"), i_r=paths.pop("i_r"))
+    return Trajectory(controls=controls, **paths)
 
 
 def render_report(report: SolveReport) -> str:

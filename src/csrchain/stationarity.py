@@ -235,10 +235,9 @@ class IndexMap:
 
     def __init__(self, T: int, names=BLOCK_NAMES):
         self.T = T
-        self.names = tuple(names)
         self.offset = {}
         n = 0
-        for name in self.names:
+        for name in names:
             self.offset[name] = n
             n += block_length(name, T)
         self.n = n
@@ -248,10 +247,6 @@ class IndexMap:
         start = self.offset[name]
         return z[..., start:start + block_length(name, self.T)]
 
-    def column_labels(self) -> list[str]:
-        return [f"{name}[{t}]" for name in self.names
-                for t in range(_FIRST[name], self.T + _LAST[name] + 1)]
-
 
 @dataclass(frozen=True)
 class StationaritySystem:
@@ -260,20 +255,10 @@ class StationaritySystem:
     matrix: np.ndarray
     rhs: np.ndarray
     row_labels: tuple
-    column_labels: tuple
-    index: IndexMap
 
     @property
     def n_unknowns(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def n_equations(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def boundary_row_count(self) -> int:
-        return sum(1 for lbl in self.row_labels if lbl.startswith("boundary"))
 
     def residual(self, z: np.ndarray) -> np.ndarray:
         return self.matrix @ z - self.rhs
@@ -338,14 +323,11 @@ def assemble_system(params: ModelParams) -> StationaritySystem:
     initial boundary row before them and its terminal boundary row after,
     eight boundary rows in all.
     """
-    A, rhs, ix = restricted_system(params, BLOCK_NAMES)
+    A, rhs, _ = restricted_system(params, BLOCK_NAMES)
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(rhs)):
         raise AssertionError("non-finite coefficients in assembled system")
     labels = _row_labels(equation_table(params), params.horizon_T)
-    return StationaritySystem(
-        matrix=A, rhs=rhs, row_labels=tuple(labels),
-        column_labels=tuple(ix.column_labels()), index=ix,
-    )
+    return StationaritySystem(matrix=A, rhs=rhs, row_labels=tuple(labels))
 
 
 class LevelBlocks(NamedTuple):
@@ -427,16 +409,6 @@ def trajectory_blocks(trajectory: Trajectory) -> dict:
     }
 
 
-def trajectory_to_vector(trajectory: Trajectory) -> np.ndarray:
-    if not trajectory.has_auxiliary():
-        raise ValueError(
-            "trajectory is missing auxiliary adjoint fields; only full "
-            "solver output can be stacked into the system vector"
-        )
-    blocks = trajectory_blocks(trajectory)
-    return np.concatenate([blocks[name] for name in BLOCK_NAMES])
-
-
 def trajectory_from_blocks(blocks: dict, params: ModelParams) -> Trajectory:
     """The trajectory holding a copy of every path in ``blocks`` (name -> path)."""
     paths = {name: np.array(blocks[name]) for name in BLOCK_NAMES}
@@ -487,12 +459,6 @@ def residual_norms(trajectory: Trajectory, params: ModelParams):
     """(max, rms) norms over every stationarity equation, in natural units."""
     values = _residual_vector(trajectory, equation_table(params))
     return float(np.max(np.abs(values))), float(np.sqrt(np.mean(values ** 2)))
-
-
-def residual_norm(trajectory: Trajectory, params: ModelParams) -> float:
-    """Max-norm over all stationarity equations; zero iff every necessary
-    condition holds at the trajectory."""
-    return residual_norms(trajectory, params)[0]
 
 
 def own_control_second_derivative(params: ModelParams) -> float:

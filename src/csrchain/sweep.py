@@ -229,7 +229,7 @@ def _inner_consistency_delta(params: ModelParams, trajectory: Trajectory) -> flo
     the solved supplier path."""
     inner = solve_inner_given_supplier(params, trajectory.controls.i_s)
     solved = trajectory_blocks(trajectory)
-    return float(max(np.max(np.abs(inner[name] - solved[name])) for name in inner))
+    return float(np.max([np.max(np.abs(inner[name] - solved[name])) for name in inner]))
 
 
 def solve_game(params: ModelParams, *, scenario_name: str = "",

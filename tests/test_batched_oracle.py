@@ -211,7 +211,7 @@ class TestBatchedResponses:
 class TestChecksMatchLoop:
     @pytest.mark.parametrize("T", [1, 3, 60])
     def test_probe_directions_match_loop(self, T):
-        rows = oracle._directions(T, 12, 0)
+        rows = oracle._directions(T)
         reference = np.array(loop_directions(T, 12, 0))
         assert rows.shape == reference.shape == (12 + T, T)
         assert np.max(np.abs(rows - reference)) <= 2 * EPS

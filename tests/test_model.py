@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,12 @@ from csrchain import (
     optimal_quantity,
     rollout,
     social_benefit,
+    solve_game,
     stage_payoff,
     state_transition,
     tax_return,
     total_objective,
+    trajectory_max_delta,
 )
 from csrchain.model import check_state_consistency
 
@@ -216,6 +220,12 @@ class TestTotalObjective:
         with pytest.raises(TrajectoryConsistencyError):
             total_objective("S", traj, p)
 
+    def test_rejects_nan_state(self, reference_params):
+        traj, _ = solve_game(reference_params)
+        traj.x[2] = np.nan
+        with pytest.raises(TrajectoryConsistencyError):
+            total_objective("S", traj, reference_params)
+
     def test_consistency_check_measures_gap(self):
         p = make_params()
         traj = make_trajectory(p, [1, 1, 1], [1, 1, 1], [1, 1, 1])
@@ -243,6 +253,32 @@ class TestTotalObjective:
                 total += stage_payoff(player, traj.x[t - 1], traj.q[t - 1],
                                       traj.controls.at(t), p)
             assert total_objective(player, traj, p) == total
+
+
+class TestTrajectoryMaxDelta:
+    COMPONENTS = ["x", "i_r", "q", "p_r", "u_prime", "w", "nu"]
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        return solve_game(make_params())[0]
+
+    @staticmethod
+    def path(trajectory, component):
+        owner = trajectory.controls if component.startswith("i_") else trajectory
+        return getattr(owner, component)
+
+    @pytest.mark.parametrize("component", COMPONENTS)
+    def test_nan_in_any_component_propagates(self, solved, component):
+        other = copy.deepcopy(solved)
+        self.path(other, component)[1] = np.nan
+        assert np.isnan(trajectory_max_delta(solved, other))
+        assert np.isnan(trajectory_max_delta(other, solved))
+
+    @pytest.mark.parametrize("component", COMPONENTS)
+    def test_largest_component_delta(self, solved, component):
+        other = copy.deepcopy(solved)
+        self.path(other, component)[0] += 0.5
+        assert trajectory_max_delta(solved, other) == pytest.approx(0.5, rel=1e-9)
 
 
 class TestParamsValidation:

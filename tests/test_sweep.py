@@ -10,13 +10,17 @@ from csrchain import (
     backward_sweep,
     dense_solve,
     forward_pass,
-    residual_norm,
+    residual_norms,
     solve_game,
     trajectory_max_delta,
 )
 from csrchain.model import state_transition
 from csrchain.stationarity import equation_table
-from csrchain.sweep import _sweep_forward, solve_inner_given_supplier
+from csrchain.sweep import (
+    _inner_consistency_delta,
+    _sweep_forward,
+    solve_inner_given_supplier,
+)
 
 from conftest import draw_params, make_params
 
@@ -181,7 +185,7 @@ class TestForwardPass:
 
     def test_residual_small_on_reference(self, reference_params):
         traj, _ = solve_game(reference_params)
-        assert residual_norm(traj, reference_params) <= 1e-8
+        assert residual_norms(traj, reference_params)[0] <= 1e-8
 
     def test_doubling_initial_stock_scales_homogeneous_part(self, reference_params):
         import dataclasses as dc
@@ -307,7 +311,7 @@ class TestSolveGame:
                 reference = dense_solve(p)
                 assert trajectory_max_delta(traj, reference) <= 1e-8
                 assert report.residual_max <= 1e-9
-                assert residual_norm(reference, p) <= 1e-9
+                assert residual_norms(reference, p)[0] <= 1e-9
 
 
 class TestInnerLevel:
@@ -321,3 +325,9 @@ class TestInnerLevel:
         assert np.max(np.abs(inner["i_m"] - traj.controls.i_m)) <= 1e-9
         assert np.max(np.abs(inner["i_r"] - traj.controls.i_r)) <= 1e-9
         assert report.inner_consistency_delta <= 1e-8
+
+    def test_consistency_delta_propagates_nan(self, reference_params):
+        """A NaN in the last inner component compared still reaches the delta."""
+        traj, _ = solve_game(reference_params)
+        traj.lam[1] = np.nan
+        assert np.isnan(_inner_consistency_delta(reference_params, traj))
