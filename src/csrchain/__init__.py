@@ -39,7 +39,6 @@ from .stationarity import (
 from .sweep import (
     AugmentedSystem,
     SolveReport,
-    SweepCoefficients,
     assemble_augmented,
     backward_sweep,
     forward_pass,
@@ -59,7 +58,6 @@ __all__ = [
     "SingularSystemError",
     "SolveReport",
     "StationaritySystem",
-    "SweepCoefficients",
     "SweepSingularError",
     "Trajectory",
     "TrajectoryConsistencyError",

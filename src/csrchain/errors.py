@@ -28,12 +28,13 @@ class UndeterminedControlsError(CsrChainError):
 
 
 class SweepSingularError(CsrChainError):
-    """A backward-sweep step hit a singular per-period solve."""
+    """Recovering a level's cyclic reduction met a singular or non-finite
+    solve; ``level`` names the level, ``outer`` or ``inner``."""
 
-    def __init__(self, time_index):
-        self.time_index = time_index
+    def __init__(self, level):
+        self.level = level
         super().__init__(
-            f"backward sweep breakdown: singular step matrix at time index {time_index}"
+            f"sweep breakdown: singular boundary system at the {level} level"
         )
 
 

@@ -130,10 +130,6 @@ class Controls:
     def horizon(self) -> int:
         return self.i_s.shape[0]
 
-    def at(self, t: int) -> tuple[float, float, float]:
-        """Investment triple of period t (1-based)."""
-        return (self.i_s[t - 1], self.i_m[t - 1], self.i_r[t - 1])
-
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.i_s, self.i_m, self.i_r])
 

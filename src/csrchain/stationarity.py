@@ -256,13 +256,6 @@ class StationaritySystem:
     rhs: np.ndarray
     row_labels: tuple
 
-    @property
-    def n_unknowns(self) -> int:
-        return self.matrix.shape[1]
-
-    def residual(self, z: np.ndarray) -> np.ndarray:
-        return self.matrix @ z - self.rhs
-
 
 def restricted_system(params: ModelParams, unknowns, fixed=None):
     """The table restricted to the blocks ``unknowns``, as (matrix, rhs, index).

@@ -1,4 +1,4 @@
-"""Backward-sweep / forward-pass solver for the stationarity system.
+"""Cyclic-reduction solver for the stationarity system.
 
 After the per-period control block is eliminated, the remaining dynamics
 couple a forward vector xt (initial condition known) and a backward vector
@@ -7,9 +7,15 @@ Pt (terminal condition zero) through constant blocks:
     xt_{t+1} = A xt_t + B Pt_{t+1} + f_t
     Pt_t     = C xt_t + D22 Pt_{t+1}
 
-The two-point boundary problem is solved by positing the affine relation
-Pt_t = S_t xt_t + s_t, recursing (S_t, s_t) backward from zero terminal
-values, then recovering xt, Pt, and the eliminated controls forward.
+that is E y_{t+1} - F y_t = (f_t, 0) over y = (xt, Pt), with E = [[I, -B],
+[0, D22]] and F = [[A, 0], [-C, I]].  It is solved by QR-based cyclic
+reduction (Wright, SIAM J. Sci. Stat. Comput. 13, 1992), which, unlike a
+Riccati sweep, needs no dichotomy: the reference parameters put 6 of the 8
+outer transfer eigenvalues on the unit circle.  Each level pairs
+neighbouring equations and eliminates their shared y with one orthogonal
+transform common to all pairs; an odd last equation is carried as a tail.
+The final equation, between y_1 and y_{T+1}, gives xt_{T+1}; undoing the
+levels recovers every y.  A singular recovery raises SweepSingularError.
 
 Two instances of the machinery exist:
 
@@ -45,8 +51,6 @@ from .stationarity import (
     trajectory_blocks,
     trajectory_from_blocks,
 )
-
-_SWEEP_COND_LIMIT = 1e14
 
 OUTER_STATE = ("x", "u", "w", "u_prime")
 OUTER_COSTATE = ("p_r", "p_m", "p_s", "r")
@@ -87,20 +91,6 @@ class AugmentedSystem:
     @property
     def horizon(self) -> int:
         return self.f.shape[0]
-
-
-@dataclass(frozen=True)
-class SweepCoefficients:
-    """Affine backward-sweep pair: Pt_t = S[t-1] @ xt_t + s[t-1], t = 1..T+1.
-
-    Terminal values S[T] and s[T] are identically zero.  ``steps[t-1]`` is
-    the step matrix I - S[t] B of period t, checked nonsingular by the
-    backward pass and solved again by the forward pass.
-    """
-
-    S: np.ndarray       # (T+1, n, n)
-    s: np.ndarray       # (T+1, n)
-    steps: np.ndarray   # (T, n, n)
 
 
 @dataclass
@@ -158,58 +148,79 @@ def assemble_augmented(params: ModelParams, level: str,
                            D22=blocks.D22, f=f, sol_G=G, sol_g=sol_g)
 
 
-def backward_sweep(aug: AugmentedSystem) -> SweepCoefficients:
-    """Recurse the affine pair (S_t, s_t) backward from zero terminal values."""
-    T = aug.horizon
+def _eliminate(first, second):
+    """Eliminate the y shared by two neighbouring equations (P, Q, g), each
+    P y[left] + Q y[right] = g with g possibly batched as (k, m).  Returns
+    the kept rows (R, W, h), R y[shared] + W (y[left], y[right]) = h, and the
+    reduced equation between the outer two."""
+    (P1, Q1, g1), (P2, Q2, g2) = first, second
+    m = Q1.shape[0]
+    U, R = np.linalg.qr(np.vstack([Q1, P2]), mode="complete")
+    zero = np.zeros((m, m))
+    W = U.T @ np.block([[P1, zero], [zero, Q2]])
+    h = np.concatenate([g1, g2], axis=-1) @ U
+    return (R[:m], W[:m], h[..., :m]), (W[m:, :m], W[m:, m:], h[..., m:])
+
+
+def backward_sweep(aug: AugmentedSystem):
+    """Cyclic reduction of the level: returns each level's kept rows of the
+    pairs and of the tail, and the final equation between y[1] and y[T+1]."""
     n = aug.dim
-    S = np.zeros((T + 1, n, n))
-    s = np.zeros((T + 1, n))
-    steps = np.zeros((T, n, n))
-    eye = np.eye(n)
-    for t in range(T, 0, -1):
-        S_next = S[t]            # S_{t+1}
-        M = eye - S_next @ aug.B
-        if not np.all(np.isfinite(M)) or np.linalg.cond(M) > _SWEEP_COND_LIMIT:
-            raise SweepSingularError(t)
-        steps[t - 1] = M
-        DMinv = np.linalg.solve(M.T, aug.D22.T).T   # D22 @ M^{-1}
-        S[t - 1] = aug.C + DMinv @ (S_next @ aug.A)
-        s[t - 1] = DMinv @ (S_next @ aug.f[t - 1] + s[t])
-    return SweepCoefficients(S=S, s=s, steps=steps)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    P = -np.block([[aug.A, zero], [-aug.C, eye]])
+    Q = np.block([[eye, -aug.B], [zero, aug.D22]])
+    g = np.hstack([aug.f, np.zeros_like(aug.f)])
+    tail, levels = None, []
+    while len(g) + (tail is not None) > 1:
+        kept_tail = None
+        if len(g) % 2 and tail:
+            kept_tail, tail = _eliminate((P, Q, g[-1]), tail)
+        elif len(g) % 2:
+            tail = (P, Q, g[-1])
+        kept, (P, Q, g) = _eliminate((P, Q, g[0:-1:2]), (P, Q, g[1::2]))
+        levels.append((kept, kept_tail))
+    return levels, tail or (P, Q, g[0])
 
 
-def _sweep_forward(aug: AugmentedSystem, coeffs: SweepCoefficients, xt1):
-    """Forward recovery of (xt, Pt, eliminated per-period solutions)."""
-    T = aug.horizon
-    n = aug.dim
-    xt = np.zeros((T + 1, n))
-    Pt = np.zeros((T, n))          # Pt[t-1] holds Pt_{t+1}
-    sols = np.zeros((T, aug.sol_G.shape[0]))
-    xt[0] = xt1
-    for t in range(1, T + 1):
-        drive = aug.A @ xt[t - 1] + aug.f[t - 1]
-        P_next = np.linalg.solve(coeffs.steps[t - 1],
-                                 coeffs.S[t] @ drive + coeffs.s[t])
-        Pt[t - 1] = P_next
-        sols[t - 1] = aug.sol_G @ P_next + aug.sol_g[t - 1]
-        xt[t] = drive + aug.B @ P_next
-    return xt, Pt, sols
+def _undo(kept, left, right):
+    """The shared y of eliminated pairs, from their neighbours' values."""
+    R, W, h = kept
+    return np.linalg.solve(R, (h - np.concatenate([left, right], axis=-1) @ W.T).T).T
 
 
-def _paths(level: str, xt, Pt, sols) -> dict:
-    """Block name -> path of everything a sweep of ``level`` solved for."""
-    state, costate, period, _ = _LEVELS[level]
-    return {**dict(zip(state, xt.T)), **dict(zip(costate, Pt.T)),
-            **dict(zip(period, sols.T))}
+def _sweep_forward(aug: AugmentedSystem, reduction, xt1) -> dict:
+    """Block name -> path of everything the level solved for, recovered
+    from the reduction."""
+    levels, (P, Q, g) = reduction
+    T, n = aug.horizon, aug.dim
+    y = np.zeros((T + 1, 2 * n))
+    y[0, :n] = xt1
+    try:
+        y[0, n:], y[T, :n] = np.split(np.linalg.solve(
+            np.hstack([P[:, n:], Q[:, :n]]), g - P[:, :n] @ xt1), 2)
+        for level, (kept, kept_tail) in reversed(list(enumerate(levels))):
+            s = 2 ** level
+            if kept_tail:
+                y[T // s * s] = _undo(kept_tail, y[T // s * s - s], y[T])
+            k = len(kept[2])
+            y[s::2 * s][:k] = _undo(kept, y[::2 * s][:k], y[2 * s::2 * s][:k])
+    except np.linalg.LinAlgError:
+        raise SweepSingularError(aug.level) from None
+    if not np.all(np.isfinite(y)):
+        raise SweepSingularError(aug.level)
+    state, costate, period, _ = _LEVELS[aug.level]
+    Pt = y[1:, n:]           # Pt[t-1] holds Pt_{t+1}
+    return {**dict(zip(state, y[:, :n].T)), **dict(zip(costate, Pt.T)),
+            **dict(zip(period, (Pt @ aug.sol_G.T + aug.sol_g).T))}
 
 
-def forward_pass(aug: AugmentedSystem, coeffs: SweepCoefficients,
+def forward_pass(aug: AugmentedSystem, reduction,
                  params: ModelParams) -> Trajectory:
     """Forward pass over the outer system, yielding the full trajectory."""
     if aug.level != "outer":
         raise ValueError("forward_pass recovers the full game; pass the outer system")
-    xt, Pt, sols = _sweep_forward(aug, coeffs, np.array([params.x1, 0.0, 0.0, 0.0]))
-    return trajectory_from_blocks(_paths("outer", xt, Pt, sols), params)
+    paths = _sweep_forward(aug, reduction, np.array([params.x1, 0.0, 0.0, 0.0]))
+    return trajectory_from_blocks(paths, params)
 
 
 def solve_inner_given_supplier(params: ModelParams, supplier_investments):
@@ -219,9 +230,7 @@ def solve_inner_given_supplier(params: ModelParams, supplier_investments):
     """
     aug = assemble_augmented(params, "inner",
                              supplier_investments=supplier_investments)
-    coeffs = backward_sweep(aug)
-    xt, Pt, sols = _sweep_forward(aug, coeffs, np.array([params.x1, 0.0]))
-    return _paths("inner", xt, Pt, sols)
+    return _sweep_forward(aug, backward_sweep(aug), np.array([params.x1, 0.0]))
 
 
 def _inner_consistency_delta(params: ModelParams, trajectory: Trajectory) -> float:
@@ -237,13 +246,12 @@ def solve_game(params: ModelParams, *, scenario_name: str = "",
     """Assemble, sweep, and recover the nested equilibrium trajectory.
 
     Returns (trajectory, report).  Raises UndeterminedControlsError when
-    tau*theta = 0 and SweepSingularError when a sweep step degenerates.
+    tau*theta = 0 and SweepSingularError when a recovery is singular.
     """
     params.validated()
     started = time.perf_counter()
     aug = assemble_augmented(params, "outer")
-    coeffs = backward_sweep(aug)
-    trajectory = forward_pass(aug, coeffs, params)
+    trajectory = forward_pass(aug, backward_sweep(aug), params)
     res_max, res_rms = residual_norms(trajectory, params)
     inner_delta = _inner_consistency_delta(params, trajectory)
     elapsed = time.perf_counter() - started

@@ -242,16 +242,18 @@ class TestTotalObjective:
         rng = np.random.default_rng(T)
         traj = make_trajectory(p, *rng.uniform(-2, 2, size=(3, T)))
         traj.x[1:] += 1e-9 * rng.standard_normal(T)
+        c = traj.controls
         worst = 0.0
         for t in range(1, T + 1):
-            predicted = state_transition(traj.x[t - 1], traj.controls.at(t), p)
+            predicted = state_transition(traj.x[t - 1], (c.i_s[t - 1], c.i_m[t - 1],
+                                                         c.i_r[t - 1]), p)
             worst = max(worst, abs(traj.x[t] - predicted))
         assert check_state_consistency(traj, p) == worst
         for player in "SMR":
             total = 0.0
             for t in range(1, T + 1):
                 total += stage_payoff(player, traj.x[t - 1], traj.q[t - 1],
-                                      traj.controls.at(t), p)
+                                      (c.i_s[t - 1], c.i_m[t - 1], c.i_r[t - 1]), p)
             assert total_objective(player, traj, p) == total
 
 

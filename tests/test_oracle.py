@@ -206,6 +206,7 @@ class TestObjectiveAccumulation:
                         traj.controls.i_r)
             from csrchain import stage_payoff
             total = sum(
-                stage_payoff(player, x[t], q, traj.controls.at(t + 1), p)
+                stage_payoff(player, x[t], q, (traj.controls.i_s[t], traj.controls.i_m[t],
+                                               traj.controls.i_r[t]), p)
                 for t in range(p.horizon_T))
             assert reported == pytest.approx(total, rel=1e-9)

@@ -11,6 +11,7 @@ from csrchain import (
     solve_game,
     trajectory_max_delta,
 )
+from csrchain import sweep
 from csrchain.cli import main, run
 from csrchain.output import emit_csv, render_report
 
@@ -308,6 +309,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "controls undetermined by FOC" in err
         assert not (tmp_path / "case.trajectory.csv").exists()
+
+    def test_singular_boundary_system_exits_one(self, tmp_path, capsys, monkeypatch):
+        """A sweep breakdown is a solver failure: exit 1 with an error line
+        naming the level, no traceback and no artifacts.  With A = B = C =
+        D22 = I each period maps (xt, Pt) to (Pt, Pt - xt), so at T = 2 the
+        final equation cannot determine Pt[1] and xt[3]."""
+        def singular(params, level, supplier_investments=None):
+            eye, T = np.eye(4), params.horizon_T
+            return sweep.AugmentedSystem(level=level, A=eye, B=eye, C=eye, D22=eye,
+                                         f=np.zeros((T, 4)), sol_G=np.zeros((7, 4)),
+                                         sol_g=np.zeros((T, 7)))
+        monkeypatch.setattr(sweep, "assemble_augmented", singular)
+        text = REFERENCE_FILE.replace("horizon_T = 3", "horizon_T = 2")
+        scenario_path = write_scenario(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["solve", str(scenario_path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "outer level" in err
+        assert not out.exists()
 
     def test_invalid_scenario_exits_two(self, tmp_path, capsys):
         text = REFERENCE_FILE.replace("beta_s = 0.3", "beta_s = 1.5")

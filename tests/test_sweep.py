@@ -17,6 +17,8 @@ from csrchain import (
 from csrchain.model import state_transition
 from csrchain.stationarity import equation_table
 from csrchain.sweep import (
+    OUTER_COSTATE,
+    OUTER_STATE,
     _inner_consistency_delta,
     _sweep_forward,
     solve_inner_given_supplier,
@@ -129,29 +131,64 @@ class TestAssembleAugmented:
             assemble_augmented(reference_params, "middle")
 
 
+def roundoff_bound(T, scale):
+    """k eps scale, with k = 2m (ceil(log2 T) + 1) and m = 8 rows per
+    outer equation: each reduction level, and the final solve, applies one
+    orthogonal transform of 2m rows to right-hand sides of size ``scale``,
+    and each row of it is a dot product of 2m terms, with rounding error at
+    most 2m eps times the size of its terms."""
+    return 16 * (np.ceil(np.log2(T)) + 1) * np.finfo(float).eps * scale
+
+
 class TestBackwardSweep:
-    def test_terminal_pair_is_zero(self, reference_params):
-        aug = assemble_augmented(reference_params, "outer")
-        coeffs = backward_sweep(aug)
-        T = reference_params.horizon_T
-        assert np.array_equal(coeffs.S[T], np.zeros((4, 4)))
-        assert np.array_equal(coeffs.s[T], np.zeros(4))
-        assert coeffs.S.shape == (T + 1, 4, 4)
+    def test_terminal_costates_are_zero(self, reference_params):
+        """Pt[T+1] = 0 is imposed, not solved for, at both levels."""
+        p = reference_params
+        T = p.horizon_T
+        aug = assemble_augmented(p, "outer")
+        traj = forward_pass(aug, backward_sweep(aug), p)
+        inner = solve_inner_given_supplier(p, traj.controls.i_s)
+        for path in (traj.p_r, traj.p_m, traj.p_s, traj.r, inner["p_m"], inner["p_r"]):
+            assert path.shape == (T,)
+            assert path[T - 1] == 0.0
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 5, 12, 1023, 1024, 1025, 10000])
+    def test_levels_and_factorizations(self, T, monkeypatch):
+        """The reduction runs ceil(log2 T) levels and factors at most two
+        matrices per level: the pairs' shared matrix and the tail's."""
+        aug = assemble_augmented(make_params(horizon_T=T), "outer")
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        levels, final = backward_sweep(aug)
+        assert len(levels) == int(np.ceil(np.log2(T)))
+        assert len(levels) <= len(calls) <= 2 * len(levels)
+        assert [part.shape for part in final] == [(8, 8), (8, 8), (8,)]
 
     def test_single_period_single_step(self):
-        p = make_params(horizon_T=1)
-        aug = assemble_augmented(p, "outer")
-        coeffs = backward_sweep(aug)
-        # one recursion step from the zero terminal pair: S_1 = C, s_1 = 0
-        assert np.allclose(coeffs.S[0], aug.C)
-        assert np.allclose(coeffs.s[0], np.zeros(4))
+        """At T = 1 nothing is paired: the final equation is the period's
+        own, E y[2] - F y[1] = (f[1], 0)."""
+        aug = assemble_augmented(make_params(horizon_T=1), "outer")
+        levels, (P, Q, g) = backward_sweep(aug)
+        assert levels == []
+        eye, zero = np.eye(4), np.zeros((4, 4))
+        assert np.array_equal(Q, np.block([[eye, -aug.B], [zero, aug.D22]]))
+        assert np.array_equal(P, -np.block([[aug.A, zero], [-aug.C, eye]]))
+        assert np.array_equal(g, np.concatenate([aug.f[0], np.zeros(4)]))
 
-    def test_zero_costate_block_kills_gains(self):
-        p = make_params(delta_s=0.0, delta_m=0.0, delta_r=0.0, d=0.0, d_hat=0.0)
-        aug = assemble_augmented(p, "outer")
-        coeffs = backward_sweep(aug)
-        assert np.array_equal(coeffs.S, np.zeros_like(coeffs.S))
-        assert np.array_equal(coeffs.s, np.zeros_like(coeffs.s))
+    def test_zero_costate_block_kills_gains(self, reference_params):
+        """With C = 0 the backward recursion Pt[t] = D22 Pt[t+1] from
+        Pt[T+1] = 0 has only the zero solution, whatever the forcing."""
+        for T in (1, 5, 60, 1000):
+            aug = assemble_augmented(dataclasses.replace(reference_params, horizon_T=T),
+                                     "outer")
+            forcing = np.random.default_rng(3).uniform(-100, 100, size=aug.f.shape)
+            stripped = dataclasses.replace(aug, C=np.zeros((4, 4)), f=forcing)
+            paths = _sweep_forward(stripped, backward_sweep(stripped),
+                                   np.array([1.0, 0.0, 0.0, 0.0]))
+            xt = np.stack([paths[name] for name in OUTER_STATE])
+            Pt = np.stack([paths[name] for name in OUTER_COSTATE])
+            assert np.max(np.abs(Pt)) <= roundoff_bound(T, np.max(np.abs(xt)))
 
     def test_sweep_costates_match_dense(self, reference_params):
         p = reference_params
@@ -161,18 +198,32 @@ class TestBackwardSweep:
                              (traj.p_s, reference.p_s), (traj.r, reference.r)]:
             assert np.max(np.abs(mine - theirs)) <= 1e-8
 
-    def test_singular_step_names_time_index(self):
-        # direct construction: S_T = C = I, so the step at T-1 hits I - S B = 0
+    def test_singular_boundary_system_names_level(self):
+        # direct construction: with A = B = C = D22 = I each period maps
+        # (xt, Pt) to (Pt, Pt - xt), so at T = 2 the final equation cannot
+        # determine Pt[1] and xt[3]
         from csrchain.sweep import AugmentedSystem
         eye = np.eye(2)
-        aug = AugmentedSystem(
-            level="outer", A=eye, B=eye, C=eye, D22=eye, f=np.zeros((2, 2)),
-            sol_G=np.zeros((7, 2)), sol_g=np.zeros((2, 7)),
-        )
-        with pytest.raises(SweepSingularError) as excinfo:
-            backward_sweep(aug)
-        assert excinfo.value.time_index == 1
-        assert "time index 1" in str(excinfo.value)
+        for level in ("outer", "inner"):
+            aug = AugmentedSystem(
+                level=level, A=eye, B=eye, C=eye, D22=eye, f=np.zeros((2, 2)),
+                sol_G=np.zeros((7, 2)), sol_g=np.zeros((2, 7)),
+            )
+            reduction = backward_sweep(aug)
+            with pytest.raises(SweepSingularError) as excinfo:
+                _sweep_forward(aug, reduction, np.zeros(2))
+            assert excinfo.value.level == level
+            assert f"{level} level" in str(excinfo.value)
+
+    def test_non_finite_recovery_names_level(self, reference_params):
+        """An overflowed forcing reaches the recovery as inf or nan, which no
+        solve reports as a LinAlgError."""
+        aug = assemble_augmented(reference_params, "inner",
+                                 supplier_investments=np.zeros(3))
+        aug.f[1, 0] = np.inf
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(SweepSingularError, match="inner level"):
+            _sweep_forward(aug, backward_sweep(aug), np.zeros(2))
 
 
 class TestForwardPass:
@@ -200,17 +251,17 @@ class TestForwardPass:
     def test_rejects_inner_system(self, reference_params):
         aug = assemble_augmented(reference_params, "inner",
                                  supplier_investments=np.zeros(3))
-        coeffs = backward_sweep(aug)
         with pytest.raises(ValueError, match="outer"):
-            forward_pass(aug, coeffs, reference_params)
+            forward_pass(aug, backward_sweep(aug), reference_params)
 
     def test_zero_investment_channels_reduce_to_carryover(self, reference_params):
         """With B forced to zero the forward recursion must collapse to
         xt_{t+1} = A xt_t + f_t."""
         aug = assemble_augmented(reference_params, "outer")
         stripped = dataclasses.replace(aug, B=np.zeros_like(aug.B))
-        coeffs = backward_sweep(stripped)
-        xt, _, _ = _sweep_forward(stripped, coeffs, np.array([1.0, 0.0, 0.0, 0.0]))
+        paths = _sweep_forward(stripped, backward_sweep(stripped),
+                               np.array([1.0, 0.0, 0.0, 0.0]))
+        xt = np.stack([paths[name] for name in OUTER_STATE], axis=1)
         expected = np.array([1.0, 0.0, 0.0, 0.0])
         for t in range(reference_params.horizon_T):
             expected = stripped.A @ expected + stripped.f[t]
@@ -247,8 +298,9 @@ class TestSolveGame:
         p = make_params(delta_s=0.0, delta_m=0.0, delta_r=0.0, d=0.0, d_hat=0.0,
                         horizon_T=5)
         traj, _ = solve_game(p)
+        bound = roundoff_bound(p.horizon_T, np.max(np.abs(traj.controls.stacked())))
         for costates in (traj.p_s, traj.p_m, traj.p_r):
-            assert np.max(np.abs(costates)) == 0.0
+            assert np.max(np.abs(costates)) <= bound
         for path in (traj.controls.i_s, traj.controls.i_m, traj.controls.i_r):
             assert np.max(np.abs(np.diff(path))) <= 1e-10
 
@@ -258,8 +310,9 @@ class TestSolveGame:
         p = make_params(delta_s=0.0, delta_m=0.0, delta_r=0.0, d=0.3, d_hat=0.2,
                         horizon_T=4)
         traj, _ = solve_game(p)
+        bound = roundoff_bound(p.horizon_T, np.max(np.abs(traj.controls.stacked())))
         for costates in (traj.p_s, traj.p_m, traj.p_r, traj.r):
-            assert np.max(np.abs(costates)) == 0.0
+            assert np.max(np.abs(costates)) <= bound
         for path in (traj.controls.i_s, traj.controls.i_m, traj.controls.i_r):
             assert np.max(np.abs(np.diff(path))) <= 1e-10
 
