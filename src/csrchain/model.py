@@ -71,15 +71,8 @@ class ModelParams:
     def validate(self) -> list[str]:
         """Return every violated invariant (empty list when valid)."""
         out = []
-        scalars = [
-            ("alpha", self.alpha), ("beta_s", self.beta_s), ("beta_m", self.beta_m),
-            ("beta_r", self.beta_r), ("tau", self.tau), ("theta", self.theta),
-            ("delta_s", self.delta_s), ("delta_m", self.delta_m),
-            ("delta_r", self.delta_r), ("d", self.d), ("d_hat", self.d_hat),
-            ("a", self.a), ("b", self.b), ("v", self.v), ("z", self.z),
-            ("c", self.c), ("x1", self.x1),
-        ]
-        for name, val in scalars:
+        for name in PARAM_FIELDS[float]:
+            val = getattr(self, name)
             if not math.isfinite(val):
                 out.append(f"{name} must be finite, got {val!r}")
         for name in ("beta_s", "beta_m", "beta_r"):
@@ -111,6 +104,12 @@ class ModelParams:
         if violations:
             raise ParamsError(violations)
         return self
+
+
+# type -> names of the parameters of that type, in field order
+PARAM_FIELDS = {kind: tuple(f.name for f in fields(ModelParams)
+                            if f.type in (kind, kind.__name__))
+                for kind in (float, int)}
 
 
 @dataclass(frozen=True)

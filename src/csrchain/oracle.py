@@ -9,9 +9,10 @@ against the payoffs rather than one solver against another.
 All perturbation directions are fixed-seed pseudorandom, plus every
 coordinate direction, so results are reproducible and single-period
 deviations cannot hide in a random subspace.  A perturbed leader path moves
-only the right-hand side of the follower system, so each check factors that
-system once and solves every probe, +h and -h, as one block of right-hand
-sides; the retailer check rolls all its probes out in one batched pass.
+only the right-hand side of the follower level, so each check re-solves that
+level once, by the sweep's cyclic reduction, with every probe, +h and -h, a
+batch entry of its right-hand side; the retailer check rolls all its probes
+out in one batched pass.
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .model import ModelParams, Trajectory, optimal_quantity, rollout, stage_payoff
-from .stationarity import assemble_system, restricted_system, vector_to_trajectory
+from .stationarity import assemble_system, vector_to_trajectory
+from .sweep import _solve_level
 
 _COND_LIMIT = 1e12
 # The fixed probe sets: seeded directions (plus every coordinate) for the
@@ -78,48 +80,33 @@ def dense_solve(params: ModelParams) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Follower response sub-solvers (small dense systems, re-used by the checks)
+# Follower responses, re-solved by the sweep's reduction of the level
 #
-# A fixed leader path enters a follower system only through its right-hand
-# side, so a batch of paths (leading axes, (..., T)) is solved with one
-# factorization of the shared matrix, every path a column of the right-hand
-# side.  The responses come back with the same leading axes.
+# A fixed leader path enters a follower level only through its right-hand
+# side, so a batch of paths (leading axes, (..., T)) is one solve sharing the
+# level's factorizations.  The responses come back with the same leading axes.
 # ---------------------------------------------------------------------------
-
-# Unknown blocks of the two follower responses; every other block is either
-# a fixed leader path or absent from the follower's equations.
-_RETAILER_BLOCKS = ("x", "i_r", "p_r")
-_FOLLOWER_BLOCKS = ("x", "i_m", "i_r", "lam", "p_r", "p_m", "u")
-
-
-def _solve_batch(A, rhs):
-    """Solve A z = rhs for right-hand sides of shape (..., n) at once."""
-    n = A.shape[0]
-    return np.linalg.solve(A, rhs.reshape(-1, n).T).T.reshape(rhs.shape)
-
 
 def solve_retailer_response(params: ModelParams, i_s, i_m):
     """Retailer stationarity response to fixed upstream paths.
 
     Solves the retailer's own first-order system (state equation, control
     FOC, costate recursion, and their boundary rows) for (i_r, x).  The paths
-    may be batches of shape (..., T), solved with one factorization.
+    may be batches of shape (..., T), solved in one call.
     """
-    A, b, ix = restricted_system(params, _RETAILER_BLOCKS, {"i_s": i_s, "i_m": i_m})
-    sol = _solve_batch(A, b)
-    return ix.block(sol, "i_r"), ix.block(sol, "x")
+    paths = _solve_level(params, "retailer", {"i_s": i_s, "i_m": i_m})
+    return paths["i_r"], paths["x"]
 
 
 def solve_inner_response(params: ModelParams, i_s):
     """Manufacturer-with-retailer stationarity response to a supplier path.
 
     Solves the complete inner first-order system (both followers) for
-    (i_m, i_r, x).  ``i_s`` may be a batch of shape (..., T), solved with one
-    factorization.
+    (i_m, i_r, x).  ``i_s`` may be a batch of shape (..., T), solved in one
+    call.
     """
-    A, b, ix = restricted_system(params, _FOLLOWER_BLOCKS, {"i_s": i_s})
-    sol = _solve_batch(A, b)
-    return ix.block(sol, "i_m"), ix.block(sol, "i_r"), ix.block(sol, "x")
+    paths = _solve_level(params, "inner", {"i_s": i_s})
+    return paths["i_m"], paths["i_r"], paths["x"]
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ScenarioError
-from .model import ModelParams
+from .model import PARAM_FIELDS, ModelParams
 
 # economic parameters: every one required, no defaults
-_FLOAT_FIELDS = (
-    "alpha", "beta_s", "beta_m", "beta_r", "tau", "theta",
-    "delta_s", "delta_m", "delta_r", "d", "d_hat",
-    "a", "b", "v", "z", "c", "x1",
-)
-_INT_FIELDS = ("horizon_T",)
+_FLOAT_FIELDS = PARAM_FIELDS[float]
+_INT_FIELDS = PARAM_FIELDS[int]
 
 _OPTION_DEFAULTS = {
     "oracle": False,

@@ -17,9 +17,9 @@ The system is linear in the stacked unknowns, and ``equation_table`` writes
 each of its fifteen equation families once, as coefficients.  Every other
 view is derived from that table: the square stacked system
 (``assemble_system``), the residual vector (``stationarity_residuals``), the
-per-period blocks of the sweep, including its costate block D22
-(``level_blocks``), and the follower sub-systems of the oracle
-(``restricted_system``).
+sub-system of any set of blocks (``restricted_system``), and each level's
+recursion, which ``sweep.assemble_augmented`` reads off the families that
+``level_families`` selects.
 
 The table's independent witness is the three Hamiltonians.  The retailer's is
 built from the payoff and the state transition alone; the manufacturer's and
@@ -147,17 +147,25 @@ def equation_table(params: ModelParams) -> tuple[Family, ...]:
     )
 
 
-def _solvable_table(params: ModelParams):
-    """The table, refused when tau*theta = 0 leaves the controls undetermined."""
+def level_families(params: ModelParams, blocks) -> list[Family]:
+    """The families whose every term lies in ``blocks``, refused when
+    tau*theta = 0 leaves the controls undetermined."""
     if params.tau * params.theta == 0.0:
         raise UndeterminedControlsError()
-    return equation_table(params)
-
-
-def _level(table, blocks) -> list[Family]:
-    """The families whose every term lies in ``blocks``."""
-    return [fam for fam in table
+    return [fam for fam in equation_table(params)
             if all(block in blocks for block, _, _ in fam.terms)]
+
+
+def fixed_paths(fixed, T: int) -> dict:
+    """Block name -> float array of each fixed path, refused with a
+    ValueError when a path's last axis is not its block's length."""
+    fixed = {name: np.asarray(path, dtype=float) for name, path in (fixed or {}).items()}
+    for name, path in fixed.items():
+        length = block_length(name, T)
+        if path.shape[-1:] != (length,):
+            raise ValueError(f"fixed path {name!r} has shape {path.shape}; its last "
+                             f"axis must have length {length} at horizon {T}")
+    return fixed
 
 
 def _row_groups(families):
@@ -269,14 +277,8 @@ def restricted_system(params: ModelParams, unknowns, fixed=None):
     ValueError when a path's last axis is not its block's length.
     """
     T = params.horizon_T
-    fixed = {name: np.asarray(path, dtype=float)
-             for name, path in (fixed or {}).items()}
-    for name, path in fixed.items():
-        length = block_length(name, T)
-        if path.shape[-1:] != (length,):
-            raise ValueError(f"fixed path {name!r} has shape {path.shape}; its last "
-                             f"axis must have length {length} at horizon {T}")
-    families = _level(_solvable_table(params), set(unknowns) | set(fixed))
+    fixed = fixed_paths(fixed, T)
+    families = level_families(params, set(unknowns) | set(fixed))
     ix = IndexMap(T, unknowns)
     n = ix.n
     A = np.zeros((n, n))
@@ -321,68 +323,6 @@ def assemble_system(params: ModelParams) -> StationaritySystem:
         raise AssertionError("non-finite coefficients in assembled system")
     labels = _row_labels(equation_table(params), params.horizon_T)
     return StationaritySystem(matrix=A, rhs=rhs, row_labels=tuple(labels))
-
-
-class LevelBlocks(NamedTuple):
-    """Constant per-period blocks of one level of the game, read off the table.
-
-    With state s_t, costate P_t, period unknowns v_t and the exogenous path's
-    value e_t, the level's families read
-
-        M v_t   = R P_{t+1} + r0 + X e_t    (the algebraic rows)
-        s_{t+1} = A s_t + W v_t + E e_t     (the recursions stepping s)
-        P_t     = C s_t + D22 P_{t+1}       (the recursions stepping P)
-
-    X and E are None without an exogenous path.  The table's recursions have
-    no constant term.
-    """
-
-    M: np.ndarray
-    R: np.ndarray
-    r0: np.ndarray
-    X: np.ndarray | None
-    A: np.ndarray
-    W: np.ndarray
-    E: np.ndarray | None
-    C: np.ndarray
-    D22: np.ndarray
-
-
-def level_blocks(params: ModelParams, state, costate, unknowns,
-                 exogenous=None) -> LevelBlocks:
-    """Blocks of the level spanned by the named state, costate and period
-    unknown blocks plus at most one ``exogenous`` (fixed) block."""
-    blocks = {*state, *costate, *unknowns}
-    if exogenous is not None:
-        blocks.add(exogenous)
-    families = _level(_solvable_table(params), blocks)
-    stepping = {fam.terms[0][0]: fam for fam in families if fam.boundary}
-    columns = ([(name, 0) for name in unknowns], [(name, 1) for name in costate],
-               [(name, 0) for name in state], [(exogenous, 0)])
-    where = {key: (part, j) for part, keys in enumerate(columns)
-             for j, key in enumerate(keys)}
-
-    def split(rows, unknown_sign):
-        """The rows' coefficients on (period unknowns, costates at t+1, states
-        at t, exogenous), all but the first negated as they change sides."""
-        parts = [np.zeros((len(rows), len(keys))) for keys in columns]
-        for i, fam in enumerate(rows):
-            for block, shift, coef in fam.terms:
-                if (block, shift) in where:
-                    part, j = where[block, shift]
-                    parts[part][i, j] = (unknown_sign if part == 0 else -1.0) * coef
-        return parts
-
-    algebraic = [fam for fam in families if fam.boundary is None]
-    M, R, _, X = split(algebraic, 1.0)
-    W, _, A, E = split([stepping[name] for name in state], -1.0)
-    _, D22, C, _ = split([stepping[name] for name in costate], -1.0)
-    if exogenous is None:
-        X = E = None
-    else:
-        X, E = X[:, 0], E[:, 0]
-    r0 = np.array([fam.constant for fam in algebraic])
-    return LevelBlocks(M=M, R=R, r0=r0, X=X, A=A, W=W, E=E, C=C, D22=D22)
 
 
 # ---------------------------------------------------------------------------

@@ -1,34 +1,36 @@
-"""Cyclic-reduction solver for the stationarity system.
+"""Cyclic-reduction solver for the levels of the game.
 
-After the per-period control block is eliminated, the remaining dynamics
-couple a forward vector xt (initial condition known) and a backward vector
-Pt (terminal condition zero) through constant blocks:
+A level is the part of the equation table that one player solves together
+with its followers, given the paths of the players above it.  Its unknowns
+are states s (initial values given), costates P (terminal values zero) and
+period unknowns v, the controls and the per-period Lagrange values.  Once v
+is eliminated the level is a two-point recursion over y[t] = (s[t], P[t]):
 
-    xt_{t+1} = A xt_t + B Pt_{t+1} + f_t
-    Pt_t     = C xt_t + D22 Pt_{t+1}
+    P y[t] + Q y[t+1] = g[t],    t = 1..T.
 
-that is E y_{t+1} - F y_t = (f_t, 0) over y = (xt, Pt), with E = [[I, -B],
-[0, D22]] and F = [[A, 0], [-C, I]].  It is solved by QR-based cyclic
-reduction (Wright, SIAM J. Sci. Stat. Comput. 13, 1992), which, unlike a
-Riccati sweep, needs no dichotomy: the reference parameters put 6 of the 8
-outer transfer eigenvalues on the unit circle.  Each level pairs
-neighbouring equations and eliminates their shared y with one orthogonal
-transform common to all pairs; an odd last equation is carried as a tail.
-The final equation, between y_1 and y_{T+1}, gives xt_{T+1}; undoing the
-levels recovers every y.  A singular recovery raises SweepSingularError.
+``assemble_augmented`` reads P, Q and g straight off the table.  The
+recursion is solved by QR-based cyclic reduction (Wright, SIAM J. Sci. Stat.
+Comput. 13, 1992), which, unlike a Riccati sweep, needs no dichotomy: the
+reference parameters put 6 of the 8 outer transfer eigenvalues on the unit
+circle.  Each level of the reduction pairs neighbouring equations and
+eliminates their shared y with one orthogonal transform common to all pairs;
+an odd last equation is carried as a tail.  The final equation, between y[1]
+and y[T+1], gives the unknown halves of both; undoing the levels recovers
+every y.  A singular recovery raises SweepSingularError.
 
-Two instances of the machinery exist:
+The levels, as ``_LEVELS`` names their blocks:
 
-  outer  the full nested game.  xt = (x, u, w, u'), Pt = (p_r, p_m, p_s, r),
-         4x4 blocks; solving it is solving the game.
-  inner  the manufacturer-retailer level alone, with the supplier's
-         investment path held fixed.  xt = (x, u), Pt = (p_m, p_r), 2x2
-         blocks.  At the solved supplier path its solution must reproduce
-         the outer one, which ``solve_game`` verifies on every run.
+  outer     the full nested game.  s = (x, u, w, u'), P = (p_r, p_m, p_s, r);
+            solving it is solving the game.
+  inner     the manufacturer-retailer level, the supplier's investment path
+            fixed.  s = (x, u), P = (p_m, p_r).  At the solved supplier path
+            its solution must reproduce the outer one, which ``solve_game``
+            verifies on every run; the leader check re-solves it per probe.
+  retailer  the retailer alone, the supplier's and manufacturer's paths
+            fixed.  s = x, P = p_r; the manufacturer check re-solves it.
 
-Every block, D22 included, is read off the equation table by
-``stationarity.level_blocks``; for this model D22 comes out exactly equal to
-A (alpha times the identity).
+Fixed paths may carry leading batch axes, (..., T): the matrices P and Q are
+shared, and every batch entry is one right-hand side of the same reduction.
 """
 from __future__ import annotations
 
@@ -45,52 +47,45 @@ from .model import (
     total_objective,
 )
 from .stationarity import (
-    level_blocks,
+    fixed_paths,
+    level_families,
     own_control_second_derivative,
     residual_norms,
     trajectory_blocks,
     trajectory_from_blocks,
 )
 
-OUTER_STATE = ("x", "u", "w", "u_prime")
-OUTER_COSTATE = ("p_r", "p_m", "p_s", "r")
-OUTER_PERIOD = ("i_s", "i_m", "i_r", "lam", "lam_prime", "mu_prime", "nu")
-INNER_STATE = ("x", "u")
-INNER_COSTATE = ("p_m", "p_r")
-INNER_PERIOD = ("i_m", "i_r", "lam")
-# level -> (state, costate and period unknown blocks, exogenous block)
+# level -> (state, costate and period unknown blocks, fixed blocks)
 _LEVELS = {
-    "outer": (OUTER_STATE, OUTER_COSTATE, OUTER_PERIOD, None),
-    "inner": (INNER_STATE, INNER_COSTATE, INNER_PERIOD, "i_s"),
+    "outer": (("x", "u", "w", "u_prime"), ("p_r", "p_m", "p_s", "r"),
+              ("i_s", "i_m", "i_r", "lam", "lam_prime", "mu_prime", "nu"), ()),
+    "inner": (("x", "u"), ("p_m", "p_r"), ("i_m", "i_r", "lam"), ("i_s",)),
+    "retailer": (("x",), ("p_r",), ("i_r",), ("i_s", "i_m")),
 }
 
 
 @dataclass(frozen=True)
 class AugmentedSystem:
-    """Constant blocks of the augmented forward/backward recursion.
+    """One level as the recursion P y[t] + Q y[t+1] = g[t], t = 1..T.
 
-    ``f`` is stored per period (shape (T, n)): the inner level's forcing
-    varies with the exogenous supplier path.  ``sol_G`` and ``sol_g`` give
-    the eliminated per-period block as solution_t = sol_G @ Pt_{t+1} +
-    sol_g[t] (outer: 7 entries per period, inner: 3).
+    y[t] holds the states, then the costates; the rows of P and Q are the
+    recursions stepping them, in the same order.  The states at t = 1 are
+    ``xt1`` and the costates at T + 1 are zero.  ``g`` has shape (..., T,
+    2n), with the batch axes of the fixed paths.  The eliminated period
+    unknowns are v[t] = sol_G @ (y[t], y[t+1]) + sol_g[..., t, :].
     """
 
     level: str
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D22: np.ndarray
-    f: np.ndarray
+    P: np.ndarray
+    Q: np.ndarray
+    g: np.ndarray
     sol_G: np.ndarray
     sol_g: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.A.shape[0]
+    xt1: np.ndarray
 
     @property
     def horizon(self) -> int:
-        return self.f.shape[0]
+        return self.g.shape[-2]
 
 
 @dataclass
@@ -116,48 +111,56 @@ class SolveReport:
     oracle_residual_max: float | None = None
 
 
-def assemble_augmented(params: ModelParams, level: str,
-                       supplier_investments=None) -> AugmentedSystem:
-    """Build the augmented blocks for one level of the game.
+def assemble_augmented(params: ModelParams, level: str, fixed=None) -> AugmentedSystem:
+    """Read one level's recursion off the equation table.
 
-    ``supplier_investments`` (length T) is required at the inner level and
-    ignored at the outer level.  Expanding the blocks reproduces the level's
-    rows of the equation table after control elimination.
+    ``fixed`` maps each of the level's fixed blocks to its path, of shape
+    (..., T); the outer level has none.  Each family of the level holds at
+    every period t = 1..T, as one row of coefficients over (v[t], y[t],
+    y[t+1], e[t], 1), e the fixed paths: a term of shift 0 is read at t, of
+    shift 1 at t + 1.  One solve against the algebraic rows eliminates v.
     """
     if level not in _LEVELS:
-        raise ValueError(f"unknown level {level!r}; expected 'inner' or 'outer'")
+        raise ValueError(f"unknown level {level!r}; expected one of {tuple(_LEVELS)}")
     T = params.horizon_T
-    state, costate, period, exogenous = _LEVELS[level]
-    blocks = level_blocks(params, state, costate, period, exogenous)
-    if exogenous is not None:
-        if supplier_investments is None:
-            raise ValueError("inner level requires the supplier investment path")
-        i_s = np.asarray(supplier_investments, dtype=float)
-        if i_s.shape != (T,):
-            raise ValueError(f"supplier path must have shape ({T},), got {i_s.shape}")
-    G = np.linalg.solve(blocks.M, blocks.R)
-    g = np.linalg.solve(blocks.M, blocks.r0)
-    if exogenous is None:
-        sol_g = np.tile(g, (T, 1))
-        f = np.tile(blocks.W @ g, (T, 1))
-    else:
-        # the supplier path enters as a per-period constant
-        sol_g = g[None, :] + i_s[:, None] * np.linalg.solve(blocks.M, blocks.X)[None, :]
-        f = sol_g @ blocks.W.T + i_s[:, None] * blocks.E[None, :]
-    return AugmentedSystem(level=level, A=blocks.A, B=blocks.W @ G, C=blocks.C,
-                           D22=blocks.D22, f=f, sol_G=G, sol_g=sol_g)
+    state, costate, period, held = _LEVELS[level]
+    fixed = fixed_paths(fixed, T)
+    if set(fixed) != set(held):
+        raise ValueError(f"the {level} level needs the fixed paths {held}, "
+                         f"got {tuple(fixed)}")
+    y = state + costate
+    columns = ([(name, 0) for name in period + y] + [(name, 1) for name in y]
+               + [(name, 0) for name in held])
+    col = {key: j for j, key in enumerate(columns)}
+    families = level_families(params, {*y, *period, *held})
+    stepping = {fam.terms[0][0]: fam for fam in families if fam.boundary is not None}
+    rows = [stepping[name] for name in y] + [fam for fam in families if fam.boundary is None]
+    K = np.zeros((len(rows), len(columns) + 1))
+    for i, fam in enumerate(rows):
+        for block, shift, coef in fam.terms:
+            K[i, col[block, shift]] = coef
+        K[i, -1] = -fam.constant
+    # K (v, o) = 0 with o = (y[t], y[t+1], e[t], 1): v = -G o on the
+    # algebraic rows, which leaves the recursions reduced o = 0.
+    m, n2 = len(period), len(y)
+    G = np.linalg.solve(K[n2:, :m], K[n2:, m:])
+    reduced = K[:n2, m:] - K[:n2, :m] @ G
+    e = np.stack(np.broadcast_arrays(*(fixed[name] for name in held), np.ones(T)), axis=-1)
+    return AugmentedSystem(
+        level=level, P=reduced[:, :n2], Q=reduced[:, n2:2 * n2],
+        g=-e @ reduced[:, 2 * n2:].T, sol_G=-G[:, :2 * n2], sol_g=-e @ G[:, 2 * n2:].T,
+        xt1=np.array([stepping[name].boundary.value for name in state]))
 
 
 def _eliminate(first, second):
     """Eliminate the y shared by two neighbouring equations (P, Q, g), each
-    P y[left] + Q y[right] = g with g possibly batched as (k, m).  Returns
+    P y[left] + Q y[right] = g, g of shape (..., k, m) or (..., m).  Returns
     the kept rows (R, W, h), R y[shared] + W (y[left], y[right]) = h, and the
     reduced equation between the outer two."""
     (P1, Q1, g1), (P2, Q2, g2) = first, second
     m = Q1.shape[0]
     U, R = np.linalg.qr(np.vstack([Q1, P2]), mode="complete")
-    zero = np.zeros((m, m))
-    W = U.T @ np.block([[P1, zero], [zero, Q2]])
+    W = np.hstack([U[:m].T @ P1, U[m:].T @ Q2])
     h = np.concatenate([g1, g2], axis=-1) @ U
     return (R[:m], W[:m], h[..., :m]), (W[m:, :m], W[m:, m:], h[..., m:])
 
@@ -165,53 +168,62 @@ def _eliminate(first, second):
 def backward_sweep(aug: AugmentedSystem):
     """Cyclic reduction of the level: returns each level's kept rows of the
     pairs and of the tail, and the final equation between y[1] and y[T+1]."""
-    n = aug.dim
-    eye, zero = np.eye(n), np.zeros((n, n))
-    P = -np.block([[aug.A, zero], [-aug.C, eye]])
-    Q = np.block([[eye, -aug.B], [zero, aug.D22]])
-    g = np.hstack([aug.f, np.zeros_like(aug.f)])
+    P, Q, g = aug.P, aug.Q, aug.g
     tail, levels = None, []
-    while len(g) + (tail is not None) > 1:
+    while g.shape[-2] + (tail is not None) > 1:
         kept_tail = None
-        if len(g) % 2 and tail:
-            kept_tail, tail = _eliminate((P, Q, g[-1]), tail)
-        elif len(g) % 2:
-            tail = (P, Q, g[-1])
-        kept, (P, Q, g) = _eliminate((P, Q, g[0:-1:2]), (P, Q, g[1::2]))
+        if g.shape[-2] % 2 and tail:
+            kept_tail, tail = _eliminate((P, Q, g[..., -1, :]), tail)
+        elif g.shape[-2] % 2:
+            tail = (P, Q, g[..., -1, :])
+        kept, (P, Q, g) = _eliminate((P, Q, g[..., 0:-1:2, :]), (P, Q, g[..., 1::2, :]))
         levels.append((kept, kept_tail))
-    return levels, tail or (P, Q, g[0])
+    return levels, tail or (P, Q, g[..., 0, :])
+
+
+def _solve_batch(A, rhs):
+    """Solve A z = rhs for right-hand sides of shape (..., n) at once."""
+    n = A.shape[0]
+    return np.linalg.solve(A, rhs.reshape(-1, n).T).T.reshape(rhs.shape)
 
 
 def _undo(kept, left, right):
     """The shared y of eliminated pairs, from their neighbours' values."""
     R, W, h = kept
-    return np.linalg.solve(R, (h - np.concatenate([left, right], axis=-1) @ W.T).T).T
+    return _solve_batch(R, h - np.concatenate([left, right], axis=-1) @ W.T)
 
 
-def _sweep_forward(aug: AugmentedSystem, reduction, xt1) -> dict:
+def _named(names, paths) -> dict:
+    """Block name -> path, the blocks laid along the last axis of ``paths``."""
+    return dict(zip(names, np.moveaxis(paths, -1, 0)))
+
+
+def _sweep_forward(aug: AugmentedSystem, reduction) -> dict:
     """Block name -> path of everything the level solved for, recovered
     from the reduction."""
     levels, (P, Q, g) = reduction
-    T, n = aug.horizon, aug.dim
-    y = np.zeros((T + 1, 2 * n))
-    y[0, :n] = xt1
+    T, n = aug.horizon, len(aug.xt1)
+    y = np.zeros(aug.g.shape[:-2] + (T + 1, 2 * n))
+    y[..., 0, :n] = aug.xt1
     try:
-        y[0, n:], y[T, :n] = np.split(np.linalg.solve(
-            np.hstack([P[:, n:], Q[:, :n]]), g - P[:, :n] @ xt1), 2)
+        y[..., 0, n:], y[..., T, :n] = np.split(_solve_batch(
+            np.hstack([P[:, n:], Q[:, :n]]), g - aug.xt1 @ P[:, :n].T), 2, axis=-1)
         for level, (kept, kept_tail) in reversed(list(enumerate(levels))):
             s = 2 ** level
             if kept_tail:
-                y[T // s * s] = _undo(kept_tail, y[T // s * s - s], y[T])
-            k = len(kept[2])
-            y[s::2 * s][:k] = _undo(kept, y[::2 * s][:k], y[2 * s::2 * s][:k])
+                y[..., T // s * s, :] = _undo(kept_tail, y[..., T // s * s - s, :],
+                                              y[..., T, :])
+            k = kept[2].shape[-2]
+            y[..., s::2 * s, :][..., :k, :] = _undo(
+                kept, y[..., ::2 * s, :][..., :k, :], y[..., 2 * s::2 * s, :][..., :k, :])
     except np.linalg.LinAlgError:
         raise SweepSingularError(aug.level) from None
     if not np.all(np.isfinite(y)):
         raise SweepSingularError(aug.level)
     state, costate, period, _ = _LEVELS[aug.level]
-    Pt = y[1:, n:]           # Pt[t-1] holds Pt_{t+1}
-    return {**dict(zip(state, y[:, :n].T)), **dict(zip(costate, Pt.T)),
-            **dict(zip(period, (Pt @ aug.sol_G.T + aug.sol_g).T))}
+    v = np.concatenate([y[..., :-1, :], y[..., 1:, :]], axis=-1) @ aug.sol_G.T + aug.sol_g
+    return {**_named(state, y[..., :n]), **_named(costate, y[..., 1:, n:]),
+            **_named(period, v)}
 
 
 def forward_pass(aug: AugmentedSystem, reduction,
@@ -219,18 +231,22 @@ def forward_pass(aug: AugmentedSystem, reduction,
     """Forward pass over the outer system, yielding the full trajectory."""
     if aug.level != "outer":
         raise ValueError("forward_pass recovers the full game; pass the outer system")
-    paths = _sweep_forward(aug, reduction, np.array([params.x1, 0.0, 0.0, 0.0]))
-    return trajectory_from_blocks(paths, params)
+    return trajectory_from_blocks(_sweep_forward(aug, reduction), params)
+
+
+def _solve_level(params: ModelParams, level: str, fixed) -> dict:
+    """Block name -> path of everything the level solves for, given its
+    fixed paths (which may carry batch axes)."""
+    aug = assemble_augmented(params, level, fixed)
+    return _sweep_forward(aug, backward_sweep(aug))
 
 
 def solve_inner_given_supplier(params: ModelParams, supplier_investments):
-    """Sweep-solve the manufacturer-retailer level for a fixed supplier path.
+    """Solve the manufacturer-retailer level for a fixed supplier path.
 
     Returns a dict of the inner variables (x, u, p_m, p_r, i_m, i_r, lam).
     """
-    aug = assemble_augmented(params, "inner",
-                             supplier_investments=supplier_investments)
-    return _sweep_forward(aug, backward_sweep(aug), np.array([params.x1, 0.0]))
+    return _solve_level(params, "inner", {"i_s": supplier_investments})
 
 
 def _inner_consistency_delta(params: ModelParams, trajectory: Trajectory) -> float:

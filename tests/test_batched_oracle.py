@@ -6,6 +6,7 @@ of one right-hand side.  The loop below is the reference they replaced: each
 probe solved, rolled out and summed on its own.
 """
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from csrchain import (
     solve_game,
     stage_payoff,
     state_transition,
+    stationarity,
 )
 from csrchain.oracle import solve_inner_response, solve_retailer_response
 from csrchain.stationarity import restricted_system
@@ -178,18 +180,24 @@ def skeel_tolerance(A, b):
 
 
 class TestBatchedResponses:
+    """The batched responses against one-at-a-time calls and against the
+    dense solve of the follower's restricted system, path by path."""
+
     @pytest.mark.parametrize("params", CASES, ids=CASE_IDS)
     def test_inner_batch_matches_one_at_a_time(self, params):
         T = params.horizon_T
         i_s = np.random.default_rng(T + 1).uniform(-5, 5, (6, T))
         i_m, i_r, x = solve_inner_response(params, i_s)
         assert i_m.shape == i_r.shape == (6, T) and x.shape == (6, T + 1)
-        A, b, _ = restricted_system(params, oracle._FOLLOWER_BLOCKS, {"i_s": i_s})
+        A, b, ix = restricted_system(params, ("x", "i_m", "i_r", "lam", "p_r", "p_m", "u"),
+                                     {"i_s": i_s})
         for j, path in enumerate(i_s):
             tol = skeel_tolerance(A, b[j])
+            dense = np.linalg.solve(A, b[j])
             single = solve_inner_response(params, path)
-            for batched, one in zip((i_m[j], i_r[j], x[j]), single):
+            for batched, one, name in zip((i_m[j], i_r[j], x[j]), single, ("i_m", "i_r", "x")):
                 assert np.max(np.abs(batched - one)) <= tol
+                assert np.max(np.abs(batched - ix.block(dense, name))) <= tol
 
     @pytest.mark.parametrize("params", CASES, ids=CASE_IDS)
     def test_retailer_batch_matches_one_at_a_time(self, params):
@@ -199,13 +207,14 @@ class TestBatchedResponses:
         i_m = rng.uniform(-5, 5, (6, T))
         i_r, x = solve_retailer_response(params, i_s, i_m)
         assert i_r.shape == (6, T) and x.shape == (6, T + 1)
-        A, b, _ = restricted_system(params, oracle._RETAILER_BLOCKS,
-                                    {"i_s": i_s, "i_m": i_m})
+        A, b, ix = restricted_system(params, ("x", "i_r", "p_r"), {"i_s": i_s, "i_m": i_m})
         for j, path in enumerate(i_m):
             tol = skeel_tolerance(A, b[j])
+            dense = np.linalg.solve(A, b[j])
             single = solve_retailer_response(params, i_s, path)
-            for batched, one in zip((i_r[j], x[j]), single):
+            for batched, one, name in zip((i_r[j], x[j]), single, ("i_r", "x")):
                 assert np.max(np.abs(batched - one)) <= tol
+                assert np.max(np.abs(batched - ix.block(dense, name))) <= tol
 
 
 class TestChecksMatchLoop:
@@ -283,6 +292,26 @@ class TestOneFollowerSolvePerCheck:
         calls = count_calls(monkeypatch, "solve_inner_response")
         grid_scan_supplier(p, center=i_s + 3.0, half_width=20.0)
         assert len(calls) == 1
+
+
+class TestNoDenseFollowerSystem:
+    def test_checks_build_no_dense_system(self, monkeypatch):
+        """The checks re-solve their followers by the reduction: no check
+        builds a restricted (dense) system, wherever a module binds it."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check built a dense follower system")
+        p20, p1 = make_params(horizon_T=20), make_params(horizon_T=1)
+        trajectory = solve_game(p20)[0]
+        i_s = solve_game(p1)[0].controls.i_s[0]
+        for module in [m for name, m in sys.modules.items()
+                       if name == "csrchain" or name.startswith("csrchain.")]:
+            if getattr(module, "restricted_system", None) is restricted_system:
+                monkeypatch.setattr(module, "restricted_system", refuse)
+        assert stationarity.restricted_system is refuse
+        for level in ("R", "M"):
+            follower_stationarity_check(trajectory, p20, level)
+        leader_stationarity_check(trajectory, p20)
+        grid_scan_supplier(p1, center=i_s + 3.0, half_width=20.0)
 
 
 class TestFixedPathLength:

@@ -312,14 +312,16 @@ class TestCli:
 
     def test_singular_boundary_system_exits_one(self, tmp_path, capsys, monkeypatch):
         """A sweep breakdown is a solver failure: exit 1 with an error line
-        naming the level, no traceback and no artifacts.  With A = B = C =
-        D22 = I each period maps (xt, Pt) to (Pt, Pt - xt), so at T = 2 the
-        final equation cannot determine Pt[1] and xt[3]."""
-        def singular(params, level, supplier_investments=None):
-            eye, T = np.eye(4), params.horizon_T
-            return sweep.AugmentedSystem(level=level, A=eye, B=eye, C=eye, D22=eye,
-                                         f=np.zeros((T, 4)), sol_G=np.zeros((7, 4)),
-                                         sol_g=np.zeros((T, 7)))
+        naming the level, no traceback and no artifacts.  The rows
+        xt[t+1] - xt[t] - Pt[t+1] = 0 and xt[t] - Pt[t] + Pt[t+1] = 0 map
+        (xt, Pt) to (Pt, Pt - xt), so at T = 2 the final equation cannot
+        determine Pt[1] and xt[3]."""
+        def singular(params, level, fixed=None):
+            eye, zero, T = np.eye(4), np.zeros((4, 4)), params.horizon_T
+            return sweep.AugmentedSystem(level=level, P=np.block([[-eye, zero], [eye, -eye]]),
+                                         Q=np.block([[eye, -eye], [zero, eye]]),
+                                         g=np.zeros((T, 8)), sol_G=np.zeros((7, 16)),
+                                         sol_g=np.zeros((T, 7)), xt1=np.zeros(4))
         monkeypatch.setattr(sweep, "assemble_augmented", singular)
         text = REFERENCE_FILE.replace("horizon_T = 3", "horizon_T = 2")
         scenario_path = write_scenario(tmp_path, text)

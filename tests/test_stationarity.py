@@ -123,7 +123,8 @@ def period_solution(params, inputs=(0.0, 0.0, 0.0, 0.0)):
     """The period block's solution (i_s, i_m, i_r, lam, lam', mu', nu) at
     costate inputs (p_r+, p_m+, p_s+, r+), from the outer solution maps."""
     aug = assemble_augmented(params, "outer")
-    return aug.sol_G @ np.array(inputs) + aug.sol_g[0]
+    steps = np.concatenate([np.zeros(12), inputs])   # y[t], then y[t+1]
+    return aug.sol_G @ steps + aug.sol_g[0]
 
 
 class TestPeriodSolutionMaps:

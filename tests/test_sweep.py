@@ -17,16 +17,16 @@ from csrchain import (
 from csrchain.model import state_transition
 from csrchain.stationarity import equation_table
 from csrchain.sweep import (
-    OUTER_COSTATE,
-    OUTER_STATE,
+    AugmentedSystem,
     _inner_consistency_delta,
+    _LEVELS,
     _sweep_forward,
     solve_inner_given_supplier,
 )
 
 from conftest import draw_params, make_params
 
-OUTER_PERIOD = ("i_s", "i_m", "i_r", "lam", "lam_prime", "mu_prime", "nu")
+OUTER_STATE, OUTER_COSTATE, OUTER_PERIOD, _ = _LEVELS["outer"]
 
 
 def table_residuals(params, point, labels):
@@ -41,32 +41,39 @@ def table_steps(params, point, labels):
     return [rows[label].stepped(point) for label in labels]
 
 
+def expand(aug, t, y_now, y_next):
+    """The period unknowns the solution maps give at (y[t], y[t+1]), and the
+    recursion rows P y[t] + Q y[t+1] - g[t] (t counted from 0)."""
+    v = aug.sol_G @ np.concatenate([y_now, y_next]) + aug.sol_g[t]
+    return v, aug.P @ y_now + aug.Q @ y_next - aug.g[t]
+
+
 class TestAssembleAugmented:
     def test_outer_blocks_reproduce_equations(self, reference_params):
-        """Expanding the outer blocks at arbitrary values reproduces every
-        equation of the table's period, entry for entry."""
+        """Expanding the outer rows at arbitrary values reproduces every
+        equation of the table's period, entry for entry: each row is its
+        stepped block's value less the value the table steps it to."""
         p = reference_params
         aug = assemble_augmented(p, "outer")
         rng = np.random.default_rng(31)
         worst = 0.0
         for _ in range(10):
-            xt = rng.uniform(-2, 2, size=4)        # (x, u, w, u')
-            Pn = rng.uniform(-2, 2, size=4)        # (p_r+, p_m+, p_s+, r+)
-            sol = aug.sol_G @ Pn + aug.sol_g[0]
+            y_now = rng.uniform(-2, 2, size=8)     # (x, u, w, u', p_r, p_m, p_s, r)
+            y_next = rng.uniform(-2, 2, size=8)
+            xt, Pt, Pn = y_now[:4], y_now[4:], y_next[4:]
+            sol, rows = expand(aug, 0, y_now, y_next)
             point = {(name, 0): value for name, value in zip(OUTER_PERIOD, sol)}
-            point.update({(name, 1): value for name, value in
-                          zip(("p_r", "p_m", "p_s", "r"), Pn)})
-            point.update({(name, 0): value for name, value in
-                          zip(("x", "u", "w", "u_prime"), xt)})
+            point.update({(name, 1): value for name, value in zip(OUTER_COSTATE, Pn)})
+            point.update({(name, 0): value for name, value in zip(OUTER_STATE, xt)})
             residuals = table_residuals(p, point, (
                 "foc_r", "foc_m", "m_react", "foc_s", "s_react_m", "s_react_r",
                 "s_react_l"))
             worst = max(worst, max(abs(r) for r in residuals))
-            forward = aug.A @ xt + aug.B @ Pn + aug.f[0]
             expected_forward = [state_transition(xt[0], tuple(sol[:3]), p)]
             expected_forward += table_steps(p, point, ("u_step", "w_step", "u_prime_step"))
+            forward = y_next[:4] - rows[:4]
             worst = max(worst, max(abs(a - b) for a, b in zip(forward, expected_forward)))
-            backward = aug.C @ xt + aug.D22 @ Pn
+            backward = Pt - rows[4:]
             expected_backward = table_steps(p, point, (
                 "costate_r", "costate_m", "costate_s", "r_step"))
             worst = max(worst, max(abs(a - b) for a, b in zip(backward, expected_backward)))
@@ -75,44 +82,48 @@ class TestAssembleAugmented:
     def test_inner_blocks_reproduce_equations(self, reference_params):
         p = reference_params
         i_s = np.array([0.7, -0.4, 1.2])
-        aug = assemble_augmented(p, "inner", supplier_investments=i_s)
+        aug = assemble_augmented(p, "inner", {"i_s": i_s})
         rng = np.random.default_rng(37)
         worst = 0.0
         for t in range(p.horizon_T):
-            xt = rng.uniform(-2, 2, size=2)        # (x, u)
-            Pn = rng.uniform(-2, 2, size=2)        # (p_m+, p_r+)
-            i_m, i_r, lam = aug.sol_G @ Pn + aug.sol_g[t]
+            y_now = rng.uniform(-2, 2, size=4)     # (x, u, p_m, p_r)
+            y_next = rng.uniform(-2, 2, size=4)
+            xt, Pt, Pn = y_now[:2], y_now[2:], y_next[2:]
+            (i_m, i_r, lam), rows = expand(aug, t, y_now, y_next)
             point = {("i_s", 0): i_s[t], ("i_m", 0): i_m, ("i_r", 0): i_r,
                      ("lam", 0): lam, ("p_m", 1): Pn[0], ("p_r", 1): Pn[1],
                      ("x", 0): xt[0], ("u", 0): xt[1]}
             residuals = table_residuals(p, point, ("foc_r", "foc_m", "m_react"))
             worst = max(worst, max(abs(r) for r in residuals))
-            forward = aug.A @ xt + aug.B @ Pn + aug.f[t]
+            forward = y_next[:2] - rows[:2]
             expected_forward = [state_transition(xt[0], (i_s[t], i_m, i_r), p)]
             expected_forward += table_steps(p, point, ("u_step",))
             worst = max(worst, max(abs(a - b) for a, b in zip(forward, expected_forward)))
-            backward = aug.C @ xt + aug.D22 @ Pn
+            backward = Pt - rows[2:]
             expected_backward = table_steps(p, point, ("costate_m", "costate_r"))
             worst = max(worst, max(abs(a - b) for a, b in zip(backward, expected_backward)))
         assert worst <= 1e-12
 
     def test_d22_matches_a_block(self, reference_params):
-        """Deriving the lower-right block from the costate recursions settles
-        its value: it equals the forward carryover block alpha*I."""
-        outer = assemble_augmented(reference_params, "outer")
-        inner = assemble_augmented(reference_params, "inner",
-                                   supplier_investments=np.zeros(3))
-        assert np.array_equal(outer.D22, outer.A)
-        assert np.array_equal(inner.D22, inner.A)
-        assert np.array_equal(outer.D22, reference_params.alpha * np.eye(4))
+        """Deriving the costate rows from the recursions settles their
+        carryover: the costates' coefficients at t + 1 in the rows stepping
+        them (D22) equal the states' coefficients at t in the rows stepping
+        them (A), -alpha times the identity, at every level."""
+        p = reference_params
+        for level, (state, _, _, held) in _LEVELS.items():
+            aug = assemble_augmented(p, level, {name: np.zeros(3) for name in held})
+            n = len(state)
+            assert np.array_equal(aug.Q[n:, n:], aug.P[:n, :n])
+            assert np.array_equal(aug.P[:n, :n], -p.alpha * np.eye(n))
 
     def test_costate_block_zero_without_benefit(self):
-        """Without social benefit the costate recursions lose their state
-        terms, and they never carry a constant, so the backward recursion
+        """Without social benefit the costate rows lose their state terms
+        (C = 0), and they never carry a constant, so the backward recursion
         needs no forcing term."""
         p = make_params(delta_s=0.0, delta_m=0.0, delta_r=0.0, d=0.0, d_hat=0.0)
         aug = assemble_augmented(p, "outer")
-        assert np.array_equal(aug.C, np.zeros((4, 4)))
+        assert np.array_equal(aug.P[4:, :4], np.zeros((4, 4)))
+        assert np.array_equal(aug.g[:, 4:], np.zeros((p.horizon_T, 4)))
         backward = [fam for fam in equation_table(p)
                     if fam.boundary is not None and fam.boundary.at_end]
         assert len(backward) == 4
@@ -123,7 +134,7 @@ class TestAssembleAugmented:
             assemble_augmented(make_params(theta=0.0), "outer")
 
     def test_inner_requires_supplier_path(self, reference_params):
-        with pytest.raises(ValueError, match="supplier"):
+        with pytest.raises(ValueError, match="inner level needs the fixed paths \\('i_s',\\)"):
             assemble_augmented(reference_params, "inner")
 
     def test_unknown_level_rejected(self, reference_params):
@@ -167,25 +178,28 @@ class TestBackwardSweep:
 
     def test_single_period_single_step(self):
         """At T = 1 nothing is paired: the final equation is the period's
-        own, E y[2] - F y[1] = (f[1], 0)."""
+        own, P y[1] + Q y[2] = g[1]."""
         aug = assemble_augmented(make_params(horizon_T=1), "outer")
         levels, (P, Q, g) = backward_sweep(aug)
         assert levels == []
-        eye, zero = np.eye(4), np.zeros((4, 4))
-        assert np.array_equal(Q, np.block([[eye, -aug.B], [zero, aug.D22]]))
-        assert np.array_equal(P, -np.block([[aug.A, zero], [-aug.C, eye]]))
-        assert np.array_equal(g, np.concatenate([aug.f[0], np.zeros(4)]))
+        assert np.array_equal(Q, aug.Q)
+        assert np.array_equal(P, aug.P)
+        assert np.array_equal(g, aug.g[0])
 
     def test_zero_costate_block_kills_gains(self, reference_params):
-        """With C = 0 the backward recursion Pt[t] = D22 Pt[t+1] from
-        Pt[T+1] = 0 has only the zero solution, whatever the forcing."""
+        """With C = 0 (no state terms in the costate rows) the backward
+        recursion Pt[t] = D22 Pt[t+1] from Pt[T+1] = 0 has only the zero
+        solution, whatever the forcing of the state rows."""
         for T in (1, 5, 60, 1000):
             aug = assemble_augmented(dataclasses.replace(reference_params, horizon_T=T),
                                      "outer")
-            forcing = np.random.default_rng(3).uniform(-100, 100, size=aug.f.shape)
-            stripped = dataclasses.replace(aug, C=np.zeros((4, 4)), f=forcing)
-            paths = _sweep_forward(stripped, backward_sweep(stripped),
-                                   np.array([1.0, 0.0, 0.0, 0.0]))
+            forcing = np.zeros_like(aug.g)
+            forcing[:, :4] = np.random.default_rng(3).uniform(-100, 100, size=(T, 4))
+            P = aug.P.copy()
+            P[4:, :4] = 0.0
+            stripped = dataclasses.replace(aug, P=P, g=forcing,
+                                           xt1=np.array([1.0, 0.0, 0.0, 0.0]))
+            paths = _sweep_forward(stripped, backward_sweep(stripped))
             xt = np.stack([paths[name] for name in OUTER_STATE])
             Pt = np.stack([paths[name] for name in OUTER_COSTATE])
             assert np.max(np.abs(Pt)) <= roundoff_bound(T, np.max(np.abs(xt)))
@@ -199,31 +213,30 @@ class TestBackwardSweep:
             assert np.max(np.abs(mine - theirs)) <= 1e-8
 
     def test_singular_boundary_system_names_level(self):
-        # direct construction: with A = B = C = D22 = I each period maps
-        # (xt, Pt) to (Pt, Pt - xt), so at T = 2 the final equation cannot
-        # determine Pt[1] and xt[3]
-        from csrchain.sweep import AugmentedSystem
-        eye = np.eye(2)
-        for level in ("outer", "inner"):
+        # direct construction: the rows xt[t+1] - xt[t] - Pt[t+1] = 0 and
+        # xt[t] - Pt[t] + Pt[t+1] = 0 map (xt, Pt) to (Pt, Pt - xt), so at
+        # T = 2 the final equation cannot determine Pt[1] and xt[3]
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        for level in ("outer", "inner", "retailer"):
             aug = AugmentedSystem(
-                level=level, A=eye, B=eye, C=eye, D22=eye, f=np.zeros((2, 2)),
-                sol_G=np.zeros((7, 2)), sol_g=np.zeros((2, 7)),
+                level=level, P=np.block([[-eye, zero], [eye, -eye]]),
+                Q=np.block([[eye, -eye], [zero, eye]]), g=np.zeros((2, 4)),
+                sol_G=np.zeros((7, 8)), sol_g=np.zeros((2, 7)), xt1=np.zeros(2),
             )
             reduction = backward_sweep(aug)
             with pytest.raises(SweepSingularError) as excinfo:
-                _sweep_forward(aug, reduction, np.zeros(2))
+                _sweep_forward(aug, reduction)
             assert excinfo.value.level == level
             assert f"{level} level" in str(excinfo.value)
 
     def test_non_finite_recovery_names_level(self, reference_params):
         """An overflowed forcing reaches the recovery as inf or nan, which no
         solve reports as a LinAlgError."""
-        aug = assemble_augmented(reference_params, "inner",
-                                 supplier_investments=np.zeros(3))
-        aug.f[1, 0] = np.inf
+        aug = assemble_augmented(reference_params, "inner", {"i_s": np.zeros(3)})
+        aug.g[1, 0] = np.inf
         with np.errstate(invalid="ignore"), \
                 pytest.raises(SweepSingularError, match="inner level"):
-            _sweep_forward(aug, backward_sweep(aug), np.zeros(2))
+            _sweep_forward(aug, backward_sweep(aug))
 
 
 class TestForwardPass:
@@ -249,22 +262,25 @@ class TestForwardPass:
         assert np.allclose(x2 - x0, 2.0 * (x1 - x0), rtol=1e-9, atol=1e-9)
 
     def test_rejects_inner_system(self, reference_params):
-        aug = assemble_augmented(reference_params, "inner",
-                                 supplier_investments=np.zeros(3))
+        aug = assemble_augmented(reference_params, "inner", {"i_s": np.zeros(3)})
         with pytest.raises(ValueError, match="outer"):
             forward_pass(aug, backward_sweep(aug), reference_params)
 
     def test_zero_investment_channels_reduce_to_carryover(self, reference_params):
-        """With B forced to zero the forward recursion must collapse to
-        xt_{t+1} = A xt_t + f_t."""
+        """With the costates' coefficients in the state rows (B) forced to
+        zero the forward recursion must collapse to xt_{t+1} = A xt_t + f_t,
+        with A = -P[:4, :4] and f the state rows of g."""
         aug = assemble_augmented(reference_params, "outer")
-        stripped = dataclasses.replace(aug, B=np.zeros_like(aug.B))
-        paths = _sweep_forward(stripped, backward_sweep(stripped),
-                               np.array([1.0, 0.0, 0.0, 0.0]))
+        Q = aug.Q.copy()
+        Q[:4, 4:] = 0.0
+        stripped = dataclasses.replace(aug, Q=Q, xt1=np.array([1.0, 0.0, 0.0, 0.0]))
+        assert np.array_equal(Q[:4, :4], np.eye(4))
+        assert np.array_equal(stripped.P[:4, 4:], np.zeros((4, 4)))
+        paths = _sweep_forward(stripped, backward_sweep(stripped))
         xt = np.stack([paths[name] for name in OUTER_STATE], axis=1)
         expected = np.array([1.0, 0.0, 0.0, 0.0])
         for t in range(reference_params.horizon_T):
-            expected = stripped.A @ expected + stripped.f[t]
+            expected = -stripped.P[:4, :4] @ expected + stripped.g[t, :4]
             assert np.allclose(xt[t + 1], expected, rtol=1e-12, atol=1e-12)
 
 
