@@ -26,8 +26,11 @@ from .sweep import solve_game
 def run(scenario: Scenario):
     """Solve one scenario, returning (trajectory, report).
 
-    When the scenario asks for the oracle cross-check, the dense solver runs
-    as well and the report carries the maximum sweep-versus-dense delta.
+    When the scenario asks for the oracle cross-check, the oracle's
+    staircase QR solves the whole stacked system as well, and the report
+    carries the maximum sweep-versus-oracle delta and the oracle's residual.
+    A nearly singular system makes the oracle raise SingularSystemError,
+    naming its condition estimate.
     """
     trajectory, report = solve_game(
         scenario.params,
@@ -56,7 +59,7 @@ def _build_parser():
     solve.add_argument("--out-dir", default=".",
                        help="directory for the CSV and report (default: .)")
     solve.add_argument("--oracle", action="store_true", default=None,
-                       help="also run the dense oracle and report the delta")
+                       help="also solve by the staircase-QR oracle and report the delta")
     solve.add_argument("--tolerance", type=float, default=None,
                        help="residual max-norm accepted as a successful solve")
     solve.add_argument("--seed", type=int, default=None,

@@ -29,7 +29,7 @@ class UndeterminedControlsError(CsrChainError):
 
 class SweepSingularError(CsrChainError):
     """Recovering a level's cyclic reduction met a singular or non-finite
-    solve; ``level`` names the level, ``outer`` or ``inner``."""
+    solve; ``level`` names the level: ``outer``, ``inner`` or ``retailer``."""
 
     def __init__(self, level):
         self.level = level

@@ -1,7 +1,10 @@
 """Independent verification path for the game solver.
 
-``dense_solve`` factors the full stacked stationarity system in one shot,
-with no sweep structure.  The stationarity checks go one level deeper: they
+``dense_solve`` solves the full stacked stationarity system, all 15T + 4
+unknowns at once, by one Householder QR per period over the system's
+staircase, in O(T) time and memory.  It shares nothing with the sweep but
+the equation table: no control elimination, no level recursion, no cyclic
+reduction.  The stationarity checks go one level deeper: they
 differentiate the players' objectives themselves (by central differences
 along re-solved follower reactions), so they validate the derived equations
 against the payoffs rather than one solver against another.
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .model import ModelParams, Trajectory, optimal_quantity, rollout, stage_payoff
-from .stationarity import assemble_system, vector_to_trajectory
+from .stationarity import BLOCK_NAMES, BLOCKS, level_families, trajectory_from_blocks
 from .sweep import _solve_level
 
 _COND_LIMIT = 1e12
@@ -38,45 +41,189 @@ def _stacked_objective(player, params, x, i_s, i_m, i_r, q):
     return np.sum(stage, axis=-1)
 
 
-def _solve_with_estimate(A, b):
+def _solve_with_estimate(solve, solve_transposed, residual, a_norm, b):
     """Solve A z = b with one refinement step, and estimate kappa_1(A) from
-    the same three LU solves; returns (z, the correction, the estimate).
+    the same solves; returns (z, the correction, the estimate).
 
-    Hager's estimator of ||A^-1||_1 probes e/n, takes one transposed solve
-    to pick the column e_j, then probes e_j; Higham's alternating-sign
-    vector is a third probe.  The probes ride as extra columns of the
-    solution's and the refinement's right-hand sides.  Each probe gives a
-    lower bound on ||A^-1||_1, so the estimate never exceeds kappa_1(A).
+    The factorization is the caller's: ``solve`` maps right-hand sides of
+    shape (n, k) to their solutions, ``solve_transposed`` a vector c to the
+    solution of A^T x = c, ``residual`` a solution z to b - A z, and
+    ``a_norm`` is ||A||_1.  Hager's estimator of ||A^-1||_1 probes e/n,
+    takes one transposed solve to pick the column e_j, then probes e_j;
+    Higham's alternating-sign vector is a third probe.  The probes ride as
+    extra columns of the solution's and the refinement's right-hand sides.
+    Each probe gives a lower bound on ||A^-1||_1, so the estimate never
+    exceeds kappa_1(A).
     """
-    n = A.shape[0]
-    a_norm = float(np.abs(A).sum(axis=0).max())
+    n = len(b)
     x_alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
-    z, y, v = np.linalg.solve(A, np.column_stack([b, np.full(n, 1.0 / n), x_alt])).T
-    j = np.argmax(np.abs(np.linalg.solve(A.T, np.where(y >= 0.0, 1.0, -1.0))))
+    z, y, v = solve(np.column_stack([b, np.full(n, 1.0 / n), x_alt])).T
+    j = np.argmax(np.abs(solve_transposed(np.where(y >= 0.0, 1.0, -1.0))))
     e_j = np.zeros(n)
     e_j[j] = 1.0
-    dz, w = np.linalg.solve(A, np.column_stack([b - A @ z, e_j])).T
+    dz, w = solve(np.column_stack([residual(z), e_j])).T
     # np.max, not max: a NaN bound must reach the caller's finiteness check.
     inv_norm = np.max([np.abs(y).sum(), np.abs(w).sum(), 2.0 * np.abs(v).sum() / (3 * n)])
     return z, dz, a_norm * float(inv_norm)
 
 
+# The blocks in the column order of one period: those that start at t = 2
+# first, those that end at t = T last.  Period 1 lacks the first _LEAD
+# columns and period T + 1 the last _TRAIL, so the stacked unknowns, period
+# after period, are one contiguous run of the (T + 1) * _WIDTH padded ones.
+_COLUMNS = sorted(BLOCKS, key=lambda block: (block[1] == 1) + (block[2] == 0))
+_WIDTH = len(_COLUMNS)
+_LEAD = sum(first == 2 for _, first, _ in BLOCKS)
+_TRAIL = sum(last == 0 for _, _, last in BLOCKS)
+_COLUMN = {name: j for j, (name, _, _) in enumerate(_COLUMNS)}
+
+
+class _Staircase:
+    """The stacked stationarity system in period order, eliminated by one
+    Householder QR per period (stable almost-block-diagonal elimination;
+    Diaz, Fairweather & Keast, ACM TOMS 9, 1983).
+
+    Every table term has shift 0 or 1, so row group t, the families at t,
+    touches only the W = 15 columns of periods t and t + 1, as [D | E] over
+    (z[t], z[t+1]), the same for every t > 1.  At t = 1 the initial boundary
+    rows take the places of the L = 4 families that start at t = 2, and the
+    terminal boundary rows close the system at T + 1.  The columns that
+    periods 1 and T + 1 lack are padded, each with an identity row, so every
+    step has one shape and the padding solves to zero.
+
+    Step t factors [the L rows carried from t - 1; row group t] over the
+    columns of period t as Q_t [R_t; 0]; Q_t^T turns [0; E] into the
+    coupling S_t of the kept rows and the L rows carried on.  The last
+    carried rows and the terminal rows leave one square block F at T + 1, so
+    A = Q U with U block upper bidiagonal: R_1..R_T and F on its diagonal,
+    S_t beside them.  Only per-period blocks are held, O(T) memory.  In the
+    padded row order step t acts on rows W t .. W t + W + L - 1 and leaves
+    U's row block t in the first W of them, so Q^T and Q apply in place.
+    """
+
+    def __init__(self, params: ModelParams):
+        T, W, L = params.horizon_T, _WIDTH, _LEAD
+        families = level_families(params, BLOCK_NAMES)
+        # [D | E | constant] of row group t > 1, the families that start at
+        # t = 2 in the rows the initial boundary rows take at t = 1
+        group = np.zeros((W, 2 * W + 1))
+        for i, fam in enumerate(sorted(families, key=lambda fam: fam.first == 1)):
+            for name, shift, coef in fam.terms:
+                group[i, shift * W + _COLUMN[name]] = coef
+            group[i, -1] = fam.constant
+        first = group.copy()
+        first[:L] = 0.0
+        # the initial boundary rows lead row group 1; the terminal ones are
+        # F's own rows, with the padding
+        terminal = np.zeros((W - L - _TRAIL, W + 1))
+        for rows, at_end in ((first, False), (terminal, True)):
+            ends = [fam for fam in families
+                    if fam.boundary is not None and fam.boundary.at_end == at_end]
+            for i, fam in enumerate(ends):
+                rows[i, _COLUMN[fam.terms[0][0]]] = 1.0
+                rows[i, -1] = fam.boundary.value
+        self.params, self.T = params, T
+        # (D, E) of row group 1 and of every later group
+        self.pairs = ((first[:, :W], first[:, W:-1]), (group[:, :W], group[:, W:-1]))
+        self.terminal = terminal[:, :-1]
+        # a padded vector holds the system's own unknowns, or rows, at [real]
+        self.n_padded = W * (T + 1)
+        self.real = slice(L, self.n_padded - _TRAIL)
+        rhs = np.empty((T, W))
+        rhs[:] = group[:, -1]
+        rhs[0] = first[:, -1]
+        self.rhs = np.concatenate([rhs.ravel(), terminal[:, -1]])
+        # ||A||_1, from the column sums of period 1, 2, 3..T and T + 1
+        s1, s = np.abs(first).sum(axis=0), np.abs(group).sum(axis=0)
+        d1, e1, d, e = s1[:W], s1[W:-1], s[:W], s[W:-1]
+        sums = [d1, (e1 if T == 1 else e) + np.abs(self.terminal).sum(axis=0)]
+        sums += [d + e1] * (T > 1) + [d + e] * (T > 2)
+        self.a_norm = float(max(s.max() for s in sums))
+        self._factor()
+
+    def _factor(self):
+        """Q_t and R_t of every step, F, and the products the solves use."""
+        T, W, L = self.T, _WIDTH, _LEAD
+        (D1, E1), (D, E) = self.pairs
+        work = np.vstack([np.eye(L, W), D1])
+        Q = np.empty((T, L + W, L + W))
+        R = np.empty((T + 1, W, W))
+        for t in range(T):
+            Q[t], r = np.linalg.qr(work, mode="complete")
+            R[t] = r[:W]
+            work[:L] = Q[t, L:, W:].T @ (E if t else E1)
+            work[L:] = D
+        R[T] = np.vstack([work[:L], self.terminal, np.eye(_TRAIL, W, W - _TRAIL)])
+        S = np.swapaxes(Q[:, L:, :W], 1, 2) @ E
+        S[0] = Q[0, L:, :W].T @ E1
+        self.Q, self.Rinv = Q, np.linalg.inv(R)
+        self.G = self.Rinv[:-1] @ S                        # R_t^-1 S_t
+        self.H = np.swapaxes(S @ self.Rinv[1:], 1, 2)      # R_t+1^-T S_t^T
+
+    def _pad(self, x):
+        out = np.zeros((self.n_padded,) + x.shape[1:])
+        out[self.real] = x
+        return out
+
+    def solve(self, B):
+        """Solutions of A z = b for the columns b of B, (n, k): Q^T b, then
+        back substitution in U."""
+        T, W, L = self.T, _WIDTH, _LEAD
+        x = self._pad(B)
+        for t in range(T):
+            x[W * t:W * t + W + L] = self.Q[t].T @ x[W * t:W * t + W + L]
+        z = self.Rinv @ x.reshape(T + 1, W, -1)
+        for t in range(T - 1, -1, -1):
+            z[t] -= self.G[t] @ z[t + 1]
+        return z.reshape(self.n_padded, -1)[self.real]
+
+    def solve_transposed(self, c):
+        """The solution of A^T x = c: forward substitution in U^T, then the
+        Q_t in reverse."""
+        T, W, L = self.T, _WIDTH, _LEAD
+        eta = (self._pad(c).reshape(T + 1, 1, W) @ self.Rinv)[:, 0]   # R^-T c, per block
+        for t in range(1, T + 1):
+            eta[t] -= self.H[t - 1] @ eta[t - 1]
+        x = eta.reshape(-1)
+        for t in range(T - 1, -1, -1):
+            x[W * t:W * t + W + L] = self.Q[t] @ x[W * t:W * t + W + L]
+        return x[self.real]
+
+    def _periods(self, z):
+        return self._pad(z).reshape(self.T + 1, _WIDTH)
+
+    def residual(self, z):
+        """b - A z, row group by row group."""
+        (D1, E1), (D, E) = self.pairs
+        zp = self._periods(z)
+        rows = zp[:-1] @ D.T + zp[1:] @ E.T
+        rows[0] = D1 @ zp[0] + E1 @ zp[1]
+        return self.rhs - np.concatenate([rows.ravel(), self.terminal @ zp[-1]])
+
+    def trajectory(self, z) -> Trajectory:
+        zp, T = self._periods(z), self.T
+        return trajectory_from_blocks(
+            {name: zp[first - 1:T + last, j] for j, (name, first, last) in enumerate(_COLUMNS)},
+            self.params)
+
+
 def dense_solve(params: ModelParams) -> Trajectory:
-    """Solve the full-horizon stationarity system by direct factorization.
+    """Solve the full-horizon stationarity system by staircase QR, in O(T).
 
     One step of iterative refinement keeps the residual at roundoff level.
     Raises SingularSystemError (with a 1-norm condition estimate) if the
     stacked matrix is numerically singular.
     """
     params.validated()
-    system = assemble_system(params)
     try:
-        z, dz, cond = _solve_with_estimate(system.matrix, system.rhs)
+        system = _Staircase(params)
+        z, dz, cond = _solve_with_estimate(system.solve, system.solve_transposed,
+                                           system.residual, system.a_norm, system.rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(float("inf")) from exc
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularSystemError(cond)
-    return vector_to_trajectory(z + dz, params)
+    return system.trajectory(z + dz)
 
 
 # ---------------------------------------------------------------------------

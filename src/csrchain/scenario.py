@@ -100,9 +100,17 @@ def load_scenario(path, *, strict_alpha: bool | None = None) -> Scenario:
     path = Path(path)
     if not path.is_file():
         raise ScenarioError([f"scenario file not found: {path}"])
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([f"scenario file {path} is not UTF-8 text: "
+                             f"{exc.reason} at byte {exc.start}"]) from None
+    except OSError as exc:
+        raise ScenarioError([f"cannot read scenario file {path}: "
+                             f"{exc.strerror or exc}"]) from None
     problems = []
     entries = {}
-    for lineno, raw_line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,9 +1,11 @@
-"""The dense oracle's 1-norm condition estimate and the solves it shares.
+"""The oracle's 1-norm condition estimate and the solves it shares.
 
-``dense_solve`` estimates kappa_1 of the stacked matrix from the same LU
-solves that give the solution and its refinement.  These tests hold the
-estimate against the exact kappa_1, count the solves, and keep the former
-two-solve refinement as the reference for the solution.
+``dense_solve`` eliminates the stacked system period by period (one QR per
+period) and estimates kappa_1 from the same staircase solves that give the
+solution and its refinement.  These tests hold the estimate against the
+exact kappa_1, count the factorizations, and keep the dense LU of the
+stacked matrix as a test-only witness for the solution: the former
+two-solve refinement, and the estimator run through LU solves.
 """
 import os
 import subprocess
@@ -13,13 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import csrchain
 from csrchain import (
     SingularSystemError,
     assemble_system,
     dense_solve,
     trajectory_max_delta,
 )
-from csrchain.oracle import _solve_with_estimate
+from csrchain.oracle import _Staircase, _solve_with_estimate
 from csrchain.stationarity import vector_to_trajectory
 
 from conftest import REFERENCE, draw_params, make_params
@@ -40,13 +43,26 @@ def two_solve_reference(A, b):
     return z
 
 
+def lu_estimate(A, b):
+    """The estimator run through dense LU solves of the stacked matrix."""
+    _, _, estimate = _solve_with_estimate(
+        lambda rhs: np.linalg.solve(A, rhs), lambda c: np.linalg.solve(A.T, c),
+        lambda z: b - A @ z, float(np.abs(A).sum(axis=0).max()), b)
+    return estimate
+
+
+def staircase_estimate(params):
+    system = _Staircase(params)
+    _, _, estimate = _solve_with_estimate(system.solve, system.solve_transposed,
+                                          system.residual, system.a_norm, system.rhs)
+    return estimate
+
+
 @pytest.mark.parametrize("T", range(1, 13))
 def test_estimate_is_a_close_lower_bound(T):
     for params in cases(T):
-        system = assemble_system(params)
-        A = system.matrix
-        _, _, estimate = _solve_with_estimate(A, system.rhs)
-        exact = np.linalg.cond(A, 1)
+        estimate = staircase_estimate(params)
+        exact = np.linalg.cond(assemble_system(params).matrix, 1)
         assert exact / 10.0 <= estimate <= exact * (1.0 + 1e-8)
 
 
@@ -57,40 +73,56 @@ def test_solution_matches_two_solve_reference(T):
         system = assemble_system(params)
         A, b = system.matrix, system.rhs
         reference = two_solve_reference(A, b)
-        _, _, estimate = _solve_with_estimate(A, b)
+        estimate = lu_estimate(A, b)
         delta = trajectory_max_delta(dense_solve(params),
                                      vector_to_trajectory(reference, params))
         bound = A.shape[0] * eps * estimate * np.max(np.abs(reference))
         assert delta <= bound
 
 
-def test_three_solves_and_no_svd(monkeypatch, reference_params):
+def test_one_qr_per_period_and_no_svd(monkeypatch, reference_params):
     calls = []
-    solve = np.linalg.solve
+    qr = np.linalg.qr
 
-    def counting_solve(A, b):
+    def counting_qr(A, mode="reduced"):
         calls.append(A.shape)
-        return solve(A, b)
+        return qr(A, mode=mode)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense_solve must not compute an SVD")
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
     monkeypatch.setattr(np.linalg, "cond", forbidden)
     monkeypatch.setattr(np.linalg, "svd", forbidden)
     dense_solve(reference_params)
-    assert len(calls) == 3
+    assert len(calls) == reference_params.horizon_T
 
 
 def test_factorization_failure_reports_infinite_estimate(monkeypatch, reference_params):
-    def singular(A, b):
+    def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(np.linalg, "qr", singular)
     with pytest.raises(SingularSystemError) as excinfo:
         dense_solve(reference_params)
     assert excinfo.value.cond_estimate == float("inf")
     assert "1-norm condition estimate inf" in str(excinfo.value)
+
+
+def test_independent_of_the_sweep_and_the_stacked_matrix(monkeypatch, reference_params):
+    """The oracle witnesses the sweep: it runs none of the sweep's steps and
+    never assembles the (15T + 4)^2 matrix."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense_solve must not call this")
+
+    for module in vars(csrchain).values():
+        if getattr(module, "__name__", "").startswith("csrchain."):
+            for name in ("assemble_augmented", "backward_sweep", "forward_pass",
+                         "_solve_level", "assemble_system", "restricted_system"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+    trajectory = dense_solve(reference_params)
+    assert trajectory.horizon == reference_params.horizon_T
 
 
 def test_dense_solve_does_not_import_scipy():

@@ -4,11 +4,15 @@ The reference parameters put 6 of the 8 eigenvalues of the outer transfer
 matrix on the unit circle, so there is no dichotomy to lean on; a Riccati
 sweep lost the 1e-8 tolerance from T = 115 and broke down at T = 10000.
 """
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from csrchain.cli import main
+from csrchain.oracle import dense_solve
 from csrchain.sweep import solve_game
 from csrchain.stationarity import equation_table, trajectory_blocks
 
@@ -74,3 +78,48 @@ def test_cli_solves_ten_thousand_periods(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", str(write_scenario(tmp_path, text)), "--out-dir", str(out)]) == 0
     assert len((out / "reference.trajectory.csv").read_text().splitlines()) == 10002
+
+
+def report_values(path) -> dict:
+    return dict(line.split(": ", 1) for line in path.read_text().splitlines())
+
+
+def test_cli_oracle_reports_at_ten_thousand_periods(tmp_path):
+    """The oracle holds per-period factors only, so it runs where a
+    (15T + 4)^2 matrix (180 GB at T = 10000) never could."""
+    text = REFERENCE_FILE.replace("horizon_T = 3", "horizon_T = 10000")
+    out = tmp_path / "out"
+    assert main(["solve", str(write_scenario(tmp_path, text)), "--out-dir", str(out),
+                 "--oracle"]) == 0
+    report = report_values(out / "reference.report")
+    assert "oracle_max_delta" in report
+    assert float(report["oracle_residual_max"]) <= TOL
+
+
+def test_cli_oracle_refuses_near_singular_horizon(tmp_path, capsys):
+    """At T = 256 the reference system is nearly singular; the oracle names
+    its condition estimate and nothing is written."""
+    text = REFERENCE_FILE.replace("horizon_T = 3", "horizon_T = 256")
+    out = tmp_path / "out"
+    assert main(["solve", str(write_scenario(tmp_path, text)), "--out-dir", str(out),
+                 "--oracle"]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"^error: .*1-norm condition estimate 1\.9\d\de\+12", err, re.M)
+    assert not out.exists()
+
+
+def oracle_peak_bytes(T) -> int:
+    params = make_params(horizon_T=T)
+    tracemalloc.start()
+    try:
+        dense_solve(params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_memory_is_linear_in_horizon():
+    """No (15T + 4)^2 array: at T = 2000 one would take 7.2 GB."""
+    small, large = oracle_peak_bytes(2000), oracle_peak_bytes(4000)
+    assert small < 40e6
+    assert large <= 2.2 * small

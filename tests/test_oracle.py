@@ -21,7 +21,7 @@ from csrchain.model import Controls, Trajectory
 from csrchain.oracle import solve_inner_response, solve_retailer_response
 from csrchain.stationarity import vector_to_trajectory
 
-from conftest import make_params
+from conftest import draw_params, make_params
 
 
 def zero_control_trajectory(params):
@@ -45,6 +45,14 @@ class TestDenseSolve:
     def test_reference_residual(self, reference_params):
         traj = dense_solve(reference_params)
         assert residual_norms(traj, reference_params)[0] <= 1e-10
+
+    @pytest.mark.parametrize("T", [20, 40, 60])
+    def test_audit_horizons_residual_and_agreement(self, T):
+        rng = np.random.default_rng(2000 + T)
+        for p in [make_params(horizon_T=T)] + [draw_params(rng, T) for _ in range(3)]:
+            traj = dense_solve(p)
+            assert residual_norms(traj, p)[0] <= 1e-10
+            assert trajectory_max_delta(traj, solve_game(p)[0]) <= 1e-8
 
     def test_single_period_hand_assembly(self):
         """Horizon 1 collapses to the static nested game; the closed-form

@@ -117,6 +117,24 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario(tmp_path / "nope.scenario")
 
+    def test_non_utf8_file_names_file(self, tmp_path):
+        path = tmp_path / "binary.scenario"
+        path.write_bytes(REFERENCE_FILE.encode() + b"# \xff\n")
+        with pytest.raises(ScenarioError, match="not UTF-8") as excinfo:
+            load_scenario(path)
+        assert str(path) in str(excinfo.value)
+
+    def test_unreadable_file_names_file(self, tmp_path, monkeypatch):
+        path = write_scenario(tmp_path, REFERENCE_FILE)
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        with pytest.raises(ScenarioError, match="Permission denied") as excinfo:
+            load_scenario(path)
+        assert str(path) in str(excinfo.value)
+
     def test_options_parsed(self, tmp_path):
         text = REFERENCE_FILE + "oracle = true\ntolerance = 1e-9\nseed = 7\n"
         scenario = load_scenario(write_scenario(tmp_path, text))
@@ -336,6 +354,16 @@ class TestCli:
         code = main(["solve", str(write_scenario(tmp_path, text))])
         assert code == 2
         assert "beta_s" in capsys.readouterr().err
+
+    def test_unreadable_scenario_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "binary.scenario"
+        path.write_bytes(b"\xff" + REFERENCE_FILE.encode())
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario")
+        assert str(path) in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_cli_overrides_scenario_options(self, tmp_path):
         scenario_path = write_scenario(tmp_path, REFERENCE_FILE + "seed = 3\n")
