@@ -16,7 +16,12 @@ circle.  Each level of the reduction pairs neighbouring equations and
 eliminates their shared y with one orthogonal transform common to all pairs;
 an odd last equation is carried as a tail.  The final equation, between y[1]
 and y[T+1], gives the unknown halves of both; undoing the levels recovers
-every y.  A singular recovery raises SweepSingularError.
+every y.  A level's matrix work does not depend on g and is done once: its
+QR and the products with the orthogonal factor in the reduction, the
+inverse of its kept triangle in the recovery.  Right-hand sides, of every
+pair and batch entry, pass through matrix products only, so the final
+equation is the one linear solve of a reduction.  A singular final equation
+or kept triangle, or a non-finite recovery, raises SweepSingularError.
 
 The levels, as ``_LEVELS`` names their blocks:
 
@@ -156,12 +161,14 @@ def _eliminate(first, second):
     """Eliminate the y shared by two neighbouring equations (P, Q, g), each
     P y[left] + Q y[right] = g, g of shape (..., k, m) or (..., m).  Returns
     the kept rows (R, W, h), R y[shared] + W (y[left], y[right]) = h, and the
-    reduced equation between the outer two."""
+    reduced equation between the outer two.  The matrix work, one QR of
+    [Q1; P2] = U R and the products with U^T, is done once for all pairs; the
+    right-hand sides only pass through two products, h = g1 U[:m] + g2 U[m:]."""
     (P1, Q1, g1), (P2, Q2, g2) = first, second
     m = Q1.shape[0]
     U, R = np.linalg.qr(np.vstack([Q1, P2]), mode="complete")
     W = np.hstack([U[:m].T @ P1, U[m:].T @ Q2])
-    h = np.concatenate([g1, g2], axis=-1) @ U
+    h = g1 @ U[:m] + g2 @ U[m:]
     return (R[:m], W[:m], h[..., :m]), (W[m:, :m], W[m:, m:], h[..., m:])
 
 
@@ -188,9 +195,13 @@ def _solve_batch(A, rhs):
 
 
 def _undo(kept, left, right):
-    """The shared y of eliminated pairs, from their neighbours' values."""
+    """The shared y of eliminated pairs, from their neighbours' values:
+    y = (h - W (left, right)) R^-T, with the kept triangle R inverted once
+    for every pair and batch entry and applied after the subtraction.  A
+    singular R raises LinAlgError."""
     R, W, h = kept
-    return _solve_batch(R, h - np.concatenate([left, right], axis=-1) @ W.T)
+    m = R.shape[0]
+    return (h - left @ W[:, :m].T - right @ W[:, m:].T) @ np.linalg.inv(R).T
 
 
 def _named(names, paths) -> dict:
@@ -221,7 +232,8 @@ def _sweep_forward(aug: AugmentedSystem, reduction) -> dict:
     if not np.all(np.isfinite(y)):
         raise SweepSingularError(aug.level)
     state, costate, period, _ = _LEVELS[aug.level]
-    v = np.concatenate([y[..., :-1, :], y[..., 1:, :]], axis=-1) @ aug.sol_G.T + aug.sol_g
+    G = aug.sol_G
+    v = y[..., :-1, :] @ G[:, :2 * n].T + y[..., 1:, :] @ G[:, 2 * n:].T + aug.sol_g
     return {**_named(state, y[..., :n]), **_named(costate, y[..., 1:, n:]),
             **_named(period, v)}
 

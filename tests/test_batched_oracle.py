@@ -26,6 +26,7 @@ from csrchain import (
 )
 from csrchain.oracle import solve_inner_response, solve_retailer_response
 from csrchain.stationarity import restricted_system
+from csrchain.sweep import _LEVELS, _solve_level
 
 from conftest import draw_params, make_params
 
@@ -215,6 +216,59 @@ class TestBatchedResponses:
             for batched, one, name in zip((i_r[j], x[j]), single, ("i_r", "x")):
                 assert np.max(np.abs(batched - one)) <= tol
                 assert np.max(np.abs(batched - ix.block(dense, name))) <= tol
+
+
+LONG_CASES = [p for T in (257, 1025, 4097)
+              for p in (make_params(horizon_T=T), draw_params(np.random.default_rng(T), T))]
+LONG_IDS = [f"{kind}-T{p.horizon_T}" for p, kind in zip(LONG_CASES, ["ref", "draw"] * 3)]
+
+
+def reduction_tolerance(params, level, fixed):
+    """Bound on |batched - one at a time| for one path of a level.
+
+    Both calls apply the same transforms and products to the path; only the
+    blocking BLAS picks for a product can reorder a sum.  A level of 2n-row
+    equations applies, at each of its ceil(log2 T) reduction levels and in
+    the final solve, one orthogonal transform of 4n rows, each row a dot
+    product of 4n terms, so each call is within k eps max|y| of exact
+    arithmetic, k = 4n (ceil(log2 T) + 1) and y every path the level solves
+    for (the argument of test_sweep.roundoff_bound).  The two calls can err
+    in opposite directions: 2 k eps max|y|.  This takes the kept triangles'
+    inverses in the recovery as well conditioned.  Worst seen over these
+    cases: 3.8% of the bound (retailer, draw at T = 1025); largest absolute
+    difference 2.0e-12 (inner, reference at T = 4097, max|y| 1.4e3).
+    """
+    T, n = params.horizon_T, len(_LEVELS[level][0])
+    scale = max(np.max(np.abs(path)) for path in _solve_level(params, level, fixed).values())
+    return 2 * 4 * n * (np.ceil(np.log2(T)) + 1) * EPS * scale
+
+
+class TestBatchedResponsesWithTails:
+    """Horizons of 2^k + 1 periods carry an odd tail equation through every
+    reduction level; six paths through one reduction against one path at a
+    time."""
+
+    @pytest.mark.parametrize("params", LONG_CASES, ids=LONG_IDS)
+    def test_inner_batch_matches_one_at_a_time(self, params):
+        T = params.horizon_T
+        i_s = np.random.default_rng(T + 1).uniform(-5, 5, (6, T))
+        batch = solve_inner_response(params, i_s)
+        for j, path in enumerate(i_s):
+            tol = reduction_tolerance(params, "inner", {"i_s": path})
+            for batched, one in zip(batch, solve_inner_response(params, path)):
+                assert np.max(np.abs(batched[j] - one)) <= tol
+
+    @pytest.mark.parametrize("params", LONG_CASES, ids=LONG_IDS)
+    def test_retailer_batch_matches_one_at_a_time(self, params):
+        T = params.horizon_T
+        rng = np.random.default_rng(T + 2)
+        i_s = rng.uniform(-5, 5, T)
+        i_m = rng.uniform(-5, 5, (6, T))
+        batch = solve_retailer_response(params, i_s, i_m)
+        for j, path in enumerate(i_m):
+            tol = reduction_tolerance(params, "retailer", {"i_s": i_s, "i_m": path})
+            for batched, one in zip(batch, solve_retailer_response(params, i_s, path)):
+                assert np.max(np.abs(batched[j] - one)) <= tol
 
 
 class TestChecksMatchLoop:

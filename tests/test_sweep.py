@@ -12,9 +12,11 @@ from csrchain import (
     forward_pass,
     residual_norms,
     solve_game,
+    sweep,
     trajectory_max_delta,
 )
 from csrchain.model import state_transition
+from csrchain.oracle import solve_inner_response, solve_retailer_response
 from csrchain.stationarity import equation_table
 from csrchain.sweep import (
     AugmentedSystem,
@@ -237,6 +239,79 @@ class TestBackwardSweep:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(SweepSingularError, match="inner level"):
             _sweep_forward(aug, backward_sweep(aug))
+
+
+def level_system(level, T, batch=()):
+    """The level's recursion at the reference parameters, its fixed paths
+    drawn with leading batch axes ``batch``."""
+    _, _, _, held = _LEVELS[level]
+    rng = np.random.default_rng(T)
+    fixed = {name: rng.uniform(-5, 5, batch + (T,)) for name in held}
+    return assemble_augmented(make_params(horizon_T=T), level, fixed)
+
+
+class TestOneSolvePerReduction:
+    """Each reduction level is factored once; every pair and batch entry only
+    passes through matrix products, so the backward and recovery passes make
+    one LAPACK solve: the final boundary system."""
+
+    @pytest.mark.parametrize("T", [1, 5, 1025])
+    @pytest.mark.parametrize("level, batch", [("outer", ()), ("inner", ()),
+                                              ("inner", (104,)), ("retailer", (104,))],
+                             ids=["outer", "inner", "inner-104", "retailer-104"])
+    def test_only_the_boundary_system_is_solved(self, level, batch, T, monkeypatch):
+        aug = level_system(level, T, batch)
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *a, **k: calls.append(a[0]) or solve(*a, **k))
+        reduction = backward_sweep(aug)
+        paths = _sweep_forward(aug, reduction)
+        n = len(aug.xt1)
+        _, (P, Q, _) = reduction
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.hstack([P[:, n:], Q[:, :n]]))
+        assert all(path.shape[:len(batch)] == batch for path in paths.values())
+
+
+def unused_first_state(monkeypatch):
+    """Make every level's first state appear in no equation: column 0 of P
+    and Q is zero, so the kept triangle of each pair of equations is
+    singular."""
+    assemble = sweep.assemble_augmented
+
+    def patched(*args, **kwargs):
+        aug = assemble(*args, **kwargs)
+        P, Q = aug.P.copy(), aug.Q.copy()
+        P[:, 0] = Q[:, 0] = 0.0
+        return dataclasses.replace(aug, P=P, Q=Q)
+    monkeypatch.setattr(sweep, "assemble_augmented", patched)
+
+
+class TestSingularKeptTriangle:
+    """The reduction never raises; the recovery meets the singularity and
+    names the level."""
+
+    SOLVES = {
+        "outer": solve_game,
+        "inner": lambda p: solve_inner_response(p, np.ones((3, p.horizon_T))),
+        "retailer": lambda p: solve_retailer_response(p, np.ones(p.horizon_T),
+                                                      np.ones((3, p.horizon_T))),
+    }
+
+    @pytest.mark.parametrize("T", [2, 5, 1025])
+    @pytest.mark.parametrize("level", ["outer", "inner", "retailer"])
+    def test_raised_by_the_recovery_naming_the_level(self, level, T, monkeypatch):
+        p = make_params(horizon_T=T)
+        unused_first_state(monkeypatch)
+        aug = sweep.assemble_augmented(p, level, {name: np.ones(T)
+                                                  for name in _LEVELS[level][3]})
+        levels, _ = backward_sweep(aug)
+        (R, _, _), _ = levels[0]
+        assert R[0, 0] == 0.0
+        with pytest.raises(SweepSingularError) as excinfo:
+            self.SOLVES[level](p)
+        assert excinfo.value.level == level
 
 
 class TestForwardPass:
