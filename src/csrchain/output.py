@@ -51,10 +51,12 @@ def parse_csv(path) -> Trajectory:
     """Re-read a trajectory CSV into a Trajectory.
 
     Only the reported columns are recovered; the auxiliary adjoint fields
-    are left unset.  Raises ValueError for a file that ``emit_csv`` cannot
-    have written: a wrong header, fewer than two data rows (one period plus
-    the terminal row), a row without one cell per column, or ``t`` cells
-    that are not the integers 1..T+1 in order.
+    are left unset.  Raises ValueError, naming the file and line, for a file
+    that ``emit_csv`` cannot have written: a wrong header, fewer than two
+    data rows (one period plus the terminal row), a row without one cell per
+    column, ``t`` cells that are not the integers 1..T+1 in order, a cell
+    inside its column's span that is not a number, or a filled cell outside
+    that span.
     """
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
@@ -64,6 +66,8 @@ def parse_csv(path) -> Trajectory:
     if len(data) < 2:
         raise ValueError(f"truncated CSV {path}: {len(data)} data rows, need at "
                          "least one period and the terminal row")
+    T = len(data) - 1
+    paths = {name: [] for name, _, _ in _COLUMNS}
     for t, row in enumerate(data, start=1):
         line = t + 1
         if len(row) != len(CSV_HEADER):
@@ -71,9 +75,17 @@ def parse_csv(path) -> Trajectory:
                              f"expected {len(CSV_HEADER)}")
         if row[0] != str(t):
             raise ValueError(f"line {line} of {path} has t = {row[0]!r}, expected {t}")
-    T = len(data) - 1
-    paths = {name: np.array([float(row[column]) for row in data[first - 1:T + last]])
-             for column, (name, first, last) in enumerate(_COLUMNS, start=1)}
+        for (name, first, last), cell in zip(_COLUMNS, row[1:]):
+            if first <= t <= T + last:
+                try:
+                    paths[name].append(float(cell))
+                except ValueError:
+                    raise ValueError(f"line {line} of {path}, column {name!r}: "
+                                     f"{cell!r} is not a number") from None
+            elif cell:
+                raise ValueError(f"line {line} of {path}, column {name!r}: the "
+                                 f"cell must be empty at t = {t}, got {cell!r}")
+    paths = {name: np.array(values) for name, values in paths.items()}
     controls = Controls(i_s=paths.pop("i_s"), i_m=paths.pop("i_m"), i_r=paths.pop("i_r"))
     return Trajectory(controls=controls, **paths)
 

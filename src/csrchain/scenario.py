@@ -19,7 +19,7 @@ problems at once, each message naming the line or field involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ScenarioError
@@ -28,13 +28,6 @@ from .model import PARAM_FIELDS, ModelParams
 # economic parameters: every one required, no defaults
 _FLOAT_FIELDS = PARAM_FIELDS[float]
 _INT_FIELDS = PARAM_FIELDS[int]
-
-_OPTION_DEFAULTS = {
-    "oracle": False,
-    "tolerance": 1e-8,
-    "seed": 0,
-    "strict_alpha": True,
-}
 
 
 def _tolerance_problems(tolerance) -> list[str]:
@@ -78,6 +71,11 @@ class Scenario:
         if seed is not None:
             out = replace(out, seed=seed)
         return out
+
+
+# solver options: every field with a default, of Scenario and of ModelParams
+_OPTION_DEFAULTS = {f.name: f.default for f in fields(Scenario) + fields(ModelParams)
+                    if f.default is not MISSING}
 
 
 def _parse_bool(raw):
@@ -128,12 +126,13 @@ def load_scenario(path, *, strict_alpha: bool | None = None) -> Scenario:
     values = {}
     for key, (lineno, raw_value) in entries.items():
         try:
-            if key in _FLOAT_FIELDS or key == "tolerance":
+            if key in _FLOAT_FIELDS:
                 values[key] = float(raw_value)
-            elif key in _INT_FIELDS or key == "seed":
+            elif key in _INT_FIELDS:
                 values[key] = int(raw_value)
-            elif key in ("oracle", "strict_alpha"):
-                values[key] = _parse_bool(raw_value)
+            elif key in _OPTION_DEFAULTS:
+                kind = type(_OPTION_DEFAULTS[key])
+                values[key] = _parse_bool(raw_value) if kind is bool else kind(raw_value)
             elif key == "name":
                 values[key] = raw_value
                 problems.extend(_name_problems(raw_value, lineno))
@@ -153,14 +152,8 @@ def load_scenario(path, *, strict_alpha: bool | None = None) -> Scenario:
         options["strict_alpha"] = strict_alpha
     problems.extend(_tolerance_problems(options["tolerance"]))
     name = values.pop("name", path.stem)
-    params = ModelParams(strict_alpha=options["strict_alpha"], **values)
+    params = ModelParams(strict_alpha=options.pop("strict_alpha"), **values)
     problems.extend(params.validate())
     if problems:
         raise ScenarioError(problems)
-    return Scenario(
-        name=name,
-        params=params,
-        oracle=options["oracle"],
-        tolerance=options["tolerance"],
-        seed=options["seed"],
-    )
+    return Scenario(name=name, params=params, **options)

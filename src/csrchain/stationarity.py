@@ -15,11 +15,11 @@ a follower costate chain; and r, the supplier's costate for the u chain.
 
 The system is linear in the stacked unknowns, and ``equation_table`` writes
 each of its fifteen equation families once, as coefficients.  Every other
-view is derived from that table: the square stacked system
-(``assemble_system``), the residual vector (``stationarity_residuals``), the
-sub-system of any set of blocks (``restricted_system``), and each level's
-recursion, which ``sweep.assemble_augmented`` reads off the families that
-``level_families`` selects.
+view is derived from that table: the residual vector
+(``stationarity_residuals``); the square stacked system (``assemble_system``),
+which is the residuals' Jacobian, read off in one batched evaluation at every
+unit vector; and each level's recursion, which ``sweep.assemble_augmented``
+reads off the families that ``level_families`` selects.
 
 The table's independent witness is the three Hamiltonians.  The retailer's is
 built from the payoff and the state transition alone; the manufacturer's and
@@ -237,25 +237,6 @@ def supplier_hamiltonian(point, q, params: ModelParams):
 # Stacked systems
 # ---------------------------------------------------------------------------
 
-class IndexMap:
-    """Column offsets of a stacked unknown vector over ``names`` (all of
-    BLOCKS by default, 15T + 4 unknowns), in the given order."""
-
-    def __init__(self, T: int, names=BLOCK_NAMES):
-        self.T = T
-        self.offset = {}
-        n = 0
-        for name in names:
-            self.offset[name] = n
-            n += block_length(name, T)
-        self.n = n
-
-    def block(self, z: np.ndarray, name: str) -> np.ndarray:
-        """The block's entries of ``z`` along its last axis."""
-        start = self.offset[name]
-        return z[..., start:start + block_length(name, self.T)]
-
-
 @dataclass(frozen=True)
 class StationaritySystem:
     """The stacked linear stationarity system A z = rhs with labelled rows."""
@@ -265,64 +246,37 @@ class StationaritySystem:
     row_labels: tuple
 
 
-def restricted_system(params: ModelParams, unknowns, fixed=None):
-    """The table restricted to the blocks ``unknowns``, as (matrix, rhs, index).
+def split_blocks(z: np.ndarray, T: int) -> dict:
+    """Block name -> the block's entries of the stacked ``z``, along its last axis."""
+    bounds = np.cumsum([block_length(name, T) for name in BLOCK_NAMES])[:-1]
+    return dict(zip(BLOCK_NAMES, np.split(z, bounds, axis=-1)))
 
-    Its rows are the families whose terms all lie in ``unknowns`` or in the
-    paths ``fixed`` (block name -> array), with the fixed terms moved to the
-    right-hand side; columns follow the order of ``unknowns``.  A fixed path
-    may carry leading batch axes, ``(..., length)``: the fixed paths are
-    broadcast against each other and ``rhs`` has shape ``(..., n)``, one
-    right-hand side per batch entry, while the matrix is shared.  Raises
-    ValueError when a path's last axis is not its block's length.
-    """
-    T = params.horizon_T
-    fixed = fixed_paths(fixed, T)
-    families = level_families(params, set(unknowns) | set(fixed))
-    ix = IndexMap(T, unknowns)
-    n = ix.n
-    A = np.zeros((n, n))
-    batch = np.broadcast_shapes(*(path.shape[:-1] for path in fixed.values()))
-    rhs = np.zeros(batch + (n,))
-    # A term fills the diagonal run (row + i, col + i), i = 0..count-1, which
-    # is every (n+1)-th entry of the flattened matrix from row * n + col.
-    flat = A.ravel()
-    row = 0
-    for fam, is_boundary in _row_groups(families):
-        if is_boundary:
-            block = fam.terms[0][0]
-            end = block_length(block, T) - 1 if fam.boundary.at_end else 0
-            flat[row * n + ix.offset[block] + end] = 1.0
-            rhs[..., row] = fam.boundary.value
-            row += 1
-            continue
-        count = T - fam.first + 1
-        rhs[..., row:row + count] = fam.constant
-        for block, shift, coef in fam.terms:
-            start = fam.first + shift - _FIRST[block]
-            if block in fixed:
-                rhs[..., row:row + count] -= coef * fixed[block][..., start:start + count]
-            else:
-                diag = row * n + ix.offset[block] + start
-                flat[diag:diag + count * (n + 1):n + 1] = coef
-        row += count
-    if row != n:
-        raise AssertionError(f"system is not square: {row} equations, {n} unknowns")
-    return A, rhs, ix
+
+def _homogeneous(families) -> list[Family]:
+    """The families with every constant and boundary value set to zero."""
+    return [fam._replace(constant=0.0,
+                         boundary=fam.boundary and fam.boundary._replace(value=0.0))
+            for fam in families]
 
 
 def assemble_system(params: ModelParams) -> StationaritySystem:
     """Emit the square linear system of all stationarity conditions.
 
-    Rows follow the table: per family its rows t = first..T, a recursion's
-    initial boundary row before them and its terminal boundary row after,
-    eight boundary rows in all.
+    The system is affine, so its matrix is the Jacobian of the residuals:
+    the homogeneous residuals at every unit vector, in one batched
+    evaluation; ``rhs`` is minus the residuals at zero.  Rows follow the
+    table: per family its rows t = first..T, a recursion's initial boundary
+    row before them and its terminal boundary row after, eight boundary rows
+    in all.
     """
-    A, rhs, _ = restricted_system(params, BLOCK_NAMES)
+    T = params.horizon_T
+    families = level_families(params, BLOCK_NAMES)
+    n = sum(block_length(name, T) for name in BLOCK_NAMES)
+    A = _residual_vector(split_blocks(np.eye(n), T), _homogeneous(families), T).T
+    rhs = -_residual_vector(split_blocks(np.zeros(n), T), families, T)
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(rhs)):
         raise AssertionError("non-finite coefficients in assembled system")
-    labels = _row_labels(equation_table(params), params.horizon_T)
-    return StationaritySystem(matrix=A, rhs=rhs, row_labels=tuple(labels))
+    return StationaritySystem(matrix=A, rhs=rhs, row_labels=tuple(_row_labels(families, T)))
 
 
 # ---------------------------------------------------------------------------
@@ -352,28 +306,26 @@ def trajectory_from_blocks(blocks: dict, params: ModelParams) -> Trajectory:
 
 
 def vector_to_trajectory(z: np.ndarray, params: ModelParams) -> Trajectory:
-    ix = IndexMap(params.horizon_T)
-    return trajectory_from_blocks({name: ix.block(z, name) for name in BLOCK_NAMES},
-                                  params)
+    return trajectory_from_blocks(split_blocks(z, params.horizon_T), params)
 
 
-def _residual_vector(trajectory: Trajectory, families) -> np.ndarray:
-    T = trajectory.horizon
-    blocks = trajectory_blocks(trajectory)
+def _residual_vector(blocks: dict, families, T: int) -> np.ndarray:
+    """The families' rows at the block paths (name -> path), which may carry
+    leading batch axes; the rows run along the last axis."""
     parts = []
     for fam, is_boundary in _row_groups(families):
         if is_boundary:
             path = blocks[fam.terms[0][0]]
-            end = path[-1] if fam.boundary.at_end else path[0]
-            parts.append([end - fam.boundary.value])
+            end = path[..., -1:] if fam.boundary.at_end else path[..., :1]
+            parts.append(end - fam.boundary.value)
             continue
         count = T - fam.first + 1
         total = 0.0
         for block, shift, coef in fam.terms:
             start = fam.first + shift - _FIRST[block]
-            total = total + coef * blocks[block][start:start + count]
+            total = total + coef * blocks[block][..., start:start + count]
         parts.append(total - fam.constant)
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=-1)
 
 
 def stationarity_residuals(trajectory: Trajectory, params: ModelParams):
@@ -383,14 +335,14 @@ def stationarity_residuals(trajectory: Trajectory, params: ModelParams):
     Returns (values, labels) with one entry per equation, in the row order
     of ``assemble_system``.
     """
-    table = equation_table(params)
-    return (_residual_vector(trajectory, table),
-            _row_labels(table, trajectory.horizon))
+    table, T = equation_table(params), trajectory.horizon
+    return _residual_vector(trajectory_blocks(trajectory), table, T), _row_labels(table, T)
 
 
 def residual_norms(trajectory: Trajectory, params: ModelParams):
     """(max, rms) norms over every stationarity equation, in natural units."""
-    values = _residual_vector(trajectory, equation_table(params))
+    values = _residual_vector(trajectory_blocks(trajectory), equation_table(params),
+                              trajectory.horizon)
     return float(np.max(np.abs(values))), float(np.sqrt(np.mean(values ** 2)))
 
 

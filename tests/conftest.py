@@ -3,7 +3,11 @@ import pytest
 
 from csrchain import ModelParams, optimal_quantity
 from csrchain.stationarity import (
+    _homogeneous,
+    _residual_vector,
+    block_length,
     equation_table,
+    level_families,
     manufacturer_hamiltonian,
     retailer_hamiltonian,
     supplier_hamiltonian,
@@ -65,6 +69,31 @@ def draw_params(rng: np.random.Generator, horizon_T: int) -> ModelParams:
 def family(params: ModelParams, label: str):
     """The equation-table family with the given label."""
     return {fam.label: fam for fam in equation_table(params)}[label]
+
+
+def dense_level(params: ModelParams, unknowns, fixed):
+    """A follower level as a dense system (A, b, split), built on the
+    residual evaluator: the families whose terms lie in ``unknowns`` or in
+    the paths ``fixed`` (block name -> array), with the fixed terms moved to
+    the right-hand side.  A's columns follow ``unknowns``; b carries the
+    fixed paths' leading batch axes, (..., n); ``split`` maps a solution
+    (..., n) to its block paths."""
+    T = params.horizon_T
+    fixed = {name: np.asarray(path, dtype=float) for name, path in fixed.items()}
+    families = level_families(params, set(unknowns) | set(fixed))
+    bounds = np.cumsum([block_length(name, T) for name in unknowns])
+
+    def split(z):
+        return dict(zip(unknowns, np.split(z, bounds[:-1], axis=-1)))
+
+    n = int(bounds[-1])
+    zero_fixed = {name: np.zeros(path.shape[-1]) for name, path in fixed.items()}
+    A = _residual_vector({**split(np.eye(n)), **zero_fixed}, _homogeneous(families), T).T
+    batch = np.broadcast_shapes(*(path.shape[:-1] for path in fixed.values()))
+    fixed = {name: np.broadcast_to(path, batch + path.shape[-1:])
+             for name, path in fixed.items()}
+    b = -_residual_vector({**split(np.zeros(batch + (n,))), **fixed}, families, T)
+    return A, b, split
 
 
 def random_evaluation_point(rng: np.random.Generator) -> dict:

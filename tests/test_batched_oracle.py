@@ -25,10 +25,9 @@ from csrchain import (
     stationarity,
 )
 from csrchain.oracle import solve_inner_response, solve_retailer_response
-from csrchain.stationarity import restricted_system
 from csrchain.sweep import _LEVELS, _solve_level
 
-from conftest import draw_params, make_params
+from conftest import dense_level, draw_params, make_params
 
 EPS = np.finfo(float).eps
 
@@ -182,7 +181,7 @@ def skeel_tolerance(A, b):
 
 class TestBatchedResponses:
     """The batched responses against one-at-a-time calls and against the
-    dense solve of the follower's restricted system, path by path."""
+    dense solve of the follower level's system, path by path."""
 
     @pytest.mark.parametrize("params", CASES, ids=CASE_IDS)
     def test_inner_batch_matches_one_at_a_time(self, params):
@@ -190,15 +189,15 @@ class TestBatchedResponses:
         i_s = np.random.default_rng(T + 1).uniform(-5, 5, (6, T))
         i_m, i_r, x = solve_inner_response(params, i_s)
         assert i_m.shape == i_r.shape == (6, T) and x.shape == (6, T + 1)
-        A, b, ix = restricted_system(params, ("x", "i_m", "i_r", "lam", "p_r", "p_m", "u"),
-                                     {"i_s": i_s})
+        A, b, split = dense_level(params, ("x", "i_m", "i_r", "lam", "p_r", "p_m", "u"),
+                                  {"i_s": i_s})
         for j, path in enumerate(i_s):
             tol = skeel_tolerance(A, b[j])
             dense = np.linalg.solve(A, b[j])
             single = solve_inner_response(params, path)
             for batched, one, name in zip((i_m[j], i_r[j], x[j]), single, ("i_m", "i_r", "x")):
                 assert np.max(np.abs(batched - one)) <= tol
-                assert np.max(np.abs(batched - ix.block(dense, name))) <= tol
+                assert np.max(np.abs(batched - split(dense)[name])) <= tol
 
     @pytest.mark.parametrize("params", CASES, ids=CASE_IDS)
     def test_retailer_batch_matches_one_at_a_time(self, params):
@@ -208,14 +207,14 @@ class TestBatchedResponses:
         i_m = rng.uniform(-5, 5, (6, T))
         i_r, x = solve_retailer_response(params, i_s, i_m)
         assert i_r.shape == (6, T) and x.shape == (6, T + 1)
-        A, b, ix = restricted_system(params, ("x", "i_r", "p_r"), {"i_s": i_s, "i_m": i_m})
+        A, b, split = dense_level(params, ("x", "i_r", "p_r"), {"i_s": i_s, "i_m": i_m})
         for j, path in enumerate(i_m):
             tol = skeel_tolerance(A, b[j])
             dense = np.linalg.solve(A, b[j])
             single = solve_retailer_response(params, i_s, path)
             for batched, one, name in zip((i_r[j], x[j]), single, ("i_r", "x")):
                 assert np.max(np.abs(batched - one)) <= tol
-                assert np.max(np.abs(batched - ix.block(dense, name))) <= tol
+                assert np.max(np.abs(batched - split(dense)[name])) <= tol
 
 
 LONG_CASES = [p for T in (257, 1025, 4097)
@@ -351,17 +350,18 @@ class TestOneFollowerSolvePerCheck:
 class TestNoDenseFollowerSystem:
     def test_checks_build_no_dense_system(self, monkeypatch):
         """The checks re-solve their followers by the reduction: no check
-        builds a restricted (dense) system, wherever a module binds it."""
+        assembles the dense stacked system, wherever a module binds it."""
         def refuse(*args, **kwargs):
-            raise AssertionError("a check built a dense follower system")
+            raise AssertionError("a check built a dense system")
         p20, p1 = make_params(horizon_T=20), make_params(horizon_T=1)
         trajectory = solve_game(p20)[0]
         i_s = solve_game(p1)[0].controls.i_s[0]
+        original = stationarity.assemble_system
         for module in [m for name, m in sys.modules.items()
                        if name == "csrchain" or name.startswith("csrchain.")]:
-            if getattr(module, "restricted_system", None) is restricted_system:
-                monkeypatch.setattr(module, "restricted_system", refuse)
-        assert stationarity.restricted_system is refuse
+            if getattr(module, "assemble_system", None) is original:
+                monkeypatch.setattr(module, "assemble_system", refuse)
+        assert stationarity.assemble_system is refuse
         for level in ("R", "M"):
             follower_stationarity_check(trajectory, p20, level)
         leader_stationarity_check(trajectory, p20)

@@ -118,7 +118,7 @@ def test_independent_of_the_sweep_and_the_stacked_matrix(monkeypatch, reference_
     for module in vars(csrchain).values():
         if getattr(module, "__name__", "").startswith("csrchain."):
             for name in ("assemble_augmented", "backward_sweep", "forward_pass",
-                         "_solve_level", "assemble_system", "restricted_system"):
+                         "_solve_level", "assemble_system"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
     trajectory = dense_solve(reference_params)

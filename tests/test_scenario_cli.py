@@ -240,6 +240,33 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=rf"line 3 of .*out\.csv has t = '{cell}', expected 2"):
             parse_csv(path)
 
+    @pytest.mark.parametrize("cell", ["abc", ""], ids=["non_numeric", "empty"])
+    def test_bad_cell_inside_span_names_line_and_column(self, tmp_path, reference_params,
+                                                        cell):
+        path, lines = self._csv_lines(tmp_path, reference_params)
+        cells = lines[3].split(",")
+        cells[4] = cell                                   # i_r at t = 2
+        lines[3] = ",".join(cells)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=rf"line 4 of .*out\.csv, column 'i_r': "
+                                             rf"'{cell}' is not a number"):
+            parse_csv(path)
+
+    @pytest.mark.parametrize("row, column, name", [(4, 2, "i_s"), (1, 6, "p_s")],
+                             ids=["control_on_terminal_row", "costate_at_t1"])
+    def test_filled_cell_outside_span_rejected(self, tmp_path, reference_params,
+                                               row, column, name):
+        path, lines = self._csv_lines(tmp_path, reference_params)
+        cells = lines[row].split(",")
+        assert cells[column] == ""
+        cells[column] = "1.5"
+        lines[row] = ",".join(cells)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=rf"line {row + 1} of .*out\.csv, column "
+                                             rf"'{name}': the cell must be empty at "
+                                             rf"t = {row}, got '1.5'"):
+            parse_csv(path)
+
     def test_zero_trajectory_all_zero_cells(self, tmp_path):
         from csrchain import Controls, Trajectory
         T = 3

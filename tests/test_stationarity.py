@@ -8,14 +8,15 @@ from csrchain import (
     assemble_augmented,
     assemble_system,
     dense_solve,
+    oracle,
     optimal_quantity,
     residual_norms,
 )
 from csrchain.stationarity import (
-    IndexMap,
     equation_table,
     own_control_second_derivative,
     retailer_hamiltonian,
+    split_blocks,
     stationarity_residuals,
     vector_to_trajectory,
 )
@@ -211,13 +212,60 @@ class TestAssembleSystem:
             assemble_system(make_params(theta=0.0))
 
 
+def staircase_rows(params):
+    """[A | b] of the oracle's staircase, an independent reader of the table:
+    its per-period (D, E) pairs and terminal rows laid out densely, the
+    padded columns dropped, and each column moved to its stacked index."""
+    system = oracle._Staircase(params)
+    T, W = params.horizon_T, oracle._WIDTH
+    (D1, E1), (D, E) = system.pairs
+    dense = np.zeros((W * T + len(system.terminal), W * (T + 1)))
+    for t in range(T):
+        dense[W * t:W * t + W, W * t:W * t + 2 * W] = np.hstack([D1, E1] if t == 0 else [D, E])
+    dense[W * T:, W * T:] = system.terminal
+    padded = np.ones(dense.shape[1], dtype=bool)
+    padded[system.real] = False
+    assert not dense[:, padded].any()
+    stacked = split_blocks(np.arange(15 * T + 4), T)
+    columns = np.full((T + 1, W), -1)
+    for j, (name, first, last) in enumerate(oracle._COLUMNS):
+        columns[first - 1:T + last, j] = stacked[name]
+    A = np.zeros((len(dense), 15 * T + 4))
+    A[:, columns.ravel()[system.real]] = dense[:, system.real]
+    return np.column_stack([A, system.rhs])
+
+
+def sorted_rows(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+STAIRCASE_CASES = [make_params(horizon_T=T) for T in (1, 2, 3, 12)] + [
+    draw_params(np.random.default_rng(50 + T), T) for T in (1, 2, 3, 12) for _ in range(2)]
+
+
+class TestMatrixAgainstStaircase:
+    """The stacked matrix is derived from the residual evaluator; the
+    oracle's staircase reads the same table through its own per-period
+    layout.  Their augmented rows agree exactly, as a set."""
+
+    @pytest.mark.parametrize("params", STAIRCASE_CASES,
+                             ids=[f"{'ref' if i < 4 else 'draw'}-T{p.horizon_T}"
+                                  for i, p in enumerate(STAIRCASE_CASES)])
+    def test_augmented_rows_equal(self, params):
+        system = assemble_system(params)
+        stacked = np.column_stack([system.matrix, system.rhs])
+        staircase = staircase_rows(params)
+        assert staircase.shape == stacked.shape
+        assert np.array_equal(sorted_rows(staircase), sorted_rows(stacked))
+
+
 class TestResiduals:
     def test_affine_in_unknowns(self, reference_params):
         p = reference_params
-        ix = IndexMap(p.horizon_T)
+        n = 15 * p.horizon_T + 4
         rng = np.random.default_rng(4)
-        za = rng.uniform(-2, 2, size=ix.n)
-        zb = rng.uniform(-2, 2, size=ix.n)
+        za = rng.uniform(-2, 2, size=n)
+        zb = rng.uniform(-2, 2, size=n)
         lam = 0.3
         mix = lam * za + (1 - lam) * zb
         res_a, _ = stationarity_residuals(vector_to_trajectory(za, p), p)
@@ -242,14 +290,12 @@ class TestResiduals:
     def test_all_zero_fixed_point(self):
         p = make_params(tau=1.0, x1=0.0, delta_s=0.0, delta_m=0.0, delta_r=0.0,
                         d=0.0, d_hat=0.0)
-        ix = IndexMap(p.horizon_T)
-        traj = vector_to_trajectory(np.zeros(ix.n), p)
+        traj = vector_to_trajectory(np.zeros(15 * p.horizon_T + 4), p)
         assert residual_norms(traj, p)[0] == 0.0
 
     def test_rms_below_max(self, reference_params):
         p = reference_params
-        ix = IndexMap(p.horizon_T)
         rng = np.random.default_rng(8)
-        traj = vector_to_trajectory(rng.uniform(-1, 1, size=ix.n), p)
+        traj = vector_to_trajectory(rng.uniform(-1, 1, size=15 * p.horizon_T + 4), p)
         mx, rms = residual_norms(traj, p)
         assert 0.0 < rms <= mx
