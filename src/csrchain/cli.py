@@ -4,9 +4,9 @@
                    [--tolerance EPS] [--seed N] [--no-strict-alpha]
 
 Writes ``<name>.trajectory.csv`` and ``<name>.report`` into the output
-directory.  Exit status is 0 only when the solve succeeded and its residual
-max-norm is within the configured tolerance; scenario problems exit with 2,
-solver failures with 1.
+directory; the option flags override the file's solver options.  Exit status is
+0 only when the solve succeeded and its residual max-norm is within tolerance;
+scenario problems and an unwritable output directory exit 2, solver failures 1.
 """
 from __future__ import annotations
 
@@ -64,22 +64,16 @@ def _build_parser():
                        help="residual max-norm accepted as a successful solve")
     solve.add_argument("--seed", type=int, default=None,
                        help="seed recorded in the report")
-    solve.add_argument("--no-strict-alpha", action="store_true",
-                       help="allow carryover rates above 1")
+    solve.add_argument("--no-strict-alpha", dest="strict_alpha", action="store_false",
+                       default=None, help="allow carryover rates above 1")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(
-            args.scenario,
-            strict_alpha=False if args.no_strict_alpha else None,
-        ).with_overrides(
-            oracle=args.oracle,
-            tolerance=args.tolerance,
-            seed=args.seed,
-        )
+        scenario = load_scenario(args.scenario, oracle=args.oracle, tolerance=args.tolerance,
+                                 seed=args.seed, strict_alpha=args.strict_alpha)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -89,9 +83,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emit_csv(trajectory, out_dir / f"{scenario.name}.trajectory.csv")
-    emit_report(report, out_dir / f"{scenario.name}.report")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        emit_csv(trajectory, out_dir / f"{scenario.name}.trajectory.csv")
+        emit_report(report, out_dir / f"{scenario.name}.report")
+    except OSError as exc:
+        print(f"error: cannot write artifacts to {out_dir}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     if report.residual_max > scenario.tolerance:
         print(
             f"error: residual max-norm {report.residual_max:.3e} exceeds "

@@ -283,7 +283,15 @@ def total_objective(player: str, trajectory: Trajectory, params: ModelParams):
             f"{_STATE_CONSISTENCY_RTOL * scale:.3e}); objective undefined"
         )
     c = trajectory.controls
-    values = stage_payoff(player, trajectory.x[:-1], trajectory.q, (c.i_s, c.i_m, c.i_r), params)
-    # np.add.accumulate adds strictly left to right (np.sum adds pairwise), so
-    # the objective is bit-identical to a running total over t.
-    return float(np.add.accumulate(values)[-1])
+    return float(objective(player, params, trajectory.x, c.i_s, c.i_m, c.i_r, trajectory.q))
+
+
+def objective(player: str, params: ModelParams, x, i_s, i_m, i_r, q):
+    """The player's payoff summed over periods 1..T, for every path of a
+    batch: the state ``x`` has shape (..., T + 1), the investments (..., T).
+
+    np.add.accumulate adds strictly left to right (np.sum adds pairwise), so
+    each sum is bit-identical to a running total over t.
+    """
+    stage = stage_payoff(player, x[..., :-1], q, (i_s, i_m, i_r), params)
+    return np.add.accumulate(stage, axis=-1)[..., -1]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularSystemError
-from .model import ModelParams, Trajectory, optimal_quantity, rollout, stage_payoff
+from .model import ModelParams, Trajectory, objective, optimal_quantity, rollout
 from .stationarity import BLOCK_NAMES, BLOCKS, level_families, trajectory_from_blocks
 from .sweep import _solve_level
 
@@ -32,13 +32,6 @@ _COND_LIMIT = 1e12
 _N_DIRECTIONS = 12
 _DIRECTION_SEED = 0
 _GRID_POINTS = 81
-
-
-def _stacked_objective(player, params, x, i_s, i_m, i_r, q):
-    """The player's payoff summed over periods 1..T, for every path of a
-    batch: the state ``x`` has shape (..., T + 1), the investments (..., T)."""
-    stage = stage_payoff(player, x[..., :-1], q, (i_s, i_m, i_r), params)
-    return np.sum(stage, axis=-1)
 
 
 def _solve_with_estimate(solve, solve_transposed, residual, a_norm, b):
@@ -269,16 +262,16 @@ def _directions(T):
     return np.vstack([eta, np.eye(T)])
 
 
-def _worst_slope(objective, path, trajectory) -> float:
-    """Max central-difference slope of ``objective`` at ``path`` over the
+def _worst_slope(payoff, path, trajectory) -> float:
+    """Max central-difference slope of ``payoff`` at ``path`` over the
     probe directions, with a step scaled to the trajectory's investments.
 
-    ``objective`` takes every probe at once, the +h probes stacked over the
+    ``payoff`` takes every probe at once, the +h probes stacked over the
     -h probes as one (2k, T) batch, and returns their k + k values.
     """
     h = 1e-5 * (1.0 + float(np.max(np.abs(trajectory.controls.stacked()))))
     eta = _directions(len(path))
-    values = objective(np.concatenate([path + h * eta, path - h * eta]))
+    values = payoff(np.concatenate([path + h * eta, path - h * eta]))
     plus, minus = np.split(values, 2)
     return float(np.max(np.abs(plus - minus) / (2.0 * h)))
 
@@ -296,18 +289,18 @@ def follower_stationarity_check(trajectory: Trajectory, params: ModelParams,
     c = trajectory.controls
     q = trajectory.q[0]
     if level == "R":
-        def objective(i_r):
+        def payoff(i_r):
             x = rollout(params, params.x1, c.i_s, c.i_m, i_r)
-            return _stacked_objective("R", params, x, c.i_s, c.i_m, i_r, q)
+            return objective("R", params, x, c.i_s, c.i_m, i_r, q)
         path = c.i_r
     elif level == "M":
-        def objective(i_m):
+        def payoff(i_m):
             i_r, x = solve_retailer_response(params, c.i_s, i_m)
-            return _stacked_objective("M", params, x, c.i_s, i_m, i_r, q)
+            return objective("M", params, x, c.i_s, i_m, i_r, q)
         path = c.i_m
     else:
         raise ValueError(f"unknown follower level {level!r}; expected 'R' or 'M'")
-    return _worst_slope(objective, path, trajectory)
+    return _worst_slope(payoff, path, trajectory)
 
 
 def leader_stationarity_check(trajectory: Trajectory, params: ModelParams) -> float:
@@ -316,10 +309,10 @@ def leader_stationarity_check(trajectory: Trajectory, params: ModelParams) -> fl
     c = trajectory.controls
     q = trajectory.q[0]
 
-    def objective(i_s):
+    def payoff(i_s):
         i_m, i_r, x = solve_inner_response(params, i_s)
-        return _stacked_objective("S", params, x, i_s, i_m, i_r, q)
-    return _worst_slope(objective, c.i_s, trajectory)
+        return objective("S", params, x, i_s, i_m, i_r, q)
+    return _worst_slope(payoff, c.i_s, trajectory)
 
 
 def grid_scan_supplier(params: ModelParams, center: float, half_width: float) -> float:
@@ -335,7 +328,7 @@ def grid_scan_supplier(params: ModelParams, center: float, half_width: float) ->
     grid = np.linspace(center - half_width, center + half_width, _GRID_POINTS)
     i_s = grid[:, np.newaxis]
     i_m, i_r, x = solve_inner_response(params, i_s)
-    values = _stacked_objective("S", params, x, i_s, i_m, i_r, optimal_quantity(params))
+    values = objective("S", params, x, i_s, i_m, i_r, optimal_quantity(params))
     diffs = np.diff(values)
     signs = np.sign(diffs)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]

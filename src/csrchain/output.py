@@ -55,8 +55,8 @@ def parse_csv(path) -> Trajectory:
     that ``emit_csv`` cannot have written: a wrong header, fewer than two
     data rows (one period plus the terminal row), a row without one cell per
     column, ``t`` cells that are not the integers 1..T+1 in order, a cell
-    inside its column's span that is not a number, or a filled cell outside
-    that span.
+    inside its column's span that is not a number in the 17-digit spelling
+    ``emit_csv`` writes, or a filled cell outside that span.
     """
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
@@ -78,10 +78,13 @@ def parse_csv(path) -> Trajectory:
         for (name, first, last), cell in zip(_COLUMNS, row[1:]):
             if first <= t <= T + last:
                 try:
-                    paths[name].append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = None
+                if value is None or _fmt(value) != cell:
                     raise ValueError(f"line {line} of {path}, column {name!r}: "
-                                     f"{cell!r} is not a number") from None
+                                     f"{cell!r} is not a number as emit_csv writes it")
+                paths[name].append(value)
             elif cell:
                 raise ValueError(f"line {line} of {path}, column {name!r}: the "
                                  f"cell must be empty at t = {t}, got {cell!r}")

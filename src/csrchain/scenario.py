@@ -19,7 +19,7 @@ problems at once, each message naming the line or field involved.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import ScenarioError
@@ -28,13 +28,6 @@ from .model import PARAM_FIELDS, ModelParams
 # economic parameters: every one required, no defaults
 _FLOAT_FIELDS = PARAM_FIELDS[float]
 _INT_FIELDS = PARAM_FIELDS[int]
-
-
-def _tolerance_problems(tolerance) -> list[str]:
-    """The residual tolerance must be a finite positive number."""
-    if math.isfinite(tolerance) and tolerance > 0.0:
-        return []
-    return [f"tolerance must be finite and positive, got {tolerance!r}"]
 
 
 def _name_problems(name: str, lineno: int) -> list[str]:
@@ -55,23 +48,6 @@ class Scenario:
     tolerance: float = 1e-8
     seed: int = 0
 
-    def with_overrides(self, *, oracle=None, tolerance=None, seed=None) -> "Scenario":
-        """Apply command-line overrides on top of the file contents.
-
-        Raises ScenarioError when the tolerance override is invalid.
-        """
-        out = self
-        if oracle is not None:
-            out = replace(out, oracle=oracle)
-        if tolerance is not None:
-            problems = _tolerance_problems(tolerance)
-            if problems:
-                raise ScenarioError(problems)
-            out = replace(out, tolerance=tolerance)
-        if seed is not None:
-            out = replace(out, seed=seed)
-        return out
-
 
 # solver options: every field with a default, of Scenario and of ModelParams
 _OPTION_DEFAULTS = {f.name: f.default for f in fields(Scenario) + fields(ModelParams)
@@ -87,14 +63,18 @@ def _parse_bool(raw):
     raise ValueError(f"expected a boolean (true/false), got {raw!r}")
 
 
-def load_scenario(path, *, strict_alpha: bool | None = None) -> Scenario:
+def load_scenario(path, **overrides) -> Scenario:
     """Parse and validate a scenario file.
 
-    Problems are reported in two batches, each complete: first every parse
-    problem (syntax, unknown or missing fields), then, once the parameters
-    exist, every violated invariant at once.  ``strict_alpha`` overrides the
-    file's own flag when given (the command line sets it before validation).
+    ``overrides`` are solver options by name; each not None replaces the
+    file's value before the one validation pass (a bad tolerance is refused
+    even where replaced), and an unknown name raises TypeError before the
+    file is read.  Problems are reported in two complete batches: every
+    parse problem, then every violated invariant.
     """
+    unknown = sorted(overrides.keys() - _OPTION_DEFAULTS.keys())
+    if unknown:
+        raise TypeError(f"load_scenario() got unknown overrides {unknown}")
     path = Path(path)
     if not path.is_file():
         raise ScenarioError([f"scenario file not found: {path}"])
@@ -148,9 +128,10 @@ def load_scenario(path, *, strict_alpha: bool | None = None) -> Scenario:
         raise ScenarioError(problems)
 
     options = {k: values.pop(k, v) for k, v in _OPTION_DEFAULTS.items()}
-    if strict_alpha is not None:
-        options["strict_alpha"] = strict_alpha
-    problems.extend(_tolerance_problems(options["tolerance"]))
+    for tolerance in (options["tolerance"], overrides.get("tolerance")):
+        if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
+            problems.append(f"tolerance must be finite and positive, got {tolerance!r}")
+    options.update((k, v) for k, v in overrides.items() if v is not None)
     name = values.pop("name", path.stem)
     params = ModelParams(strict_alpha=options.pop("strict_alpha"), **values)
     problems.extend(params.validate())

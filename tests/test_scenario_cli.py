@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,15 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="tolerance must be finite and positive"):
             load_scenario(write_scenario(tmp_path, text))
 
+    def test_none_override_keeps_file_value(self, tmp_path):
+        path = write_scenario(tmp_path, REFERENCE_FILE + "seed = 3\n")
+        assert load_scenario(path, oracle=None, tolerance=None, seed=None,
+                             strict_alpha=None).seed == 3
+
+    def test_unknown_override_raises_before_reading(self, tmp_path):
+        with pytest.raises(TypeError, match="horizon_T"):
+            load_scenario(tmp_path / "absent.scenario", horizon_T=5)
+
     @pytest.mark.parametrize("name", ["../escaped", "", ".", "..", "a/b", "a\\b"])
     def test_name_must_be_plain_file_name(self, tmp_path, name):
         text = REFERENCE_FILE.replace("name = reference", f"name = {name}")
@@ -240,7 +250,10 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=rf"line 3 of .*out\.csv has t = '{cell}', expected 2"):
             parse_csv(path)
 
-    @pytest.mark.parametrize("cell", ["abc", ""], ids=["non_numeric", "empty"])
+    # a cell float() reads but emit_csv never writes is refused too
+    @pytest.mark.parametrize("cell", ["abc", "", " 1_0 ", "1e1", "+1"],
+                             ids=["non_numeric", "empty", "spaced_underscore",
+                                  "exponent", "plus_sign"])
     def test_bad_cell_inside_span_names_line_and_column(self, tmp_path, reference_params,
                                                         cell):
         path, lines = self._csv_lines(tmp_path, reference_params)
@@ -249,8 +262,18 @@ class TestCsvRoundTrip:
         lines[3] = ",".join(cells)
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=rf"line 4 of .*out\.csv, column 'i_r': "
-                                             rf"'{cell}' is not a number"):
+                                             rf"'{re.escape(cell)}' is not a number"):
             parse_csv(path)
+
+    def test_special_values_round_trip(self, tmp_path, reference_params):
+        traj, _ = solve_game(reference_params)
+        traj.x[1:4] = [np.nan, np.inf, -0.0]
+        traj.u[0] = -np.inf
+        path = tmp_path / "out.csv"
+        emit_csv(traj, path)
+        back = parse_csv(path)
+        assert np.array_equal(back.x, traj.x, equal_nan=True)
+        assert np.signbit(back.x[3]) and back.u[0] == -np.inf
 
     @pytest.mark.parametrize("row, column, name", [(4, 2, "i_s"), (1, 6, "p_s")],
                              ids=["control_on_terminal_row", "costate_at_t1"])
@@ -406,6 +429,44 @@ class TestCli:
         capsys.readouterr()
         assert main(["solve", str(scenario_path), "--out-dir", str(tmp_path),
                      "--no-strict-alpha"]) == 0
+
+    def test_all_four_flags_override_file_values(self, tmp_path):
+        text = REFERENCE_FILE.replace("alpha = 0.9", "alpha = 1.1") + (
+            "oracle = false\ntolerance = 1e-3\nseed = 3\nstrict_alpha = true\n")
+        scenario_path = write_scenario(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["solve", str(scenario_path), "--out-dir", str(out), "--oracle",
+                     "--tolerance", "1e-7", "--seed", "9", "--no-strict-alpha"]) == 0
+        report = (out / "reference.report").read_text()
+        assert "seed: 9\n" in report
+        assert f"tolerance: {1e-7:.17g}\n" in report
+        assert "oracle_max_delta: " in report
+
+    def test_bad_file_tolerance_exits_two_under_override(self, tmp_path, capsys):
+        scenario_path = write_scenario(tmp_path, REFERENCE_FILE + "tolerance = 0\n")
+        out = tmp_path / "out"
+        assert main(["solve", str(scenario_path), "--out-dir", str(out),
+                     "--tolerance", "1e-8"]) == 2
+        assert "tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_strict_alpha_overrides_file_flag(self, tmp_path):
+        text = REFERENCE_FILE.replace("alpha = 0.9", "alpha = 1.1") + "strict_alpha = true\n"
+        scenario_path = write_scenario(tmp_path, text)
+        assert main(["solve", str(scenario_path), "--out-dir", str(tmp_path),
+                     "--no-strict-alpha"]) == 0
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_file"])
+    def test_unwritable_out_dir_exits_two(self, tmp_path, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub" if under else blocker
+        scenario_path = write_scenario(tmp_path, REFERENCE_FILE)
+        assert main(["solve", str(scenario_path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write artifacts to {out}: ")
+        assert "Traceback" not in err
+        assert blocker.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-8"])
     def test_bad_tolerance_override_exits_two(self, tmp_path, capsys, value):
