@@ -450,12 +450,6 @@ class TestCli:
         assert "tolerance" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_no_strict_alpha_overrides_file_flag(self, tmp_path):
-        text = REFERENCE_FILE.replace("alpha = 0.9", "alpha = 1.1") + "strict_alpha = true\n"
-        scenario_path = write_scenario(tmp_path, text)
-        assert main(["solve", str(scenario_path), "--out-dir", str(tmp_path),
-                     "--no-strict-alpha"]) == 0
-
     @pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_file"])
     def test_unwritable_out_dir_exits_two(self, tmp_path, capsys, under):
         blocker = tmp_path / "blocker"
