@@ -7,6 +7,7 @@ Writes ``<name>.trajectory.csv`` and ``<name>.report`` into the output
 directory; the option flags override the file's solver options.  Exit status is
 0 only when the solve succeeded and its residual max-norm is within tolerance;
 scenario problems and an unwritable output directory exit 2, solver failures 1.
+When a write fails, the artifact the run had already written is removed.
 """
 from __future__ import annotations
 
@@ -82,14 +83,21 @@ def main(argv=None) -> int:
     except CsrChainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out_dir = Path(args.out_dir)
+    out_dir = path = Path(args.out_dir)
+    written = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        emit_csv(trajectory, out_dir / f"{scenario.name}.trajectory.csv")
-        emit_report(report, out_dir / f"{scenario.name}.report")
+        for emit, result, suffix in ((emit_csv, trajectory, "trajectory.csv"),
+                                     (emit_report, report, "report")):
+            path = out_dir / f"{scenario.name}.{suffix}"
+            emit(result, path)
+            written.append(path)
     except OSError as exc:
-        print(f"error: cannot write artifacts to {out_dir}: {exc.strerror or exc}",
-              file=sys.stderr)
+        # no half artifact set: drop what this run wrote before the failure
+        for done in written:
+            done.unlink(missing_ok=True)
+        print(f"error: cannot write artifacts to {out_dir}: {exc.filename or path}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return 2
     if report.residual_max > scenario.tolerance:
         print(

@@ -311,21 +311,34 @@ def vector_to_trajectory(z: np.ndarray, params: ModelParams) -> Trajectory:
 
 def _residual_vector(blocks: dict, families, T: int) -> np.ndarray:
     """The families' rows at the block paths (name -> path), which may carry
-    leading batch axes; the rows run along the last axis."""
-    parts = []
-    for fam, is_boundary in _row_groups(families):
+    leading batch axes; the rows run along the last axis, with the paths'
+    broadcast batch axes before it.
+
+    Each family's rows are summed in place in their segment of the one
+    row vector this allocates; the only other array of size O(T) is the
+    term being added, one period-length slice times its coefficient."""
+    groups = list(_row_groups(families))
+    counts = [1 if is_boundary else T - fam.first + 1 for fam, is_boundary in groups]
+    batch = np.broadcast_shapes(*{path.shape[:-1] for path in blocks.values()})
+    values = np.empty(batch + (sum(counts),))
+    stop = 0
+    for (fam, is_boundary), count in zip(groups, counts):
+        row = values[..., stop:stop + count]
+        stop += count
         if is_boundary:
             path = blocks[fam.terms[0][0]]
             end = path[..., -1:] if fam.boundary.at_end else path[..., :1]
-            parts.append(end - fam.boundary.value)
+            np.subtract(end, fam.boundary.value, row)
             continue
-        count = T - fam.first + 1
-        total = 0.0
-        for block, shift, coef in fam.terms:
+        for i, (block, shift, coef) in enumerate(fam.terms):
             start = fam.first + shift - _FIRST[block]
-            total = total + coef * blocks[block][..., start:start + count]
-        parts.append(total - fam.constant)
-    return np.concatenate(parts, axis=-1)
+            path = blocks[block][..., start:start + count]
+            if i:
+                row += coef * path
+            else:
+                np.add(0.0, coef * path, row)   # a sum from 0.0, zero signs kept
+        row -= fam.constant
+    return values
 
 
 def stationarity_residuals(trajectory: Trajectory, params: ModelParams):
@@ -340,10 +353,17 @@ def stationarity_residuals(trajectory: Trajectory, params: ModelParams):
 
 
 def residual_norms(trajectory: Trajectory, params: ModelParams):
-    """(max, rms) norms over every stationarity equation, in natural units."""
+    """(max, rms) norms over every stationarity equation, in natural units.
+
+    The row vector of residuals is the one array of size O(T) this holds
+    (besides ``_residual_vector``'s term): the max-norm is read off its
+    extremes and it is squared in place.  A NaN residual makes both norms
+    NaN."""
     values = _residual_vector(trajectory_blocks(trajectory), equation_table(params),
                               trajectory.horizon)
-    return float(np.max(np.abs(values))), float(np.sqrt(np.mean(values ** 2)))
+    # maximum() may pick -0.0 from two equal zeros; abs() makes max|v| = +0.0
+    res_max = abs(np.maximum(values.max(), -values.min()))
+    return float(res_max), float(np.sqrt(np.mean(np.square(values, out=values))))
 
 
 def own_control_second_derivative(params: ModelParams) -> float:

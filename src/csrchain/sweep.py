@@ -77,7 +77,9 @@ class AugmentedSystem:
     recursions stepping them, in the same order.  The states at t = 1 are
     ``xt1`` and the costates at T + 1 are zero.  ``g`` has shape (..., T,
     2n), with the batch axes of the fixed paths.  The eliminated period
-    unknowns are v[t] = sol_G @ (y[t], y[t+1]) + sol_g[..., t, :].
+    unknowns are v[t] = sol_G @ (y[t], y[t+1]) + sol_g[..., t, :].  The
+    outer level has no fixed path, so its g and sol_g are one row each,
+    broadcast over the periods as read-only views.
     """
 
     level: str
@@ -150,10 +152,16 @@ def assemble_augmented(params: ModelParams, level: str, fixed=None) -> Augmented
     m, n2 = len(period), len(y)
     G = np.linalg.solve(K[n2:, :m], K[n2:, m:])
     reduced = K[:n2, m:] - K[:n2, :m] @ G
-    e = np.stack(np.broadcast_arrays(*(fixed[name] for name in held), np.ones(T)), axis=-1)
+    # e[..., t, :] = (e[t], 1); with no fixed path it is the one row (1), and
+    # g and sol_g are that row's terms, broadcast over the periods.
+    e = (np.stack(np.broadcast_arrays(*(fixed[name] for name in held), np.ones(T)), axis=-1)
+         if held else np.ones((1, 1)))
+    g, sol_g = e @ -reduced[:, 2 * n2:].T, e @ -G[:, 2 * n2:].T
+    if not held:
+        g, sol_g = np.broadcast_to(g, (T, n2)), np.broadcast_to(sol_g, (T, m))
     return AugmentedSystem(
-        level=level, P=reduced[:, :n2], Q=reduced[:, n2:2 * n2],
-        g=-e @ reduced[:, 2 * n2:].T, sol_G=-G[:, :2 * n2], sol_g=-e @ G[:, 2 * n2:].T,
+        level=level, P=reduced[:, :n2], Q=reduced[:, n2:2 * n2], g=g,
+        sol_G=-G[:, :2 * n2], sol_g=sol_g,
         xt1=np.array([stepping[name].boundary.value for name in state]))
 
 
@@ -168,7 +176,8 @@ def _eliminate(first, second):
     m = Q1.shape[0]
     U, R = np.linalg.qr(np.vstack([Q1, P2]), mode="complete")
     W = np.hstack([U[:m].T @ P1, U[m:].T @ Q2])
-    h = g1 @ U[:m] + g2 @ U[m:]
+    h = g1 @ U[:m]
+    h += g2 @ U[m:]
     return (R[:m], W[:m], h[..., :m]), (W[m:, :m], W[m:, m:], h[..., m:])
 
 
@@ -201,7 +210,10 @@ def _undo(kept, left, right):
     singular R raises LinAlgError."""
     R, W, h = kept
     m = R.shape[0]
-    return (h - left @ W[:, :m].T - right @ W[:, m:].T) @ np.linalg.inv(R).T
+    r = left @ W[:, :m].T
+    np.subtract(h, r, out=r)
+    r -= right @ W[:, m:].T
+    return r @ np.linalg.inv(R).T
 
 
 def _named(names, paths) -> dict:
@@ -233,7 +245,9 @@ def _sweep_forward(aug: AugmentedSystem, reduction) -> dict:
         raise SweepSingularError(aug.level)
     state, costate, period, _ = _LEVELS[aug.level]
     G = aug.sol_G
-    v = y[..., :-1, :] @ G[:, :2 * n].T + y[..., 1:, :] @ G[:, 2 * n:].T + aug.sol_g
+    v = y[..., :-1, :] @ G[:, :2 * n].T
+    v += y[..., 1:, :] @ G[:, 2 * n:].T
+    v += aug.sol_g
     return {**_named(state, y[..., :n]), **_named(costate, y[..., 1:, n:]),
             **_named(period, v)}
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from csrchain.cli import main
 from csrchain.oracle import dense_solve
 from csrchain.sweep import solve_game
-from csrchain.stationarity import equation_table, trajectory_blocks
+from csrchain.stationarity import equation_table, residual_norms, trajectory_blocks
 
 from conftest import draw_params, make_params
 from test_scenario_cli import REFERENCE_FILE, write_scenario
@@ -108,14 +108,19 @@ def test_cli_oracle_refuses_near_singular_horizon(tmp_path, capsys):
     assert not out.exists()
 
 
-def oracle_peak_bytes(T) -> int:
-    params = make_params(horizon_T=T)
+def peak_bytes(func, *args) -> int:
+    """Peak of the memory traced while ``func(*args)`` runs, numpy's buffers
+    included."""
     tracemalloc.start()
     try:
-        dense_solve(params)
+        func(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def oracle_peak_bytes(T) -> int:
+    return peak_bytes(dense_solve, make_params(horizon_T=T))
 
 
 def test_oracle_memory_is_linear_in_horizon():
@@ -123,3 +128,12 @@ def test_oracle_memory_is_linear_in_horizon():
     small, large = oracle_peak_bytes(2000), oracle_peak_bytes(4000)
     assert small < 40e6
     assert large <= 2.2 * small
+
+
+def test_solve_memory_at_long_horizon():
+    """No needless O(T) temporaries.  At T = 10000 the 15T + 4 residual
+    rows take 1.2 MB, so the norms may hold little besides them."""
+    params = make_params(horizon_T=10000)
+    trajectory, _ = solve_game(params)
+    assert peak_bytes(residual_norms, trajectory, params) <= 1.3e6
+    assert peak_bytes(solve_game, params) <= 4.0e6

@@ -462,6 +462,20 @@ class TestCli:
         assert "Traceback" not in err
         assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("blocked", ["reference.trajectory.csv", "reference.report"])
+    def test_failed_write_leaves_no_artifact(self, tmp_path, capsys, blocked):
+        """An artifact path that is a directory fails its write: exit 2 with
+        the failed file named, and the other artifact not left behind."""
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        scenario_path = write_scenario(tmp_path, REFERENCE_FILE)
+        assert main(["solve", str(scenario_path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write artifacts to {out}: {out / blocked}: ")
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == [blocked]
+        assert (out / blocked).is_dir()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-8"])
     def test_bad_tolerance_override_exits_two(self, tmp_path, capsys, value):
         scenario_path = write_scenario(tmp_path, REFERENCE_FILE)

@@ -13,11 +13,19 @@ from csrchain import (
     residual_norms,
 )
 from csrchain.stationarity import (
+    BLOCK_NAMES,
+    _FIRST,
+    _homogeneous,
+    _residual_vector,
+    _row_groups,
+    block_length,
     equation_table,
+    level_families,
     own_control_second_derivative,
     retailer_hamiltonian,
     split_blocks,
     stationarity_residuals,
+    trajectory_blocks,
     vector_to_trajectory,
 )
 
@@ -299,3 +307,111 @@ class TestResiduals:
         traj = vector_to_trajectory(rng.uniform(-1, 1, size=15 * p.horizon_T + 4), p)
         mx, rms = residual_norms(traj, p)
         assert 0.0 < rms <= mx
+
+
+def reference_residual_vector(blocks, families, T):
+    """The residual rows built family by family and concatenated: the
+    reference the in-place evaluator must reproduce bit for bit."""
+    parts = []
+    for fam, is_boundary in _row_groups(families):
+        if is_boundary:
+            path = blocks[fam.terms[0][0]]
+            end = path[..., -1:] if fam.boundary.at_end else path[..., :1]
+            parts.append(end - fam.boundary.value)
+            continue
+        count = T - fam.first + 1
+        total = 0.0
+        for block, shift, coef in fam.terms:
+            start = fam.first + shift - _FIRST[block]
+            total = total + coef * blocks[block][..., start:start + count]
+        parts.append(total - fam.constant)
+    return np.concatenate(parts, axis=-1)
+
+
+def reference_norms(values):
+    return float(np.max(np.abs(values))), float(np.sqrt(np.mean(values ** 2)))
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and every bit equal, zero signs and NaNs included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def signed_zero_point(rng, n):
+    """Random stacked values with a share of exact +0.0 and -0.0 entries."""
+    z = rng.uniform(-2, 2, size=n)
+    z[rng.random(n) < 0.2] = 0.0
+    z[rng.random(n) < 0.2] = -0.0
+    return z
+
+
+class TestResidualEvaluator:
+    @pytest.mark.parametrize("T", [1, 2, 3, 7, 40])
+    def test_random_trajectories(self, T):
+        rng = np.random.default_rng(T)
+        for params in (make_params(horizon_T=T), make_params(horizon_T=T, d=0.0, d_hat=0.0),
+                       draw_params(rng, T)):
+            traj = vector_to_trajectory(signed_zero_point(rng, 15 * T + 4), params)
+            blocks, table = trajectory_blocks(traj), equation_table(params)
+            expected = reference_residual_vector(blocks, table, T)
+            assert same_bits(_residual_vector(blocks, table, T), expected)
+            assert same_bits(residual_norms(traj, params), reference_norms(expected))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_residuals_keep_a_positive_max(self, zero):
+        p = make_params(tau=1.0, x1=0.0, delta_s=0.0, delta_m=0.0, delta_r=0.0,
+                        d=0.0, d_hat=0.0)
+        traj = vector_to_trajectory(np.full(15 * p.horizon_T + 4, zero), p)
+        expected = reference_norms(reference_residual_vector(
+            trajectory_blocks(traj), equation_table(p), p.horizon_T))
+        assert same_bits(residual_norms(traj, p), expected)
+
+    @pytest.mark.parametrize("T", [1, 4])
+    def test_batched_unit_vectors(self, T):
+        """The blocks ``assemble_system`` passes: one batch entry per unknown."""
+        params = make_params(horizon_T=T)
+        families = level_families(params, BLOCK_NAMES)
+        n = 15 * T + 4
+        for blocks, fams in ((split_blocks(np.eye(n), T), _homogeneous(families)),
+                             (split_blocks(np.zeros(n), T), families)):
+            assert same_bits(_residual_vector(blocks, fams, T),
+                             reference_residual_vector(blocks, fams, T))
+
+    def test_batched_mixed_with_unbatched(self):
+        """The blocks of a dense follower level: unknowns batched by unit
+        vectors or by the fixed paths' batch, fixed paths batched or not."""
+        T, rng = 5, np.random.default_rng(3)
+        params = draw_params(rng, T)
+        unknowns = ("x", "i_r", "p_r")
+        families = level_families(params, {*unknowns, "i_s", "i_m"})
+        n = sum(block_length(name, T) for name in unknowns)
+        bounds = np.cumsum([block_length(name, T) for name in unknowns])[:-1]
+
+        def split(z):
+            return dict(zip(unknowns, np.split(z, bounds, axis=-1)))
+
+        cases = [
+            ({**split(np.eye(n)), "i_s": np.zeros(T), "i_m": np.zeros(T)},
+             _homogeneous(families)),
+            ({**split(np.zeros((2, 3, n))), "i_s": rng.normal(size=(2, 3, T)),
+              "i_m": np.broadcast_to(signed_zero_point(rng, T), (2, 3, T))}, families),
+            ({**split(rng.normal(size=(4, n))), "i_s": rng.normal(size=(4, T)),
+              "i_m": signed_zero_point(rng, T)}, families),
+        ]
+        for blocks, fams in cases:
+            assert same_bits(_residual_vector(blocks, fams, T),
+                             reference_residual_vector(blocks, fams, T))
+
+    def test_non_finite_entries_give_nan_norms(self, reference_params):
+        """A NaN residual must read as a miss of every tolerance."""
+        p = reference_params
+        z = np.random.default_rng(5).uniform(-1, 1, size=15 * p.horizon_T + 4)
+        z[3], z[11] = np.nan, np.inf
+        traj = vector_to_trajectory(z, p)
+        res_max, res_rms = residual_norms(traj, p)
+        assert np.isnan(res_max) and np.isnan(res_rms)
+        assert not res_max <= 1e-8
+        expected = reference_norms(reference_residual_vector(
+            trajectory_blocks(traj), equation_table(p), p.horizon_T))
+        assert same_bits((res_max, res_rms), expected)
