@@ -27,18 +27,17 @@ from .sweep import solve_game
 def run(scenario: Scenario):
     """Solve one scenario, returning (trajectory, report).
 
-    When the scenario asks for the oracle cross-check, the oracle's
-    staircase QR solves the whole stacked system as well, and the report
-    carries the maximum sweep-versus-oracle delta and the oracle's residual.
-    A nearly singular system makes the oracle raise SingularSystemError,
-    naming its condition estimate.
+    The report carries the scenario's name, seed and tolerance.  When the
+    scenario asks for the oracle cross-check, the oracle's staircase QR
+    solves the whole stacked system as well, and the report carries the
+    maximum sweep-versus-oracle delta and the oracle's residual.  A nearly
+    singular system makes the oracle raise SingularSystemError, naming its
+    condition estimate.
     """
-    trajectory, report = solve_game(
-        scenario.params,
-        scenario_name=scenario.name,
-        tolerance=scenario.tolerance,
-        seed=scenario.seed,
-    )
+    trajectory, report = solve_game(scenario.params)
+    report.scenario_name = scenario.name
+    report.seed = scenario.seed
+    report.tolerance = scenario.tolerance
     if scenario.oracle:
         reference = dense_solve(scenario.params)
         report.oracle_max_delta = trajectory_max_delta(trajectory, reference)

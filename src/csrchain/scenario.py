@@ -19,6 +19,7 @@ problems at once, each message naming the line or field involved.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -31,10 +32,15 @@ _INT_FIELDS = PARAM_FIELDS[int]
 
 
 def _name_problems(name: str, lineno: int) -> list[str]:
-    """The name becomes an output file name, so it must be a plain one."""
-    if name in ("", ".", "..") or "/" in name or "\\" in name:
-        return [f"line {lineno}: field 'name' must be a plain file name "
-                f"without path separators, got {name!r}"]
+    """The name becomes an output file name, so it must be a plain one that
+    the file system's encoding can spell, with no NUL."""
+    try:
+        storable = b"\0" not in os.fsencode(name)
+    except UnicodeEncodeError:
+        storable = False
+    if not storable or name in ("", ".", "..") or "/" in name or "\\" in name:
+        return [f"line {lineno}: field 'name' must be a plain file name the file "
+                f"system can store, without path separators, got {name!r}"]
     return []
 
 

@@ -29,7 +29,7 @@ suite verify level by level from the retailer up.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +55,7 @@ BLOCKS = (
 BLOCK_NAMES = tuple(name for name, _, _ in BLOCKS)
 _FIRST = {name: first for name, first, _ in BLOCKS}
 _LAST = {name: last for name, _, last in BLOCKS}
+_CONTROLS = tuple(f.name for f in fields(Controls))   # blocks under Trajectory.controls
 
 
 def block_length(name: str, T: int) -> int:
@@ -284,23 +285,16 @@ def assemble_system(params: ModelParams) -> StationaritySystem:
 # ---------------------------------------------------------------------------
 
 def trajectory_blocks(trajectory: Trajectory) -> dict:
-    """Block name -> path of the trajectory."""
-    c = trajectory.controls
-    return {
-        "x": trajectory.x, "i_s": c.i_s, "i_m": c.i_m, "i_r": c.i_r,
-        "lam": trajectory.lam, "lam_prime": trajectory.lam_prime,
-        "mu_prime": trajectory.mu_prime, "nu": trajectory.nu,
-        "p_r": trajectory.p_r, "p_m": trajectory.p_m, "p_s": trajectory.p_s,
-        "u": trajectory.u, "w": trajectory.w, "u_prime": trajectory.u_prime,
-        "r": trajectory.r,
-    }
+    """Block name -> path of the trajectory: the attribute of that name, of
+    its controls for a control block."""
+    return {name: getattr(trajectory.controls if name in _CONTROLS else trajectory, name)
+            for name in BLOCK_NAMES}
 
 
 def trajectory_from_blocks(blocks: dict, params: ModelParams) -> Trajectory:
     """The trajectory holding a copy of every path in ``blocks`` (name -> path)."""
     paths = {name: np.array(blocks[name]) for name in BLOCK_NAMES}
-    controls = Controls(i_s=paths.pop("i_s"), i_m=paths.pop("i_m"),
-                        i_r=paths.pop("i_r"))
+    controls = Controls(**{name: paths.pop(name) for name in _CONTROLS})
     return Trajectory(controls=controls,
                       q=np.full(params.horizon_T, optimal_quantity(params)), **paths)
 

@@ -97,13 +97,11 @@ class AugmentedSystem:
 
 @dataclass
 class SolveReport:
-    """Diagnostics of one solve."""
+    """Diagnostics of one solve.  The scenario's labels (name, seed,
+    tolerance) and the oracle fields keep their defaults unless set by the
+    caller, as ``cli.run`` sets them from the scenario."""
 
-    scenario_name: str
     horizon_T: int
-    solver_path: str
-    seed: int
-    tolerance: float
     residual_max: float
     residual_rms: float
     objective_supplier: float
@@ -114,6 +112,9 @@ class SolveReport:
     negative_investment_warning: bool
     inner_consistency_delta: float
     timing_seconds: float
+    scenario_name: str = ""
+    seed: int = 0
+    tolerance: float = 1e-8
     oracle_max_delta: float | None = None
     oracle_residual_max: float | None = None
 
@@ -283,12 +284,12 @@ def _inner_consistency_delta(params: ModelParams, trajectory: Trajectory) -> flo
     return float(np.max([np.max(np.abs(inner[name] - solved[name])) for name in inner]))
 
 
-def solve_game(params: ModelParams, *, scenario_name: str = "",
-               tolerance: float = 1e-8, seed: int = 0):
+def solve_game(params: ModelParams):
     """Assemble, sweep, and recover the nested equilibrium trajectory.
 
-    Returns (trajectory, report).  Raises UndeterminedControlsError when
-    tau*theta = 0 and SweepSingularError when a recovery is singular.
+    Returns (trajectory, report); the report's scenario labels keep their
+    defaults.  Raises UndeterminedControlsError when tau*theta = 0 and
+    SweepSingularError when a recovery is singular.
     """
     params.validated()
     started = time.perf_counter()
@@ -301,11 +302,7 @@ def solve_game(params: ModelParams, *, scenario_name: str = "",
     negative = bool(min(controls.i_s.min(), controls.i_m.min(),
                         controls.i_r.min()) < 0.0)
     report = SolveReport(
-        scenario_name=scenario_name,
         horizon_T=params.horizon_T,
-        solver_path="sweep",
-        seed=seed,
-        tolerance=tolerance,
         residual_max=res_max,
         residual_rms=res_rms,
         objective_supplier=total_objective("S", trajectory, params),

@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,14 @@ c = 1
 x1 = 1
 horizon_T = 3
 """
+
+
+def run_in_ascii_locale(*args):
+    """Run python with ``args`` where the locale and file-system encodings
+    are ASCII."""
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(REPO / "src")}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True)
 
 
 def write_scenario(tmp_path, text, name="case.scenario"):
@@ -158,7 +169,7 @@ class TestLoadScenario:
         with pytest.raises(TypeError, match="horizon_T"):
             load_scenario(tmp_path / "absent.scenario", horizon_T=5)
 
-    @pytest.mark.parametrize("name", ["../escaped", "", ".", "..", "a/b", "a\\b"])
+    @pytest.mark.parametrize("name", ["../escaped", "", ".", "..", "a/b", "a\\b", "a\0b"])
     def test_name_must_be_plain_file_name(self, tmp_path, name):
         text = REFERENCE_FILE.replace("name = reference", f"name = {name}")
         with pytest.raises(ScenarioError, match="line 1: field 'name'"):
@@ -290,6 +301,12 @@ class TestCsvRoundTrip:
                                              rf"t = {row}, got '1.5'"):
             parse_csv(path)
 
+    def test_non_utf8_file_names_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"t,x\n\xff\xfe")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} is not UTF-8"):
+            parse_csv(path)
+
     def test_zero_trajectory_all_zero_cells(self, tmp_path):
         from csrchain import Controls, Trajectory
         T = 3
@@ -338,6 +355,36 @@ class TestReport:
         text = render_report(report)
         assert "oracle_max_delta:" in text
         assert "oracle_residual_max:" in text
+
+    @pytest.mark.parametrize("options", ["", "seed = 7\ntolerance = 1e-6\n"])
+    def test_run_labels_report_with_scenario(self, tmp_path, options):
+        text = REFERENCE_FILE.replace("name = reference", "name = labelled") + options
+        scenario = load_scenario(write_scenario(tmp_path, text))
+        _, report = run(scenario)
+        assert (report.scenario_name, report.seed, report.tolerance) == (
+            scenario.name, scenario.seed, scenario.tolerance)
+        assert report.scenario_name == "labelled"
+
+    @pytest.mark.skipif(sys.getfilesystemencoding().lower().replace("-", "") != "utf8",
+                        reason="the file-system encoding cannot spell the name")
+    def test_non_ascii_name_written_as_utf8(self, tmp_path):
+        text = REFERENCE_FILE.replace("name = reference", "name = café")
+        scenario_path = write_scenario(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["solve", str(scenario_path), "--out-dir", str(out)]) == 0
+        report = (out / "café.report").read_bytes().decode("utf-8")
+        assert report.startswith("scenario: café\n")
+        assert parse_csv(out / "café.trajectory.csv").horizon == 3
+
+    def test_report_bytes_do_not_depend_on_locale(self, tmp_path):
+        path = tmp_path / "labelled.report"
+        code = ("from csrchain import ModelParams, solve_game; "
+                "from csrchain.output import emit_report; "
+                f"report = solve_game(ModelParams(**{REFERENCE!r}))[1]; "
+                f"report.scenario_name = 'caf\\u00e9'; emit_report(report, {str(path)!r})")
+        result = run_in_ascii_locale("-c", code)
+        assert result.returncode == 0, result.stderr.decode("ascii", "replace")
+        assert path.read_bytes().startswith("scenario: café\n".encode("utf-8"))
 
     def test_identical_runs_identical_bytes(self, tmp_path):
         scenario = load_scenario(write_scenario(tmp_path, REFERENCE_FILE))
@@ -493,6 +540,20 @@ class TestCli:
         assert main(["solve", str(scenario_path), "--out-dir", str(out)]) == 2
         assert "'name'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["case.scenario"]
+
+    def test_name_the_file_system_cannot_store_exits_two(self, tmp_path):
+        """Under an ASCII file-system encoding a non-ASCII name is refused
+        as a scenario problem, before the solve, and nothing is written."""
+        path = tmp_path / "case.scenario"
+        path.write_bytes(REFERENCE_FILE.replace("name = reference", "name = café").encode())
+        out = tmp_path / "out"
+        result = run_in_ascii_locale("-m", "csrchain.cli", "solve", str(path),
+                                     "--out-dir", str(out))
+        err = result.stderr.decode("ascii", "replace")
+        assert result.returncode == 2, err
+        assert err.startswith("error: ") and "field 'name'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_golden_reference_artifacts(self, tmp_path):
         """The shipped reference scenario reproduces the committed artifacts

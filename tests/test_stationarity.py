@@ -308,6 +308,16 @@ class TestResiduals:
         mx, rms = residual_norms(traj, p)
         assert 0.0 < rms <= mx
 
+    def test_trajectory_blocks_are_the_trajectory_arrays(self, reference_params):
+        """One entry per block, in BLOCK_NAMES order, each the trajectory's
+        own array (the controls' for a control block), not a copy."""
+        traj = dense_solve(reference_params)
+        blocks = trajectory_blocks(traj)
+        assert tuple(blocks) == BLOCK_NAMES
+        for name, path in blocks.items():
+            owner = traj.controls if name in ("i_s", "i_m", "i_r") else traj
+            assert path is getattr(owner, name)
+
 
 def reference_residual_vector(blocks, families, T):
     """The residual rows built family by family and concatenated: the

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from csrchain import (
     trajectory_max_delta,
 )
 from csrchain.model import state_transition
+from csrchain.output import render_report
 from csrchain.oracle import solve_inner_response, solve_retailer_response
 from csrchain.stationarity import equation_table
 from csrchain.sweep import (
@@ -439,8 +441,23 @@ class TestSolveGame:
         _, report = solve_game(reference_params)
         assert report.convexity_warning is True          # tau*theta > 0
         assert report.negative_investment_warning is True
-        assert report.solver_path == "sweep"
+        assert render_report(report).splitlines()[2] == "solver_path: sweep"
         assert report.quantity == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("option", [{"tolerance": 1e-3}, {"seed": 5},
+                                        {"scenario_name": "reference"}])
+    def test_scenario_labels_are_not_solver_options(self, reference_params, option):
+        with pytest.raises(TypeError):
+            solve_game(reference_params, **option)
+
+    def test_report_fields(self, reference_params):
+        """solve_game takes the game alone; its report has 16 fields, none a
+        constant, and leaves the scenario labels at a scenario's defaults."""
+        assert list(inspect.signature(solve_game).parameters) == ["params"]
+        _, report = solve_game(reference_params)
+        names = [f.name for f in dataclasses.fields(report)]
+        assert len(names) == 16 and "solver_path" not in names
+        assert (report.scenario_name, report.seed, report.tolerance) == ("", 0, 1e-8)
 
     def test_degenerate_tax_structure_rejected(self):
         with pytest.raises(UndeterminedControlsError):
