@@ -70,6 +70,9 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    """Run the command line and return its exit status.  Every successful
+    run warns on stderr that its stationary point is no local maximum in own
+    control, as every solved game has tau*theta > 0."""
     args = _build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario, oracle=args.oracle, tolerance=args.tolerance,
@@ -105,12 +108,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    if report.convexity_warning:
-        print(
-            "warning: stationary point is not a local maximum in own control "
-            "(tau*theta > 0)",
-            file=sys.stderr,
-        )
+    print("warning: stationary point is not a local maximum in own control "
+          "(tau*theta > 0)", file=sys.stderr)
     if report.negative_investment_warning:
         print("warning: some equilibrium investments are negative", file=sys.stderr)
     return 0

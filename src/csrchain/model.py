@@ -95,8 +95,9 @@ class ModelParams:
             val = getattr(self, name)
             if math.isfinite(val) and not 0.0 <= val < 1.0:
                 out.append(f"{name} must lie in [0, 1), got {val!r}")
-        if not isinstance(self.horizon_T, int) or self.horizon_T < 1:
-            out.append(f"horizon_T must be an integer >= 1, got {self.horizon_T!r}")
+        T = self.horizon_T
+        if isinstance(T, bool) or not isinstance(T, int) or T < 1:   # bool is an int
+            out.append(f"horizon_T must be an integer >= 1, got {T!r}")
         return out
 
     def validated(self) -> "ModelParams":

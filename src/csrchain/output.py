@@ -100,7 +100,8 @@ def render_report(report: SolveReport) -> str:
     """Stable-order key: value rendering of a solve report.
 
     The oracle fields appear only when the oracle ran; timing is omitted for
-    byte-for-byte reproducibility.
+    byte-for-byte reproducibility.  ``solver_path`` and ``convexity_warning``
+    are constant: every solve is a sweep, every solved game has tau*theta > 0.
     """
     lines = [
         f"scenario: {report.scenario_name}",
@@ -114,7 +115,7 @@ def render_report(report: SolveReport) -> str:
         f"objective_manufacturer: {_fmt(report.objective_manufacturer)}",
         f"objective_retailer: {_fmt(report.objective_retailer)}",
         f"quantity: {_fmt(report.quantity)}",
-        f"convexity_warning: {str(report.convexity_warning).lower()}",
+        "convexity_warning: true",
         f"negative_investment_warning: {str(report.negative_investment_warning).lower()}",
         f"inner_consistency_delta: {_fmt(report.inner_consistency_delta)}",
     ]

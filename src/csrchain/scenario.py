@@ -82,7 +82,7 @@ def load_scenario(path, **overrides) -> Scenario:
     if unknown:
         raise TypeError(f"load_scenario() got unknown overrides {unknown}")
     path = Path(path)
-    if not path.is_file():
+    if not path.exists():
         raise ScenarioError([f"scenario file not found: {path}"])
     try:
         text = path.read_text(encoding="utf-8")

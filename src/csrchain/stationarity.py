@@ -358,12 +358,3 @@ def residual_norms(trajectory: Trajectory, params: ModelParams):
     # maximum() may pick -0.0 from two equal zeros; abs() makes max|v| = +0.0
     res_max = abs(np.maximum(values.max(), -values.min()))
     return float(res_max), float(np.sqrt(np.mean(np.square(values, out=values))))
-
-
-def own_control_second_derivative(params: ModelParams) -> float:
-    """d2 H / d(own investment)2, identical for every player: 2 tau theta.
-
-    Positive whenever tau*theta > 0, so a stationary point is never a local
-    maximum in a player's own control; callers surface this as a warning.
-    """
-    return 2.0 * params.tau * params.theta

@@ -51,10 +51,10 @@ from .model import (
     optimal_quantity,
     total_objective,
 )
+from .scenario import Scenario
 from .stationarity import (
     fixed_paths,
     level_families,
-    own_control_second_derivative,
     residual_norms,
     trajectory_blocks,
     trajectory_from_blocks,
@@ -98,8 +98,9 @@ class AugmentedSystem:
 @dataclass
 class SolveReport:
     """Diagnostics of one solve.  The scenario's labels (name, seed,
-    tolerance) and the oracle fields keep their defaults unless set by the
-    caller, as ``cli.run`` sets them from the scenario."""
+    tolerance) keep a Scenario's defaults and the oracle fields None unless
+    set by the caller, as ``cli.run`` sets them from the scenario.  No field
+    flags convexity: every solved game has tau*theta > 0."""
 
     horizon_T: int
     residual_max: float
@@ -108,13 +109,12 @@ class SolveReport:
     objective_manufacturer: float
     objective_retailer: float
     quantity: float
-    convexity_warning: bool
     negative_investment_warning: bool
     inner_consistency_delta: float
     timing_seconds: float
     scenario_name: str = ""
-    seed: int = 0
-    tolerance: float = 1e-8
+    seed: int = Scenario.seed
+    tolerance: float = Scenario.tolerance
     oracle_max_delta: float | None = None
     oracle_residual_max: float | None = None
 
@@ -309,7 +309,6 @@ def solve_game(params: ModelParams):
         objective_manufacturer=total_objective("M", trajectory, params),
         objective_retailer=total_objective("R", trajectory, params),
         quantity=optimal_quantity(params),
-        convexity_warning=own_control_second_derivative(params) > 0.0,
         negative_investment_warning=negative,
         inner_consistency_delta=inner_delta,
         timing_seconds=elapsed,

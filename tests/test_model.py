@@ -8,6 +8,7 @@ from csrchain import (
     ParamsError,
     Trajectory,
     TrajectoryConsistencyError,
+    dense_solve,
     inverse_demand,
     optimal_quantity,
     rollout,
@@ -296,6 +297,13 @@ class TestParamsValidation:
         assert "d must lie in [0, 1)" in joined
         assert "horizon_T" in joined
         assert len(violations) == 4
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("solve", [solve_game, dense_solve])
+    def test_bool_horizon_refused(self, flag, solve):
+        # bool is an int subclass; it must not reach the solvers' array code
+        with pytest.raises(ParamsError, match="horizon_T must be an integer"):
+            solve(make_params(horizon_T=flag))
 
     def test_validated_raises(self):
         with pytest.raises(ParamsError, match="beta_s"):

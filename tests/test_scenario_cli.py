@@ -129,6 +129,11 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario(tmp_path / "nope.scenario")
 
+    def test_directory_is_not_missing(self, tmp_path):
+        with pytest.raises(ScenarioError, match="cannot read scenario file") as excinfo:
+            load_scenario(tmp_path)
+        assert "not found" not in str(excinfo.value)
+
     def test_non_utf8_file_names_file(self, tmp_path):
         path = tmp_path / "binary.scenario"
         path.write_bytes(REFERENCE_FILE.encode() + b"# \xff\n")
@@ -403,6 +408,17 @@ class TestCli:
         report_text = (out / "reference.report").read_text()
         assert "oracle_max_delta:" in report_text
         assert "scenario: reference" in report_text
+
+    @pytest.mark.parametrize("flags", [[], ["--oracle"]])
+    def test_successful_run_warns_on_stderr(self, tmp_path, capsys, flags):
+        scenario_path = write_scenario(tmp_path, REFERENCE_FILE)
+        out = tmp_path / "out"
+        assert main(["solve", str(scenario_path), "--out-dir", str(out), *flags]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: stationary point is not a local maximum in own control "
+            "(tau*theta > 0)",
+            "warning: some equilibrium investments are negative",
+        ]
 
     def test_byte_identical_outputs(self, tmp_path):
         scenario_path = write_scenario(tmp_path, REFERENCE_FILE)

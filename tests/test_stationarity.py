@@ -21,7 +21,6 @@ from csrchain.stationarity import (
     block_length,
     equation_table,
     level_families,
-    own_control_second_derivative,
     retailer_hamiltonian,
     split_blocks,
     stationarity_residuals,
@@ -99,8 +98,7 @@ class TestHandValues:
 
     def test_second_derivative_is_two_tau_theta(self):
         p = make_params(tau=0.3, theta=0.2)
-        assert own_control_second_derivative(p) == pytest.approx(2 * 0.3 * 0.2)
-        # and by finite differences of the Hamiltonian itself
+        # by finite differences of the Hamiltonian itself
         q = optimal_quantity(p)
         h = 1e-4
         def ham(i_r):

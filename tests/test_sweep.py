@@ -439,7 +439,6 @@ class TestSolveGame:
 
     def test_report_flags(self, reference_params):
         _, report = solve_game(reference_params)
-        assert report.convexity_warning is True          # tau*theta > 0
         assert report.negative_investment_warning is True
         assert render_report(report).splitlines()[2] == "solver_path: sweep"
         assert report.quantity == pytest.approx(4.0)
@@ -451,12 +450,13 @@ class TestSolveGame:
             solve_game(reference_params, **option)
 
     def test_report_fields(self, reference_params):
-        """solve_game takes the game alone; its report has 16 fields, none a
+        """solve_game takes the game alone; its report has 15 fields, none a
         constant, and leaves the scenario labels at a scenario's defaults."""
         assert list(inspect.signature(solve_game).parameters) == ["params"]
         _, report = solve_game(reference_params)
         names = [f.name for f in dataclasses.fields(report)]
-        assert len(names) == 16 and "solver_path" not in names
+        assert len(names) == 15 and "solver_path" not in names
+        assert "convexity_warning" not in names
         assert (report.scenario_name, report.seed, report.tolerance) == ("", 0, 1e-8)
 
     def test_degenerate_tax_structure_rejected(self):
