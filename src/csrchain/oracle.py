@@ -2,8 +2,9 @@
 
 ``dense_solve`` solves the full stacked stationarity system, all 15T + 4
 unknowns at once, by one Householder QR per period over the system's
-staircase, in O(T) time and memory.  It shares nothing with the sweep but
-the equation table: no control elimination, no level recursion, no cyclic
+staircase, in O(T) time and memory.  It reads the equation table in the
+sweep's per-period layout, ``stationarity.period_rows``, but shares no step
+of the sweep: no control elimination, no level recursion, no cyclic
 reduction.  The stationarity checks go one level deeper: they
 differentiate the players' objectives themselves (by central differences
 along re-solved follower reactions), so they validate the derived equations
@@ -23,7 +24,9 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .model import ModelParams, Trajectory, objective, optimal_quantity, rollout
-from .stationarity import BLOCK_NAMES, BLOCKS, level_families, trajectory_from_blocks
+from .stationarity import (
+    BLOCK_NAMES, BLOCKS, level_families, period_rows, trajectory_from_blocks,
+)
 from .sweep import _solve_level
 
 _COND_LIMIT = 1e12
@@ -99,11 +102,8 @@ class _Staircase:
         families = level_families(params, BLOCK_NAMES)
         # [D | E | constant] of row group t > 1, the families that start at
         # t = 2 in the rows the initial boundary rows take at t = 1
-        group = np.zeros((W, 2 * W + 1))
-        for i, fam in enumerate(sorted(families, key=lambda fam: fam.first == 1)):
-            for name, shift, coef in fam.terms:
-                group[i, shift * W + _COLUMN[name]] = coef
-            group[i, -1] = fam.constant
+        group = period_rows(sorted(families, key=lambda fam: fam.first == 1),
+                            [(name, shift) for shift in (0, 1) for name, _, _ in _COLUMNS])
         first = group.copy()
         first[:L] = 0.0
         # the initial boundary rows lead row group 1; the terminal ones are

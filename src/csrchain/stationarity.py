@@ -15,11 +15,13 @@ a follower costate chain; and r, the supplier's costate for the u chain.
 
 The system is linear in the stacked unknowns, and ``equation_table`` writes
 each of its fifteen equation families once, as coefficients.  Every other
-view is derived from that table: the residual vector
-(``stationarity_residuals``); the square stacked system (``assemble_system``),
-which is the residuals' Jacobian, read off in one batched evaluation at every
-unit vector; and each level's recursion, which ``sweep.assemble_augmented``
-reads off the families that ``level_families`` selects.
+view is derived from that table: the residual vector, read by slices of the
+block paths (``residual_norms`` reduces it); the square stacked system
+(``assemble_system``), which is the residuals' Jacobian, read off in one
+batched evaluation at every unit vector; and the per-period rows
+(``period_rows``), the one layout of the coefficients over the unknowns of
+periods t and t + 1, from which ``sweep.assemble_augmented`` reads each
+level's recursion and ``oracle.dense_solve`` its staircase.
 
 The table's independent witness is the three Hamiltonians.  The retailer's is
 built from the payoff and the state transition alone; the manufacturer's and
@@ -157,6 +159,19 @@ def level_families(params: ModelParams, blocks) -> list[Family]:
             if all(block in blocks for block, _, _ in fam.terms)]
 
 
+def period_rows(families, columns) -> np.ndarray:
+    """[coefficients | constant] of the families at one period: row i holds
+    family i's coefficient of each (block, shift) of ``columns``, in that
+    order, then its constant.  Every term must have its column."""
+    col = {key: j for j, key in enumerate(columns)}
+    rows = np.zeros((len(families), len(columns) + 1))
+    for i, fam in enumerate(families):
+        for block, shift, coef in fam.terms:
+            rows[i, col[block, shift]] = coef
+        rows[i, -1] = fam.constant
+    return rows
+
+
 def fixed_paths(fixed, T: int) -> dict:
     """Block name -> float array of each fixed path, refused with a
     ValueError when a path's last axis is not its block's length."""
@@ -179,16 +194,6 @@ def _row_groups(families):
         yield fam, False
         if boundary is not None and boundary.at_end:
             yield fam, True
-
-
-def _row_labels(families, T: int) -> list[str]:
-    labels = []
-    for fam, is_boundary in _row_groups(families):
-        if is_boundary:
-            labels.append(f"boundary: {fam.boundary.label}")
-        else:
-            labels.extend(f"{fam.label}[{t}]" for t in range(fam.first, T + 1))
-    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +245,11 @@ def supplier_hamiltonian(point, q, params: ModelParams):
 
 @dataclass(frozen=True)
 class StationaritySystem:
-    """The stacked linear stationarity system A z = rhs with labelled rows."""
+    """The stacked linear stationarity system A z = rhs, its rows in the
+    order of ``_residual_vector``."""
 
     matrix: np.ndarray
     rhs: np.ndarray
-    row_labels: tuple
 
 
 def split_blocks(z: np.ndarray, T: int) -> dict:
@@ -277,7 +282,7 @@ def assemble_system(params: ModelParams) -> StationaritySystem:
     rhs = -_residual_vector(split_blocks(np.zeros(n), T), families, T)
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(rhs)):
         raise AssertionError("non-finite coefficients in assembled system")
-    return StationaritySystem(matrix=A, rhs=rhs, row_labels=tuple(_row_labels(families, T)))
+    return StationaritySystem(matrix=A, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -335,26 +340,19 @@ def _residual_vector(blocks: dict, families, T: int) -> np.ndarray:
     return values
 
 
-def stationarity_residuals(trajectory: Trajectory, params: ModelParams):
-    """Evaluate every stationarity equation at the trajectory, by slices of
-    its paths rather than through the stacked matrix.
-
-    Returns (values, labels) with one entry per equation, in the row order
-    of ``assemble_system``.
-    """
-    table, T = equation_table(params), trajectory.horizon
-    return _residual_vector(trajectory_blocks(trajectory), table, T), _row_labels(table, T)
-
-
 def residual_norms(trajectory: Trajectory, params: ModelParams):
     """(max, rms) norms over every stationarity equation, in natural units.
 
     The row vector of residuals is the one array of size O(T) this holds
     (besides ``_residual_vector``'s term): the max-norm is read off its
     extremes and it is squared in place.  A NaN residual makes both norms
-    NaN."""
-    values = _residual_vector(trajectory_blocks(trajectory), equation_table(params),
-                              trajectory.horizon)
+    NaN.  A trajectory without every block, such as one ``parse_csv`` read
+    back, raises ValueError naming the missing ones."""
+    blocks = trajectory_blocks(trajectory)
+    missing = [name for name, path in blocks.items() if path is None]
+    if missing:
+        raise ValueError(f"residuals need every block; the trajectory lacks {missing}")
+    values = _residual_vector(blocks, equation_table(params), trajectory.horizon)
     # maximum() may pick -0.0 from two equal zeros; abs() makes max|v| = +0.0
     res_max = abs(np.maximum(values.max(), -values.min()))
     return float(res_max), float(np.sqrt(np.mean(np.square(values, out=values))))

@@ -8,7 +8,8 @@ is eliminated the level is a two-point recursion over y[t] = (s[t], P[t]):
 
     P y[t] + Q y[t+1] = g[t],    t = 1..T.
 
-``assemble_augmented`` reads P, Q and g straight off the table.  The
+``assemble_augmented`` reads P, Q and g off the table's per-period rows,
+``stationarity.period_rows``, the layout the oracle's staircase reads too.  The
 recursion is solved by QR-based cyclic reduction (Wright, SIAM J. Sci. Stat.
 Comput. 13, 1992), which, unlike a Riccati sweep, needs no dichotomy: the
 reference parameters put 6 of the 8 outer transfer eigenvalues on the unit
@@ -55,6 +56,7 @@ from .scenario import Scenario
 from .stationarity import (
     fixed_paths,
     level_families,
+    period_rows,
     residual_norms,
     trajectory_blocks,
     trajectory_from_blocks,
@@ -124,9 +126,10 @@ def assemble_augmented(params: ModelParams, level: str, fixed=None) -> Augmented
 
     ``fixed`` maps each of the level's fixed blocks to its path, of shape
     (..., T); the outer level has none.  Each family of the level holds at
-    every period t = 1..T, as one row of coefficients over (v[t], y[t],
-    y[t+1], e[t], 1), e the fixed paths: a term of shift 0 is read at t, of
-    shift 1 at t + 1.  One solve against the algebraic rows eliminates v.
+    every period t = 1..T, as one of its ``period_rows`` over (v[t], y[t],
+    y[t+1], e[t]), e the fixed paths, with the constant negated: the rows
+    are K (v, y[t], y[t+1], e[t], 1) = 0.  One solve against the algebraic
+    rows eliminates v.
     """
     if level not in _LEVELS:
         raise ValueError(f"unknown level {level!r}; expected one of {tuple(_LEVELS)}")
@@ -139,15 +142,11 @@ def assemble_augmented(params: ModelParams, level: str, fixed=None) -> Augmented
     y = state + costate
     columns = ([(name, 0) for name in period + y] + [(name, 1) for name in y]
                + [(name, 0) for name in held])
-    col = {key: j for j, key in enumerate(columns)}
     families = level_families(params, {*y, *period, *held})
     stepping = {fam.terms[0][0]: fam for fam in families if fam.boundary is not None}
-    rows = [stepping[name] for name in y] + [fam for fam in families if fam.boundary is None]
-    K = np.zeros((len(rows), len(columns) + 1))
-    for i, fam in enumerate(rows):
-        for block, shift, coef in fam.terms:
-            K[i, col[block, shift]] = coef
-        K[i, -1] = -fam.constant
+    K = period_rows([stepping[name] for name in y]
+                    + [fam for fam in families if fam.boundary is None], columns)
+    K[:, -1] *= -1.0
     # K (v, o) = 0 with o = (y[t], y[t+1], e[t], 1): v = -G o on the
     # algebraic rows, which leaves the recursions reduced o = 0.
     m, n2 = len(period), len(y)

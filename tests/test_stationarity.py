@@ -8,8 +8,10 @@ from csrchain import (
     assemble_augmented,
     assemble_system,
     dense_solve,
-    oracle,
+    emit_csv,
     optimal_quantity,
+    oracle,
+    parse_csv,
     residual_norms,
 )
 from csrchain.stationarity import (
@@ -21,9 +23,9 @@ from csrchain.stationarity import (
     block_length,
     equation_table,
     level_families,
+    period_rows,
     retailer_hamiltonian,
     split_blocks,
-    stationarity_residuals,
     trajectory_blocks,
     vector_to_trajectory,
 )
@@ -126,6 +128,37 @@ class TestGradientFidelity:
             assert gradient_check_worst(params, pt) < 1e-6
 
 
+class TestPeriodRows:
+    """The per-period rows both solvers read say what the table's families
+    say: row times the point's column values, minus the constant, is the
+    family's residual, or gives a recursion's stepped value.  The
+    gradient-fidelity checks tie those families to the Hamiltonians."""
+
+    @pytest.mark.parametrize("params", [
+        make_params(),
+        make_params(delta_s=0.0, delta_m=0.0, delta_r=0.0, d=0.0, d_hat=0.0),
+        *(draw_params(np.random.default_rng(60 + k), 3) for k in range(4)),
+    ], ids=["ref", "no-benefit", *(f"draw{k}" for k in range(4))])
+    def test_rows_evaluate_the_families(self, params):
+        rng = np.random.default_rng(61)
+        columns = [(name, shift) for name in BLOCK_NAMES for shift in (0, 1)]
+        columns = [columns[j] for j in rng.permutation(len(columns))]
+        families = equation_table(params)
+        rows = period_rows(families, columns)
+        assert rows.shape == (len(families), len(columns) + 1)
+        for _ in range(5):
+            point = random_evaluation_point(rng)
+            # the keys a recursion steps are not in the point: their value is 0
+            values = np.array([point.get(key, 0.0) for key in columns])
+            for fam, row in zip(families, rows):
+                value = row[:-1] @ values - row[-1]
+                if fam.boundary is None:
+                    assert value == pytest.approx(fam.residual(point), rel=1e-12)
+                else:
+                    assert row[columns.index(fam.terms[0][:2])] == 1.0
+                    assert -value == pytest.approx(fam.stepped(point), rel=1e-12)
+
+
 def period_solution(params, inputs=(0.0, 0.0, 0.0, 0.0)):
     """The period block's solution (i_s, i_m, i_r, lam, lam', mu', nu) at
     costate inputs (p_r+, p_m+, p_s+, r+), from the outer solution maps."""
@@ -173,30 +206,50 @@ class TestPeriodSolutionMaps:
                 period_solution(p)
 
 
+def unit_rows(matrix):
+    """Indices of the rows with one nonzero entry, equal to 1."""
+    return [i for i, row in enumerate(matrix)
+            if np.count_nonzero(row) == 1 and row.max() == 1.0]
+
+
+def table_residuals(trajectory, params):
+    """Every stationarity row at the trajectory, by slices of its paths."""
+    return _residual_vector(trajectory_blocks(trajectory), equation_table(params),
+                            trajectory.horizon)
+
+
 class TestAssembleSystem:
     def test_square_and_finite(self, reference_params):
         system = assemble_system(reference_params)
         T = reference_params.horizon_T
         assert system.matrix.shape == (15 * T + 4, 15 * T + 4)
         assert np.all(np.isfinite(system.matrix))
-        assert len(system.row_labels) == system.matrix.shape[1]
 
     def test_single_period_counts(self):
         system = assemble_system(make_params(horizon_T=1))
         assert system.matrix.shape[1] == 19
         boundaries = [fam.boundary for fam in equation_table(make_params())]
-        assert sum(lbl.startswith("boundary") for lbl in system.row_labels) == 8
+        assert len(unit_rows(system.matrix)) == 8
         assert sum(b is not None for b in boundaries) == 8
 
     def test_boundary_row_inventory(self, reference_params):
-        system = assemble_system(reference_params)
-        boundary = [lbl for lbl in system.row_labels if lbl.startswith("boundary")]
-        assert len(boundary) == 8
-        assert "boundary: x[1] given" in boundary
-        for name in ("p_r", "p_m", "p_s", "r"):
-            assert f"boundary: {name}[T+1]=0" in boundary
-        for name in ("u", "w", "u_prime"):
-            assert f"boundary: {name}[1]=0" in boundary
+        """Each boundary of the table is exactly one unit row of the matrix,
+        at its block's first or last entry, with its value as the rhs."""
+        p = reference_params
+        T = p.horizon_T
+        system = assemble_system(p)
+        recursions = [fam for fam in equation_table(p) if fam.boundary is not None]
+        assert sorted(fam.boundary.label for fam in recursions) == sorted(
+            ["x[1] given"] + [f"{name}[T+1]=0" for name in ("p_r", "p_m", "p_s", "r")]
+            + [f"{name}[1]=0" for name in ("u", "w", "u_prime")])
+        columns = split_blocks(np.arange(15 * T + 4), T)
+        units = unit_rows(system.matrix)
+        assert len(units) == len(recursions)
+        for fam in recursions:
+            column = columns[fam.terms[0][0]][-1 if fam.boundary.at_end else 0]
+            rows = [i for i in units if system.matrix[i, column] == 1.0]
+            assert len(rows) == 1
+            assert system.rhs[rows[0]] == fam.boundary.value
 
     def test_matrix_matches_residual_functions(self, reference_params):
         """A z - rhs evaluated by the assembled matrix agrees with direct
@@ -208,9 +261,8 @@ class TestAssembleSystem:
         for _ in range(5):
             z = rng.uniform(-3, 3, size=system.matrix.shape[1])
             traj = vector_to_trajectory(z, p)
-            direct, labels = stationarity_residuals(traj, p)
+            direct = table_residuals(traj, p)
             stacked = system.matrix @ z - system.rhs
-            assert list(labels) == list(system.row_labels)
             assert np.allclose(direct, stacked, rtol=1e-12, atol=1e-12)
 
     def test_degenerate_tax_structure_rejected(self):
@@ -250,9 +302,11 @@ STAIRCASE_CASES = [make_params(horizon_T=T) for T in (1, 2, 3, 12)] + [
 
 
 class TestMatrixAgainstStaircase:
-    """The stacked matrix is derived from the residual evaluator; the
-    oracle's staircase reads the same table through its own per-period
-    layout.  Their augmented rows agree exactly, as a set."""
+    """The oracle's staircase is laid out from the shared per-period rows
+    (``period_rows``, which the sweep reads too); the stacked matrix is the
+    Jacobian of the residual evaluator, which reads the table by slices of
+    the block paths and so checks that layout independently.  Their
+    augmented rows agree exactly, as a set."""
 
     @pytest.mark.parametrize("params", STAIRCASE_CASES,
                              ids=[f"{'ref' if i < 4 else 'draw'}-T{p.horizon_T}"
@@ -274,9 +328,9 @@ class TestResiduals:
         zb = rng.uniform(-2, 2, size=n)
         lam = 0.3
         mix = lam * za + (1 - lam) * zb
-        res_a, _ = stationarity_residuals(vector_to_trajectory(za, p), p)
-        res_b, _ = stationarity_residuals(vector_to_trajectory(zb, p), p)
-        res_mix, _ = stationarity_residuals(vector_to_trajectory(mix, p), p)
+        res_a = table_residuals(vector_to_trajectory(za, p), p)
+        res_b = table_residuals(vector_to_trajectory(zb, p), p)
+        res_mix = table_residuals(vector_to_trajectory(mix, p), p)
         assert np.allclose(res_mix, lam * res_a + (1 - lam) * res_b,
                            rtol=1e-10, atol=1e-10)
 
@@ -305,6 +359,14 @@ class TestResiduals:
         traj = vector_to_trajectory(rng.uniform(-1, 1, size=15 * p.horizon_T + 4), p)
         mx, rms = residual_norms(traj, p)
         assert 0.0 < rms <= mx
+
+    def test_trajectory_read_back_from_csv_is_refused(self, reference_params, tmp_path):
+        """A parsed CSV lacks the auxiliary blocks; the norms name them."""
+        path = tmp_path / "t.csv"
+        emit_csv(dense_solve(reference_params), path)
+        with pytest.raises(ValueError, match="'lam', 'lam_prime', 'mu_prime', "
+                                             "'nu', 'w', 'r'"):
+            residual_norms(parse_csv(path), reference_params)
 
     def test_trajectory_blocks_are_the_trajectory_arrays(self, reference_params):
         """One entry per block, in BLOCK_NAMES order, each the trajectory's
