@@ -230,8 +230,8 @@ def stage_payoff(player: str, x, q, controls_t, params: ModelParams):
     raise ValueError(f"unknown player {player!r}; expected one of {PLAYERS}")
 
 
-def rollout(params: ModelParams, x1, i_s, i_m, i_r) -> np.ndarray:
-    """State path implied by the state equation for the given investments.
+def rollout(params: ModelParams, i_s, i_m, i_r) -> np.ndarray:
+    """State path from the initial stock ``params.x1`` under the state equation.
 
     The investment paths have shape (..., T) and are broadcast against each
     other; the result has shape (..., T + 1), one state path per batch entry,
@@ -241,7 +241,7 @@ def rollout(params: ModelParams, x1, i_s, i_m, i_r) -> np.ndarray:
                                           for path in (i_s, i_m, i_r)))
     T = i_s.shape[-1]
     x = np.empty(i_s.shape[:-1] + (T + 1,))
-    x[..., 0] = x1
+    x[..., 0] = params.x1
     for t in range(T):
         x[..., t + 1] = state_transition(
             x[..., t], (i_s[..., t], i_m[..., t], i_r[..., t]), params)

@@ -106,15 +106,15 @@ class _Staircase:
                             [(name, shift) for shift in (0, 1) for name, _, _ in _COLUMNS])
         first = group.copy()
         first[:L] = 0.0
-        # the initial boundary rows lead row group 1; the terminal ones are
-        # F's own rows, with the padding
+        # the boundary rows of the forward recursions lead row group 1; those
+        # of the backward ones (at_end) are F's own rows, with the padding
         terminal = np.zeros((W - L - _TRAIL, W + 1))
         for rows, at_end in ((first, False), (terminal, True)):
             ends = [fam for fam in families
-                    if fam.boundary is not None and fam.boundary.at_end == at_end]
+                    if fam.boundary is not None and fam.at_end == at_end]
             for i, fam in enumerate(ends):
                 rows[i, _COLUMN[fam.terms[0][0]]] = 1.0
-                rows[i, -1] = fam.boundary.value
+                rows[i, -1] = fam.boundary
         self.params, self.T = params, T
         # (D, E) of row group 1 and of every later group
         self.pairs = ((first[:, :W], first[:, W:-1]), (group[:, :W], group[:, W:-1]))
@@ -290,7 +290,7 @@ def follower_stationarity_check(trajectory: Trajectory, params: ModelParams,
     q = trajectory.q[0]
     if level == "R":
         def payoff(i_r):
-            x = rollout(params, params.x1, c.i_s, c.i_m, i_r)
+            x = rollout(params, c.i_s, c.i_m, i_r)
             return objective("R", params, x, c.i_s, c.i_m, i_r, q)
         path = c.i_r
     elif level == "M":

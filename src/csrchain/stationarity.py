@@ -68,30 +68,29 @@ def block_length(name: str, T: int) -> int:
 # The equation table
 # ---------------------------------------------------------------------------
 
-class Boundary(NamedTuple):
-    """Row fixing the first (initial) or last (terminal) entry of a block."""
-
-    label: str
-    at_end: bool
-    value: float
-
-
 class Family(NamedTuple):
     """One equation family: rows t = first..T of
 
         sum(coefficient * block[t + shift] for block, shift, coefficient in terms)
             = constant
 
-    A family with a boundary row is a recursion.  Its first term is the block
-    it steps, with coefficient 1, and the boundary fixes that block's other
-    end.
+    A family with a ``boundary`` is a recursion.  Its first term is the block
+    it steps, with coefficient 1, and ``boundary`` is the value that fixes
+    that block's other end (``at_end``); an algebraic family has None.
     """
 
     label: str
     first: int
     terms: tuple
     constant: float
-    boundary: Boundary | None = None
+    boundary: float | None = None
+
+    @property
+    def at_end(self) -> bool:
+        """Whether the boundary fixes the stepped block's last entry: a
+        recursion stepping block[t + 1] runs forward from the block's first
+        entry, one stepping block[t] runs backward from its last."""
+        return self.terms[0][1] == 0
 
     def residual(self, point) -> float:
         """The row at one period; ``point`` maps (block, shift) to a value."""
@@ -114,7 +113,7 @@ def equation_table(params: ModelParams) -> tuple[Family, ...]:
     return (
         Family("state", 1, (("x", 1, 1.0), ("x", 0, -al), ("i_s", 0, -bs),
                             ("i_m", 0, -bm), ("i_r", 0, -br)),
-               0.0, Boundary("x[1] given", False, params.x1)),
+               0.0, boundary=params.x1),
         Family("foc_r", 1, (("i_s", 0, k), ("i_m", 0, k), ("i_r", 0, 2 * k),
                             ("p_r", 1, br)), net),
         Family("foc_m", 1, (("i_s", 0, k), ("i_m", 0, 2 * k), ("i_r", 0, k),
@@ -131,22 +130,22 @@ def equation_table(params: ModelParams) -> tuple[Family, ...]:
         Family("s_react_l", 1, (("mu_prime", 0, k), ("nu", 0, 2 * k),
                                 ("r", 1, br)), 0.0),
         Family("costate_r", 2, (("p_r", 0, 1.0), ("x", 0, -2 * dr), ("p_r", 1, -al)),
-               0.0, Boundary("p_r[T+1]=0", True, 0.0)),
+               0.0, boundary=0.0),
         Family("costate_m", 2, (("p_m", 0, 1.0), ("x", 0, -2 * dm), ("p_m", 1, -al),
                                 ("u", 0, -2 * dr)),
-               0.0, Boundary("p_m[T+1]=0", True, 0.0)),
+               0.0, boundary=0.0),
         Family("costate_s", 2, (("p_s", 0, 1.0), ("x", 0, -2 * ds), ("p_s", 1, -al),
                                 ("u_prime", 0, -2 * dm), ("w", 0, -2 * dr)),
-               0.0, Boundary("p_s[T+1]=0", True, 0.0)),
+               0.0, boundary=0.0),
         Family("u_step", 1, (("u", 1, 1.0), ("u", 0, -al), ("lam", 0, -br)),
-               0.0, Boundary("u[1]=0", False, 0.0)),
+               0.0, boundary=0.0),
         Family("w_step", 1, (("w", 1, 1.0), ("w", 0, -al), ("lam_prime", 0, -br)),
-               0.0, Boundary("w[1]=0", False, 0.0)),
+               0.0, boundary=0.0),
         Family("u_prime_step", 1, (("u_prime", 1, 1.0), ("u_prime", 0, -al),
                                    ("mu_prime", 0, -bm), ("nu", 0, -br)),
-               0.0, Boundary("u_prime[1]=0", False, 0.0)),
+               0.0, boundary=0.0),
         Family("r_step", 2, (("r", 0, 1.0), ("r", 1, -al), ("u_prime", 0, -2 * dr)),
-               0.0, Boundary("r[T+1]=0", True, 0.0)),
+               0.0, boundary=0.0),
     )
 
 
@@ -174,25 +173,27 @@ def period_rows(families, columns) -> np.ndarray:
 
 def fixed_paths(fixed, T: int) -> dict:
     """Block name -> float array of each fixed path, refused with a
-    ValueError when a path's last axis is not its block's length."""
+    ValueError unless its last axis has its block's length and it is finite."""
     fixed = {name: np.asarray(path, dtype=float) for name, path in (fixed or {}).items()}
     for name, path in fixed.items():
         length = block_length(name, T)
         if path.shape[-1:] != (length,):
             raise ValueError(f"fixed path {name!r} has shape {path.shape}; its last "
                              f"axis must have length {length} at horizon {T}")
+        if not np.all(np.isfinite(path)):
+            raise ValueError(f"fixed path {name!r} has a NaN or infinite entry")
     return fixed
 
 
 def _row_groups(families):
     """(family, is_boundary) in row order: a recursion's boundary row comes
-    before its rows when it fixes the initial value, after them otherwise."""
+    after its rows when it fixes the stepped block's last entry (``at_end``),
+    before them when it fixes the first."""
     for fam in families:
-        boundary = fam.boundary
-        if boundary is not None and not boundary.at_end:
+        if fam.boundary is not None and not fam.at_end:
             yield fam, True
         yield fam, False
-        if boundary is not None and boundary.at_end:
+        if fam.boundary is not None and fam.at_end:
             yield fam, True
 
 
@@ -260,8 +261,7 @@ def split_blocks(z: np.ndarray, T: int) -> dict:
 
 def _homogeneous(families) -> list[Family]:
     """The families with every constant and boundary value set to zero."""
-    return [fam._replace(constant=0.0,
-                         boundary=fam.boundary and fam.boundary._replace(value=0.0))
+    return [fam._replace(constant=0.0, boundary=None if fam.boundary is None else 0.0)
             for fam in families]
 
 
@@ -325,9 +325,8 @@ def _residual_vector(blocks: dict, families, T: int) -> np.ndarray:
         row = values[..., stop:stop + count]
         stop += count
         if is_boundary:
-            path = blocks[fam.terms[0][0]]
-            end = path[..., -1:] if fam.boundary.at_end else path[..., :1]
-            np.subtract(end, fam.boundary.value, row)
+            end = slice(-1, None) if fam.at_end else slice(0, 1)
+            np.subtract(blocks[fam.terms[0][0]][..., end], fam.boundary, row)
             continue
         for i, (block, shift, coef) in enumerate(fam.terms):
             start = fam.first + shift - _FIRST[block]

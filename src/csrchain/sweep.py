@@ -162,7 +162,7 @@ def assemble_augmented(params: ModelParams, level: str, fixed=None) -> Augmented
     return AugmentedSystem(
         level=level, P=reduced[:, :n2], Q=reduced[:, n2:2 * n2], g=g,
         sol_G=-G[:, :2 * n2], sol_g=sol_g,
-        xt1=np.array([stepping[name].boundary.value for name in state]))
+        xt1=np.array([stepping[name].boundary for name in state]))
 
 
 def _eliminate(first, second):

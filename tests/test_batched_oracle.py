@@ -25,7 +25,7 @@ from csrchain import (
     stationarity,
 )
 from csrchain.oracle import solve_inner_response, solve_retailer_response
-from csrchain.sweep import _LEVELS, _solve_level
+from csrchain.sweep import _LEVELS, _solve_level, solve_inner_given_supplier
 
 from conftest import dense_level, draw_params, make_params
 
@@ -124,7 +124,7 @@ def perturbed(trajectory, params):
     scale = 0.1 * (1.0 + float(np.max(np.abs(c.stacked()))))
     i_s, i_m, i_r = (path + scale * rng.standard_normal(T) for path in (c.i_s, c.i_m, c.i_r))
     return dataclasses.replace(trajectory, controls=Controls(i_s, i_m, i_r),
-                               x=rollout(params, params.x1, i_s, i_m, i_r))
+                               x=rollout(params, i_s, i_m, i_r))
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +165,7 @@ class TestBatchedRollout:
         rng = np.random.default_rng(T)
         i_s, i_m = rng.uniform(-5, 5, (2, T))
         i_r = rng.uniform(-5, 5, (9, T))
-        batch = rollout(params, params.x1, i_s, i_m, i_r)
+        batch = rollout(params, i_s, i_m, i_r)
         assert batch.shape == (9, T + 1)
         for row, path in zip(batch, i_r):
             assert np.array_equal(row, loop_rollout(params, params.x1, i_s, i_m, path))
@@ -385,3 +385,28 @@ class TestFixedPathLength:
     def test_batched_path_checked_on_last_axis(self, reference_params):
         with pytest.raises(ValueError, match=r"'i_s'.*\(3, 4\).*length 3"):
             solve_inner_response(reference_params, np.ones((3, 4)))
+
+
+class TestFixedPathFinite:
+    """A fixed path with a NaN or infinite entry is refused, naming its
+    block, before any solve could report it as a singular system."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_inner_response(self, reference_params, bad):
+        with pytest.raises(ValueError, match="fixed path 'i_s' has a NaN or infinite"):
+            solve_inner_response(reference_params, np.full(3, bad))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("block", ["i_s", "i_m"])
+    def test_retailer_response(self, reference_params, block, bad):
+        paths = {"i_s": np.zeros(3), "i_m": np.zeros(3)}
+        paths[block][1] = bad
+        with pytest.raises(ValueError, match=f"fixed path '{block}' has a NaN or infinite"):
+            solve_retailer_response(reference_params, paths["i_s"], paths["i_m"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_one_bad_batch_entry(self, reference_params, bad):
+        i_s = np.zeros((4, 3))
+        i_s[2, 0] = bad
+        with pytest.raises(ValueError, match="fixed path 'i_s' has a NaN or infinite"):
+            solve_inner_given_supplier(reference_params, i_s)

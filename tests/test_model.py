@@ -30,7 +30,7 @@ def make_trajectory(params, i_s, i_m, i_r):
     i_m = np.asarray(i_m, float)
     i_r = np.asarray(i_r, float)
     T = len(i_s)
-    x = rollout(params, params.x1, i_s, i_m, i_r)
+    x = rollout(params, i_s, i_m, i_r)
     return Trajectory(
         x=x, controls=Controls(i_s=i_s, i_m=i_m, i_r=i_r),
         q=np.full(T, optimal_quantity(params)),
@@ -304,6 +304,11 @@ class TestParamsValidation:
         # bool is an int subclass; it must not reach the solvers' array code
         with pytest.raises(ParamsError, match="horizon_T must be an integer"):
             solve(make_params(horizon_T=flag))
+
+    @pytest.mark.parametrize("name", ["tau", "theta", "delta_s", "delta_m", "delta_r", "c"])
+    def test_negative_refused(self, name):
+        assert make_params(**{name: -0.5}).validate() == [
+            f"{name} must be nonnegative, got -0.5"]
 
     def test_validated_raises(self):
         with pytest.raises(ParamsError, match="beta_s"):

@@ -26,7 +26,7 @@ from conftest import draw_params, make_params
 
 def zero_control_trajectory(params):
     T = params.horizon_T
-    x = rollout(params, params.x1, np.zeros(T), np.zeros(T), np.zeros(T))
+    x = rollout(params, np.zeros(T), np.zeros(T), np.zeros(T))
     return Trajectory(
         x=x, controls=Controls(np.zeros(T), np.zeros(T), np.zeros(T)),
         q=np.full(T, optimal_quantity(params)),
@@ -210,7 +210,7 @@ class TestObjectiveAccumulation:
                                  ("M", report.objective_manufacturer),
                                  ("R", report.objective_retailer)]:
             q = optimal_quantity(p)
-            x = rollout(p, p.x1, traj.controls.i_s, traj.controls.i_m,
+            x = rollout(p, traj.controls.i_s, traj.controls.i_m,
                         traj.controls.i_r)
             from csrchain import stage_payoff
             total = sum(

@@ -125,6 +125,13 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="'tau'"):
             load_scenario(write_scenario(tmp_path, text))
 
+    def test_bad_boolean_names_line(self, tmp_path):
+        text = REFERENCE_FILE + "oracle = maybe\n"
+        lineno = text.count("\n")
+        with pytest.raises(ScenarioError, match=rf"line {lineno}: field 'oracle': expected "
+                                                r"a boolean \(true/false\), got 'maybe'"):
+            load_scenario(write_scenario(tmp_path, text))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario(tmp_path / "nope.scenario")
@@ -215,6 +222,18 @@ class TestCsvRoundTrip:
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:1] + lines[len(lines) - rows:]))
         with pytest.raises(ValueError, match=rf"out\.csv: {rows} data rows"):
+            parse_csv(path)
+
+    @pytest.mark.parametrize("header", ["", "t,x,i_s,i_m,i_r,q,p_s,p_m,p_r,u\n",
+                                        "t,x,i_s,i_m,i_r,q,p_s,p_m,p_r,u_prime,u\n"],
+                             ids=["empty", "short", "swapped"])
+    def test_wrong_header_rejected(self, tmp_path, reference_params, header):
+        traj, _ = solve_game(reference_params)
+        path = tmp_path / "out.csv"
+        emit_csv(traj, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(lines[1:]) if header else "")
+        with pytest.raises(ValueError, match=r"unexpected CSV header in .*out\.csv"):
             parse_csv(path)
 
     def test_short_row_rejected(self, tmp_path, reference_params):
@@ -461,6 +480,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "outer level" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case, tolerance", [("tight", "1.000e-20"), ("T47", "1.000e-08")])
+    def test_missed_tolerance_exits_one_with_artifacts(self, tmp_path, capsys, case,
+                                                       tolerance):
+        """A residual over the tolerance fails the run: exit 1 with one error
+        line and no warning, both artifacts written.  At T = 47 the
+        reference's residual, 1.676e-08, misses the default 1e-8."""
+        if case == "tight":
+            args = [str(REPO / "scenarios" / "reference.scenario"), "--tolerance", "1e-20"]
+        else:
+            text = REFERENCE_FILE.replace("horizon_T = 3", "horizon_T = 47")
+            args = [str(write_scenario(tmp_path, text + "oracle = false\n"))]
+        out = tmp_path / "out"
+        assert main(["solve", *args, "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: residual max-norm (\S+) exceeds tolerance (\S+)\n",
+                            captured.err).group(2) == tolerance
+        if case == "T47":
+            assert "max-norm 1.676e-08 " in captured.err
+        assert (out / "reference.trajectory.csv").is_file()
+        assert (out / "reference.report").is_file()
 
     def test_invalid_scenario_exits_two(self, tmp_path, capsys):
         text = REFERENCE_FILE.replace("beta_s = 0.3", "beta_s = 1.5")

@@ -16,6 +16,7 @@ from csrchain import (
 )
 from csrchain.stationarity import (
     BLOCK_NAMES,
+    BLOCKS,
     _FIRST,
     _homogeneous,
     _residual_vector,
@@ -206,6 +207,27 @@ class TestPeriodSolutionMaps:
                 period_solution(p)
 
 
+class TestRecursionEnds:
+    @pytest.mark.parametrize("T", [1, 2, 5])
+    def test_rows_and_boundary_span_the_stepped_block(self, T):
+        """A recursion's rows set its stepped block at t + shift, t = first..T;
+        with the one time they leave out, its boundary, they cover the
+        block's span exactly, and that time is the block's last entry
+        exactly when the family is ``at_end``."""
+        span = {name: range(first, T + last + 1) for name, first, last in BLOCKS}
+        recursions = [fam for fam in equation_table(make_params(horizon_T=T))
+                      if fam.boundary is not None]
+        assert len(recursions) == 8
+        for fam in recursions:
+            block, shift, coef = fam.terms[0]
+            assert coef == 1.0
+            stepped = [t + shift for t in range(fam.first, T + 1)]
+            left = [t for t in span[block] if t not in stepped]
+            assert len(left) == 1
+            assert sorted(stepped + left) == list(span[block])
+            assert (left[0] == span[block][-1]) == fam.at_end
+
+
 def unit_rows(matrix):
     """Indices of the rows with one nonzero entry, equal to 1."""
     return [i for i, row in enumerate(matrix)
@@ -239,17 +261,18 @@ class TestAssembleSystem:
         T = p.horizon_T
         system = assemble_system(p)
         recursions = [fam for fam in equation_table(p) if fam.boundary is not None]
-        assert sorted(fam.boundary.label for fam in recursions) == sorted(
-            ["x[1] given"] + [f"{name}[T+1]=0" for name in ("p_r", "p_m", "p_s", "r")]
-            + [f"{name}[1]=0" for name in ("u", "w", "u_prime")])
+        triples = sorted((fam.terms[0][0], fam.at_end, fam.boundary) for fam in recursions)
+        assert triples == sorted(
+            [("x", False, p.x1)] + [(name, False, 0.0) for name in ("u", "w", "u_prime")]
+            + [(name, True, 0.0) for name in ("p_r", "p_m", "p_s", "r")])
         columns = split_blocks(np.arange(15 * T + 4), T)
         units = unit_rows(system.matrix)
         assert len(units) == len(recursions)
         for fam in recursions:
-            column = columns[fam.terms[0][0]][-1 if fam.boundary.at_end else 0]
+            column = columns[fam.terms[0][0]][-1 if fam.at_end else 0]
             rows = [i for i in units if system.matrix[i, column] == 1.0]
             assert len(rows) == 1
-            assert system.rhs[rows[0]] == fam.boundary.value
+            assert system.rhs[rows[0]] == fam.boundary
 
     def test_matrix_matches_residual_functions(self, reference_params):
         """A z - rhs evaluated by the assembled matrix agrees with direct
@@ -386,8 +409,8 @@ def reference_residual_vector(blocks, families, T):
     for fam, is_boundary in _row_groups(families):
         if is_boundary:
             path = blocks[fam.terms[0][0]]
-            end = path[..., -1:] if fam.boundary.at_end else path[..., :1]
-            parts.append(end - fam.boundary.value)
+            end = path[..., -1:] if fam.at_end else path[..., :1]
+            parts.append(end - fam.boundary)
             continue
         count = T - fam.first + 1
         total = 0.0

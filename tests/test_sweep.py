@@ -19,7 +19,7 @@ from csrchain import (
 from csrchain.model import state_transition
 from csrchain.output import render_report
 from csrchain.oracle import solve_inner_response, solve_retailer_response
-from csrchain.stationarity import equation_table
+from csrchain.stationarity import equation_table, level_families
 from csrchain.sweep import (
     AugmentedSystem,
     _inner_consistency_delta,
@@ -129,7 +129,7 @@ class TestAssembleAugmented:
         assert np.array_equal(aug.P[4:, :4], np.zeros((4, 4)))
         assert np.array_equal(aug.g[:, 4:], np.zeros((p.horizon_T, 4)))
         backward = [fam for fam in equation_table(p)
-                    if fam.boundary is not None and fam.boundary.at_end]
+                    if fam.boundary is not None and fam.at_end]
         assert len(backward) == 4
         assert all(fam.constant == 0.0 for fam in backward)
 
@@ -241,6 +241,26 @@ class TestBackwardSweep:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(SweepSingularError, match="inner level"):
             _sweep_forward(aug, backward_sweep(aug))
+
+
+class TestLevelEnds:
+    @pytest.mark.parametrize("level", list(_LEVELS))
+    def test_states_and_costates_follow_at_end(self, reference_params, level):
+        """A level's states are the blocks its forward recursions step, its
+        costates those its backward (``at_end``) ones step; ``xt1`` holds the
+        states' boundary values, and every costate's is 0.0, which
+        ``_sweep_forward`` assumes when it leaves y[..., T, n:] zero."""
+        p = reference_params
+        state, costate, period, held = _LEVELS[level]
+        recursions = [fam for fam in level_families(p, {*state, *costate, *period, *held})
+                      if fam.boundary is not None]
+        stepping = {fam.terms[0][0]: fam for fam in recursions}
+        assert len(stepping) == len(recursions)
+        assert {name for name, fam in stepping.items() if not fam.at_end} == set(state)
+        assert {name for name, fam in stepping.items() if fam.at_end} == set(costate)
+        aug = assemble_augmented(p, level, {name: np.zeros(p.horizon_T) for name in held})
+        assert np.array_equal(aug.xt1, [stepping[name].boundary for name in state])
+        assert [stepping[name].boundary for name in costate] == [0.0] * len(costate)
 
 
 def level_system(level, T, batch=()):
