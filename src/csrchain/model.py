@@ -26,6 +26,7 @@ Index conventions used throughout the package (all arrays 0-based):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -67,6 +68,11 @@ class ModelParams:
     x1: float             # initial CSR stock
     horizon_T: int        # number of decision periods
     strict_alpha: bool = True
+
+    def __post_init__(self):
+        # a numpy integer horizon would wrap at its own width in T + 1
+        if isinstance(self.horizon_T, numbers.Integral) and not isinstance(self.horizon_T, bool):
+            object.__setattr__(self, "horizon_T", int(self.horizon_T))
 
     def validate(self) -> list[str]:
         """Return every violated invariant (empty list when valid)."""

@@ -2,10 +2,11 @@
 
 ``dense_solve`` solves the full stacked stationarity system, all 15T + 4
 unknowns at once, by one Householder QR per period over the system's
-staircase, in O(T) time and memory.  It reads the equation table in the
-sweep's per-period layout, ``stationarity.period_rows``, but shares no step
-of the sweep: no control elimination, no level recursion, no cyclic
-reduction.  The stationarity checks go one level deeper: they
+staircase, in O(T) time and memory.  It factors the blocks of
+``stationarity.period_layout``, with its right-hand side and refinement
+residual from ``period_residual``, the evaluator of ``residual_norms``, but
+shares no step of the sweep: no control elimination, no level recursion, no
+cyclic reduction.  The stationarity checks go one level deeper: they
 differentiate the players' objectives themselves (by central differences
 along re-solved follower reactions), so they validate the derived equations
 against the payoffs rather than one solver against another.
@@ -25,7 +26,8 @@ import numpy as np
 from .errors import SingularSystemError
 from .model import ModelParams, Trajectory, objective, optimal_quantity, rollout
 from .stationarity import (
-    BLOCK_NAMES, BLOCKS, level_families, period_rows, trajectory_from_blocks,
+    LEAD, TRAIL, WIDTH, period_layout, period_residual, stacked_rows,
+    trajectory_from_blocks, unpack,
 )
 from .sweep import _solve_level
 
@@ -63,29 +65,16 @@ def _solve_with_estimate(solve, solve_transposed, residual, a_norm, b):
     return z, dz, a_norm * float(inv_norm)
 
 
-# The blocks in the column order of one period: those that start at t = 2
-# first, those that end at t = T last.  Period 1 lacks the first _LEAD
-# columns and period T + 1 the last _TRAIL, so the stacked unknowns, period
-# after period, are one contiguous run of the (T + 1) * _WIDTH padded ones.
-_COLUMNS = sorted(BLOCKS, key=lambda block: (block[1] == 1) + (block[2] == 0))
-_WIDTH = len(_COLUMNS)
-_LEAD = sum(first == 2 for _, first, _ in BLOCKS)
-_TRAIL = sum(last == 0 for _, _, last in BLOCKS)
-_COLUMN = {name: j for j, (name, _, _) in enumerate(_COLUMNS)}
-
-
 class _Staircase:
     """The stacked stationarity system in period order, eliminated by one
     Householder QR per period (stable almost-block-diagonal elimination;
     Diaz, Fairweather & Keast, ACM TOMS 9, 1983).
 
-    Every table term has shift 0 or 1, so row group t, the families at t,
-    touches only the W = 15 columns of periods t and t + 1, as [D | E] over
-    (z[t], z[t+1]), the same for every t > 1.  At t = 1 the initial boundary
-    rows take the places of the L = 4 families that start at t = 2, and the
-    terminal boundary rows close the system at T + 1.  The columns that
-    periods 1 and T + 1 lack are padded, each with an identity row, so every
-    step has one shape and the padding solves to zero.
+    Row group t touches only the W = 15 columns of periods t and t + 1, as
+    the [D | E] of ``stationarity.period_layout`` over (z[t], z[t+1]).  The
+    L = 4 columns that period 1 lacks and the 7 that period T + 1 lacks are
+    padded, each with an identity row, so every step has one shape and the
+    padding solves to zero.
 
     Step t factors [the L rows carried from t - 1; row group t] over the
     columns of period t as Q_t [R_t; 0]; Q_t^T turns [0; E] into the
@@ -98,46 +87,20 @@ class _Staircase:
     """
 
     def __init__(self, params: ModelParams):
-        T, W, L = params.horizon_T, _WIDTH, _LEAD
-        families = level_families(params, BLOCK_NAMES)
-        # [D | E | constant] of row group t > 1, the families that start at
-        # t = 2 in the rows the initial boundary rows take at t = 1
-        group = period_rows(sorted(families, key=lambda fam: fam.first == 1),
-                            [(name, shift) for shift in (0, 1) for name, _, _ in _COLUMNS])
-        first = group.copy()
-        first[:L] = 0.0
-        # the boundary rows of the forward recursions lead row group 1; those
-        # of the backward ones (at_end) are F's own rows, with the padding
-        terminal = np.zeros((W - L - _TRAIL, W + 1))
-        for rows, at_end in ((first, False), (terminal, True)):
-            ends = [fam for fam in families
-                    if fam.boundary is not None and fam.at_end == at_end]
-            for i, fam in enumerate(ends):
-                rows[i, _COLUMN[fam.terms[0][0]]] = 1.0
-                rows[i, -1] = fam.boundary
-        self.params, self.T = params, T
-        # (D, E) of row group 1 and of every later group
-        self.pairs = ((first[:, :W], first[:, W:-1]), (group[:, :W], group[:, W:-1]))
-        self.terminal = terminal[:, :-1]
+        self.T = T = params.horizon_T
+        W, L = WIDTH, LEAD
+        self.layout = first, group, terminal = period_layout(params)
         # a padded vector holds the system's own unknowns, or rows, at [real]
         self.n_padded = W * (T + 1)
-        self.real = slice(L, self.n_padded - _TRAIL)
-        rhs = np.empty((T, W))
-        rhs[:] = group[:, -1]
-        rhs[0] = first[:, -1]
-        self.rhs = np.concatenate([rhs.ravel(), terminal[:, -1]])
+        self.real = slice(L, self.n_padded - TRAIL)
         # ||A||_1, from the column sums of period 1, 2, 3..T and T + 1
         s1, s = np.abs(first).sum(axis=0), np.abs(group).sum(axis=0)
         d1, e1, d, e = s1[:W], s1[W:-1], s[:W], s[W:-1]
-        sums = [d1, (e1 if T == 1 else e) + np.abs(self.terminal).sum(axis=0)]
+        sums = [d1, (e1 if T == 1 else e) + np.abs(terminal[:, :-1]).sum(axis=0)]
         sums += [d + e1] * (T > 1) + [d + e] * (T > 2)
         self.a_norm = float(max(s.max() for s in sums))
-        self._factor()
-
-    def _factor(self):
-        """Q_t and R_t of every step, F, and the products the solves use."""
-        T, W, L = self.T, _WIDTH, _LEAD
-        (D1, E1), (D, E) = self.pairs
+        # Q_t and R_t of every step, F, and the products the solves use
+        D1, E1, D, E = first[:, :W], first[:, W:-1], group[:, :W], group[:, W:-1]
         work = np.vstack([np.eye(L, W), D1])
         Q = np.empty((T, L + W, L + W))
         R = np.empty((T + 1, W, W))
@@ -146,7 +109,7 @@ class _Staircase:
             R[t] = r[:W]
             work[:L] = Q[t, L:, W:].T @ (E if t else E1)
             work[L:] = D
-        R[T] = np.vstack([work[:L], self.terminal, np.eye(_TRAIL, W, W - _TRAIL)])
+        R[T] = np.vstack([work[:L], terminal[:, :-1], np.eye(TRAIL, W, W - TRAIL)])
         S = np.swapaxes(Q[:, L:, :W], 1, 2) @ E
         S[0] = Q[0, L:, :W].T @ E1
         self.Q, self.Rinv = Q, np.linalg.inv(R)
@@ -161,7 +124,7 @@ class _Staircase:
     def solve(self, B):
         """Solutions of A z = b for the columns b of B, (n, k): Q^T b, then
         back substitution in U."""
-        T, W, L = self.T, _WIDTH, _LEAD
+        T, W, L = self.T, WIDTH, LEAD
         x = self._pad(B)
         for t in range(T):
             x[W * t:W * t + W + L] = self.Q[t].T @ x[W * t:W * t + W + L]
@@ -173,7 +136,7 @@ class _Staircase:
     def solve_transposed(self, c):
         """The solution of A^T x = c: forward substitution in U^T, then the
         Q_t in reverse."""
-        T, W, L = self.T, _WIDTH, _LEAD
+        T, W, L = self.T, WIDTH, LEAD
         eta = (self._pad(c).reshape(T + 1, 1, W) @ self.Rinv)[:, 0]   # R^-T c, per block
         for t in range(1, T + 1):
             eta[t] -= self.H[t - 1] @ eta[t - 1]
@@ -182,22 +145,9 @@ class _Staircase:
             x[W * t:W * t + W + L] = self.Q[t] @ x[W * t:W * t + W + L]
         return x[self.real]
 
-    def _periods(self, z):
-        return self._pad(z).reshape(self.T + 1, _WIDTH)
-
-    def residual(self, z):
-        """b - A z, row group by row group."""
-        (D1, E1), (D, E) = self.pairs
-        zp = self._periods(z)
-        rows = zp[:-1] @ D.T + zp[1:] @ E.T
-        rows[0] = D1 @ zp[0] + E1 @ zp[1]
-        return self.rhs - np.concatenate([rows.ravel(), self.terminal @ zp[-1]])
-
-    def trajectory(self, z) -> Trajectory:
-        zp, T = self._periods(z), self.T
-        return trajectory_from_blocks(
-            {name: zp[first - 1:T + last, j] for j, (name, first, last) in enumerate(_COLUMNS)},
-            self.params)
+    def packed(self, z):
+        """The staircase's unknowns z as packed paths, a view of a padded copy."""
+        return self._pad(z).reshape(self.T + 1, WIDTH).T
 
 
 def dense_solve(params: ModelParams) -> Trajectory:
@@ -208,15 +158,19 @@ def dense_solve(params: ModelParams) -> Trajectory:
     stacked matrix is numerically singular.
     """
     params.validated()
+
+    def residual(z):   # b - A z: minus the layout's rows, in the staircase's order
+        return -stacked_rows(period_residual(system.packed(z), system.layout))
     try:
         system = _Staircase(params)
-        z, dz, cond = _solve_with_estimate(system.solve, system.solve_transposed,
-                                           system.residual, system.a_norm, system.rhs)
+        b = residual(np.zeros(system.n_padded - LEAD - TRAIL))
+        z, dz, cond = _solve_with_estimate(system.solve, system.solve_transposed, residual,
+                                           system.a_norm, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(float("inf")) from exc
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularSystemError(cond)
-    return system.trajectory(z + dz)
+    return trajectory_from_blocks(unpack(system.packed(z + dz)), params)
 
 
 # ---------------------------------------------------------------------------

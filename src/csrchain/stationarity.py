@@ -15,13 +15,10 @@ a follower costate chain; and r, the supplier's costate for the u chain.
 
 The system is linear in the stacked unknowns, and ``equation_table`` writes
 each of its fifteen equation families once, as coefficients.  Every other
-view is derived from that table: the residual vector, read by slices of the
-block paths (``residual_norms`` reduces it); the square stacked system
-(``assemble_system``), which is the residuals' Jacobian, read off in one
-batched evaluation at every unit vector; and the per-period rows
-(``period_rows``), the one layout of the coefficients over the unknowns of
-periods t and t + 1, from which ``sweep.assemble_augmented`` reads each
-level's recursion and ``oracle.dense_solve`` its staircase.
+view is read from that table by ``period_rows``: ``sweep.assemble_augmented``
+takes each level's recursion from it, and ``period_layout`` the system period
+by period, which ``period_residual`` evaluates for ``residual_norms``,
+``assemble_system`` (its Jacobian) and ``oracle.dense_solve``.
 
 The table's independent witness is the three Hamiltonians.  The retailer's is
 built from the payoff and the state transition alone; the manufacturer's and
@@ -31,6 +28,7 @@ suite verify level by level from the retailer up.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -55,13 +53,12 @@ BLOCKS = (
     ("u", 1, 1), ("w", 1, 1), ("u_prime", 1, 1), ("r", 2, 1),
 )
 BLOCK_NAMES = tuple(name for name, _, _ in BLOCKS)
-_FIRST = {name: first for name, first, _ in BLOCKS}
-_LAST = {name: last for name, _, last in BLOCKS}
+_SPAN = {name: last - first + 1 for name, first, last in BLOCKS}   # length - T
 _CONTROLS = tuple(f.name for f in fields(Controls))   # blocks under Trajectory.controls
 
 
 def block_length(name: str, T: int) -> int:
-    return T + _LAST[name] - _FIRST[name] + 1
+    return T + _SPAN[name]
 
 
 # ---------------------------------------------------------------------------
@@ -171,30 +168,110 @@ def period_rows(families, columns) -> np.ndarray:
     return rows
 
 
+def _check_length(name: str, path, T: int):
+    """Refuse a path whose last axis is not its block's length at horizon T."""
+    length = block_length(name, T)
+    if np.shape(path)[-1:] != (length,):
+        raise ValueError(f"path {name!r} has shape {np.shape(path)}; its last "
+                         f"axis must have length {length} at horizon {T}")
+
+
 def fixed_paths(fixed, T: int) -> dict:
     """Block name -> float array of each fixed path, refused with a
     ValueError unless its last axis has its block's length and it is finite."""
     fixed = {name: np.asarray(path, dtype=float) for name, path in (fixed or {}).items()}
     for name, path in fixed.items():
-        length = block_length(name, T)
-        if path.shape[-1:] != (length,):
-            raise ValueError(f"fixed path {name!r} has shape {path.shape}; its last "
-                             f"axis must have length {length} at horizon {T}")
+        _check_length(name, path, T)
         if not np.all(np.isfinite(path)):
             raise ValueError(f"fixed path {name!r} has a NaN or infinite entry")
     return fixed
 
 
-def _row_groups(families):
-    """(family, is_boundary) in row order: a recursion's boundary row comes
-    after its rows when it fixes the stepped block's last entry (``at_end``),
-    before them when it fixes the first."""
-    for fam in families:
-        if fam.boundary is not None and not fam.at_end:
-            yield fam, True
-        yield fam, False
-        if fam.boundary is not None and fam.at_end:
-            yield fam, True
+# ---------------------------------------------------------------------------
+# The system period by period
+# ---------------------------------------------------------------------------
+
+# The blocks in the column order of one period: those that start at t = 2
+# first, those that end at t = T last.  Period 1 lacks the first LEAD columns
+# and period T + 1 the last TRAIL, which packed paths hold as zeros.
+COLUMNS = tuple(sorted(BLOCKS, key=lambda block: (block[1] == 1) + (block[2] == 0)))
+WIDTH = len(COLUMNS)
+LEAD = sum(first == 2 for _, first, _ in BLOCKS)
+TRAIL = sum(last == 0 for _, _, last in BLOCKS)
+_CHUNK = 256   # periods per product in period_residual, which bounds its temporaries
+
+
+@functools.lru_cache(maxsize=4)   # a solve, its oracle and their norms share one game
+def period_layout(params: ModelParams) -> tuple:
+    """The stacked system period by period, (first, group, terminal), shared
+    read-only.  Row group t, the families at t, is D z[t] + E z[t + 1] - c over
+    packed paths z: ``group`` is [D | E | c] for t > 1, ``first`` for t = 1,
+    where the forward recursions' boundary rows replace the LEAD families that
+    start at t = 2; ``terminal``, [F | c] over z[T + 1], holds the backward
+    recursions' boundary rows.  Refused when tau*theta = 0."""
+    families = level_families(params, set(BLOCK_NAMES))
+    columns = [(name, shift) for shift in (0, 1) for name, _, _ in COLUMNS]
+    group = period_rows(sorted(families, key=lambda fam: fam.first == 1), columns)
+    # a boundary row is a one-term family: its stepped block's fixed entry
+    ends = {at_end: [Family(fam.label, 1, ((fam.terms[0][0], 0, 1.0),), fam.boundary)
+                     for fam in families if fam.boundary is not None and fam.at_end == at_end]
+            for at_end in (False, True)}
+    layout = (np.vstack([period_rows(ends[False], columns), group[LEAD:]]), group,
+              period_rows(ends[True], columns[:WIDTH]))
+    for rows in layout:
+        rows.flags.writeable = False
+    return layout
+
+
+def pack(blocks: dict, T: int) -> np.ndarray:
+    """The block paths (name -> path, leading batch axes broadcast) per
+    period, (..., WIDTH, T + 1): row j holds block COLUMNS[j] at periods
+    1..T + 1, zero where it has no entry.  A path whose last axis is not its
+    block's length at horizon T is refused with a ValueError."""
+    zb = np.empty(np.broadcast_shapes(*{np.shape(path)[:-1] for path in blocks.values()})
+                  + (WIDTH, T + 1))
+    zb[..., :LEAD, 0] = zb[..., WIDTH - TRAIL:, T] = 0.0
+    for j, (name, first, last) in enumerate(COLUMNS):
+        _check_length(name, blocks[name], T)
+        zb[..., j, first - 1:T + last] = blocks[name]
+    return zb
+
+
+def unpack(zb: np.ndarray) -> dict:
+    """Block name -> its path in the packed paths zb, a view."""
+    T = zb.shape[-1] - 1
+    return {name: zb[..., j, first - 1:T + last] for j, (name, first, last) in enumerate(COLUMNS)}
+
+
+@np.errstate(invalid="ignore")   # 0 * inf: a non-finite path gives NaN rows
+def period_residual(zb: np.ndarray, layout) -> np.ndarray:
+    """Overwrite the packed paths zb, (..., WIDTH, T + 1), with the rows of
+    the stacked system at them and return it: column t - 1 holds row group
+    t, column T the terminal rows, then zeros.  The products run left to
+    right, _CHUNK periods at a time, each stored in columns no later product
+    reads, so zb is the one array of size O(T)."""
+    T = zb.shape[-1] - 1
+    (D1, E1, c1), (D, E, c) = [(rows[:, :WIDTH], rows[:, WIDTH:-1], rows[:, -1])
+                               for rows in layout[:2]]
+    start = zb[..., 0] @ D1.T + zb[..., 1] @ E1.T - c1
+    end = zb[..., T] @ layout[2][:, :-1].T - layout[2][:, -1]
+    products = np.empty((2,) + zb.shape[:-1] + (min(T, _CHUNK),))
+    for a in range(0, T, _CHUNK):
+        b = min(a + _CHUNK, T)
+        d, e = products[..., :b - a]
+        np.matmul(D, zb[..., a:b], out=d)
+        np.matmul(E, zb[..., a + 1:b + 1], out=e)
+        np.add(d, e, out=zb[..., a:b])
+    zb[..., :T] -= c[:, np.newaxis]
+    zb[..., 0], zb[..., T] = start, 0.0
+    zb[..., :end.shape[-1], T] = end
+    return zb
+
+
+def stacked_rows(rows: np.ndarray) -> np.ndarray:
+    """``period_residual``'s rows in period order: groups 1..T, then terminal."""
+    flat = np.swapaxes(rows, -1, -2).reshape(rows.shape[:-2] + (-1,))
+    return flat[..., :flat.shape[-1] - LEAD - TRAIL]
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +323,8 @@ def supplier_hamiltonian(point, q, params: ModelParams):
 
 @dataclass(frozen=True)
 class StationaritySystem:
-    """The stacked linear stationarity system A z = rhs, its rows in the
-    order of ``_residual_vector``."""
+    """The stacked linear stationarity system A z = rhs, its rows in period
+    order (``stacked_rows``)."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -259,27 +336,20 @@ def split_blocks(z: np.ndarray, T: int) -> dict:
     return dict(zip(BLOCK_NAMES, np.split(z, bounds, axis=-1)))
 
 
-def _homogeneous(families) -> list[Family]:
-    """The families with every constant and boundary value set to zero."""
-    return [fam._replace(constant=0.0, boundary=None if fam.boundary is None else 0.0)
-            for fam in families]
-
-
 def assemble_system(params: ModelParams) -> StationaritySystem:
     """Emit the square linear system of all stationarity conditions.
 
-    The system is affine, so its matrix is the Jacobian of the residuals:
-    the homogeneous residuals at every unit vector, in one batched
-    evaluation; ``rhs`` is minus the residuals at zero.  Rows follow the
-    table: per family its rows t = first..T, a recursion's initial boundary
-    row before them and its terminal boundary row after, eight boundary rows
-    in all.
+    The system is affine, so its matrix is the Jacobian of the residual: the
+    layout's rows with their constants zeroed, at every unit vector in one
+    batched evaluation; ``rhs`` is minus the residual at zero.  The columns
+    follow ``split_blocks``, the rows ``stacked_rows``.
     """
     T = params.horizon_T
-    families = level_families(params, BLOCK_NAMES)
+    layout = period_layout(params)
+    linear = [np.hstack([rows[:, :-1], np.zeros((len(rows), 1))]) for rows in layout]
     n = sum(block_length(name, T) for name in BLOCK_NAMES)
-    A = _residual_vector(split_blocks(np.eye(n), T), _homogeneous(families), T).T
-    rhs = -_residual_vector(split_blocks(np.zeros(n), T), families, T)
+    A = stacked_rows(period_residual(pack(split_blocks(np.eye(n), T), T), linear)).T
+    rhs = -stacked_rows(period_residual(pack(split_blocks(np.zeros(n), T), T), layout))
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(rhs)):
         raise AssertionError("non-finite coefficients in assembled system")
     return StationaritySystem(matrix=A, rhs=rhs)
@@ -304,54 +374,21 @@ def trajectory_from_blocks(blocks: dict, params: ModelParams) -> Trajectory:
                       q=np.full(params.horizon_T, optimal_quantity(params)), **paths)
 
 
-def vector_to_trajectory(z: np.ndarray, params: ModelParams) -> Trajectory:
-    return trajectory_from_blocks(split_blocks(z, params.horizon_T), params)
-
-
-def _residual_vector(blocks: dict, families, T: int) -> np.ndarray:
-    """The families' rows at the block paths (name -> path), which may carry
-    leading batch axes; the rows run along the last axis, with the paths'
-    broadcast batch axes before it.
-
-    Each family's rows are summed in place in their segment of the one
-    row vector this allocates; the only other array of size O(T) is the
-    term being added, one period-length slice times its coefficient."""
-    groups = list(_row_groups(families))
-    counts = [1 if is_boundary else T - fam.first + 1 for fam, is_boundary in groups]
-    batch = np.broadcast_shapes(*{path.shape[:-1] for path in blocks.values()})
-    values = np.empty(batch + (sum(counts),))
-    stop = 0
-    for (fam, is_boundary), count in zip(groups, counts):
-        row = values[..., stop:stop + count]
-        stop += count
-        if is_boundary:
-            end = slice(-1, None) if fam.at_end else slice(0, 1)
-            np.subtract(blocks[fam.terms[0][0]][..., end], fam.boundary, row)
-            continue
-        for i, (block, shift, coef) in enumerate(fam.terms):
-            start = fam.first + shift - _FIRST[block]
-            path = blocks[block][..., start:start + count]
-            if i:
-                row += coef * path
-            else:
-                np.add(0.0, coef * path, row)   # a sum from 0.0, zero signs kept
-        row -= fam.constant
-    return values
-
-
 def residual_norms(trajectory: Trajectory, params: ModelParams):
     """(max, rms) norms over every stationarity equation, in natural units.
 
-    The row vector of residuals is the one array of size O(T) this holds
-    (besides ``_residual_vector``'s term): the max-norm is read off its
-    extremes and it is squared in place.  A NaN residual makes both norms
-    NaN.  A trajectory without every block, such as one ``parse_csv`` read
-    back, raises ValueError naming the missing ones."""
+    The packed paths, turned into the rows in place, are the one array of
+    size O(T) this holds: the max-norm is read off its extremes and it is
+    squared in place, the zeros after the terminal rows adding nothing.  A
+    NaN residual makes both norms NaN.  A trajectory without every block,
+    such as one ``parse_csv`` read back, or with a path whose length is not
+    its block's at horizon ``params.horizon_T`` raises ValueError naming it."""
     blocks = trajectory_blocks(trajectory)
     missing = [name for name, path in blocks.items() if path is None]
     if missing:
         raise ValueError(f"residuals need every block; the trajectory lacks {missing}")
-    values = _residual_vector(blocks, equation_table(params), trajectory.horizon)
+    values = period_residual(pack(blocks, params.horizon_T), period_layout(params))
     # maximum() may pick -0.0 from two equal zeros; abs() makes max|v| = +0.0
     res_max = abs(np.maximum(values.max(), -values.min()))
-    return float(res_max), float(np.sqrt(np.mean(np.square(values, out=values))))
+    rms = np.sqrt(np.square(values, out=values).sum() / (values.size - LEAD - TRAIL))
+    return float(res_max), float(rms)

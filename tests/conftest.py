@@ -3,14 +3,16 @@ import pytest
 
 from csrchain import ModelParams, optimal_quantity
 from csrchain.stationarity import (
-    _homogeneous,
-    _residual_vector,
+    BLOCKS,
+    WIDTH,
     block_length,
     equation_table,
     level_families,
     manufacturer_hamiltonian,
     retailer_hamiltonian,
+    split_blocks,
     supplier_hamiltonian,
+    trajectory_from_blocks,
 )
 
 
@@ -66,18 +68,71 @@ def draw_params(rng: np.random.Generator, horizon_T: int) -> ModelParams:
     )
 
 
+def vector_to_trajectory(z, params: ModelParams):
+    """The trajectory of a stacked vector, its blocks in ``split_blocks`` order."""
+    return trajectory_from_blocks(split_blocks(z, params.horizon_T), params)
+
+
 def family(params: ModelParams, label: str):
     """The equation-table family with the given label."""
     return {fam.label: fam for fam in equation_table(params)}[label]
 
 
+FIRST = {name: first for name, first, _ in BLOCKS}
+
+
+def reference_residual_vector(blocks, families, T):
+    """The families' rows at the block paths (name -> path, leading batch
+    axes broadcast), built family by family from slices of the paths and
+    concatenated: a recursion's boundary row before its rows when it fixes
+    its stepped block's first entry, after them when it fixes the last
+    (``at_end``).  The reference the solver's per-period evaluator is held
+    against."""
+    batch = np.broadcast_shapes(*(np.shape(path)[:-1] for path in blocks.values()))
+    parts = []
+    for fam in families:
+        count = T - fam.first + 1
+        total = 0.0
+        for block, shift, coef in fam.terms:
+            start = fam.first + shift - FIRST[block]
+            total = total + coef * blocks[block][..., start:start + count]
+        rows = [total - fam.constant]
+        if fam.boundary is not None:
+            path = blocks[fam.terms[0][0]]
+            end = (path[..., -1:] if fam.at_end else path[..., :1]) - fam.boundary
+            rows = rows + [end] if fam.at_end else [end] + rows
+        parts += rows
+    return np.concatenate([np.broadcast_to(part, batch + part.shape[-1:]) for part in parts],
+                          axis=-1)
+
+
+def homogeneous(families):
+    """The families with every constant and boundary value set to zero."""
+    return [fam._replace(constant=0.0, boundary=None if fam.boundary is None else 0.0)
+            for fam in families]
+
+
+def reference_residual_bound(blocks, families, T):
+    """The forward-error bound of a per-period row against the reference,
+    per reference row: (2W + 1) eps sum|coefficient * value| over the row's
+    terms and its constant, W = 15, as a row D z[t] + E z[t + 1] - c sums
+    2W + 1 terms."""
+    sizes = [fam._replace(terms=tuple((block, shift, abs(coef)) for block, shift, coef in fam.terms),
+                          constant=-abs(fam.constant),
+                          boundary=None if fam.boundary is None else -abs(fam.boundary))
+             for fam in families]
+    weights = reference_residual_vector({name: np.abs(path) for name, path in blocks.items()},
+                                        sizes, T)
+    return (2 * WIDTH + 1) * np.finfo(float).eps * weights
+
+
 def dense_level(params: ModelParams, unknowns, fixed):
     """A follower level as a dense system (A, b, split), built on the
-    residual evaluator: the families whose terms lie in ``unknowns`` or in
-    the paths ``fixed`` (block name -> array), with the fixed terms moved to
-    the right-hand side.  A's columns follow ``unknowns``; b carries the
-    fixed paths' leading batch axes, (..., n); ``split`` maps a solution
-    (..., n) to its block paths."""
+    per-family reference residual: the families whose terms lie in
+    ``unknowns`` or in the paths ``fixed`` (block name -> array), with the
+    fixed terms moved to the right-hand side.  A's columns follow
+    ``unknowns``; b carries the fixed paths' leading batch axes, (..., n);
+    ``split`` maps a solution (..., n) to its block paths."""
     T = params.horizon_T
     fixed = {name: np.asarray(path, dtype=float) for name, path in fixed.items()}
     families = level_families(params, set(unknowns) | set(fixed))
@@ -88,11 +143,12 @@ def dense_level(params: ModelParams, unknowns, fixed):
 
     n = int(bounds[-1])
     zero_fixed = {name: np.zeros(path.shape[-1]) for name, path in fixed.items()}
-    A = _residual_vector({**split(np.eye(n)), **zero_fixed}, _homogeneous(families), T).T
+    A = reference_residual_vector({**split(np.eye(n)), **zero_fixed},
+                                  homogeneous(families), T).T
     batch = np.broadcast_shapes(*(path.shape[:-1] for path in fixed.values()))
     fixed = {name: np.broadcast_to(path, batch + path.shape[-1:])
              for name, path in fixed.items()}
-    b = -_residual_vector({**split(np.zeros(batch + (n,))), **fixed}, families, T)
+    b = -reference_residual_vector({**split(np.zeros(batch + (n,))), **fixed}, families, T)
     return A, b, split
 
 
@@ -131,6 +187,18 @@ HAMILTONIANS = {"R": retailer_hamiltonian, "M": manufacturer_hamiltonian,
                 "S": supplier_hamiltonian}
 
 
+def hamiltonian_slope(params: ModelParams, pt: dict, label: str) -> float:
+    """Central difference, at the table point ``pt``, of the Hamiltonian the
+    family ``label`` derives from, along the key ``WITNESS`` names."""
+    player, key = WITNESS[label]
+    q = optimal_quantity(params)
+    h = 1e-5 * (1.0 + max(abs(pt[name, 0]) for name in ("i_s", "i_m", "i_r")))
+
+    def value(v):
+        return HAMILTONIANS[player]({**pt, key: v}, q, params)
+    return (value(pt[key] + h) - value(pt[key] - h)) / (2.0 * h)
+
+
 def gradient_check_worst(params: ModelParams, pt: dict) -> float:
     """Worst relative error between every family of the equation table and
     the central finite difference of the Hamiltonian it derives from.
@@ -140,18 +208,11 @@ def gradient_check_worst(params: ModelParams, pt: dict) -> float:
     the three forward multiplier steps, and the auxiliary costate step.
     Relative error uses max(1, |analytic|) as the denominator.
     """
-    q = optimal_quantity(params)
-    h = 1e-5 * (1.0 + max(abs(pt[name, 0]) for name in ("i_s", "i_m", "i_r")))
     table = equation_table(params)
     assert sorted(fam.label for fam in table) == sorted(WITNESS)
     worst = 0.0
     for fam in table:
-        player, key = WITNESS[fam.label]
-
-        def value(v):
-            return HAMILTONIANS[player]({**pt, key: v}, q, params)
-
-        fd = (value(pt[key] + h) - value(pt[key] - h)) / (2.0 * h)
+        fd = hamiltonian_slope(params, pt, fam.label)
         analytic = fam.residual(pt) if fam.boundary is None else fam.stepped(pt)
         worst = max(worst, abs(analytic - fd) / max(1.0, abs(analytic)))
     return worst

@@ -16,7 +16,12 @@ from csrchain.oracle import dense_solve
 from csrchain.sweep import solve_game
 from csrchain.stationarity import equation_table, residual_norms, trajectory_blocks
 
-from conftest import draw_params, make_params
+from conftest import (
+    draw_params,
+    make_params,
+    reference_residual_bound,
+    reference_residual_vector,
+)
 from test_scenario_cli import REFERENCE_FILE, write_scenario
 
 TOL = 1e-8
@@ -71,6 +76,22 @@ def test_draws_any_horizon(T, seed):
     trajectory, report = solve_game(draw_params(np.random.default_rng(seed), T))
     assert report.residual_max <= TOL
     assert_inner_agrees(report, trajectory)
+
+
+@pytest.mark.parametrize("T", [1000, 10000])
+def test_norms_match_the_per_family_reference(T):
+    """The norms of the per-period rows against those of the tests'
+    per-family reference, on the solved trajectory: each row is within
+    (2W + 1) eps sum|coefficient * value| of its reference row, so the max
+    norms differ by at most the largest bound and the rms by the bounds' rms."""
+    for params in (make_params(horizon_T=T), draw_params(np.random.default_rng(T), T)):
+        trajectory, _ = solve_game(params)
+        blocks, table = trajectory_blocks(trajectory), equation_table(params)
+        rows = reference_residual_vector(blocks, table, T)
+        bound = reference_residual_bound(blocks, table, T)
+        res_max, res_rms = residual_norms(trajectory, params)
+        assert abs(res_max - np.max(np.abs(rows))) <= np.max(bound)
+        assert abs(res_rms - np.sqrt(np.mean(rows ** 2))) <= np.sqrt(np.mean(bound ** 2))
 
 
 def test_cli_solves_ten_thousand_periods(tmp_path):

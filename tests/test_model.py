@@ -305,6 +305,24 @@ class TestParamsValidation:
         with pytest.raises(ParamsError, match="horizon_T must be an integer"):
             solve(make_params(horizon_T=flag))
 
+    @pytest.mark.parametrize("horizon", [np.int64(4), np.int32(4), np.uint8(255), np.int8(127)],
+                             ids=["int64", "int32", "uint8-max", "int8-max"])
+    def test_numpy_integer_horizon_accepted(self, horizon):
+        """Any integral horizon but a bool is valid, and is kept as an int,
+        so a narrow numpy type cannot wrap in T + 1 at its maximum."""
+        p = make_params(horizon_T=horizon)
+        assert p.validate() == []
+        assert type(p.horizon_T) is int and p.horizon_T == int(horizon)
+        assert p == make_params(horizon_T=int(horizon))
+        trajectory, report = solve_game(p)
+        assert trajectory.horizon == int(horizon) and report.horizon_T == int(horizon)
+
+    @pytest.mark.parametrize("horizon", [np.bool_(True), 4.0, np.float64(4.0)],
+                             ids=["numpy-bool", "float", "numpy-float"])
+    def test_non_integral_horizon_refused(self, horizon):
+        assert make_params(horizon_T=horizon).validate() == [
+            f"horizon_T must be an integer >= 1, got {horizon!r}"]
+
     @pytest.mark.parametrize("name", ["tau", "theta", "delta_s", "delta_m", "delta_r", "c"])
     def test_negative_refused(self, name):
         assert make_params(**{name: -0.5}).validate() == [

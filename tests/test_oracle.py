@@ -19,9 +19,8 @@ from csrchain import (
 )
 from csrchain.model import Controls, Trajectory
 from csrchain.oracle import solve_inner_response, solve_retailer_response
-from csrchain.stationarity import vector_to_trajectory
 
-from conftest import draw_params, make_params
+from conftest import draw_params, make_params, vector_to_trajectory
 
 
 def zero_control_trajectory(params):

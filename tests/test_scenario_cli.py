@@ -486,7 +486,7 @@ class TestCli:
                                                        tolerance):
         """A residual over the tolerance fails the run: exit 1 with one error
         line and no warning, both artifacts written.  At T = 47 the
-        reference's residual, 1.676e-08, misses the default 1e-8."""
+        reference's residual, 1.863e-08, misses the default 1e-8."""
         if case == "tight":
             args = [str(REPO / "scenarios" / "reference.scenario"), "--tolerance", "1e-20"]
         else:
@@ -499,7 +499,7 @@ class TestCli:
         assert re.fullmatch(r"error: residual max-norm (\S+) exceeds tolerance (\S+)\n",
                             captured.err).group(2) == tolerance
         if case == "T47":
-            assert "max-norm 1.676e-08 " in captured.err
+            assert "max-norm 1.863e-08 " in captured.err
         assert (out / "reference.trajectory.csv").is_file()
         assert (out / "reference.report").is_file()
 

@@ -10,33 +10,41 @@ from csrchain import (
     dense_solve,
     emit_csv,
     optimal_quantity,
-    oracle,
     parse_csv,
     residual_norms,
 )
 from csrchain.stationarity import (
     BLOCK_NAMES,
     BLOCKS,
-    _FIRST,
-    _homogeneous,
-    _residual_vector,
-    _row_groups,
+    COLUMNS,
+    LEAD,
+    TRAIL,
+    WIDTH,
     block_length,
     equation_table,
-    level_families,
+    pack,
+    period_layout,
+    period_residual,
     period_rows,
     retailer_hamiltonian,
     split_blocks,
+    stacked_rows,
     trajectory_blocks,
-    vector_to_trajectory,
+    unpack,
 )
 
 from conftest import (
+    WITNESS,
     draw_params,
     family,
     gradient_check_worst,
+    hamiltonian_slope,
+    homogeneous,
     make_params,
     random_evaluation_point,
+    reference_residual_bound,
+    reference_residual_vector,
+    vector_to_trajectory,
 )
 
 
@@ -160,6 +168,56 @@ class TestPeriodRows:
                     assert -value == pytest.approx(fam.stepped(point), rel=1e-12)
 
 
+LAYOUT_CASES = [make_params(), *(draw_params(np.random.default_rng(70 + k), 3) for k in range(3))]
+
+
+class TestLayoutAgainstHamiltonians:
+    """The rows of ``period_layout`` that both solvers and the residual read,
+    checked against the Hamiltonians directly: each family row of [D | E | c]
+    over a random point is the central difference of the Hamiltonian its
+    family derives from (a recursion's row gives minus it, the stepped
+    value being 0), and the boundary rows fix x1 and zeros."""
+
+    @pytest.mark.parametrize("params", LAYOUT_CASES, ids=["ref", "draw0", "draw1", "draw2"])
+    def test_rows_are_hamiltonian_derivatives(self, params):
+        rng = np.random.default_rng(71)
+        first, group, terminal = period_layout(params)
+        columns = [(name, shift) for shift in (0, 1) for name, _, _ in COLUMNS]
+        # a family row is known by its nonzero columns, its family's terms
+        by_terms = {frozenset(key[:2] for key in fam.terms): fam for fam in equation_table(params)}
+        for _ in range(3):
+            point = random_evaluation_point(rng)
+            values = np.array([point.get(key, 0.0) for key in columns])
+            checked = []
+            for row in [*group, *first[LEAD:]]:
+                fam = by_terms[frozenset(columns[j] for j in np.flatnonzero(row[:-1]))]
+                fd = hamiltonian_slope(params, point, fam.label)
+                value = row[:-1] @ values - row[-1]
+                analytic = value if fam.boundary is None else -value
+                assert abs(analytic - fd) <= 1e-6 * max(1.0, abs(analytic))
+                checked.append(fam.label)
+            assert sorted(checked[:15]) == sorted(WITNESS)
+            assert len(checked) == 15 + 15 - LEAD
+
+    @pytest.mark.parametrize("params", LAYOUT_CASES, ids=["ref", "draw0", "draw1", "draw2"])
+    def test_boundary_rows(self, params):
+        """Row group 1 leads with unit rows fixing x at x1 and u, w, u' at 0
+        in period 1; the terminal rows fix p_r, p_m, p_s and r at 0 in
+        period T + 1.  No row touches a column its period lacks."""
+        first, group, terminal = period_layout(params)
+        names = [name for name, _, _ in COLUMNS]
+
+        def fixes(rows):
+            assert np.all(np.count_nonzero(rows[:, :-1], axis=1) == 1)
+            assert np.all(rows[:, :-1].sum(axis=1) == 1.0)
+            return {names[np.flatnonzero(row[:-1])[0]]: row[-1] for row in rows}
+        assert fixes(first[:LEAD]) == {"x": params.x1, "u": 0.0, "w": 0.0, "u_prime": 0.0}
+        assert fixes(terminal) == {"p_r": 0.0, "p_m": 0.0, "p_s": 0.0, "r": 0.0}
+        assert not first[:, :LEAD].any()
+        assert not terminal[:, WIDTH - TRAIL:-1].any()
+        assert not group[:, 2 * WIDTH - TRAIL:-1].any() and not first[:, 2 * WIDTH - TRAIL:-1].any()
+
+
 def period_solution(params, inputs=(0.0, 0.0, 0.0, 0.0)):
     """The period block's solution (i_s, i_m, i_r, lam, lam', mu', nu) at
     costate inputs (p_r+, p_m+, p_s+, r+), from the outer solution maps."""
@@ -235,9 +293,10 @@ def unit_rows(matrix):
 
 
 def table_residuals(trajectory, params):
-    """Every stationarity row at the trajectory, by slices of its paths."""
-    return _residual_vector(trajectory_blocks(trajectory), equation_table(params),
-                            trajectory.horizon)
+    """Every stationarity row at the trajectory, in the stacked system's
+    row order."""
+    return stacked_rows(period_residual(pack(trajectory_blocks(trajectory), params.horizon_T),
+                                        period_layout(params)))
 
 
 class TestAssembleSystem:
@@ -294,30 +353,58 @@ class TestAssembleSystem:
 
 
 def staircase_rows(params):
-    """[A | b] of the oracle's staircase, an independent reader of the table:
-    its per-period (D, E) pairs and terminal rows laid out densely, the
-    padded columns dropped, and each column moved to its stacked index."""
-    system = oracle._Staircase(params)
-    T, W = params.horizon_T, oracle._WIDTH
-    (D1, E1), (D, E) = system.pairs
-    dense = np.zeros((W * T + len(system.terminal), W * (T + 1)))
+    """[A | b] of the per-period layout laid out as the staircase the oracle
+    factors: row group t over the columns of periods t and t + 1, the
+    terminal rows over period T + 1, the padded columns dropped and each
+    column moved to its stacked index."""
+    first, group, terminal = period_layout(params)
+    T, W = params.horizon_T, WIDTH
+    dense = np.zeros((W * T + len(terminal), W * (T + 1) + 1))
     for t in range(T):
-        dense[W * t:W * t + W, W * t:W * t + 2 * W] = np.hstack([D1, E1] if t == 0 else [D, E])
-    dense[W * T:, W * T:] = system.terminal
-    padded = np.ones(dense.shape[1], dtype=bool)
-    padded[system.real] = False
-    assert not dense[:, padded].any()
+        rows = first if t == 0 else group
+        dense[W * t:W * t + W, W * t:W * t + 2 * W] = rows[:, :-1]
+        dense[W * t:W * t + W, -1] = rows[:, -1]
+    dense[W * T:, W * T:] = terminal
     stacked = split_blocks(np.arange(15 * T + 4), T)
     columns = np.full((T + 1, W), -1)
-    for j, (name, first, last) in enumerate(oracle._COLUMNS):
+    for j, (name, first, last) in enumerate(COLUMNS):
         columns[first - 1:T + last, j] = stacked[name]
+    real = columns.ravel() >= 0
+    assert not dense[:, :-1][:, ~real].any()
     A = np.zeros((len(dense), 15 * T + 4))
-    A[:, columns.ravel()[system.real]] = dense[:, system.real]
-    return np.column_stack([A, system.rhs])
+    A[:, columns.ravel()[real]] = dense[:, :-1][:, real]
+    return np.column_stack([A, dense[:, -1]])
+
+
+def family_rows(params):
+    """[A | b] of the table read family by family: the Jacobian of the
+    per-family reference residual at every unit vector, and minus that
+    residual at zero."""
+    T, n = params.horizon_T, 15 * params.horizon_T + 4
+    families = equation_table(params)
+    A = reference_residual_vector(split_blocks(np.eye(n), T), homogeneous(families), T).T
+    b = -reference_residual_vector(split_blocks(np.zeros(n), T), families, T)
+    return np.column_stack([A, b])
+
+
+def augmented(params):
+    system = assemble_system(params)
+    return np.column_stack([system.matrix, system.rhs])
 
 
 def sorted_rows(rows):
     return rows[np.lexsort(rows.T[::-1])]
+
+
+def reference_order(params):
+    """The permutation that puts the per-family reference rows in the
+    stacked system's row order (their augmented rows are distinct)."""
+    stacked, families = augmented(params), family_rows(params)
+    a, f = np.lexsort(stacked.T[::-1]), np.lexsort(families.T[::-1])
+    assert np.array_equal(stacked[a], families[f])
+    order = np.empty_like(a)
+    order[a] = f
+    return order
 
 
 STAIRCASE_CASES = [make_params(horizon_T=T) for T in (1, 2, 3, 12)] + [
@@ -325,21 +412,21 @@ STAIRCASE_CASES = [make_params(horizon_T=T) for T in (1, 2, 3, 12)] + [
 
 
 class TestMatrixAgainstStaircase:
-    """The oracle's staircase is laid out from the shared per-period rows
-    (``period_rows``, which the sweep reads too); the stacked matrix is the
-    Jacobian of the residual evaluator, which reads the table by slices of
-    the block paths and so checks that layout independently.  Their
-    augmented rows agree exactly, as a set."""
+    """The oracle's staircase, the stacked matrix and the residual norms all
+    read one per-period layout (``period_layout``, built by ``period_rows``)
+    through one evaluator.  The per-family reference residual of the tests
+    reads the table by slices of the block paths instead, and so checks that
+    layout independently.  The stacked system, the layout laid out as a
+    staircase, and the reference's Jacobian agree exactly, as sets of rows."""
 
     @pytest.mark.parametrize("params", STAIRCASE_CASES,
                              ids=[f"{'ref' if i < 4 else 'draw'}-T{p.horizon_T}"
                                   for i, p in enumerate(STAIRCASE_CASES)])
     def test_augmented_rows_equal(self, params):
-        system = assemble_system(params)
-        stacked = np.column_stack([system.matrix, system.rhs])
-        staircase = staircase_rows(params)
-        assert staircase.shape == stacked.shape
-        assert np.array_equal(sorted_rows(staircase), sorted_rows(stacked))
+        stacked = augmented(params)
+        for rows in (staircase_rows(params), family_rows(params)):
+            assert rows.shape == stacked.shape
+            assert np.array_equal(sorted_rows(rows), sorted_rows(stacked))
 
 
 class TestResiduals:
@@ -391,6 +478,22 @@ class TestResiduals:
                                              "'nu', 'w', 'r'"):
             residual_norms(parse_csv(path), reference_params)
 
+    def test_trajectory_of_another_horizon_is_refused(self):
+        """The horizon is the parameters': a T = 3 solution is not read as
+        the first periods of a T = 4 one."""
+        traj = dense_solve(make_params(horizon_T=3))
+        with pytest.raises(ValueError, match=r"'p_r' has shape \(3,\); its last axis must "
+                                             r"have length 4 at horizon 4"):
+            residual_norms(traj, make_params(horizon_T=4))
+
+    def test_padded_path_is_refused(self, reference_params):
+        """Entries past a block's length are not ignored."""
+        traj = copy.deepcopy(dense_solve(reference_params))
+        traj.x = np.append(traj.x, [1e9, 1e9])
+        with pytest.raises(ValueError, match=r"'x' has shape \(6,\); its last axis must "
+                                             r"have length 4 at horizon 3"):
+            residual_norms(traj, reference_params)
+
     def test_trajectory_blocks_are_the_trajectory_arrays(self, reference_params):
         """One entry per block, in BLOCK_NAMES order, each the trajectory's
         own array (the controls' for a control block), not a copy."""
@@ -400,25 +503,6 @@ class TestResiduals:
         for name, path in blocks.items():
             owner = traj.controls if name in ("i_s", "i_m", "i_r") else traj
             assert path is getattr(owner, name)
-
-
-def reference_residual_vector(blocks, families, T):
-    """The residual rows built family by family and concatenated: the
-    reference the in-place evaluator must reproduce bit for bit."""
-    parts = []
-    for fam, is_boundary in _row_groups(families):
-        if is_boundary:
-            path = blocks[fam.terms[0][0]]
-            end = path[..., -1:] if fam.at_end else path[..., :1]
-            parts.append(end - fam.boundary)
-            continue
-        count = T - fam.first + 1
-        total = 0.0
-        for block, shift, coef in fam.terms:
-            start = fam.first + shift - _FIRST[block]
-            total = total + coef * blocks[block][..., start:start + count]
-        parts.append(total - fam.constant)
-    return np.concatenate(parts, axis=-1)
 
 
 def reference_norms(values):
@@ -439,6 +523,15 @@ def signed_zero_point(rng, n):
     return z
 
 
+def assert_within_bound(rows, blocks, params, order):
+    """Each row within the forward-error bound of its reference row."""
+    table, T = equation_table(params), params.horizon_T
+    expected = reference_residual_vector(blocks, table, T)[..., order]
+    bound = reference_residual_bound(blocks, table, T)[..., order]
+    assert rows.shape == expected.shape
+    assert np.all(np.abs(rows - expected) <= bound)
+
+
 class TestResidualEvaluator:
     @pytest.mark.parametrize("T", [1, 2, 3, 7, 40])
     def test_random_trajectories(self, T):
@@ -446,10 +539,11 @@ class TestResidualEvaluator:
         for params in (make_params(horizon_T=T), make_params(horizon_T=T, d=0.0, d_hat=0.0),
                        draw_params(rng, T)):
             traj = vector_to_trajectory(signed_zero_point(rng, 15 * T + 4), params)
-            blocks, table = trajectory_blocks(traj), equation_table(params)
-            expected = reference_residual_vector(blocks, table, T)
-            assert same_bits(_residual_vector(blocks, table, T), expected)
-            assert same_bits(residual_norms(traj, params), reference_norms(expected))
+            rows = table_residuals(traj, params)
+            assert_within_bound(rows, trajectory_blocks(traj), params, reference_order(params))
+            res_max, res_rms = residual_norms(traj, params)
+            assert res_max == np.max(np.abs(rows))
+            assert res_rms == pytest.approx(reference_norms(rows)[1], rel=1e-14)
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_zero_residuals_keep_a_positive_max(self, zero):
@@ -462,39 +556,45 @@ class TestResidualEvaluator:
 
     @pytest.mark.parametrize("T", [1, 4])
     def test_batched_unit_vectors(self, T):
-        """The blocks ``assemble_system`` passes: one batch entry per unknown."""
+        """The paths ``assemble_system`` packs, one batch entry per unknown:
+        every entry gives the rows of its unit vector packed alone."""
         params = make_params(horizon_T=T)
-        families = level_families(params, BLOCK_NAMES)
-        n = 15 * T + 4
-        for blocks, fams in ((split_blocks(np.eye(n), T), _homogeneous(families)),
-                             (split_blocks(np.zeros(n), T), families)):
-            assert same_bits(_residual_vector(blocks, fams, T),
-                             reference_residual_vector(blocks, fams, T))
+        layout, n = period_layout(params), 15 * T + 4
+        batched = period_residual(pack(split_blocks(np.eye(n), T), T), layout)
+        for k, z in enumerate(np.eye(n)):
+            assert np.array_equal(batched[k],
+                                  period_residual(pack(split_blocks(z, T), T), layout))
 
     def test_batched_mixed_with_unbatched(self):
-        """The blocks of a dense follower level: unknowns batched by unit
-        vectors or by the fixed paths' batch, fixed paths batched or not."""
+        """Paths with different leading batch axes, or none: ``pack``
+        broadcasts them, and every batch entry's rows are those of its own
+        paths, within the bound of the reference."""
         T, rng = 5, np.random.default_rng(3)
         params = draw_params(rng, T)
-        unknowns = ("x", "i_r", "p_r")
-        families = level_families(params, {*unknowns, "i_s", "i_m"})
-        n = sum(block_length(name, T) for name in unknowns)
-        bounds = np.cumsum([block_length(name, T) for name in unknowns])[:-1]
+        blocks = {name: rng.normal(size=block_length(name, T)) for name in BLOCK_NAMES}
+        blocks["i_s"] = rng.normal(size=(2, 3, T))
+        blocks["x"] = np.broadcast_to(signed_zero_point(rng, T + 1), (3, T + 1))
+        blocks["p_r"] = rng.normal(size=(2, 1, T))
+        rows = stacked_rows(period_residual(pack(blocks, T), period_layout(params)))
+        assert rows.shape == (2, 3, 15 * T + 4)
+        order = reference_order(params)
+        for i, j in np.ndindex(2, 3):
+            entry = {name: np.broadcast_to(path, (2, 3) + path.shape[-1:])[i, j]
+                     for name, path in blocks.items()}
+            assert_within_bound(rows[i, j], entry, params, order)
 
-        def split(z):
-            return dict(zip(unknowns, np.split(z, bounds, axis=-1)))
-
-        cases = [
-            ({**split(np.eye(n)), "i_s": np.zeros(T), "i_m": np.zeros(T)},
-             _homogeneous(families)),
-            ({**split(np.zeros((2, 3, n))), "i_s": rng.normal(size=(2, 3, T)),
-              "i_m": np.broadcast_to(signed_zero_point(rng, T), (2, 3, T))}, families),
-            ({**split(rng.normal(size=(4, n))), "i_s": rng.normal(size=(4, T)),
-              "i_m": signed_zero_point(rng, T)}, families),
-        ]
-        for blocks, fams in cases:
-            assert same_bits(_residual_vector(blocks, fams, T),
-                             reference_residual_vector(blocks, fams, T))
+    def test_pack_and_unpack_round_trip(self):
+        """Unpacking packed paths gives them back, as views; the periods a
+        block lacks are packed as zeros."""
+        T, rng = 4, np.random.default_rng(9)
+        blocks = {name: rng.normal(size=(2, block_length(name, T))) for name in BLOCK_NAMES}
+        zb = pack(blocks, T)
+        assert zb.shape == (2, WIDTH, T + 1)
+        back = unpack(zb)
+        assert set(back) == set(BLOCK_NAMES)
+        for name, path in blocks.items():
+            assert np.array_equal(back[name], path) and np.shares_memory(back[name], zb)
+        assert np.count_nonzero(zb) == 2 * (15 * T + 4)
 
     def test_non_finite_entries_give_nan_norms(self, reference_params):
         """A NaN residual must read as a miss of every tolerance."""
@@ -507,4 +607,4 @@ class TestResidualEvaluator:
         assert not res_max <= 1e-8
         expected = reference_norms(reference_residual_vector(
             trajectory_blocks(traj), equation_table(p), p.horizon_T))
-        assert same_bits((res_max, res_rms), expected)
+        assert np.isnan(expected).all()
