@@ -76,31 +76,28 @@ class ModelParams:
 
     def validate(self) -> list[str]:
         """Return every violated invariant (empty list when valid)."""
-        out = []
+        out, finite = [], set()
         for name in PARAM_FIELDS[float]:
             val = getattr(self, name)
-            if not math.isfinite(val):
+            if isinstance(val, bool) or not isinstance(val, numbers.Real):   # bool is an int
+                out.append(f"{name} must be a real number, got {val!r}")
+            elif not math.isfinite(val):
                 out.append(f"{name} must be finite, got {val!r}")
-        for name in ("beta_s", "beta_m", "beta_r"):
-            val = getattr(self, name)
-            if math.isfinite(val) and not 0.0 < val < 1.0:
-                out.append(f"{name} must lie in (0, 1), got {val!r}")
-        if math.isfinite(self.alpha):
-            if self.strict_alpha:
-                if not 0.0 < self.alpha <= 1.0:
-                    out.append(f"alpha must lie in (0, 1], got {self.alpha!r}")
-            elif self.alpha <= 0.0:
-                out.append(f"alpha must be positive, got {self.alpha!r}")
-        if math.isfinite(self.b) and self.b <= 0.0:
-            out.append(f"b must be positive, got {self.b!r}")
-        for name in ("tau", "theta", "delta_s", "delta_m", "delta_r", "c"):
-            val = getattr(self, name)
-            if math.isfinite(val) and val < 0.0:
-                out.append(f"{name} must be nonnegative, got {val!r}")
-        for name in ("d", "d_hat"):
-            val = getattr(self, name)
-            if math.isfinite(val) and not 0.0 <= val < 1.0:
-                out.append(f"{name} must lie in [0, 1), got {val!r}")
+            else:
+                finite.add(name)
+        # (fields, the bound they must meet, whether a value meets it)
+        bounds = (
+            (("beta_s", "beta_m", "beta_r"), "lie in (0, 1)", lambda val: 0.0 < val < 1.0),
+            (("alpha",), "lie in (0, 1]", lambda val: 0.0 < val <= 1.0) if self.strict_alpha
+            else (("alpha",), "be positive", lambda val: val > 0.0),
+            (("b",), "be positive", lambda val: val > 0.0),
+            (("tau", "theta", "delta_s", "delta_m", "delta_r", "c"), "be nonnegative",
+             lambda val: val >= 0.0),
+            (("d", "d_hat"), "lie in [0, 1)", lambda val: 0.0 <= val < 1.0),
+        )
+        out += [f"{name} must {bound}, got {getattr(self, name)!r}"
+                for names, bound, holds in bounds for name in names
+                if name in finite and not holds(getattr(self, name))]
         T = self.horizon_T
         if isinstance(T, bool) or not isinstance(T, int) or T < 1:   # bool is an int
             out.append(f"horizon_T must be an integer >= 1, got {T!r}")

@@ -87,9 +87,9 @@ class _Staircase:
     """
 
     def __init__(self, params: ModelParams):
+        self.layout = first, group, terminal, _ = period_layout(params)
         self.T = T = params.horizon_T
         W, L = WIDTH, LEAD
-        self.layout = first, group, terminal = period_layout(params)
         # a padded vector holds the system's own unknowns, or rows, at [real]
         self.n_padded = W * (T + 1)
         self.real = slice(L, self.n_padded - TRAIL)
@@ -157,8 +157,6 @@ def dense_solve(params: ModelParams) -> Trajectory:
     Raises SingularSystemError (with a 1-norm condition estimate) if the
     stacked matrix is numerically singular.
     """
-    params.validated()
-
     def residual(z):   # b - A z: minus the layout's rows, in the staircase's order
         return -stacked_rows(period_residual(system.packed(z), system.layout))
     try:

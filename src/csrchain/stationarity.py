@@ -14,11 +14,13 @@ identity (m_react); u, w, u', the forward multipliers each leader attaches to
 a follower costate chain; and r, the supplier's costate for the u chain.
 
 The system is linear in the stacked unknowns, and ``equation_table`` writes
-each of its fifteen equation families once, as coefficients.  Every other
-view is read from that table by ``period_rows``: ``sweep.assemble_augmented``
-takes each level's recursion from it, and ``period_layout`` the system period
-by period, which ``period_residual`` evaluates for ``residual_norms``,
-``assemble_system`` (its Jacobian) and ``oracle.dense_solve``.
+each of its fifteen equation families once, as coefficients.
+``period_layout`` compiles that table once per game into the system period
+by period (``period_rows``), and is the one place the parameters are
+validated.  Every other view reads its rows: ``period_residual`` evaluates
+them for ``residual_norms``, ``assemble_system`` (its Jacobian) and
+``oracle.dense_solve``, and ``sweep.assemble_augmented`` selects each
+level's rows and columns, a leader's system holding its follower's.
 
 The table's independent witness is the three Hamiltonians.  The retailer's is
 built from the payoff and the state transition alone; the manufacturer's and
@@ -146,15 +148,6 @@ def equation_table(params: ModelParams) -> tuple[Family, ...]:
     )
 
 
-def level_families(params: ModelParams, blocks) -> list[Family]:
-    """The families whose every term lies in ``blocks``, refused when
-    tau*theta = 0 leaves the controls undetermined."""
-    if params.tau * params.theta == 0.0:
-        raise UndeterminedControlsError()
-    return [fam for fam in equation_table(params)
-            if all(block in blocks for block, _, _ in fam.terms)]
-
-
 def period_rows(families, columns) -> np.ndarray:
     """[coefficients | constant] of the families at one period: row i holds
     family i's coefficient of each (block, shift) of ``columns``, in that
@@ -196,31 +189,36 @@ def fixed_paths(fixed, T: int) -> dict:
 # and period T + 1 the last TRAIL, which packed paths hold as zeros.
 COLUMNS = tuple(sorted(BLOCKS, key=lambda block: (block[1] == 1) + (block[2] == 0)))
 WIDTH = len(COLUMNS)
+# The columns of a row group: each block of COLUMNS at z[t], then at z[t + 1].
+PERIOD_COLUMNS = tuple((name, shift) for shift in (0, 1) for name, _, _ in COLUMNS)
 LEAD = sum(first == 2 for _, first, _ in BLOCKS)
 TRAIL = sum(last == 0 for _, _, last in BLOCKS)
 _CHUNK = 256   # periods per product in period_residual, which bounds its temporaries
 
 
-@functools.lru_cache(maxsize=4)   # a solve, its oracle and their norms share one game
+@functools.lru_cache(maxsize=4)   # every reader of one game shares its compiled rows
 def period_layout(params: ModelParams) -> tuple:
-    """The stacked system period by period, (first, group, terminal), shared
-    read-only.  Row group t, the families at t, is D z[t] + E z[t + 1] - c over
-    packed paths z: ``group`` is [D | E | c] for t > 1, ``first`` for t = 1,
-    where the forward recursions' boundary rows replace the LEAD families that
-    start at t = 2; ``terminal``, [F | c] over z[T + 1], holds the backward
-    recursions' boundary rows.  Refused when tau*theta = 0."""
-    families = level_families(params, set(BLOCK_NAMES))
-    columns = [(name, shift) for shift in (0, 1) for name, _, _ in COLUMNS]
-    group = period_rows(sorted(families, key=lambda fam: fam.first == 1), columns)
+    """The game compiled period by period, (first, group, terminal,
+    families), shared read-only; every reader of the system calls it first,
+    so it validates ``params`` and refuses tau*theta = 0.  Row group t is
+    D z[t] + E z[t + 1] - c over packed paths z: ``group`` is [D | E | c]
+    over PERIOD_COLUMNS for t > 1, a row per family of ``families``, and
+    ``first`` for t = 1, where the forward recursions' boundary rows replace
+    the LEAD families that start at t = 2; ``terminal``, [F | c] over
+    z[T + 1], holds the backward recursions' boundary rows."""
+    if params.validated().tau * params.theta == 0.0:
+        raise UndeterminedControlsError()
+    families = tuple(sorted(equation_table(params), key=lambda fam: fam.first == 1))
+    group = period_rows(families, PERIOD_COLUMNS)
     # a boundary row is a one-term family: its stepped block's fixed entry
     ends = {at_end: [Family(fam.label, 1, ((fam.terms[0][0], 0, 1.0),), fam.boundary)
                      for fam in families if fam.boundary is not None and fam.at_end == at_end]
             for at_end in (False, True)}
-    layout = (np.vstack([period_rows(ends[False], columns), group[LEAD:]]), group,
-              period_rows(ends[True], columns[:WIDTH]))
+    layout = (np.vstack([period_rows(ends[False], PERIOD_COLUMNS), group[LEAD:]]), group,
+              period_rows(ends[True], PERIOD_COLUMNS[:WIDTH]))
     for rows in layout:
         rows.flags.writeable = False
-    return layout
+    return layout + (families,)
 
 
 def pack(blocks: dict, T: int) -> np.ndarray:
@@ -344,9 +342,9 @@ def assemble_system(params: ModelParams) -> StationaritySystem:
     batched evaluation; ``rhs`` is minus the residual at zero.  The columns
     follow ``split_blocks``, the rows ``stacked_rows``.
     """
-    T = params.horizon_T
     layout = period_layout(params)
-    linear = [np.hstack([rows[:, :-1], np.zeros((len(rows), 1))]) for rows in layout]
+    T = params.horizon_T
+    linear = [np.hstack([rows[:, :-1], np.zeros((len(rows), 1))]) for rows in layout[:3]]
     n = sum(block_length(name, T) for name in BLOCK_NAMES)
     A = stacked_rows(period_residual(pack(split_blocks(np.eye(n), T), T), linear)).T
     rhs = -stacked_rows(period_residual(pack(split_blocks(np.zeros(n), T), T), layout))
@@ -383,11 +381,12 @@ def residual_norms(trajectory: Trajectory, params: ModelParams):
     NaN residual makes both norms NaN.  A trajectory without every block,
     such as one ``parse_csv`` read back, or with a path whose length is not
     its block's at horizon ``params.horizon_T`` raises ValueError naming it."""
+    layout = period_layout(params)
     blocks = trajectory_blocks(trajectory)
     missing = [name for name, path in blocks.items() if path is None]
     if missing:
         raise ValueError(f"residuals need every block; the trajectory lacks {missing}")
-    values = period_residual(pack(blocks, params.horizon_T), period_layout(params))
+    values = period_residual(pack(blocks, params.horizon_T), layout)
     # maximum() may pick -0.0 from two equal zeros; abs() makes max|v| = +0.0
     res_max = abs(np.maximum(values.max(), -values.min()))
     rms = np.sqrt(np.square(values, out=values).sum() / (values.size - LEAD - TRAIL))

@@ -8,8 +8,9 @@ is eliminated the level is a two-point recursion over y[t] = (s[t], P[t]):
 
     P y[t] + Q y[t+1] = g[t],    t = 1..T.
 
-``assemble_augmented`` reads P, Q and g off the table's per-period rows,
-``stationarity.period_rows``, the layout the oracle's staircase reads too.  The
+``assemble_augmented`` selects the level's rows and columns of the game's
+per-period rows, ``stationarity.period_layout``, which the residual and the
+oracle's staircase read too, and eliminates v to give P, Q and g.  The
 recursion is solved by QR-based cyclic reduction (Wright, SIAM J. Sci. Stat.
 Comput. 13, 1992), which, unlike a Riccati sweep, needs no dichotomy: the
 reference parameters put 6 of the 8 outer transfer eigenvalues on the unit
@@ -54,9 +55,9 @@ from .model import (
 )
 from .scenario import Scenario
 from .stationarity import (
+    PERIOD_COLUMNS,
     fixed_paths,
-    level_families,
-    period_rows,
+    period_layout,
     residual_norms,
     trajectory_blocks,
     trajectory_from_blocks,
@@ -122,30 +123,32 @@ class SolveReport:
 
 
 def assemble_augmented(params: ModelParams, level: str, fixed=None) -> AugmentedSystem:
-    """Read one level's recursion off the equation table.
+    """Select one level's recursion from the game's per-period rows.
 
     ``fixed`` maps each of the level's fixed blocks to its path, of shape
-    (..., T); the outer level has none.  Each family of the level holds at
-    every period t = 1..T, as one of its ``period_rows`` over (v[t], y[t],
-    y[t+1], e[t]), e the fixed paths, with the constant negated: the rows
-    are K (v, y[t], y[t+1], e[t], 1) = 0.  One solve against the algebraic
-    rows eliminates v.
+    (..., T); the outer level has none.  The level's rows of the layout's
+    ``group``, the recursions stepping y in y order and then its algebraic
+    families, over the columns (v[t], y[t], y[t+1], e[t]), e the fixed
+    paths, and the constant negated, are K (v, y[t], y[t+1], e[t], 1) = 0.
+    One solve against the algebraic rows eliminates v.
     """
     if level not in _LEVELS:
         raise ValueError(f"unknown level {level!r}; expected one of {tuple(_LEVELS)}")
+    _, group, _, families = period_layout(params)
     T = params.horizon_T
     state, costate, period, held = _LEVELS[level]
     fixed = fixed_paths(fixed, T)
     if set(fixed) != set(held):
         raise ValueError(f"the {level} level needs the fixed paths {held}, "
                          f"got {tuple(fixed)}")
-    y = state + costate
+    y, blocks = state + costate, {*state, *costate, *period, *held}
+    stepping = {fam.terms[0][0]: i for i, fam in enumerate(families) if fam.boundary is not None}
+    rows = [stepping[name] for name in y] + [
+        i for i, fam in enumerate(families)
+        if fam.boundary is None and all(block in blocks for block, _, _ in fam.terms)]
     columns = ([(name, 0) for name in period + y] + [(name, 1) for name in y]
                + [(name, 0) for name in held])
-    families = level_families(params, {*y, *period, *held})
-    stepping = {fam.terms[0][0]: fam for fam in families if fam.boundary is not None}
-    K = period_rows([stepping[name] for name in y]
-                    + [fam for fam in families if fam.boundary is None], columns)
+    K = group[np.ix_(rows, [PERIOD_COLUMNS.index(key) for key in columns] + [-1])]
     K[:, -1] *= -1.0
     # K (v, o) = 0 with o = (y[t], y[t+1], e[t], 1): v = -G o on the
     # algebraic rows, which leaves the recursions reduced o = 0.
@@ -162,7 +165,7 @@ def assemble_augmented(params: ModelParams, level: str, fixed=None) -> Augmented
     return AugmentedSystem(
         level=level, P=reduced[:, :n2], Q=reduced[:, n2:2 * n2], g=g,
         sol_G=-G[:, :2 * n2], sol_g=sol_g,
-        xt1=np.array([stepping[name].boundary for name in state]))
+        xt1=np.array([families[stepping[name]].boundary for name in state]))
 
 
 def _eliminate(first, second):
@@ -290,7 +293,6 @@ def solve_game(params: ModelParams):
     defaults.  Raises UndeterminedControlsError when tau*theta = 0 and
     SweepSingularError when a recovery is singular.
     """
-    params.validated()
     started = time.perf_counter()
     aug = assemble_augmented(params, "outer")
     trajectory = forward_pass(aug, backward_sweep(aug), params)

@@ -7,7 +7,6 @@ from csrchain.stationarity import (
     WIDTH,
     block_length,
     equation_table,
-    level_families,
     manufacturer_hamiltonian,
     retailer_hamiltonian,
     split_blocks,
@@ -73,6 +72,13 @@ def vector_to_trajectory(z, params: ModelParams):
     return trajectory_from_blocks(split_blocks(z, params.horizon_T), params)
 
 
+def level_table(params: ModelParams, blocks):
+    """The families of the equation table whose every term lies in
+    ``blocks``, in table order: one level's equations."""
+    return [fam for fam in equation_table(params)
+            if all(block in blocks for block, _, _ in fam.terms)]
+
+
 def family(params: ModelParams, label: str):
     """The equation-table family with the given label."""
     return {fam.label: fam for fam in equation_table(params)}[label]
@@ -135,7 +141,7 @@ def dense_level(params: ModelParams, unknowns, fixed):
     ``split`` maps a solution (..., n) to its block paths."""
     T = params.horizon_T
     fixed = {name: np.asarray(path, dtype=float) for name, path in fixed.items()}
-    families = level_families(params, set(unknowns) | set(fixed))
+    families = level_table(params, set(unknowns) | set(fixed))
     bounds = np.cumsum([block_length(name, T) for name in unknowns])
 
     def split(z):

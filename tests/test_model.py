@@ -337,6 +337,19 @@ class TestParamsValidation:
         assert make_params(alpha=1.3, strict_alpha=False).validate() == []
         assert make_params(alpha=-0.2, strict_alpha=False).validate() != []
 
+    @pytest.mark.parametrize("value", [None, "0.9", True, np.bool_(True)],
+                             ids=["none", "string", "bool", "numpy-bool"])
+    def test_non_number_refused(self, value):
+        """A float field that holds no real number is listed, not a
+        TypeError; a bool is refused as it is for horizon_T."""
+        assert make_params(alpha=value).validate() == [
+            f"alpha must be a real number, got {value!r}"]
+        with pytest.raises(ParamsError, match="beta_s must be a real number"):
+            solve_game(make_params(beta_s=value))
+
+    def test_integer_float_field_accepted(self):
+        assert make_params(alpha=1, b=2, c=0).validate() == []
+
     def test_non_finite_rejected(self):
         assert make_params(v=float("nan")).validate() != []
         assert make_params(a=float("inf")).validate() != []

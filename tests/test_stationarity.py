@@ -181,7 +181,7 @@ class TestLayoutAgainstHamiltonians:
     @pytest.mark.parametrize("params", LAYOUT_CASES, ids=["ref", "draw0", "draw1", "draw2"])
     def test_rows_are_hamiltonian_derivatives(self, params):
         rng = np.random.default_rng(71)
-        first, group, terminal = period_layout(params)
+        first, group, terminal, _ = period_layout(params)
         columns = [(name, shift) for shift in (0, 1) for name, _, _ in COLUMNS]
         # a family row is known by its nonzero columns, its family's terms
         by_terms = {frozenset(key[:2] for key in fam.terms): fam for fam in equation_table(params)}
@@ -204,7 +204,7 @@ class TestLayoutAgainstHamiltonians:
         """Row group 1 leads with unit rows fixing x at x1 and u, w, u' at 0
         in period 1; the terminal rows fix p_r, p_m, p_s and r at 0 in
         period T + 1.  No row touches a column its period lacks."""
-        first, group, terminal = period_layout(params)
+        first, group, terminal, _ = period_layout(params)
         names = [name for name, _, _ in COLUMNS]
 
         def fixes(rows):
@@ -357,7 +357,7 @@ def staircase_rows(params):
     factors: row group t over the columns of periods t and t + 1, the
     terminal rows over period T + 1, the padded columns dropped and each
     column moved to its stacked index."""
-    first, group, terminal = period_layout(params)
+    first, group, terminal, _ = period_layout(params)
     T, W = params.horizon_T, WIDTH
     dense = np.zeros((W * T + len(terminal), W * (T + 1) + 1))
     for t in range(T):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from csrchain import (
+    ParamsError,
     SweepSingularError,
     UndeterminedControlsError,
     assemble_augmented,
@@ -19,7 +20,9 @@ from csrchain import (
 from csrchain.model import state_transition
 from csrchain.output import render_report
 from csrchain.oracle import solve_inner_response, solve_retailer_response
-from csrchain.stationarity import equation_table, level_families
+from csrchain import stationarity
+from csrchain.oracle import follower_stationarity_check, leader_stationarity_check
+from csrchain.stationarity import assemble_system, equation_table, period_rows
 from csrchain.sweep import (
     AugmentedSystem,
     _inner_consistency_delta,
@@ -28,7 +31,7 @@ from csrchain.sweep import (
     solve_inner_given_supplier,
 )
 
-from conftest import draw_params, make_params
+from conftest import draw_params, level_table, make_params
 
 OUTER_STATE, OUTER_COSTATE, OUTER_PERIOD, _ = _LEVELS["outer"]
 
@@ -252,7 +255,7 @@ class TestLevelEnds:
         ``_sweep_forward`` assumes when it leaves y[..., T, n:] zero."""
         p = reference_params
         state, costate, period, held = _LEVELS[level]
-        recursions = [fam for fam in level_families(p, {*state, *costate, *period, *held})
+        recursions = [fam for fam in level_table(p, {*state, *costate, *period, *held})
                       if fam.boundary is not None]
         stepping = {fam.terms[0][0]: fam for fam in recursions}
         assert len(stepping) == len(recursions)
@@ -261,6 +264,95 @@ class TestLevelEnds:
         aug = assemble_augmented(p, level, {name: np.zeros(p.horizon_T) for name in held})
         assert np.array_equal(aug.xt1, [stepping[name].boundary for name in state])
         assert [stepping[name].boundary for name in costate] == [0.0] * len(costate)
+
+
+def table_augmented(params, level, fixed):
+    """The level's recursion built family by family from the table: its
+    families (``level_table``), the recursions stepping y in y order, then
+    the algebraic ones, laid out by ``period_rows`` over (v[t], y[t],
+    y[t+1], e[t]), then the elimination of v.  The construction the
+    selection from ``period_layout`` is held to, bit for bit."""
+    T = params.horizon_T
+    state, costate, period, held = _LEVELS[level]
+    y = state + costate
+    columns = ([(name, 0) for name in period + y] + [(name, 1) for name in y]
+               + [(name, 0) for name in held])
+    families = level_table(params, {*y, *period, *held})
+    stepping = {fam.terms[0][0]: fam for fam in families if fam.boundary is not None}
+    K = period_rows([stepping[name] for name in y]
+                    + [fam for fam in families if fam.boundary is None], columns)
+    K[:, -1] *= -1.0
+    m, n2 = len(period), len(y)
+    G = np.linalg.solve(K[n2:, :m], K[n2:, m:])
+    reduced = K[:n2, m:] - K[:n2, :m] @ G
+    e = (np.stack(np.broadcast_arrays(*(fixed[name] for name in held), np.ones(T)), axis=-1)
+         if held else np.ones((1, 1)))
+    g, sol_g = e @ -reduced[:, 2 * n2:].T, e @ -G[:, 2 * n2:].T
+    if not held:
+        g, sol_g = np.broadcast_to(g, (T, n2)), np.broadcast_to(sol_g, (T, m))
+    return AugmentedSystem(
+        level=level, P=reduced[:, :n2], Q=reduced[:, n2:2 * n2], g=g,
+        sol_G=-G[:, :2 * n2], sol_g=sol_g,
+        xt1=np.array([stepping[name].boundary for name in state]))
+
+
+class TestSelectionFromLayout:
+    @pytest.mark.parametrize("T", [1, 2, 12])
+    @pytest.mark.parametrize("case", [0, 1, 2], ids=["ref", "draw0", "draw1"])
+    @pytest.mark.parametrize("level", list(_LEVELS))
+    def test_equals_table_construction(self, level, case, T):
+        """Each level's rows and columns of the layout's group give the
+        arrays the table's own level construction gives, bit for bit, with
+        batched fixed paths."""
+        p = make_params(horizon_T=T) if case == 0 else draw_params(
+            np.random.default_rng(90 + case), T)
+        rng = np.random.default_rng(T)
+        fixed = {name: rng.uniform(-5, 5, (3, T)) for name in _LEVELS[level][3]}
+        aug, ref = assemble_augmented(p, level, fixed), table_augmented(p, level, fixed)
+        for name in ("P", "Q", "g", "sol_G", "sol_g", "xt1"):
+            assert np.array_equal(getattr(aug, name), getattr(ref, name)), name
+
+    def test_one_table_per_game(self, monkeypatch):
+        """A solve, its oracle and the three stationarity checks compile
+        the game once: every reader takes its rows from the cached layout."""
+        calls = []
+        table = stationarity.equation_table
+        monkeypatch.setattr(stationarity, "equation_table",
+                            lambda params: calls.append(params) or table(params))
+        stationarity.period_layout.cache_clear()
+        p = make_params(horizon_T=4)
+        traj, _ = solve_game(p)
+        dense_solve(p)
+        follower_stationarity_check(traj, p, "R")
+        follower_stationarity_check(traj, p, "M")
+        leader_stationarity_check(traj, p)
+        assert len(calls) == 1
+
+
+# Each public reader of the system, called with parameters at the reference
+# horizon, T = 3.
+READERS = {
+    "solve_game": solve_game,
+    "dense_solve": dense_solve,
+    "assemble_system": assemble_system,
+    "assemble_augmented": lambda p: assemble_augmented(p, "outer"),
+    "assemble_augmented_inner": lambda p: assemble_augmented(p, "inner", {"i_s": np.zeros(3)}),
+    "residual_norms": lambda p: residual_norms(solve_game(make_params())[0], p),
+    "solve_retailer_response": lambda p: solve_retailer_response(p, np.zeros(3), np.zeros(3)),
+    "solve_inner_response": lambda p: solve_inner_response(p, np.zeros(3)),
+}
+
+
+class TestEveryReaderValidates:
+    @pytest.mark.parametrize("reader", list(READERS))
+    @pytest.mark.parametrize("bad", [dict(horizon_T=0), dict(alpha=-1.0)],
+                             ids=["horizon-0", "alpha-negative"])
+    def test_invalid_params_raise_params_error(self, reader, bad):
+        """Every reader compiles the game through ``period_layout`` first, so
+        invalid parameters are a ParamsError before any path is checked or
+        any row evaluated."""
+        with pytest.raises(ParamsError, match=next(iter(bad))):
+            READERS[reader](make_params(**bad))
 
 
 def level_system(level, T, batch=()):
