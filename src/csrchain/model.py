@@ -42,8 +42,10 @@ _STATE_CONSISTENCY_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All scalar parameters of the game.
+    """All scalar parameters of the game, valid by construction.
 
+    Building a set that breaks any invariant ``validate`` checks raises
+    ParamsError listing every violation, so no reader checks them again.
     ``strict_alpha`` is a validation mode, not an economic quantity: when
     True (default) the carryover rate must satisfy 0 < alpha <= 1; when
     False only alpha > 0 is required.
@@ -73,6 +75,9 @@ class ModelParams:
         # a numpy integer horizon would wrap at its own width in T + 1
         if isinstance(self.horizon_T, numbers.Integral) and not isinstance(self.horizon_T, bool):
             object.__setattr__(self, "horizon_T", int(self.horizon_T))
+        violations = self.validate()
+        if violations:
+            raise ParamsError(violations)
 
     def validate(self) -> list[str]:
         """Return every violated invariant (empty list when valid)."""
@@ -102,12 +107,6 @@ class ModelParams:
         if isinstance(T, bool) or not isinstance(T, int) or T < 1:   # bool is an int
             out.append(f"horizon_T must be an integer >= 1, got {T!r}")
         return out
-
-    def validated(self) -> "ModelParams":
-        violations = self.validate()
-        if violations:
-            raise ParamsError(violations)
-        return self
 
 
 # type -> names of the parameters of that type, in field order
@@ -204,10 +203,9 @@ def optimal_quantity(params: ModelParams) -> float:
 
     Only the manufacturer's quantity term (a - b q) q - v q is strictly
     concave in q, and no quantity term couples to the CSR stock or the
-    investments, so the same quantity solves every period.
+    investments, so the same quantity solves every period; b > 0 holds by
+    construction.
     """
-    if params.b <= 0.0:
-        raise ValueError(f"degenerate demand: b must be positive, got {params.b!r}")
     return max(0.0, (params.a - params.v) / (2.0 * params.b))
 
 

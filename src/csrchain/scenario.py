@@ -23,7 +23,7 @@ import os
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .errors import ScenarioError
+from .errors import ParamsError, ScenarioError
 from .model import PARAM_FIELDS, ModelParams
 
 # economic parameters: every one required, no defaults
@@ -139,8 +139,10 @@ def load_scenario(path, **overrides) -> Scenario:
             problems.append(f"tolerance must be finite and positive, got {tolerance!r}")
     options.update((k, v) for k, v in overrides.items() if v is not None)
     name = values.pop("name", path.stem)
-    params = ModelParams(strict_alpha=options.pop("strict_alpha"), **values)
-    problems.extend(params.validate())
+    try:
+        params = ModelParams(strict_alpha=options.pop("strict_alpha"), **values)
+    except ParamsError as exc:
+        problems.extend(exc.violations)
     if problems:
         raise ScenarioError(problems)
     return Scenario(name=name, params=params, **options)

@@ -16,10 +16,10 @@ a follower costate chain; and r, the supplier's costate for the u chain.
 The system is linear in the stacked unknowns, and ``equation_table`` writes
 each of its fifteen equation families once, as coefficients.
 ``period_layout`` compiles that table once per game into the system period
-by period (``period_rows``), and is the one place the parameters are
-validated.  Every other view reads its rows: ``period_residual`` evaluates
-them for ``residual_norms``, ``assemble_system`` (its Jacobian) and
-``oracle.dense_solve``, and ``sweep.assemble_augmented`` selects each
+by period (``period_rows``); the parameters are valid by construction of
+``ModelParams``.  Every other view reads its rows: ``period_residual``
+evaluates them for ``residual_norms``, ``assemble_system`` (its Jacobian)
+and ``oracle.dense_solve``, and ``sweep.assemble_augmented`` selects each
 level's rows and columns, a leader's system holding its follower's.
 
 The table's independent witness is the three Hamiltonians.  The retailer's is
@@ -199,14 +199,13 @@ _CHUNK = 256   # periods per product in period_residual, which bounds its tempor
 @functools.lru_cache(maxsize=4)   # every reader of one game shares its compiled rows
 def period_layout(params: ModelParams) -> tuple:
     """The game compiled period by period, (first, group, terminal,
-    families), shared read-only; every reader of the system calls it first,
-    so it validates ``params`` and refuses tau*theta = 0.  Row group t is
+    families), shared read-only; tau*theta = 0 is refused.  Row group t is
     D z[t] + E z[t + 1] - c over packed paths z: ``group`` is [D | E | c]
     over PERIOD_COLUMNS for t > 1, a row per family of ``families``, and
     ``first`` for t = 1, where the forward recursions' boundary rows replace
     the LEAD families that start at t = 2; ``terminal``, [F | c] over
     z[T + 1], holds the backward recursions' boundary rows."""
-    if params.validated().tau * params.theta == 0.0:
+    if params.tau * params.theta == 0.0:
         raise UndeterminedControlsError()
     families = tuple(sorted(equation_table(params), key=lambda fam: fam.first == 1))
     group = period_rows(families, PERIOD_COLUMNS)
@@ -381,12 +380,11 @@ def residual_norms(trajectory: Trajectory, params: ModelParams):
     NaN residual makes both norms NaN.  A trajectory without every block,
     such as one ``parse_csv`` read back, or with a path whose length is not
     its block's at horizon ``params.horizon_T`` raises ValueError naming it."""
-    layout = period_layout(params)
     blocks = trajectory_blocks(trajectory)
     missing = [name for name, path in blocks.items() if path is None]
     if missing:
         raise ValueError(f"residuals need every block; the trajectory lacks {missing}")
-    values = period_residual(pack(blocks, params.horizon_T), layout)
+    values = period_residual(pack(blocks, params.horizon_T), period_layout(params))
     # maximum() may pick -0.0 from two equal zeros; abs() makes max|v| = +0.0
     res_max = abs(np.maximum(values.max(), -values.min()))
     rms = np.sqrt(np.square(values, out=values).sum() / (values.size - LEAD - TRAIL))

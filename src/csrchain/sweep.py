@@ -137,10 +137,10 @@ def assemble_augmented(params: ModelParams, level: str, fixed=None) -> Augmented
     _, group, _, families = period_layout(params)
     T = params.horizon_T
     state, costate, period, held = _LEVELS[level]
-    fixed = fixed_paths(fixed, T)
-    if set(fixed) != set(held):
+    if set(fixed or ()) != set(held):
         raise ValueError(f"the {level} level needs the fixed paths {held}, "
-                         f"got {tuple(fixed)}")
+                         f"got {tuple(fixed or ())}")
+    fixed = fixed_paths(fixed, T)
     y, blocks = state + costate, {*state, *costate, *period, *held}
     stepping = {fam.terms[0][0]: i for i, fam in enumerate(families) if fam.boundary is not None}
     rows = [stepping[name] for name in y] + [

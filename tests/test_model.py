@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from csrchain import (
     ParamsError,
     Trajectory,
     TrajectoryConsistencyError,
-    dense_solve,
     inverse_demand,
     optimal_quantity,
     rollout,
@@ -37,6 +37,14 @@ def make_trajectory(params, i_s, i_m, i_r):
         p_s=np.zeros(T), p_m=np.zeros(T), p_r=np.zeros(T),
         u=np.zeros(T + 1), u_prime=np.zeros(T + 1),
     )
+
+
+def violations_of(**overrides):
+    """The violations that building the reference parameters with
+    ``overrides`` raises."""
+    with pytest.raises(ParamsError) as info:
+        make_params(**overrides)
+    return info.value.violations
 
 
 class TestInverseDemand:
@@ -128,9 +136,9 @@ class TestOptimalQuantity:
         assert optimal_quantity(p) == 0.0
 
     def test_rejects_degenerate_demand(self):
-        p = make_params(b=-1.0)
-        with pytest.raises(ValueError, match="b must be positive"):
-            optimal_quantity(p)
+        """b <= 0 cannot be built, so the quantity is always defined."""
+        assert violations_of(b=-1.0) == ["b must be positive, got -1.0"]
+        assert violations_of(b=0.0) == ["b must be positive, got 0.0"]
 
     def test_invariant_to_csr_parameters(self):
         rng = np.random.default_rng(11)
@@ -289,8 +297,7 @@ class TestParamsValidation:
         assert make_params().validate() == []
 
     def test_all_violations_reported_together(self):
-        bad = make_params(beta_s=1.5, b=-1.0, d=1.2, horizon_T=0)
-        violations = bad.validate()
+        violations = violations_of(beta_s=1.5, b=-1.0, d=1.2, horizon_T=0)
         joined = "\n".join(violations)
         assert "beta_s" in joined and "(0, 1)" in joined
         assert "b must be positive" in joined
@@ -298,12 +305,32 @@ class TestParamsValidation:
         assert "horizon_T" in joined
         assert len(violations) == 4
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(beta_s=1.5), "beta_s must lie in (0, 1), got 1.5"),
+        (dict(horizon_T=0), "horizon_T must be an integer >= 1, got 0"),
+        (dict(alpha=-1.0), "alpha must lie in (0, 1], got -1.0"),
+    ], ids=["beta_s-above-one", "horizon-0", "alpha-negative"])
+    def test_construction_raises(self, bad, message):
+        """An invalid parameter set cannot be built, so no reader of the
+        game is ever handed one."""
+        with pytest.raises(ParamsError) as info:
+            make_params(**bad)
+        assert info.value.violations == [message]
+        assert str(info.value) == f"invalid model parameters:\n  {message}"
+
+    def test_replace_is_validated(self):
+        """dataclasses.replace builds through the constructor, so it cannot
+        turn a valid set into an invalid one."""
+        with pytest.raises(ParamsError) as info:
+            dataclasses.replace(make_params(), b=-1.0)
+        assert info.value.violations == ["b must be positive, got -1.0"]
+
     @pytest.mark.parametrize("flag", [True, False])
-    @pytest.mark.parametrize("solve", [solve_game, dense_solve])
-    def test_bool_horizon_refused(self, flag, solve):
-        # bool is an int subclass; it must not reach the solvers' array code
-        with pytest.raises(ParamsError, match="horizon_T must be an integer"):
-            solve(make_params(horizon_T=flag))
+    def test_bool_horizon_refused(self, flag):
+        """bool is an int subclass; construction refuses it, so it never
+        reaches the solvers' array code."""
+        assert violations_of(horizon_T=flag) == [
+            f"horizon_T must be an integer >= 1, got {flag!r}"]
 
     @pytest.mark.parametrize("horizon", [np.int64(4), np.int32(4), np.uint8(255), np.int8(127)],
                              ids=["int64", "int32", "uint8-max", "int8-max"])
@@ -320,36 +347,32 @@ class TestParamsValidation:
     @pytest.mark.parametrize("horizon", [np.bool_(True), 4.0, np.float64(4.0)],
                              ids=["numpy-bool", "float", "numpy-float"])
     def test_non_integral_horizon_refused(self, horizon):
-        assert make_params(horizon_T=horizon).validate() == [
+        assert violations_of(horizon_T=horizon) == [
             f"horizon_T must be an integer >= 1, got {horizon!r}"]
 
     @pytest.mark.parametrize("name", ["tau", "theta", "delta_s", "delta_m", "delta_r", "c"])
     def test_negative_refused(self, name):
-        assert make_params(**{name: -0.5}).validate() == [
+        assert violations_of(**{name: -0.5}) == [
             f"{name} must be nonnegative, got -0.5"]
 
-    def test_validated_raises(self):
-        with pytest.raises(ParamsError, match="beta_s"):
-            make_params(beta_s=1.5).validated()
-
     def test_alpha_strictness_flag(self):
-        assert make_params(alpha=1.3).validate() != []
+        assert violations_of(alpha=1.3) == ["alpha must lie in (0, 1], got 1.3"]
         assert make_params(alpha=1.3, strict_alpha=False).validate() == []
-        assert make_params(alpha=-0.2, strict_alpha=False).validate() != []
+        assert violations_of(alpha=-0.2, strict_alpha=False) == [
+            "alpha must be positive, got -0.2"]
 
-    @pytest.mark.parametrize("value", [None, "0.9", True, np.bool_(True)],
-                             ids=["none", "string", "bool", "numpy-bool"])
+    @pytest.mark.parametrize("value", [None, "0.9", True, np.bool_(True), [0.9]],
+                             ids=["none", "string", "bool", "numpy-bool", "list"])
     def test_non_number_refused(self, value):
         """A float field that holds no real number is listed, not a
-        TypeError; a bool is refused as it is for horizon_T."""
-        assert make_params(alpha=value).validate() == [
-            f"alpha must be a real number, got {value!r}"]
-        with pytest.raises(ParamsError, match="beta_s must be a real number"):
-            solve_game(make_params(beta_s=value))
+        TypeError, and an unhashable one too; a bool is refused as it is
+        for horizon_T.  Construction raises, so no solver is handed one."""
+        assert violations_of(alpha=value) == [f"alpha must be a real number, got {value!r}"]
+        assert violations_of(beta_s=value) == [f"beta_s must be a real number, got {value!r}"]
 
     def test_integer_float_field_accepted(self):
         assert make_params(alpha=1, b=2, c=0).validate() == []
 
     def test_non_finite_rejected(self):
-        assert make_params(v=float("nan")).validate() != []
-        assert make_params(a=float("inf")).validate() != []
+        assert violations_of(v=float("nan")) == ["v must be finite, got nan"]
+        assert violations_of(a=float("inf")) == ["a must be finite, got inf"]

@@ -106,6 +106,22 @@ class TestLoadScenario:
             load_scenario(write_scenario(tmp_path, text))
         assert len(excinfo.value.violations) == 3
 
+    def test_option_problems_precede_invariant_violations(self, tmp_path):
+        """The file's tolerance, then the override's, then every violated
+        parameter invariant in field order, in one error."""
+        text = (REFERENCE_FILE
+                .replace("beta_s = 0.3", "beta_s = 1.5")
+                .replace("b = 1", "b = -2")
+                + "tolerance = -1\n")
+        with pytest.raises(ScenarioError) as excinfo:
+            load_scenario(write_scenario(tmp_path, text), tolerance=0.0)
+        assert excinfo.value.violations == [
+            "tolerance must be finite and positive, got -1.0",
+            "tolerance must be finite and positive, got 0.0",
+            "beta_s must lie in (0, 1), got 1.5",
+            "b must be positive, got -2.0",
+        ]
+
     def test_parse_error_carries_line_number(self, tmp_path):
         text = REFERENCE_FILE + "weird line without equals\n"
         lineno = text.count("\n")

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from csrchain import (
-    ParamsError,
     SweepSingularError,
     UndeterminedControlsError,
     assemble_augmented,
@@ -22,7 +21,7 @@ from csrchain.output import render_report
 from csrchain.oracle import solve_inner_response, solve_retailer_response
 from csrchain import stationarity
 from csrchain.oracle import follower_stationarity_check, leader_stationarity_check
-from csrchain.stationarity import assemble_system, equation_table, period_rows
+from csrchain.stationarity import equation_table, period_rows
 from csrchain.sweep import (
     AugmentedSystem,
     _inner_consistency_delta,
@@ -140,9 +139,17 @@ class TestAssembleAugmented:
         with pytest.raises(UndeterminedControlsError):
             assemble_augmented(make_params(theta=0.0), "outer")
 
-    def test_inner_requires_supplier_path(self, reference_params):
-        with pytest.raises(ValueError, match="inner level needs the fixed paths \\('i_s',\\)"):
-            assemble_augmented(reference_params, "inner")
+    @pytest.mark.parametrize("fixed, got", [
+        (None, "()"),
+        ({"bogus": np.zeros(3)}, "('bogus',)"),
+        ({"i_s": np.zeros(3), "I_m": np.zeros(3)}, "('i_s', 'I_m')"),
+    ], ids=["none", "unknown-block", "extra-unknown-block"])
+    def test_inner_requires_supplier_path(self, reference_params, fixed, got):
+        """The names are checked against the level's fixed blocks before any
+        path is, so a name that is no block is the same ValueError."""
+        with pytest.raises(ValueError) as info:
+            assemble_augmented(reference_params, "inner", fixed)
+        assert str(info.value) == f"the inner level needs the fixed paths ('i_s',), got {got}"
 
     def test_unknown_level_rejected(self, reference_params):
         with pytest.raises(ValueError, match="level"):
@@ -327,32 +334,6 @@ class TestSelectionFromLayout:
         follower_stationarity_check(traj, p, "M")
         leader_stationarity_check(traj, p)
         assert len(calls) == 1
-
-
-# Each public reader of the system, called with parameters at the reference
-# horizon, T = 3.
-READERS = {
-    "solve_game": solve_game,
-    "dense_solve": dense_solve,
-    "assemble_system": assemble_system,
-    "assemble_augmented": lambda p: assemble_augmented(p, "outer"),
-    "assemble_augmented_inner": lambda p: assemble_augmented(p, "inner", {"i_s": np.zeros(3)}),
-    "residual_norms": lambda p: residual_norms(solve_game(make_params())[0], p),
-    "solve_retailer_response": lambda p: solve_retailer_response(p, np.zeros(3), np.zeros(3)),
-    "solve_inner_response": lambda p: solve_inner_response(p, np.zeros(3)),
-}
-
-
-class TestEveryReaderValidates:
-    @pytest.mark.parametrize("reader", list(READERS))
-    @pytest.mark.parametrize("bad", [dict(horizon_T=0), dict(alpha=-1.0)],
-                             ids=["horizon-0", "alpha-negative"])
-    def test_invalid_params_raise_params_error(self, reader, bad):
-        """Every reader compiles the game through ``period_layout`` first, so
-        invalid parameters are a ParamsError before any path is checked or
-        any row evaluated."""
-        with pytest.raises(ParamsError, match=next(iter(bad))):
-            READERS[reader](make_params(**bad))
 
 
 def level_system(level, T, batch=()):
