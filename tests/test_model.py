@@ -20,7 +20,7 @@ from csrchain import (
     total_objective,
     trajectory_max_delta,
 )
-from csrchain.model import check_state_consistency
+from csrchain.model import PARAM_FIELDS, check_state_consistency
 
 from conftest import make_params
 
@@ -369,6 +369,13 @@ class TestParamsValidation:
         for horizon_T.  Construction raises, so no solver is handed one."""
         assert violations_of(alpha=value) == [f"alpha must be a real number, got {value!r}"]
         assert violations_of(beta_s=value) == [f"beta_s must be a real number, got {value!r}"]
+
+    @pytest.mark.parametrize("name", PARAM_FIELDS[float])
+    def test_unhashable_value_refused(self, name):
+        """An unhashable value in any float field is listed by name at
+        construction, before anything hashes the set (the layout cache
+        would raise TypeError)."""
+        assert violations_of(**{name: [0.5]}) == [f"{name} must be a real number, got [0.5]"]
 
     def test_integer_float_field_accepted(self):
         assert make_params(alpha=1, b=2, c=0).validate() == []

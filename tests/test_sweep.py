@@ -151,6 +151,12 @@ class TestAssembleAugmented:
             assemble_augmented(reference_params, "inner", fixed)
         assert str(info.value) == f"the inner level needs the fixed paths ('i_s',), got {got}"
 
+    @pytest.mark.parametrize("name", ["i_s", "bogus"], ids=["held-block", "unknown-block"])
+    def test_outer_takes_no_fixed_paths(self, reference_params, name):
+        with pytest.raises(ValueError) as info:
+            assemble_augmented(reference_params, "outer", {name: np.zeros(3)})
+        assert str(info.value) == f"the outer level needs the fixed paths (), got ('{name}',)"
+
     def test_unknown_level_rejected(self, reference_params):
         with pytest.raises(ValueError, match="level"):
             assemble_augmented(reference_params, "middle")
@@ -334,6 +340,17 @@ class TestSelectionFromLayout:
         follower_stationarity_check(traj, p, "M")
         leader_stationarity_check(traj, p)
         assert len(calls) == 1
+
+    def test_layout_runs_no_validation(self, monkeypatch):
+        """Construction validated the parameters, so compiling and solving
+        the game never checks them again."""
+        p = make_params(horizon_T=4)
+        calls = []
+        monkeypatch.setattr(type(p), "validate", lambda params: calls.append(params) or [])
+        stationarity.period_layout.cache_clear()
+        stationarity.period_layout(p)
+        solve_game(p)
+        assert calls == []
 
 
 def level_system(level, T, batch=()):
