@@ -31,24 +31,12 @@ from .oracle import (
 )
 from .output import emit_csv, emit_report, parse_csv
 from .scenario import Scenario, load_scenario
-from .stationarity import (
-    StationaritySystem,
-    assemble_system,
-    residual_norms,
-)
-from .sweep import (
-    AugmentedSystem,
-    SolveReport,
-    assemble_augmented,
-    backward_sweep,
-    forward_pass,
-    solve_game,
-)
+from .stationarity import residual_norms
+from .sweep import SolveReport, solve_game
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedSystem",
     "Controls",
     "CsrChainError",
     "ModelParams",
@@ -57,19 +45,14 @@ __all__ = [
     "ScenarioError",
     "SingularSystemError",
     "SolveReport",
-    "StationaritySystem",
     "SweepSingularError",
     "Trajectory",
     "TrajectoryConsistencyError",
     "UndeterminedControlsError",
-    "assemble_augmented",
-    "assemble_system",
-    "backward_sweep",
     "dense_solve",
     "emit_csv",
     "emit_report",
     "follower_stationarity_check",
-    "forward_pass",
     "grid_scan_supplier",
     "inverse_demand",
     "leader_stationarity_check",

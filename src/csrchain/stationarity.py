@@ -22,11 +22,13 @@ evaluates them for ``residual_norms``, ``assemble_system`` (its Jacobian)
 and ``oracle.dense_solve``, and ``sweep.assemble_augmented`` selects each
 level's rows and columns, a leader's system holding its follower's.
 
-The table's independent witness is the three Hamiltonians.  The retailer's is
-built from the payoff and the state transition alone; the manufacturer's and
-the supplier's adjoin their followers' table rows.  Every family is a partial
-derivative of one of them, which the finite-difference checks in the test
-suite verify level by level from the retailer up.
+The table's independent witness is ``hamiltonian``, one function for every
+player: the payoff and the state transition, plus the follower rows that
+``ADJOINED`` names, each times its multiplier.  The retailer adjoins none, the
+manufacturer the retailer's rows, the supplier the manufacturer-retailer
+level's.  Every family is a partial derivative of one player's Hamiltonian,
+which the finite-difference checks in the test suite verify level by level
+from the retailer up.
 """
 from __future__ import annotations
 
@@ -103,13 +105,25 @@ class Family(NamedTuple):
 
 
 def equation_table(params: ModelParams) -> tuple[Family, ...]:
-    """The fifteen equation families, in the row order of the stacked system."""
+    """The fifteen equation families, in the row order of a row group of
+    ``period_layout``: the LEAD costate recursions, which start at t = 2,
+    first, then the families that start at t = 1."""
     k = params.tau * params.theta
     al = params.alpha
     bs, bm, br = params.beta_s, params.beta_m, params.beta_r
     ds, dm, dr = params.delta_s, params.delta_m, params.delta_r
     net = 1.0 - params.tau
     return (
+        Family("costate_r", 2, (("p_r", 0, 1.0), ("x", 0, -2 * dr), ("p_r", 1, -al)),
+               0.0, boundary=0.0),
+        Family("costate_m", 2, (("p_m", 0, 1.0), ("x", 0, -2 * dm), ("p_m", 1, -al),
+                                ("u", 0, -2 * dr)),
+               0.0, boundary=0.0),
+        Family("costate_s", 2, (("p_s", 0, 1.0), ("x", 0, -2 * ds), ("p_s", 1, -al),
+                                ("u_prime", 0, -2 * dm), ("w", 0, -2 * dr)),
+               0.0, boundary=0.0),
+        Family("r_step", 2, (("r", 0, 1.0), ("r", 1, -al), ("u_prime", 0, -2 * dr)),
+               0.0, boundary=0.0),
         Family("state", 1, (("x", 1, 1.0), ("x", 0, -al), ("i_s", 0, -bs),
                             ("i_m", 0, -bm), ("i_r", 0, -br)),
                0.0, boundary=params.x1),
@@ -128,22 +142,12 @@ def equation_table(params: ModelParams) -> tuple[Family, ...]:
                                 ("lam_prime", 0, 2 * k), ("mu_prime", 0, k)), 0.0),
         Family("s_react_l", 1, (("mu_prime", 0, k), ("nu", 0, 2 * k),
                                 ("r", 1, br)), 0.0),
-        Family("costate_r", 2, (("p_r", 0, 1.0), ("x", 0, -2 * dr), ("p_r", 1, -al)),
-               0.0, boundary=0.0),
-        Family("costate_m", 2, (("p_m", 0, 1.0), ("x", 0, -2 * dm), ("p_m", 1, -al),
-                                ("u", 0, -2 * dr)),
-               0.0, boundary=0.0),
-        Family("costate_s", 2, (("p_s", 0, 1.0), ("x", 0, -2 * ds), ("p_s", 1, -al),
-                                ("u_prime", 0, -2 * dm), ("w", 0, -2 * dr)),
-               0.0, boundary=0.0),
         Family("u_step", 1, (("u", 1, 1.0), ("u", 0, -al), ("lam", 0, -br)),
                0.0, boundary=0.0),
         Family("w_step", 1, (("w", 1, 1.0), ("w", 0, -al), ("lam_prime", 0, -br)),
                0.0, boundary=0.0),
         Family("u_prime_step", 1, (("u_prime", 1, 1.0), ("u_prime", 0, -al),
                                    ("mu_prime", 0, -bm), ("nu", 0, -br)),
-               0.0, boundary=0.0),
-        Family("r_step", 2, (("r", 0, 1.0), ("r", 1, -al), ("u_prime", 0, -2 * dr)),
                0.0, boundary=0.0),
     )
 
@@ -207,7 +211,7 @@ def period_layout(params: ModelParams) -> tuple:
     z[T + 1], holds the backward recursions' boundary rows."""
     if params.tau * params.theta == 0.0:
         raise UndeterminedControlsError()
-    families = tuple(sorted(equation_table(params), key=lambda fam: fam.first == 1))
+    families = equation_table(params)
     group = period_rows(families, PERIOD_COLUMNS)
     # a boundary row is a one-term family: its stepped block's fixed entry
     ends = {at_end: [Family(fam.label, 1, ((fam.terms[0][0], 0, 1.0),), fam.boundary)
@@ -275,43 +279,34 @@ def stacked_rows(rows: np.ndarray) -> np.ndarray:
 # Hamiltonians (the objects the finite-difference checks differentiate)
 # ---------------------------------------------------------------------------
 
-def _stage(player, point, q, params: ModelParams):
-    """Stage payoff plus the player's next costate times the state transition."""
+# Each player's costate, and the follower rows its Hamiltonian adjoins, each
+# as (label, its multiplier's key): a leader optimises along its follower's
+# reaction, so it adjoins every row of the follower level but the state
+# equation, which its own costate already carries.
+ADJOINED = {
+    "R": ("p_r", ()),
+    "M": ("p_m", (("costate_r", ("u", 0)), ("foc_r", ("lam", 0)))),
+    "S": ("p_s", (("costate_r", ("w", 0)), ("costate_m", ("u_prime", 0)),
+                  ("foc_r", ("lam_prime", 0)), ("foc_m", ("mu_prime", 0)),
+                  ("m_react", ("nu", 0)), ("u_step", ("r", 1)))),
+}
+
+
+def hamiltonian(player, point, q, params: ModelParams):
+    """The Hamiltonian of ``player`` ("R", "M" or "S") at a table point
+    ((block, shift) -> value): the stage payoff, plus the player's next
+    costate times the state transition, plus each row ``ADJOINED`` names
+    times its multiplier, a recursion entering as its stepped value."""
+    costate, adjoined = ADJOINED[player]
     x_t = point["x", 0]
     controls_t = (point["i_s", 0], point["i_m", 0], point["i_r", 0])
-    costate = {"R": "p_r", "M": "p_m", "S": "p_s"}[player]
-    return (stage_payoff(player, x_t, q, controls_t, params)
-            + point[costate, 1] * state_transition(x_t, controls_t, params))
-
-
-def retailer_hamiltonian(point, q, params: ModelParams):
-    """Retailer Hamiltonian at a table point ((block, shift) -> value)."""
-    return _stage("R", point, q, params)
-
-
-def manufacturer_hamiltonian(point, q, params: ModelParams):
-    """Manufacturer Hamiltonian augmented with the retailer's table rows: the
-    retailer costate recursion weighted by u_t and the retailer control FOC
-    weighted by lam_t."""
+    value = (stage_payoff(player, x_t, q, controls_t, params)
+             + point[costate, 1] * state_transition(x_t, controls_t, params))
     rows = {fam.label: fam for fam in equation_table(params)}
-    return (_stage("M", point, q, params)
-            + point["u", 0] * rows["costate_r"].stepped(point)
-            + point["lam", 0] * rows["foc_r"].residual(point))
-
-
-def supplier_hamiltonian(point, q, params: ModelParams):
-    """Supplier Hamiltonian augmented with the manufacturer level's table
-    rows: the manufacturer costate recursion (u'_t), the retailer costate
-    recursion (w_t), the u-chain step (r_{t+1}), and the three per-period
-    equations of the follower level (lam'_t, mu'_t, nu_t)."""
-    rows = {fam.label: fam for fam in equation_table(params)}
-    return (_stage("S", point, q, params)
-            + point["r", 1] * rows["u_step"].stepped(point)
-            + point["u_prime", 0] * rows["costate_m"].stepped(point)
-            + point["w", 0] * rows["costate_r"].stepped(point)
-            + point["lam_prime", 0] * rows["foc_r"].residual(point)
-            + point["mu_prime", 0] * rows["foc_m"].residual(point)
-            + point["nu", 0] * rows["m_react"].residual(point))
+    for label, key in adjoined:
+        fam = rows[label]
+        value += point[key] * (fam.residual(point) if fam.boundary is None else fam.stepped(point))
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,8 @@ from csrchain.stationarity import (
     WIDTH,
     block_length,
     equation_table,
-    manufacturer_hamiltonian,
-    retailer_hamiltonian,
+    hamiltonian,
     split_blocks,
-    supplier_hamiltonian,
     trajectory_from_blocks,
 )
 
@@ -189,8 +187,6 @@ WITNESS = {
     "u_prime_step": ("S", ("p_m", 1)),
     "r_step": ("S", ("u", 0)),
 }
-HAMILTONIANS = {"R": retailer_hamiltonian, "M": manufacturer_hamiltonian,
-                "S": supplier_hamiltonian}
 
 
 def hamiltonian_slope(params: ModelParams, pt: dict, label: str) -> float:
@@ -201,7 +197,7 @@ def hamiltonian_slope(params: ModelParams, pt: dict, label: str) -> float:
     h = 1e-5 * (1.0 + max(abs(pt[name, 0]) for name in ("i_s", "i_m", "i_r")))
 
     def value(v):
-        return HAMILTONIANS[player]({**pt, key: v}, q, params)
+        return hamiltonian(player, {**pt, key: v}, q, params)
     return (value(pt[key] + h) - value(pt[key] - h)) / (2.0 * h)
 
 

@@ -18,12 +18,12 @@ import pytest
 import csrchain
 from csrchain import (
     SingularSystemError,
-    assemble_system,
     dense_solve,
     oracle,
     trajectory_max_delta,
 )
 from csrchain.oracle import _solve_with_estimate
+from csrchain.stationarity import assemble_system
 
 from conftest import REFERENCE, draw_params, make_params, vector_to_trajectory
 

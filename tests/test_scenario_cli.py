@@ -641,3 +641,13 @@ class TestCli:
         code = main(["solve", "scenarios/reference.scenario",
                      "--out-dir", str(tmp_path)])
         assert code == 0
+
+
+def test_readme_library_use_runs(capsys):
+    """The README's "Library use" block runs as written, so the package
+    namespace keeps every name it imports."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    solved, delta = capsys.readouterr().out.splitlines()
+    assert float(solved.split()[0]) < 1e-8 and float(delta) < 1e-8

@@ -5,8 +5,6 @@ import pytest
 
 from csrchain import (
     UndeterminedControlsError,
-    assemble_augmented,
-    assemble_system,
     dense_solve,
     emit_csv,
     optimal_quantity,
@@ -14,24 +12,27 @@ from csrchain import (
     residual_norms,
 )
 from csrchain.stationarity import (
+    ADJOINED,
     BLOCK_NAMES,
     BLOCKS,
     COLUMNS,
     LEAD,
     TRAIL,
     WIDTH,
+    assemble_system,
     block_length,
     equation_table,
+    hamiltonian,
     pack,
     period_layout,
     period_residual,
     period_rows,
-    retailer_hamiltonian,
     split_blocks,
     stacked_rows,
     trajectory_blocks,
     unpack,
 )
+from csrchain.sweep import _LEVELS, assemble_augmented
 
 from conftest import (
     WITNESS,
@@ -40,6 +41,7 @@ from conftest import (
     gradient_check_worst,
     hamiltonian_slope,
     homogeneous,
+    level_table,
     make_params,
     random_evaluation_point,
     reference_residual_bound,
@@ -115,7 +117,7 @@ class TestHandValues:
         def ham(i_r):
             point = {("x", 0): 1.0, ("i_s", 0): 0.5, ("i_m", 0): 0.5,
                      ("i_r", 0): i_r, ("p_r", 1): 0.7}
-            return retailer_hamiltonian(point, q, p)
+            return hamiltonian("R", point, q, p)
         second = (ham(h) - 2 * ham(0.0) + ham(-h)) / h**2
         assert second == pytest.approx(2 * 0.3 * 0.2, rel=1e-6)
 
@@ -135,6 +137,32 @@ class TestGradientFidelity:
             params = draw_params(rng, horizon_T=3)
             pt = random_evaluation_point(rng)
             assert gradient_check_worst(params, pt) < 1e-6
+
+
+def level_blocks(level):
+    """Every block of a sweep level: its states, costates, period unknowns
+    and fixed paths."""
+    return {block for blocks in _LEVELS[level] for block in blocks}
+
+
+class TestAdjoined:
+    """A leader optimises along its follower's reaction, so its Hamiltonian
+    adjoins every row of the follower's level but the state equation, each
+    times a multiplier of its own; the retailer, who has no follower,
+    adjoins none."""
+
+    @pytest.mark.parametrize("player, level, follower", [
+        ("R", "retailer", None), ("M", "inner", "retailer"), ("S", "outer", "inner")])
+    def test_adjoins_the_follower_level(self, player, level, follower):
+        costate, adjoined = ADJOINED[player]
+        labels = [label for label, _ in adjoined]
+        follower_blocks = set() if follower is None else level_blocks(follower)
+        rows = {fam.label for fam in level_table(make_params(), follower_blocks)}
+        assert len(labels) == len(set(labels))
+        assert set(labels) == rows - {"state"}
+        multipliers = [block for _, (block, _) in adjoined]
+        assert len(multipliers) == len(set(multipliers))
+        assert {costate, *multipliers} <= level_blocks(level) - follower_blocks
 
 
 class TestPeriodRows:
@@ -198,6 +226,15 @@ class TestLayoutAgainstHamiltonians:
                 checked.append(fam.label)
             assert sorted(checked[:15]) == sorted(WITNESS)
             assert len(checked) == 15 + 15 - LEAD
+
+    @pytest.mark.parametrize("params", LAYOUT_CASES[:2], ids=["ref", "draw0"])
+    def test_table_order_is_the_row_group_order(self, params):
+        """The layout's row groups take the table's order as it stands, so
+        the LEAD families that row group 1 replaces by the forward boundary
+        rows, those starting at t = 2, must come first in the table."""
+        families = equation_table(params)
+        assert [fam.first for fam in families] == [2] * LEAD + [1] * (len(families) - LEAD)
+        assert period_layout(params)[3] == families
 
     @pytest.mark.parametrize("params", LAYOUT_CASES, ids=["ref", "draw0", "draw1", "draw2"])
     def test_boundary_rows(self, params):

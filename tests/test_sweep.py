@@ -7,10 +7,7 @@ import pytest
 from csrchain import (
     SweepSingularError,
     UndeterminedControlsError,
-    assemble_augmented,
-    backward_sweep,
     dense_solve,
-    forward_pass,
     residual_norms,
     solve_game,
     sweep,
@@ -27,6 +24,9 @@ from csrchain.sweep import (
     _inner_consistency_delta,
     _LEVELS,
     _sweep_forward,
+    assemble_augmented,
+    backward_sweep,
+    forward_pass,
     solve_inner_given_supplier,
 )
 

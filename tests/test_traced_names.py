@@ -12,15 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from csrchain import (
-    assemble_augmented,
-    assemble_system,
-    backward_sweep,
-    dense_solve,
-    emit_csv,
-    emit_report,
-    solve_game,
-)
+from csrchain import dense_solve, emit_csv, emit_report, solve_game
+from csrchain.stationarity import assemble_system
+from csrchain.sweep import assemble_augmented, backward_sweep
 
 from conftest import make_params
 
