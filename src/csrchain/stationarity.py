@@ -197,7 +197,7 @@ WIDTH = len(COLUMNS)
 PERIOD_COLUMNS = tuple((name, shift) for shift in (0, 1) for name, _, _ in COLUMNS)
 LEAD = sum(first == 2 for _, first, _ in BLOCKS)
 TRAIL = sum(last == 0 for _, _, last in BLOCKS)
-_CHUNK = 256   # periods per product in period_residual, which bounds its temporaries
+_CHUNK = 384   # periods per product in period_residual, which bounds its temporaries
 
 
 @functools.lru_cache(maxsize=4)   # every reader of one game shares its compiled rows
@@ -256,13 +256,18 @@ def period_residual(zb: np.ndarray, layout) -> np.ndarray:
                                for rows in layout[:2]]
     start = zb[..., 0] @ D1.T + zb[..., 1] @ E1.T - c1
     end = zb[..., T] @ layout[2][:, :-1].T - layout[2][:, -1]
-    products = np.empty((2,) + zb.shape[:-1] + (min(T, _CHUNK),))
+    # one product [D | E] (z[t]; z[t + 1]) per chunk, over a copy of its
+    # columns, so it writes straight into them; E reads z[t + 1] only in its
+    # nonzero columns, the stepped blocks, a prefix of COLUMNS
+    k = E.any(axis=0).nonzero()[0].max(initial=-1) + 1
+    DE = np.hstack([D, E[:, :k]])
+    operand = np.empty(zb.shape[:-2] + (WIDTH + k, min(T, _CHUNK)))
     for a in range(0, T, _CHUNK):
         b = min(a + _CHUNK, T)
-        d, e = products[..., :b - a]
-        np.matmul(D, zb[..., a:b], out=d)
-        np.matmul(E, zb[..., a + 1:b + 1], out=e)
-        np.add(d, e, out=zb[..., a:b])
+        o = operand[..., :b - a]
+        o[..., :WIDTH, :] = zb[..., a:b]
+        o[..., WIDTH:, :] = zb[..., :k, a + 1:b + 1]
+        np.matmul(DE, o, out=zb[..., a:b])
     zb[..., :T] -= c[:, np.newaxis]
     zb[..., 0], zb[..., T] = start, 0.0
     zb[..., :end.shape[-1], T] = end
@@ -359,8 +364,9 @@ def trajectory_blocks(trajectory: Trajectory) -> dict:
 
 
 def trajectory_from_blocks(blocks: dict, params: ModelParams) -> Trajectory:
-    """The trajectory holding a copy of every path in ``blocks`` (name -> path)."""
-    paths = {name: np.array(blocks[name]) for name in BLOCK_NAMES}
+    """The trajectory of the paths in ``blocks`` (name -> path), held as
+    given, not copied: each caller hands over arrays it alone holds."""
+    paths = {name: blocks[name] for name in BLOCK_NAMES}
     controls = Controls(**{name: paths.pop(name) for name in _CONTROLS})
     return Trajectory(controls=controls,
                       q=np.full(params.horizon_T, optimal_quantity(params)), **paths)
@@ -370,8 +376,9 @@ def residual_norms(trajectory: Trajectory, params: ModelParams):
     """(max, rms) norms over every stationarity equation, in natural units.
 
     The packed paths, turned into the rows in place, are the one array of
-    size O(T) this holds: the max-norm is read off its extremes and it is
-    squared in place, the zeros after the terminal rows adding nothing.  A
+    size O(T) this holds: the max-norm is read off its extremes and the sum
+    of squares is its dot product with itself, the zeros after the terminal
+    rows adding nothing.  A
     NaN residual makes both norms NaN.  A trajectory without every block,
     such as one ``parse_csv`` read back, or with a path whose length is not
     its block's at horizon ``params.horizon_T`` raises ValueError naming it."""
@@ -382,5 +389,5 @@ def residual_norms(trajectory: Trajectory, params: ModelParams):
     values = period_residual(pack(blocks, params.horizon_T), period_layout(params))
     # maximum() may pick -0.0 from two equal zeros; abs() makes max|v| = +0.0
     res_max = abs(np.maximum(values.max(), -values.min()))
-    rms = np.sqrt(np.square(values, out=values).sum() / (values.size - LEAD - TRAIL))
+    rms = np.sqrt(np.vdot(values, values) / (values.size - LEAD - TRAIL))
     return float(res_max), float(rms)

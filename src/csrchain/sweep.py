@@ -18,12 +18,16 @@ circle.  Each level of the reduction pairs neighbouring equations and
 eliminates their shared y with one orthogonal transform common to all pairs;
 an odd last equation is carried as a tail.  The final equation, between y[1]
 and y[T+1], gives the unknown halves of both; undoing the levels recovers
-every y.  A level's matrix work does not depend on g and is done once: its
-QR and the products with the orthogonal factor in the reduction, the
-inverse of its kept triangle in the recovery.  Right-hand sides, of every
-pair and batch entry, pass through matrix products only, so the final
-equation is the one linear solve of a reduction.  A singular final equation
-or kept triangle, or a non-finite recovery, raises SweepSingularError.
+every y.  A level's matrix work does not depend on g and is done once, in
+the reduction, the pairs' and the tail's in one batched QR and inverse.
+
+Right-hand sides are stored batch-last, each level's as one contiguous
+(2n, B, k) array of B batch entries and k equations, so that every product
+over them, of all pairs and batch entries at once, is one BLAS call (numpy
+skips BLAS where the last axis is strided); a g constant over the periods,
+as the outer level's is, is carried as one column.  The final equation is
+the one linear solve of a reduction.  A singular final equation or kept
+triangle, or a non-finite recovery, raises SweepSingularError.
 
 The levels, as ``_LEVELS`` names their blocks:
 
@@ -78,11 +82,13 @@ class AugmentedSystem:
 
     y[t] holds the states, then the costates; the rows of P and Q are the
     recursions stepping them, in the same order.  The states at t = 1 are
-    ``xt1`` and the costates at T + 1 are zero.  ``g`` has shape (..., T,
-    2n), with the batch axes of the fixed paths.  The eliminated period
-    unknowns are v[t] = sol_G @ (y[t], y[t+1]) + sol_g[..., t, :].  The
-    outer level has no fixed path, so its g and sol_g are one row each,
-    broadcast over the periods as read-only views.
+    ``xt1`` and the costates at T + 1 are zero.  Right-hand sides are stored
+    batch-last: ``g`` has shape (2n, ..., T), a recursion row, the batch
+    axes of the fixed paths, then the period.  The eliminated period
+    unknowns are v[t] = sol_G @ (y[t], y[t+1]) + sol_g[:, ..., t], sol_g of
+    shape (m, ..., T).  The outer level has no fixed path, so its g and
+    sol_g are one column each, broadcast over the periods as read-only
+    views (a zero stride, which the reduction reads as one column).
     """
 
     level: str
@@ -95,7 +101,7 @@ class AugmentedSystem:
 
     @property
     def horizon(self) -> int:
-        return self.g.shape[-2]
+        return self.g.shape[-1]
 
 
 @dataclass
@@ -155,104 +161,147 @@ def assemble_augmented(params: ModelParams, level: str, fixed=None) -> Augmented
     m, n2 = len(period), len(y)
     G = np.linalg.solve(K[n2:, :m], K[n2:, m:])
     reduced = K[:n2, m:] - K[:n2, :m] @ G
-    # e[..., t, :] = (e[t], 1); with no fixed path it is the one row (1), and
-    # g and sol_g are that row's terms, broadcast over the periods.
-    e = (np.stack(np.broadcast_arrays(*(fixed[name] for name in held), np.ones(T)), axis=-1)
+    # e[:, ..., t] = (e[t], 1); with no fixed path it is the one column (1),
+    # and g and sol_g are that column's terms, broadcast over the periods.
+    e = (np.stack(np.broadcast_arrays(*(fixed[name] for name in held), np.ones(T)))
          if held else np.ones((1, 1)))
-    g, sol_g = e @ -reduced[:, 2 * n2:].T, e @ -G[:, 2 * n2:].T
+    g, sol_g = [(-M[:, 2 * n2:] @ e.reshape(len(e), -1)).reshape((len(M),) + e.shape[1:])
+                for M in (reduced, G)]
     if not held:
-        g, sol_g = np.broadcast_to(g, (T, n2)), np.broadcast_to(sol_g, (T, m))
+        g, sol_g = np.broadcast_to(g, (n2, T)), np.broadcast_to(sol_g, (m, T))
     return AugmentedSystem(
         level=level, P=reduced[:, :n2], Q=reduced[:, n2:2 * n2], g=g,
         sol_G=-G[:, :2 * n2], sol_g=sol_g,
         xt1=np.array([families[stepping[name]].boundary for name in state]))
 
 
-def _eliminate(first, second):
-    """Eliminate the y shared by two neighbouring equations (P, Q, g), each
-    P y[left] + Q y[right] = g, g of shape (..., k, m) or (..., m).  Returns
-    the kept rows (R, W, h), R y[shared] + W (y[left], y[right]) = h, and the
-    reduced equation between the outer two.  The matrix work, one QR of
-    [Q1; P2] = U R and the products with U^T, is done once for all pairs; the
-    right-hand sides only pass through two products, h = g1 U[:m] + g2 U[m:]."""
-    (P1, Q1, g1), (P2, Q2, g2) = first, second
-    m = Q1.shape[0]
-    U, R = np.linalg.qr(np.vstack([Q1, P2]), mode="complete")
-    W = np.hstack([U[:m].T @ P1, U[m:].T @ Q2])
-    h = g1 @ U[:m]
-    h += g2 @ U[m:]
-    return (R[:m], W[:m], h[..., :m]), (W[m:, :m], W[m:, m:], h[..., m:])
+def _inverse(R):
+    """The inverses of the stacked triangles R, or NaN in every one if one
+    is singular, which the recovery reports."""
+    try:
+        return np.linalg.inv(R)
+    except np.linalg.LinAlgError:
+        return np.full_like(R, np.nan)
+
+
+def _eliminate(*eliminations):
+    """Eliminate, for each of a reduction level's eliminations (P1, Q1, P2,
+    Q2, g), the y shared by neighbouring equations P1 y[left] + Q1 y[shared]
+    = g1 and P2 y[shared] + Q2 y[right] = g2, of every pair at once: g =
+    [g1; g2], (2m, B, c), stacks their right-hand sides, B batch entries and
+    c pairs (or one column common to all).  The matrix work, a QR of [Q1;
+    P2] = U R, the products with U^T and the inverse of the kept triangle R,
+    is done once per elimination, all of a level's in one batched QR and
+    inverse; the right-hand sides pass through one product.  Returns, per
+    elimination, the kept rows as y[shared] = R^-1 (h - W1 y[left] - W2
+    y[right]), that is (R^-1, (W1; W2), h), and the reduced equation (P, Q,
+    g) between the outer two.  R^-1 stays out of the maps: R^-1 W1 and
+    R^-1 W2 would save the recovery a product per level, but the large terms
+    they subtract lose digits where R is ill-conditioned."""
+    m = len(eliminations[0][0])
+    U, R = np.linalg.qr(np.array([np.concatenate([Q1, P2]) for _, Q1, P2, _, _ in eliminations]),
+                        mode="complete")
+    done = []
+    for (P1, _, _, Q2, g), U, R_inv in zip(eliminations, U, _inverse(R[:, :m])):
+        left, right = U[:m].T @ P1, U[m:].T @ Q2   # U^T [P1; 0], U^T [0; Q2]
+        h = (U.T @ g.reshape(2 * m, -1)).reshape(g.shape)
+        done.append(((R_inv, np.concatenate([left[:m], right[:m]]), h[:m]),
+                     (left[m:], right[m:], h[m:])))
+    return done
+
+
+def _pairs(g, p):
+    """[g1; g2] of the first p pairs of equations, (2m, B, p) from g of shape
+    (m, B, k), in one copy; a one-column g stays one column."""
+    if g.shape[-1] == 1:
+        return np.concatenate([g, g])
+    m, batch = g.shape[:2]
+    return g[..., :2 * p].reshape(m, batch, p, 2).transpose(3, 0, 1, 2).reshape(2 * m, batch, p)
 
 
 def backward_sweep(aug: AugmentedSystem):
     """Cyclic reduction of the level: returns each level's kept rows of the
-    pairs and of the tail, and the final equation between y[1] and y[T+1]."""
-    P, Q, g = aug.P, aug.Q, aug.g
-    tail, levels = None, []
-    while g.shape[-2] + (tail is not None) > 1:
-        kept_tail = None
-        if g.shape[-2] % 2 and tail:
-            kept_tail, tail = _eliminate((P, Q, g[..., -1, :]), tail)
-        elif g.shape[-2] % 2:
-            tail = (P, Q, g[..., -1, :])
-        kept, (P, Q, g) = _eliminate((P, Q, g[..., 0:-1:2, :]), (P, Q, g[..., 1::2, :]))
+    pairs and of the tail, and the final equation between y[1] and y[T+1].
+    Each level's right-hand sides are one contiguous (2n, B, k) array, B the
+    batch entries and k the level's equations, or one column where g is
+    constant over the periods, as the outer level's is.  A singular kept
+    triangle leaves NaN in its inverse, which the recovery reports."""
+    P, Q, T = aug.P, aug.Q, aug.horizon
+    g = aug.g.reshape(len(P), -1, T)
+    if not g.strides[-1]:
+        g = g[..., :1]
+    k, tail, levels = T, None, []
+    while k + (tail is not None) > 1:
+        last = g[..., k - 1:k] if g.shape[-1] > 1 else g
+        pairs = [(P, Q, P, Q, _pairs(g, k // 2))] if k > 1 else []
+        tails = [(P, Q, *tail[:2], np.concatenate([last, tail[2]]))] if k % 2 and tail else []
+        if k % 2 and not tail:
+            tail = (P, Q, last)
+        done, kept, kept_tail = _eliminate(*pairs, *tails), None, None
+        if tails:
+            kept_tail, tail = done.pop()
+        if pairs:
+            kept, (P, Q, g) = done.pop()
+        k //= 2
         levels.append((kept, kept_tail))
-    return levels, tail or (P, Q, g[..., 0, :])
+    P, Q, g = tail or (P, Q, g)
+    return levels, (P, Q, g[..., 0].reshape(aug.g.shape[:-1]))
 
 
-def _solve_batch(A, rhs):
-    """Solve A z = rhs for right-hand sides of shape (..., n) at once."""
-    n = A.shape[0]
-    return np.linalg.solve(A, rhs.reshape(-1, n).T).T.reshape(rhs.shape)
-
-
-def _undo(kept, left, right):
-    """The shared y of eliminated pairs, from their neighbours' values:
-    y = (h - W (left, right)) R^-T, with the kept triangle R inverted once
-    for every pair and batch entry and applied after the subtraction.  A
-    singular R raises LinAlgError."""
-    R, W, h = kept
-    m = R.shape[0]
-    r = left @ W[:, :m].T
-    np.subtract(h, r, out=r)
-    r -= right @ W[:, m:].T
-    return r @ np.linalg.inv(R).T
-
-
-def _named(names, paths) -> dict:
-    """Block name -> path, the blocks laid along the last axis of ``paths``."""
-    return dict(zip(names, np.moveaxis(paths, -1, 0)))
+def _undo(ends, k, tail, kept, kept_tail):
+    """y at the ends of a reduction level's k equations (and of its tail,
+    y[T + 1] last), (2n, B, k + 1 + tail), from ``ends``, those of the level
+    above.  The level's pairs share the odd ends, recovered from their even
+    neighbours by two products for all pairs and batch entries: W1 and W2
+    in one over ``ends``, then R^-1 after the subtraction.  The recovered y
+    are interleaved with their neighbours, as the next level's product needs
+    its ends contiguous and in order."""
+    p = k // 2
+    up = np.empty(ends.shape[:2] + (k + 1 + tail,))
+    up[..., :2 * p + 1:2] = ends[..., :p + 1]
+    if kept:
+        R_inv, W, h = kept
+        m = len(h)
+        terms = (W @ ends.reshape(m, -1)).reshape((2 * m,) + ends.shape[1:])
+        shared = h - terms[:m, :, :p]
+        shared -= terms[m:, :, 1:p + 1]
+        up[..., 1:2 * p:2] = (R_inv @ shared.reshape(m, -1)).reshape(shared.shape)
+    if kept_tail:
+        R_inv, W, h = kept_tail
+        m = len(h)
+        up[..., 2 * p + 1] = R_inv @ (h[..., 0] - W[:m] @ ends[..., p] - W[m:] @ ends[..., -1])
+    if up.shape[-1] > 2 * p + 1:
+        up[..., -1] = ends[..., -1]
+    return up
 
 
 def _sweep_forward(aug: AugmentedSystem, reduction) -> dict:
     """Block name -> path of everything the level solved for, recovered
-    from the reduction."""
+    from the reduction; each path has the fixed paths' batch axes."""
     levels, (P, Q, g) = reduction
     T, n = aug.horizon, len(aug.xt1)
-    y = np.zeros(aug.g.shape[:-2] + (T + 1, 2 * n))
-    y[..., 0, :n] = aug.xt1
+    batch = aug.g.shape[1:-1]
+    ends = np.zeros((2 * n, g[0].size, 2))
+    ends[:n, :, 0] = aug.xt1[:, np.newaxis]
     try:
-        y[..., 0, n:], y[..., T, :n] = np.split(_solve_batch(
-            np.hstack([P[:, n:], Q[:, :n]]), g - aug.xt1 @ P[:, :n].T), 2, axis=-1)
-        for level, (kept, kept_tail) in reversed(list(enumerate(levels))):
-            s = 2 ** level
-            if kept_tail:
-                y[..., T // s * s, :] = _undo(kept_tail, y[..., T // s * s - s, :],
-                                              y[..., T, :])
-            k = kept[2].shape[-2]
-            y[..., s::2 * s, :][..., :k, :] = _undo(
-                kept, y[..., ::2 * s, :][..., :k, :], y[..., 2 * s::2 * s, :][..., :k, :])
+        ends[n:, :, 0], ends[:n, :, 1] = np.split(np.linalg.solve(
+            np.hstack([P[:, n:], Q[:, :n]]),
+            g.reshape(2 * n, -1) - (P[:, :n] @ aug.xt1)[:, np.newaxis]), 2)
     except np.linalg.LinAlgError:
         raise SweepSingularError(aug.level) from None
-    if not np.all(np.isfinite(y)):
+    for level, (kept, kept_tail) in reversed(list(enumerate(levels))):
+        ends = _undo(ends, T >> level, T % (1 << level) != 0, kept, kept_tail)
+    if not np.all(np.isfinite(ends)):
         raise SweepSingularError(aug.level)
     state, costate, period, _ = _LEVELS[aug.level]
-    G = aug.sol_G
-    v = y[..., :-1, :] @ G[:, :2 * n].T
-    v += y[..., 1:, :] @ G[:, 2 * n:].T
-    v += aug.sol_g
-    return {**_named(state, y[..., :n]), **_named(costate, y[..., 1:, n:]),
-            **_named(period, v)}
+    G, m = aug.sol_G, len(aug.sol_G)
+    terms = (np.vstack([G[:, :2 * n], G[:, 2 * n:]]) @ ends.reshape(2 * n, -1)).reshape(
+        (2 * m,) + ends.shape[1:])
+    v = terms[:m, :, :-1] + terms[m:, :, 1:]
+    v += aug.sol_g.reshape(m, -1, T)
+    y = ends.reshape((2 * n,) + batch + (T + 1,))
+    return {**dict(zip(state, y[:n])), **dict(zip(costate, y[n:, ..., 1:])),
+            **dict(zip(period, v.reshape((m,) + batch + (T,))))}
 
 
 def forward_pass(aug: AugmentedSystem, reduction,

@@ -486,8 +486,8 @@ class TestCli:
             eye, zero, T = np.eye(4), np.zeros((4, 4)), params.horizon_T
             return sweep.AugmentedSystem(level=level, P=np.block([[-eye, zero], [eye, -eye]]),
                                          Q=np.block([[eye, -eye], [zero, eye]]),
-                                         g=np.zeros((T, 8)), sol_G=np.zeros((7, 16)),
-                                         sol_g=np.zeros((T, 7)), xt1=np.zeros(4))
+                                         g=np.zeros((8, T)), sol_G=np.zeros((7, 16)),
+                                         sol_g=np.zeros((7, T)), xt1=np.zeros(4))
         monkeypatch.setattr(sweep, "assemble_augmented", singular)
         text = REFERENCE_FILE.replace("horizon_T = 3", "horizon_T = 2")
         scenario_path = write_scenario(tmp_path, text)

@@ -260,7 +260,7 @@ def period_solution(params, inputs=(0.0, 0.0, 0.0, 0.0)):
     costate inputs (p_r+, p_m+, p_s+, r+), from the outer solution maps."""
     aug = assemble_augmented(params, "outer")
     steps = np.concatenate([np.zeros(12), inputs])   # y[t], then y[t+1]
-    return aug.sol_G @ steps + aug.sol_g[0]
+    return aug.sol_G @ steps + aug.sol_g[:, 0]
 
 
 class TestPeriodSolutionMaps:

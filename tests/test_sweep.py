@@ -50,8 +50,8 @@ def table_steps(params, point, labels):
 def expand(aug, t, y_now, y_next):
     """The period unknowns the solution maps give at (y[t], y[t+1]), and the
     recursion rows P y[t] + Q y[t+1] - g[t] (t counted from 0)."""
-    v = aug.sol_G @ np.concatenate([y_now, y_next]) + aug.sol_g[t]
-    return v, aug.P @ y_now + aug.Q @ y_next - aug.g[t]
+    v = aug.sol_G @ np.concatenate([y_now, y_next]) + aug.sol_g[:, t]
+    return v, aug.P @ y_now + aug.Q @ y_next - aug.g[:, t]
 
 
 class TestAssembleAugmented:
@@ -129,7 +129,7 @@ class TestAssembleAugmented:
         p = make_params(delta_s=0.0, delta_m=0.0, delta_r=0.0, d=0.0, d_hat=0.0)
         aug = assemble_augmented(p, "outer")
         assert np.array_equal(aug.P[4:, :4], np.zeros((4, 4)))
-        assert np.array_equal(aug.g[:, 4:], np.zeros((p.horizon_T, 4)))
+        assert np.array_equal(aug.g[4:], np.zeros((4, p.horizon_T)))
         backward = [fam for fam in equation_table(p)
                     if fam.boundary is not None and fam.at_end]
         assert len(backward) == 4
@@ -185,15 +185,15 @@ class TestBackwardSweep:
 
     @pytest.mark.parametrize("T", [1, 2, 3, 5, 12, 1023, 1024, 1025, 10000])
     def test_levels_and_factorizations(self, T, monkeypatch):
-        """The reduction runs ceil(log2 T) levels and factors at most two
-        matrices per level: the pairs' shared matrix and the tail's."""
+        """The reduction runs ceil(log2 T) levels and factors each level's
+        matrices, the pairs' shared one and the tail's, in one batched QR."""
         aug = assemble_augmented(make_params(horizon_T=T), "outer")
         calls = []
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
         levels, final = backward_sweep(aug)
         assert len(levels) == int(np.ceil(np.log2(T)))
-        assert len(levels) <= len(calls) <= 2 * len(levels)
+        assert len(calls) == len(levels)
         assert [part.shape for part in final] == [(8, 8), (8, 8), (8,)]
 
     def test_single_period_single_step(self):
@@ -204,7 +204,7 @@ class TestBackwardSweep:
         assert levels == []
         assert np.array_equal(Q, aug.Q)
         assert np.array_equal(P, aug.P)
-        assert np.array_equal(g, aug.g[0])
+        assert np.array_equal(g, aug.g[:, 0])
 
     def test_zero_costate_block_kills_gains(self, reference_params):
         """With C = 0 (no state terms in the costate rows) the backward
@@ -214,7 +214,7 @@ class TestBackwardSweep:
             aug = assemble_augmented(dataclasses.replace(reference_params, horizon_T=T),
                                      "outer")
             forcing = np.zeros_like(aug.g)
-            forcing[:, :4] = np.random.default_rng(3).uniform(-100, 100, size=(T, 4))
+            forcing[:4] = np.random.default_rng(3).uniform(-100, 100, size=(4, T))
             P = aug.P.copy()
             P[4:, :4] = 0.0
             stripped = dataclasses.replace(aug, P=P, g=forcing,
@@ -240,8 +240,8 @@ class TestBackwardSweep:
         for level in ("outer", "inner", "retailer"):
             aug = AugmentedSystem(
                 level=level, P=np.block([[-eye, zero], [eye, -eye]]),
-                Q=np.block([[eye, -eye], [zero, eye]]), g=np.zeros((2, 4)),
-                sol_G=np.zeros((7, 8)), sol_g=np.zeros((2, 7)), xt1=np.zeros(2),
+                Q=np.block([[eye, -eye], [zero, eye]]), g=np.zeros((4, 2)),
+                sol_G=np.zeros((7, 8)), sol_g=np.zeros((7, 2)), xt1=np.zeros(2),
             )
             reduction = backward_sweep(aug)
             with pytest.raises(SweepSingularError) as excinfo:
@@ -253,7 +253,7 @@ class TestBackwardSweep:
         """An overflowed forcing reaches the recovery as inf or nan, which no
         solve reports as a LinAlgError."""
         aug = assemble_augmented(reference_params, "inner", {"i_s": np.zeros(3)})
-        aug.g[1, 0] = np.inf
+        aug.g[0, 1] = np.inf
         with np.errstate(invalid="ignore"), \
                 pytest.raises(SweepSingularError, match="inner level"):
             _sweep_forward(aug, backward_sweep(aug))
@@ -298,11 +298,12 @@ def table_augmented(params, level, fixed):
     m, n2 = len(period), len(y)
     G = np.linalg.solve(K[n2:, :m], K[n2:, m:])
     reduced = K[:n2, m:] - K[:n2, :m] @ G
-    e = (np.stack(np.broadcast_arrays(*(fixed[name] for name in held), np.ones(T)), axis=-1)
+    e = (np.stack(np.broadcast_arrays(*(fixed[name] for name in held), np.ones(T)))
          if held else np.ones((1, 1)))
-    g, sol_g = e @ -reduced[:, 2 * n2:].T, e @ -G[:, 2 * n2:].T
+    g, sol_g = [(-M[:, 2 * n2:] @ e.reshape(len(e), -1)).reshape((len(M),) + e.shape[1:])
+                for M in (reduced, G)]
     if not held:
-        g, sol_g = np.broadcast_to(g, (T, n2)), np.broadcast_to(sol_g, (T, m))
+        g, sol_g = np.broadcast_to(g, (n2, T)), np.broadcast_to(sol_g, (m, T))
     return AugmentedSystem(
         level=level, P=reduced[:, :n2], Q=reduced[:, n2:2 * n2], g=g,
         sol_G=-G[:, :2 * n2], sol_g=sol_g,
@@ -386,6 +387,78 @@ class TestOneSolvePerReduction:
         assert all(path.shape[:len(batch)] == batch for path in paths.values())
 
 
+KERNEL_HORIZONS = [1, 2, 3, 5, 7, 8, 9, 1023, 1024, 1025]
+# (level, batch axes of its fixed paths); the outer level has no fixed path
+LEVEL_BATCHES = [("outer", ())] + [(level, batch) for level in ("inner", "retailer")
+                                   for batch in [(), (3,), (2, 3)]]
+LEVEL_BATCH_IDS = [f"{level}-{'x'.join(map(str, batch)) or 'unbatched'}"
+                   for level, batch in LEVEL_BATCHES]
+
+
+def level_rows(aug, paths, index):
+    """One batch entry's rows of the level at its solution, each with the
+    size of its terms: the recursion rows P y[t] + Q y[t+1] - g[t] and the
+    elimination rows v[t] - sol_G (y[t], y[t+1]) - sol_g[t].  The costates
+    of y[1] are the reduction's own unknowns, which the paths omit; no state
+    row and no v reads them (zero columns, asserted), so only the costate
+    rows at t = 1 go unchecked."""
+    state, costate, period, _ = _LEVELS[aug.level]
+    n, T = len(state), aug.horizon
+    assert not aug.P[:n, n:].any() and not aug.sol_G[:, n:2 * n].any()
+    y = np.zeros((2 * n, T + 1))
+    y[:n] = [paths[name][index] for name in state]
+    y[n:, 1:] = [paths[name][index] for name in costate]
+    v = np.array([paths[name][index] for name in period])
+    g, sol_g = aug.g[(slice(None),) + index], aug.sol_g[(slice(None),) + index]
+    both = np.vstack([y[:, :-1], y[:, 1:]])
+    rows = np.hstack([aug.P, aug.Q]) @ both - g
+    size = np.abs(np.hstack([aug.P, aug.Q])) @ np.abs(both) + np.abs(g)
+    rows[n:, 0] = size[n:, 0] = 0.0
+    eliminated = v - aug.sol_G @ both - sol_g
+    eliminated_size = np.abs(v) + np.abs(aug.sol_G) @ np.abs(both) + np.abs(sol_g)
+    return (rows, size), (eliminated, eliminated_size)
+
+
+class TestBatchLastReduction:
+    """Right-hand sides are stored batch-last, (2n, ..., T), and each
+    reduction level's are one contiguous array."""
+
+    @pytest.mark.parametrize("level, batch", LEVEL_BATCHES, ids=LEVEL_BATCH_IDS)
+    def test_horizon_is_the_games(self, level, batch):
+        """The tracer reads ``horizon`` off the system ``backward_sweep``
+        gets: T at every level and batch shape."""
+        aug = level_system(level, 7, batch)
+        assert aug.horizon == 7
+        assert aug.g.shape[1:] == batch + (7,)
+        assert aug.sol_g.shape[1:] == batch + (7,)
+
+    @pytest.mark.parametrize("T", KERNEL_HORIZONS)
+    @pytest.mark.parametrize("level, batch", LEVEL_BATCHES, ids=LEVEL_BATCH_IDS)
+    def test_every_entry_satisfies_its_rows(self, level, batch, T):
+        """Every batch entry's y and v satisfy the level's recursion and
+        elimination rows to roundoff, at every tail pattern of T."""
+        aug = level_system(level, T, batch)
+        paths = _sweep_forward(aug, backward_sweep(aug))
+        assert all(path.shape[:len(batch)] == batch for path in paths.values())
+        for index in np.ndindex(batch):
+            for rows, size in level_rows(aug, paths, index):
+                assert np.max(np.abs(rows)) <= roundoff_bound(T, np.max(size))
+
+    @pytest.mark.parametrize("T", KERNEL_HORIZONS)
+    def test_outer_carries_one_column(self, T):
+        """The outer g is one column broadcast over the periods, so every
+        reduction level carries one right-hand-side column, of the pairs and
+        of the tail alike; ``test_every_entry_satisfies_its_rows`` holds the
+        solution recovered from them to the level's rows."""
+        aug = level_system("outer", T)
+        assert aug.g.strides[-1] == 0
+        levels, (_, _, g) = backward_sweep(aug)
+        assert g.shape == (8,)
+        kept = [rows for level in levels for rows in level if rows is not None]
+        assert len(kept) >= len(levels)
+        assert all(h.shape == (8, 1, 1) for _, _, h in kept)
+
+
 def unused_first_state(monkeypatch):
     """Make every level's first state appear in no equation: column 0 of P
     and Q is zero, so the kept triangle of each pair of equations is
@@ -401,8 +474,8 @@ def unused_first_state(monkeypatch):
 
 
 class TestSingularKeptTriangle:
-    """The reduction never raises; the recovery meets the singularity and
-    names the level."""
+    """The reduction never raises: a singular kept triangle leaves NaN in
+    its inverse, which the recovery meets and reports naming the level."""
 
     SOLVES = {
         "outer": solve_game,
@@ -419,8 +492,8 @@ class TestSingularKeptTriangle:
         aug = sweep.assemble_augmented(p, level, {name: np.ones(T)
                                                   for name in _LEVELS[level][3]})
         levels, _ = backward_sweep(aug)
-        (R, _, _), _ = levels[0]
-        assert R[0, 0] == 0.0
+        (R_inv, _, _), _ = levels[0]
+        assert np.isnan(R_inv).all()
         with pytest.raises(SweepSingularError) as excinfo:
             self.SOLVES[level](p)
         assert excinfo.value.level == level
@@ -467,7 +540,7 @@ class TestForwardPass:
         xt = np.stack([paths[name] for name in OUTER_STATE], axis=1)
         expected = np.array([1.0, 0.0, 0.0, 0.0])
         for t in range(reference_params.horizon_T):
-            expected = -stripped.P[:4, :4] @ expected + stripped.g[t, :4]
+            expected = -stripped.P[:4, :4] @ expected + stripped.g[:4, t]
             assert np.allclose(xt[t + 1], expected, rtol=1e-12, atol=1e-12)
 
 
