@@ -15,12 +15,13 @@ a follower costate chain; and r, the supplier's costate for the u chain.
 
 The system is linear in the stacked unknowns, and ``equation_table`` writes
 each of its fifteen equation families once, as coefficients.
-``period_layout`` compiles that table once per game into the system period
-by period (``period_rows``); the parameters are valid by construction of
-``ModelParams``.  Every other view reads its rows: ``period_residual``
-evaluates them for ``residual_norms``, ``assemble_system`` (its Jacobian)
-and ``oracle.dense_solve``, and ``sweep.assemble_augmented`` selects each
-level's rows and columns, a leader's system holding its follower's.
+``period_layout`` compiles that table once per game, for every horizon,
+into the system period by period (``period_rows``); the parameters are
+valid by construction of ``ModelParams``.  Every other view reads its rows:
+``period_residual`` evaluates them for ``residual_norms``,
+``assemble_system`` (its Jacobian) and ``oracle.dense_solve``, and
+``sweep.assemble_augmented`` selects each level's rows and columns, a
+leader's system holding its follower's.
 
 The table's independent witness is ``hamiltonian``, one function for every
 player: the payoff and the state transition, plus the follower rows that
@@ -33,6 +34,7 @@ from the retailer up.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -200,15 +202,23 @@ TRAIL = sum(last == 0 for _, _, last in BLOCKS)
 _CHUNK = 384   # periods per product in period_residual, which bounds its temporaries
 
 
-@functools.lru_cache(maxsize=4)   # every reader of one game shares its compiled rows
-def period_layout(params: ModelParams) -> tuple:
-    """The game compiled period by period, (first, group, terminal,
-    families), shared read-only; tau*theta = 0 is refused.  Row group t is
-    D z[t] + E z[t + 1] - c over packed paths z: ``group`` is [D | E | c]
-    over PERIOD_COLUMNS for t > 1, a row per family of ``families``, and
-    ``first`` for t = 1, where the forward recursions' boundary rows replace
-    the LEAD families that start at t = 2; ``terminal``, [F | c] over
-    z[T + 1], holds the backward recursions' boundary rows."""
+# every ModelParams field but the horizon, which nothing compiled depends on
+_GAME_KEY = operator.attrgetter(*(f.name for f in fields(ModelParams) if f.name != "horizon_T"))
+
+
+class _Game(tuple):
+    """A game without its horizon, as a cache key: the tuple of every
+    ``ModelParams`` field but ``horizon_T``.  Its ``params``, the params it
+    was made from, compile the game on a miss."""
+
+
+@functools.lru_cache(maxsize=16)
+def _compiled(game: _Game) -> tuple:
+    """The layout of ``period_layout`` and a dict that ``sweep`` fills with
+    each level's compiled recursion the first time the level is solved.  An
+    entry retains 16 kB of layout and families and 8 kB of compiled levels,
+    so the 16 entries retain under 0.5 MB."""
+    params = game.params
     if params.tau * params.theta == 0.0:
         raise UndeterminedControlsError()
     families = equation_table(params)
@@ -221,7 +231,29 @@ def period_layout(params: ModelParams) -> tuple:
               period_rows(ends[True], PERIOD_COLUMNS[:WIDTH]))
     for rows in layout:
         rows.flags.writeable = False
-    return layout + (families,)
+    return layout + (families,), {}
+
+
+def compiled_game(params: ModelParams) -> tuple:
+    """(``period_layout(params)``, the game's dict of compiled levels), one
+    entry per game at every horizon: keyed on every parameter but
+    ``horizon_T``, which nothing compiled depends on."""
+    game = _Game(_GAME_KEY(params))
+    game.params = params
+    return _compiled(game)
+
+
+def period_layout(params: ModelParams) -> tuple:
+    """The game compiled period by period, (first, group, terminal,
+    families), shared read-only; tau*theta = 0 is refused.  Row group t is
+    D z[t] + E z[t + 1] - c over packed paths z: ``group`` is [D | E | c]
+    over PERIOD_COLUMNS for t > 1, a row per family of ``families``, and
+    ``first`` for t = 1, where the forward recursions' boundary rows replace
+    the LEAD families that start at t = 2; ``terminal``, [F | c] over
+    z[T + 1], holds the backward recursions' boundary rows.  None of them
+    depends on the horizon, so the game is compiled once for every T
+    (``compiled_game``) and every reader of it shares the rows."""
+    return compiled_game(params)[0]
 
 
 def pack(blocks: dict, T: int) -> np.ndarray:

@@ -18,8 +18,13 @@ circle.  Each level of the reduction pairs neighbouring equations and
 eliminates their shared y with one orthogonal transform common to all pairs;
 an odd last equation is carried as a tail.  The final equation, between y[1]
 and y[T+1], gives the unknown halves of both; undoing the levels recovers
-every y.  A level's matrix work does not depend on g and is done once, in
-the reduction, the pairs' and the tail's in one batched QR and inverse.
+every y.  A level's matrix work does not depend on g, nor on T but for the
+tail eliminations, which the binary digits of T shape: it is done once per
+recursion, the pairs' and the tail's misses of a level in one batched QR
+and inverse, and kept in a chain keyed on the bytes of P and Q that every
+later horizon and batch of the same recursion reuses (``_chain``).  The
+levels themselves are compiled once per game, at any horizon, and kept with
+its layout, so a game solved before costs only the O(T) products.
 
 Right-hand sides are stored batch-last, each level's as one contiguous
 (2n, B, k) array of B batch entries and k equations, so that every product
@@ -45,8 +50,10 @@ shared, and every batch entry is one right-hand side of the same reduction.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +67,8 @@ from .model import (
 from .scenario import Scenario
 from .stationarity import (
     PERIOD_COLUMNS,
+    compiled_game,
     fixed_paths,
-    period_layout,
     residual_norms,
     trajectory_blocks,
     trajectory_from_blocks,
@@ -128,25 +135,27 @@ class SolveReport:
     oracle_residual_max: float | None = None
 
 
-def assemble_augmented(params: ModelParams, level: str, fixed=None) -> AugmentedSystem:
-    """Select one level's recursion from the game's per-period rows.
+class _Level(NamedTuple):
+    """One level of a game, compiled once for every horizon: the recursion's
+    P and Q, the solution map's sol_G, the states at t = 1, and the maps of
+    (e[t], 1), e the fixed paths, to g[t] and sol_g[t].  With no fixed path
+    the maps are g[t] and sol_g[t] themselves, one column each."""
 
-    ``fixed`` maps each of the level's fixed blocks to its path, of shape
-    (..., T); the outer level has none.  The level's rows of the layout's
-    ``group``, the recursions stepping y in y order and then its algebraic
-    families, over the columns (v[t], y[t], y[t+1], e[t]), e the fixed
-    paths, and the constant negated, are K (v, y[t], y[t+1], e[t], 1) = 0.
-    One solve against the algebraic rows eliminates v.
-    """
-    if level not in _LEVELS:
-        raise ValueError(f"unknown level {level!r}; expected one of {tuple(_LEVELS)}")
-    _, group, _, families = period_layout(params)
-    T = params.horizon_T
+    P: np.ndarray
+    Q: np.ndarray
+    sol_G: np.ndarray
+    xt1: np.ndarray
+    g_map: np.ndarray
+    sol_map: np.ndarray
+
+
+def _compile_level(layout, level: str) -> _Level:
+    """The level's rows of the layout's ``group``, the recursions stepping y
+    in y order and then its algebraic families, over the columns (v[t],
+    y[t], y[t+1], e[t]) and the constant negated, are K (v, y[t], y[t+1],
+    e[t], 1) = 0.  One solve against the algebraic rows eliminates v."""
+    _, group, _, families = layout
     state, costate, period, held = _LEVELS[level]
-    if set(fixed or ()) != set(held):
-        raise ValueError(f"the {level} level needs the fixed paths {held}, "
-                         f"got {tuple(fixed or ())}")
-    fixed = fixed_paths(fixed, T)
     y, blocks = state + costate, {*state, *costate, *period, *held}
     stepping = {fam.terms[0][0]: i for i, fam in enumerate(families) if fam.boundary is not None}
     rows = [stepping[name] for name in y] + [
@@ -161,52 +170,114 @@ def assemble_augmented(params: ModelParams, level: str, fixed=None) -> Augmented
     m, n2 = len(period), len(y)
     G = np.linalg.solve(K[n2:, :m], K[n2:, m:])
     reduced = K[:n2, m:] - K[:n2, :m] @ G
-    # e[:, ..., t] = (e[t], 1); with no fixed path it is the one column (1),
-    # and g and sol_g are that column's terms, broadcast over the periods.
-    e = (np.stack(np.broadcast_arrays(*(fixed[name] for name in held), np.ones(T)))
-         if held else np.ones((1, 1)))
-    g, sol_g = [(-M[:, 2 * n2:] @ e.reshape(len(e), -1)).reshape((len(M),) + e.shape[1:])
-                for M in (reduced, G)]
+    # g[t] and sol_g[t] are the maps times (e[t], 1); with no fixed path that
+    # is the one column (1), multiplied here, once: the product turns the
+    # negated zeros of the maps into +0.0, which skipping it would not
+    maps = [-M[:, 2 * n2:] for M in (reduced, G)]
     if not held:
-        g, sol_g = np.broadcast_to(g, (n2, T)), np.broadcast_to(sol_g, (m, T))
-    return AugmentedSystem(
-        level=level, P=reduced[:, :n2], Q=reduced[:, n2:2 * n2], g=g,
-        sol_G=-G[:, :2 * n2], sol_g=sol_g,
-        xt1=np.array([families[stepping[name]].boundary for name in state]))
+        maps = [M @ np.ones((1, 1)) for M in maps]
+    compiled = _Level(reduced[:, :n2], reduced[:, n2:2 * n2], -G[:, :2 * n2],
+                      np.array([families[stepping[name]].boundary for name in state]), *maps)
+    for array in compiled:
+        array.setflags(write=False)
+    return compiled
+
+
+def assemble_augmented(params: ModelParams, level: str, fixed=None) -> AugmentedSystem:
+    """Select one level's recursion from the game's per-period rows.
+
+    ``fixed`` maps each of the level's fixed blocks to its path, of shape
+    (..., T); the outer level has none.  The level is compiled
+    (``_compile_level``) the first time it is solved, at any horizon, and
+    kept with the game's layout (``stationarity.compiled_game``), read-only;
+    a call only turns the fixed paths into g and sol_g, O(T) products.
+    """
+    if level not in _LEVELS:
+        raise ValueError(f"unknown level {level!r}; expected one of {tuple(_LEVELS)}")
+    layout, levels = compiled_game(params)
+    if level not in levels:
+        levels[level] = _compile_level(layout, level)
+    compiled = levels[level]
+    T = params.horizon_T
+    _, _, _, held = _LEVELS[level]
+    if set(fixed or ()) != set(held):
+        raise ValueError(f"the {level} level needs the fixed paths {held}, "
+                         f"got {tuple(fixed or ())}")
+    fixed = fixed_paths(fixed, T)
+    maps = compiled.g_map, compiled.sol_map
+    if held:
+        # e[:, ..., t] = (e[t], 1)
+        e = np.stack(np.broadcast_arrays(*(fixed[name] for name in held), np.ones(T)))
+        g, sol_g = [(M @ e.reshape(len(e), -1)).reshape((len(M),) + e.shape[1:]) for M in maps]
+    else:
+        g, sol_g = [np.broadcast_to(M, (len(M), T)) for M in maps]
+    return AugmentedSystem(level=level, P=compiled.P, Q=compiled.Q, g=g, sol_G=compiled.sol_G,
+                           sol_g=sol_g, xt1=compiled.xt1)
 
 
 def _inverse(R):
-    """The inverses of the stacked triangles R, or NaN in every one if one
-    is singular, which the recovery reports."""
+    """The inverses of the stacked triangles R, NaN in each that is
+    singular, which the recovery reports; the others keep their inverses,
+    as each is cached apart."""
     try:
         return np.linalg.inv(R)
     except np.linalg.LinAlgError:
-        return np.full_like(R, np.nan)
+        if len(R) == 1:
+            return np.full_like(R, np.nan)
+        return np.concatenate([_inverse(one) for one in np.split(R, len(R))])
 
 
-def _eliminate(*eliminations):
-    """Eliminate, for each of a reduction level's eliminations (P1, Q1, P2,
-    Q2, g), the y shared by neighbouring equations P1 y[left] + Q1 y[shared]
-    = g1 and P2 y[shared] + Q2 y[right] = g2, of every pair at once: g =
-    [g1; g2], (2m, B, c), stacks their right-hand sides, B batch entries and
-    c pairs (or one column common to all).  The matrix work, a QR of [Q1;
-    P2] = U R, the products with U^T and the inverse of the kept triangle R,
-    is done once per elimination, all of a level's in one batched QR and
-    inverse; the right-hand sides pass through one product.  Returns, per
-    elimination, the kept rows as y[shared] = R^-1 (h - W1 y[left] - W2
-    y[right]), that is (R^-1, (W1; W2), h), and the reduced equation (P, Q,
-    g) between the outer two.  R^-1 stays out of the maps: R^-1 W1 and
-    R^-1 W2 would save the recovery a product per level, but the large terms
-    they subtract lose digits where R is ill-conditioned."""
-    m = len(eliminations[0][0])
-    U, R = np.linalg.qr(np.array([np.concatenate([Q1, P2]) for _, Q1, P2, _, _ in eliminations]),
-                        mode="complete")
+_CHAIN_ENTRIES = 48   # per chain; the reference game at T = 100, 500, 1000, 2000, 10000 uses 34
+
+
+@functools.lru_cache(maxsize=16)
+def _chain(shapes, P_bytes, Q_bytes) -> dict:
+    """The matrix work of the reductions of the recursion whose P and Q
+    have these shapes and bytes, grown as horizons need it: elimination key
+    -> (U, R^-1, W, next P, next Q), read-only.  The key of the pairs of
+    reduction level j is j; that of its tail elimination (j, T mod
+    2^(j+1)), the digits of T that shaped the tail.  A chain keeps its
+    ``_CHAIN_ENTRIES`` newest entries; an entry of the outer level, the
+    largest, retains 7.4 kB, so the 16 chains retain under 6 MB.
+    Keyed on content, a hand-built or patched system never reads another's
+    factors."""
+    return {}
+
+
+def _eliminate(chain, *eliminations):
+    """Eliminate, for each of a reduction level's eliminations (key, P1, Q1,
+    P2, Q2, g), the y shared by neighbouring equations P1 y[left] + Q1
+    y[shared] = g1 and P2 y[shared] + Q2 y[right] = g2, of every pair at
+    once: g = [g1; g2], (2m, B, c), stacks their right-hand sides, B batch
+    entries and c pairs (or one column common to all).  The matrix work, a
+    QR of [Q1; P2] = U R, the products with U^T and the inverse of the kept
+    triangle R, is looked up in ``chain`` by the key, and done for the
+    level's misses in one batched QR and inverse; the right-hand sides pass
+    through one product.  Returns, per elimination, the kept rows as
+    y[shared] = R^-1 (h - W1 y[left] - W2 y[right]), that is (R^-1, (W1;
+    W2), h), and the reduced equation (P, Q, g) between the outer two.  R^-1
+    stays out of the maps: R^-1 W1 and R^-1 W2 would save the recovery a
+    product per level, but the large terms they subtract lose digits where
+    R is ill-conditioned."""
+    m = len(eliminations[0][1])
+    entries = [chain.get(key) for key, *_ in eliminations]
+    missing = [i for i, entry in enumerate(entries) if entry is None]
+    if missing:
+        U, R = np.linalg.qr(np.array([np.concatenate(eliminations[i][2:4]) for i in missing]),
+                            mode="complete")
+        for i, U, R_inv in zip(missing, U, _inverse(R[:, :m])):
+            key, P1, _, _, Q2, _ = eliminations[i]
+            left, right = U[:m].T @ P1, U[m:].T @ Q2   # U^T [P1; 0], U^T [0; Q2]
+            entries[i] = (U, R_inv, np.concatenate([left[:m], right[:m]]), left[m:], right[m:])
+            for array in entries[i]:
+                array.setflags(write=False)
+            if len(chain) >= _CHAIN_ENTRIES:   # forget the oldest
+                del chain[next(iter(chain))]
+            chain[key] = entries[i]
     done = []
-    for (P1, _, _, Q2, g), U, R_inv in zip(eliminations, U, _inverse(R[:, :m])):
-        left, right = U[:m].T @ P1, U[m:].T @ Q2   # U^T [P1; 0], U^T [0; Q2]
+    for (*_, g), (U, R_inv, W, P, Q) in zip(eliminations, entries):
         h = (U.T @ g.reshape(2 * m, -1)).reshape(g.shape)
-        done.append(((R_inv, np.concatenate([left[:m], right[:m]]), h[:m]),
-                     (left[m:], right[m:], h[m:])))
+        done.append(((R_inv, W, h[:m]), (P, Q, h[m:])))
     return done
 
 
@@ -224,20 +295,25 @@ def backward_sweep(aug: AugmentedSystem):
     pairs and of the tail, and the final equation between y[1] and y[T+1].
     Each level's right-hand sides are one contiguous (2n, B, k) array, B the
     batch entries and k the level's equations, or one column where g is
-    constant over the periods, as the outer level's is.  A singular kept
-    triangle leaves NaN in its inverse, which the recovery reports."""
-    P, Q, T = aug.P, aug.Q, aug.horizon
+    constant over the periods, as the outer level's is.  The matrix work is
+    the chain of P and Q (``_chain``), shared by every horizon and batch.
+    A singular kept triangle leaves NaN in its inverse, which the recovery
+    reports."""
+    P, Q, T = np.asarray(aug.P, dtype=float), np.asarray(aug.Q, dtype=float), aug.horizon
+    chain = _chain((P.shape, Q.shape), P.tobytes(), Q.tobytes())
     g = aug.g.reshape(len(P), -1, T)
     if not g.strides[-1]:
         g = g[..., :1]
     k, tail, levels = T, None, []
     while k + (tail is not None) > 1:
+        j = len(levels)
         last = g[..., k - 1:k] if g.shape[-1] > 1 else g
-        pairs = [(P, Q, P, Q, _pairs(g, k // 2))] if k > 1 else []
-        tails = [(P, Q, *tail[:2], np.concatenate([last, tail[2]]))] if k % 2 and tail else []
+        pairs = [(j, P, Q, P, Q, _pairs(g, k // 2))] if k > 1 else []
+        tails = ([((j, T % (2 << j)), P, Q, *tail[:2], np.concatenate([last, tail[2]]))]
+                 if k % 2 and tail else [])
         if k % 2 and not tail:
             tail = (P, Q, last)
-        done, kept, kept_tail = _eliminate(*pairs, *tails), None, None
+        done, kept, kept_tail = _eliminate(chain, *pairs, *tails), None, None
         if tails:
             kept_tail, tail = done.pop()
         if pairs:

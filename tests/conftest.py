@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csrchain import ModelParams, optimal_quantity
+from csrchain import ModelParams, optimal_quantity, stationarity, sweep
 from csrchain.stationarity import (
     BLOCKS,
     WIDTH,
@@ -63,6 +63,13 @@ def draw_params(rng: np.random.Generator, horizon_T: int) -> ModelParams:
         x1=rng.uniform(-1.0, 3.0),
         horizon_T=horizon_T,
     )
+
+
+def clear_caches():
+    """Forget every compiled game and reduction chain, so that the next
+    solve of any game starts cold."""
+    stationarity._compiled.cache_clear()
+    sweep._chain.cache_clear()
 
 
 def vector_to_trajectory(z, params: ModelParams):

@@ -4,6 +4,8 @@ The reference parameters put 6 of the 8 eigenvalues of the outer transfer
 matrix on the unit circle, so there is no dichotomy to lean on; a Riccati
 sweep lost the 1e-8 tolerance from T = 115 and broke down at T = 10000.
 """
+import dataclasses
+import gc
 import re
 import tracemalloc
 
@@ -17,6 +19,7 @@ from csrchain.sweep import solve_game
 from csrchain.stationarity import equation_table, residual_norms, trajectory_blocks
 
 from conftest import (
+    clear_caches,
     draw_params,
     make_params,
     reference_residual_bound,
@@ -153,8 +156,32 @@ def test_oracle_memory_is_linear_in_horizon():
 
 def test_solve_memory_at_long_horizon():
     """No needless O(T) temporaries.  At T = 10000 the 15T + 4 residual
-    rows take 1.2 MB, so the norms may hold little besides them."""
+    rows take 1.2 MB, so the norms may hold little besides them.  A cold
+    solve, which compiles the game and fills its reduction chains, stays in
+    the same bound."""
     params = make_params(horizon_T=10000)
+    clear_caches()
+    assert peak_bytes(solve_game, params) <= 4.0e6
     trajectory, _ = solve_game(params)
     assert peak_bytes(residual_norms, trajectory, params) <= 1.3e6
     assert peak_bytes(solve_game, params) <= 4.0e6
+
+
+def test_caches_retain_at_most_their_stated_bounds():
+    """After more distinct games than the caches hold, each solved at
+    several horizons, what they retain stays under the bounds their
+    docstrings state: 0.5 MB of compiled games, 6 MB of reduction chains."""
+    rng = np.random.default_rng(24)
+    games = [draw_params(rng, 1) for _ in range(20)]
+    clear_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for params in games:
+            for T in (1000, 1023, 1517, 2047, 3001):
+                solve_game(dataclasses.replace(params, horizon_T=T))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 0.5e6 + 6e6

@@ -30,7 +30,7 @@ from csrchain.sweep import (
     solve_inner_given_supplier,
 )
 
-from conftest import draw_params, level_table, make_params
+from conftest import clear_caches, draw_params, level_table, make_params
 
 OUTER_STATE, OUTER_COSTATE, OUTER_PERIOD, _ = _LEVELS["outer"]
 
@@ -162,6 +162,21 @@ class TestAssembleAugmented:
             assemble_augmented(reference_params, "middle")
 
 
+def count_qr(monkeypatch):
+    """The list that every later np.linalg.qr call appends to."""
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    return calls
+
+
+def tail_eliminations(T):
+    """Reduction level -> the digits of T below and at it, for each level
+    that eliminates the tail: the level's equation count T >> j is odd and
+    a tail is already carried, T mod 2^j > 0."""
+    return {j: T % (2 << j) for j in range(T.bit_length()) if T >> j & 1 and T % (1 << j)}
+
+
 def roundoff_bound(T, scale):
     """k eps scale, with k = 2m (ceil(log2 T) + 1) and m = 8 rows per
     outer equation: each reduction level, and the final solve, applies one
@@ -185,16 +200,48 @@ class TestBackwardSweep:
 
     @pytest.mark.parametrize("T", [1, 2, 3, 5, 12, 1023, 1024, 1025, 10000])
     def test_levels_and_factorizations(self, T, monkeypatch):
-        """The reduction runs ceil(log2 T) levels and factors each level's
-        matrices, the pairs' shared one and the tail's, in one batched QR."""
+        """The reduction runs ceil(log2 T) levels and, cold, factors each
+        level's matrices, the pairs' shared one and the tail's, in one
+        batched QR."""
+        clear_caches()
         aug = assemble_augmented(make_params(horizon_T=T), "outer")
-        calls = []
-        qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        calls = count_qr(monkeypatch)
         levels, final = backward_sweep(aug)
         assert len(levels) == int(np.ceil(np.log2(T)))
         assert len(calls) == len(levels)
         assert [part.shape for part in final] == [(8, 8), (8, 8), (8,)]
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 5, 12, 1023, 1024, 1025, 10000])
+    def test_same_horizon_again_factors_nothing(self, T, monkeypatch):
+        """A game solved before at the same horizon factors nothing: its
+        outer and inner reductions read their chains."""
+        p = make_params(horizon_T=T)
+        clear_caches()
+        solve_game(p)
+        calls = count_qr(monkeypatch)
+        solve_game(p)
+        assert calls == []
+
+    @pytest.mark.parametrize("seen, T", [(1024, 1025), (1025, 1024), (5, 12), (12, 5),
+                                         (1023, 10000), (10000, 1023), (3, 7), (7, 3)])
+    def test_new_horizon_factors_only_unseen_tails(self, seen, T, monkeypatch):
+        """A new horizon of a seen game reuses the pairs' factors of every
+        reduction level the seen one reached, and a tail's wherever the
+        digits of T that shaped the tail match; it factors, in one QR per
+        level, only what is left."""
+        p = make_params(horizon_T=seen)
+        clear_caches()
+        aug = assemble_augmented(p, "outer")
+        backward_sweep(aug)
+        aug = assemble_augmented(make_params(horizon_T=T), "outer")
+        calls = count_qr(monkeypatch)
+        levels, _ = backward_sweep(aug)
+        tails, seen_tails = tail_eliminations(T), tail_eliminations(seen)
+        unseen = [j for j in range(len(levels)) if T >> j > 1 >= seen >> j
+                  or j in tails and tails[j] != seen_tails.get(j)]
+        assert len(calls) == len(unseen)
+        if (seen, T) == (1024, 1025):   # the one tail, at the last level
+            assert unseen == [10]
 
     def test_single_period_single_step(self):
         """At T = 1 nothing is paired: the final equation is the period's
@@ -333,7 +380,7 @@ class TestSelectionFromLayout:
         table = stationarity.equation_table
         monkeypatch.setattr(stationarity, "equation_table",
                             lambda params: calls.append(params) or table(params))
-        stationarity.period_layout.cache_clear()
+        clear_caches()
         p = make_params(horizon_T=4)
         traj, _ = solve_game(p)
         dense_solve(p)
@@ -342,13 +389,37 @@ class TestSelectionFromLayout:
         leader_stationarity_check(traj, p)
         assert len(calls) == 1
 
+    def test_one_compile_per_game_for_every_horizon(self, monkeypatch):
+        """A second horizon of a seen game builds no table and compiles no
+        level: the layout and the levels are keyed on the game without its
+        horizon."""
+        clear_caches()
+        p = make_params(horizon_T=4)
+        traj, _ = solve_game(p)
+        follower_stationarity_check(traj, p, "M")
+        tables, levels = [], []
+        table, compile_level = stationarity.equation_table, sweep._compile_level
+        monkeypatch.setattr(stationarity, "equation_table",
+                            lambda params: tables.append(params) or table(params))
+        monkeypatch.setattr(sweep, "_compile_level",
+                            lambda *args: levels.append(args[1]) or compile_level(*args))
+        p = make_params(horizon_T=9)
+        traj, _ = solve_game(p)
+        dense_solve(p)
+        follower_stationarity_check(traj, p, "R")
+        follower_stationarity_check(traj, p, "M")
+        leader_stationarity_check(traj, p)
+        assert tables == [] and levels == []
+        solve_game(make_params(horizon_T=9, x1=2.0))   # another game compiles
+        assert len(tables) == 1 and levels == ["outer", "inner"]
+
     def test_layout_runs_no_validation(self, monkeypatch):
         """Construction validated the parameters, so compiling and solving
         the game never checks them again."""
         p = make_params(horizon_T=4)
         calls = []
         monkeypatch.setattr(type(p), "validate", lambda params: calls.append(params) or [])
-        stationarity.period_layout.cache_clear()
+        clear_caches()
         stationarity.period_layout(p)
         solve_game(p)
         assert calls == []
@@ -459,6 +530,117 @@ class TestBatchLastReduction:
         assert all(h.shape == (8, 1, 1) for _, _, h in kept)
 
 
+GAMES = {"ref": make_params,
+         "draw0": lambda horizon_T: draw_params(np.random.default_rng(91), horizon_T),
+         "draw1": lambda horizon_T: draw_params(np.random.default_rng(92), horizon_T)}
+
+
+def everything_solved(game, T) -> dict:
+    """Every trajectory array and report float of the game's solve at
+    horizon T, and every path of each pair in LEVEL_BATCHES solved alone."""
+    p = GAMES[game](horizon_T=T)
+    trajectory, report = solve_game(p)
+    out = {name: path for name, path in stationarity.trajectory_blocks(trajectory).items()}
+    out["q"] = trajectory.q
+    out.update((f.name, getattr(report, f.name)) for f in dataclasses.fields(report)
+               if f.name != "timing_seconds")
+    for level, batch in LEVEL_BATCHES:
+        rng = np.random.default_rng(T)
+        fixed = {name: rng.uniform(-5, 5, batch + (T,)) for name in _LEVELS[level][3]}
+        aug = assemble_augmented(p, level, fixed)
+        paths = _sweep_forward(aug, backward_sweep(aug))
+        out.update((f"{level}{batch}.{name}", path) for name, path in paths.items())
+    return out
+
+
+def bits(value):
+    """What tells two results apart bit for bit: an array's dtype, shape and
+    bytes, a float's hex form; other values as they are."""
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    return value.hex() if isinstance(value, float) else value
+
+
+def cached_arrays(params) -> list:
+    """Every array the caches hold for the game: its layout, its compiled
+    levels and their reduction chains."""
+    layout, levels = stationarity.compiled_game(params)
+    arrays = list(layout[:3])
+    for level in levels.values():
+        arrays += list(level)
+        chain = sweep._chain((level.P.shape, level.Q.shape), level.P.tobytes(),
+                             level.Q.tobytes())
+        arrays += [array for entry in chain.values() for array in entry]
+    return arrays
+
+
+class TestCompiledOnce:
+    """The layout, the levels and the reduction chains are compiled once per
+    game and reused at every horizon, without changing a bit of any result."""
+
+    @pytest.mark.parametrize("game", list(GAMES))
+    def test_results_bit_identical_in_any_order(self, game):
+        """Ascending from cold caches, descending on the warm ones, and each
+        horizon cold give the same bits."""
+        clear_caches()
+        ascending = {T: everything_solved(game, T) for T in KERNEL_HORIZONS}
+        descending = {T: everything_solved(game, T) for T in reversed(KERNEL_HORIZONS)}
+        cold = {}
+        for T in KERNEL_HORIZONS:
+            clear_caches()
+            cold[T] = everything_solved(game, T)
+        for T in KERNEL_HORIZONS:
+            for results in (descending, cold):
+                assert results[T].keys() == ascending[T].keys()
+                for name, value in ascending[T].items():
+                    assert bits(results[T][name]) == bits(value), (T, name)
+
+    def test_full_chain_forgets_its_oldest(self):
+        """A chain holds at most ``_CHAIN_ENTRIES`` factors; past that it
+        forgets the oldest, which the next horizon needing them factors
+        again, to the same bits."""
+        clear_caches()
+        horizons = range(1001, 1061, 2)
+        warm = [everything_solved("ref", T) for T in horizons]
+        aug = assemble_augmented(make_params(horizon_T=1), "outer")
+        chain = sweep._chain((aug.P.shape, aug.Q.shape), aug.P.tobytes(), aug.Q.tobytes())
+        tails = {item for T in horizons for item in tail_eliminations(T).items()}
+        assert len(chain) == sweep._CHAIN_ENTRIES < 10 + len(tails)   # 10 pair levels
+        for T, results in zip(horizons, warm):
+            clear_caches()
+            cold = everything_solved("ref", T)
+            assert all(bits(cold[name]) == bits(value) for name, value in results.items())
+
+    def test_cached_arrays_are_read_only(self):
+        p = make_params(horizon_T=5)
+        solve_game(p)
+        aug = assemble_augmented(p, "outer")
+        with pytest.raises(ValueError, match="read-only"):
+            aug.P[0, 0] = 1.0
+        assert not any(array.flags.writeable for array in cached_arrays(p))
+
+    def test_results_share_no_cached_memory(self):
+        p = make_params(horizon_T=9)
+        clear_caches()
+        trajectory, _ = solve_game(p)
+        trajectory, _ = solve_game(p)
+        responses = (solve_retailer_response(p, np.ones(9), np.ones((2, 9)))
+                     + solve_inner_response(p, np.ones((2, 9))))
+        cached = cached_arrays(p)
+        assert len(cached) > 3
+        results = [*stationarity.trajectory_blocks(trajectory).values(), trajectory.q,
+                   *responses]
+        assert not any(np.shares_memory(result, array) for result in results for array in cached)
+
+
+def test_a_singular_triangle_spoils_only_its_own_inverse():
+    """A level's pair and tail triangles are inverted in one batch but
+    cached apart, so a singular one leaves NaN in its own inverse only."""
+    R_inv = sweep._inverse(np.stack([2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3)]))
+    assert np.array_equal(R_inv[[0, 2]], [0.5 * np.eye(3), np.eye(3)])
+    assert np.isnan(R_inv[1]).all()
+
+
 def unused_first_state(monkeypatch):
     """Make every level's first state appear in no equation: column 0 of P
     and Q is zero, so the kept triangle of each pair of equations is
@@ -487,9 +669,22 @@ class TestSingularKeptTriangle:
     @pytest.mark.parametrize("T", [2, 5, 1025])
     @pytest.mark.parametrize("level", ["outer", "inner", "retailer"])
     def test_raised_by_the_recovery_naming_the_level(self, level, T, monkeypatch):
+        clear_caches()
+        self.assert_raised_naming(level, make_params(horizon_T=T), monkeypatch)
+
+    @pytest.mark.parametrize("T", [2, 5, 1025])
+    @pytest.mark.parametrize("level", ["outer", "inner", "retailer"])
+    def test_raised_after_a_warm_solve_of_the_game(self, level, T, monkeypatch):
+        """A solve of the same game and level has filled the caches, and the
+        patched system still reads its own factors."""
         p = make_params(horizon_T=T)
+        clear_caches()
+        self.SOLVES[level](p)
+        self.assert_raised_naming(level, p, monkeypatch)
+
+    def assert_raised_naming(self, level, p, monkeypatch):
         unused_first_state(monkeypatch)
-        aug = sweep.assemble_augmented(p, level, {name: np.ones(T)
+        aug = sweep.assemble_augmented(p, level, {name: np.ones(p.horizon_T)
                                                   for name in _LEVELS[level][3]})
         levels, _ = backward_sweep(aug)
         (R_inv, _, _), _ = levels[0]
