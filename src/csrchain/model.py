@@ -25,8 +25,8 @@ Index conventions used throughout the package (all arrays 0-based):
 """
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -86,7 +86,7 @@ class ModelParams:
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, numbers.Real):   # bool is an int
                 out.append(f"{name} must be a real number, got {val!r}")
-            elif not math.isfinite(val):
+            elif not abs(val) <= sys.float_info.max:   # math.isfinite(10**400) overflows
                 out.append(f"{name} must be finite, got {val!r}")
             else:
                 finite.add(name)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import struct
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -207,17 +208,19 @@ _GAME_KEY = operator.attrgetter(*(f.name for f in fields(ModelParams) if f.name 
 
 
 class _Game(tuple):
-    """A game without its horizon, as a cache key: the tuple of every
-    ``ModelParams`` field but ``horizon_T``.  Its ``params``, the params it
-    was made from, compile the game on a miss."""
+    """A game without its horizon, as a cache key: every ``ModelParams``
+    field but ``horizon_T``, then their float64 bytes, which tell -0.0 from
+    0.0.  Its ``params``, the params it was made from, compile the game on
+    a miss."""
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=8)
 def _compiled(game: _Game) -> tuple:
     """The layout of ``period_layout`` and a dict that ``sweep`` fills with
-    each level's compiled recursion the first time the level is solved.  An
-    entry retains 16 kB of layout and families and 8 kB of compiled levels,
-    so the 16 entries retain under 0.5 MB."""
+    each level's compiled recursion, reduction chain included, the first
+    time the level is solved.  An entry retains 16 kB of layout and
+    families, 8 kB of compiled levels and, with the three chains full, 0.57
+    MB of chains, so the 8 entries retain under 5 MB."""
     params = game.params
     if params.tau * params.theta == 0.0:
         raise UndeterminedControlsError()
@@ -236,9 +239,12 @@ def _compiled(game: _Game) -> tuple:
 
 def compiled_game(params: ModelParams) -> tuple:
     """(``period_layout(params)``, the game's dict of compiled levels), one
-    entry per game at every horizon: keyed on every parameter but
-    ``horizon_T``, which nothing compiled depends on."""
-    game = _Game(_GAME_KEY(params))
+    entry per game at every horizon, the one cache of the process: keyed
+    on every bit of every parameter but ``horizon_T``, which nothing
+    compiled depends on."""
+    values = _GAME_KEY(params)
+    # struct, not numpy, whose per-call heap block set T = 10000 solves page-faulting
+    game = _Game((*values, struct.pack(f"{len(values)}d", *values)))
     game.params = params
     return _compiled(game)
 

@@ -20,11 +20,11 @@ an odd last equation is carried as a tail.  The final equation, between y[1]
 and y[T+1], gives the unknown halves of both; undoing the levels recovers
 every y.  A level's matrix work does not depend on g, nor on T but for the
 tail eliminations, which the binary digits of T shape: it is done once per
-recursion, the pairs' and the tail's misses of a level in one batched QR
-and inverse, and kept in a chain keyed on the bytes of P and Q that every
-later horizon and batch of the same recursion reuses (``_chain``).  The
-levels themselves are compiled once per game, at any horizon, and kept with
-its layout, so a game solved before costs only the O(T) products.
+level of the game, the pairs' and the tail's misses of a reduction level in
+one batched QR and inverse, and kept in the level's chain, which every later
+horizon and batch of the level reuses.  The levels are compiled once per
+game, at any horizon, and kept with its layout (``stationarity.compiled_game``,
+the one cache), so a game solved before costs only the O(T) products.
 
 Right-hand sides are stored batch-last, each level's as one contiguous
 (2n, B, k) array of B batch entries and k equations, so that every product
@@ -50,9 +50,8 @@ shared, and every batch entry is one right-hand side of the same reduction.
 """
 from __future__ import annotations
 
-import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -95,7 +94,8 @@ class AugmentedSystem:
     unknowns are v[t] = sol_G @ (y[t], y[t+1]) + sol_g[:, ..., t], sol_g of
     shape (m, ..., T).  The outer level has no fixed path, so its g and
     sol_g are one column each, broadcast over the periods as read-only
-    views (a zero stride, which the reduction reads as one column).
+    views (a zero stride, which the reduction reads as one column).  Only
+    ``assemble_augmented`` sets ``chain``, the compiled level's reductions.
     """
 
     level: str
@@ -105,6 +105,7 @@ class AugmentedSystem:
     sol_G: np.ndarray
     sol_g: np.ndarray
     xt1: np.ndarray
+    chain: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def horizon(self) -> int:
@@ -139,7 +140,10 @@ class _Level(NamedTuple):
     """One level of a game, compiled once for every horizon: the recursion's
     P and Q, the solution map's sol_G, the states at t = 1, and the maps of
     (e[t], 1), e the fixed paths, to g[t] and sol_g[t].  With no fixed path
-    the maps are g[t] and sol_g[t] themselves, one column each."""
+    the maps are g[t] and sol_g[t] themselves, one column each.  ``chain``
+    maps the key of each elimination of the level's reductions, j for the
+    pairs of reduction level j and (j, T mod 2^(j+1)) for its tail, to (U,
+    R^-1, W, next P, next Q), read-only, as horizons need them."""
 
     P: np.ndarray
     Q: np.ndarray
@@ -147,6 +151,7 @@ class _Level(NamedTuple):
     xt1: np.ndarray
     g_map: np.ndarray
     sol_map: np.ndarray
+    chain: dict
 
 
 def _compile_level(layout, level: str) -> _Level:
@@ -177,8 +182,8 @@ def _compile_level(layout, level: str) -> _Level:
     if not held:
         maps = [M @ np.ones((1, 1)) for M in maps]
     compiled = _Level(reduced[:, :n2], reduced[:, n2:2 * n2], -G[:, :2 * n2],
-                      np.array([families[stepping[name]].boundary for name in state]), *maps)
-    for array in compiled:
+                      np.array([families[stepping[name]].boundary for name in state]), *maps, {})
+    for array in compiled[:-1]:
         array.setflags(write=False)
     return compiled
 
@@ -189,8 +194,8 @@ def assemble_augmented(params: ModelParams, level: str, fixed=None) -> Augmented
     ``fixed`` maps each of the level's fixed blocks to its path, of shape
     (..., T); the outer level has none.  The level is compiled
     (``_compile_level``) the first time it is solved, at any horizon, and
-    kept with the game's layout (``stationarity.compiled_game``), read-only;
-    a call only turns the fixed paths into g and sol_g, O(T) products.
+    kept with the game's layout (``stationarity.compiled_game``), read-only,
+    chain and all; a call only turns the fixed paths into g and sol_g.
     """
     if level not in _LEVELS:
         raise ValueError(f"unknown level {level!r}; expected one of {tuple(_LEVELS)}")
@@ -211,8 +216,9 @@ def assemble_augmented(params: ModelParams, level: str, fixed=None) -> Augmented
         g, sol_g = [(M @ e.reshape(len(e), -1)).reshape((len(M),) + e.shape[1:]) for M in maps]
     else:
         g, sol_g = [np.broadcast_to(M, (len(M), T)) for M in maps]
-    return AugmentedSystem(level=level, P=compiled.P, Q=compiled.Q, g=g, sol_G=compiled.sol_G,
-                           sol_g=sol_g, xt1=compiled.xt1)
+    aug = AugmentedSystem(level, compiled.P, compiled.Q, g, compiled.sol_G, sol_g, compiled.xt1)
+    object.__setattr__(aug, "chain", compiled.chain)
+    return aug
 
 
 def _inverse(R):
@@ -228,20 +234,6 @@ def _inverse(R):
 
 
 _CHAIN_ENTRIES = 48   # per chain; the reference game at T = 100, 500, 1000, 2000, 10000 uses 34
-
-
-@functools.lru_cache(maxsize=16)
-def _chain(shapes, P_bytes, Q_bytes) -> dict:
-    """The matrix work of the reductions of the recursion whose P and Q
-    have these shapes and bytes, grown as horizons need it: elimination key
-    -> (U, R^-1, W, next P, next Q), read-only.  The key of the pairs of
-    reduction level j is j; that of its tail elimination (j, T mod
-    2^(j+1)), the digits of T that shaped the tail.  A chain keeps its
-    ``_CHAIN_ENTRIES`` newest entries; an entry of the outer level, the
-    largest, retains 7.4 kB, so the 16 chains retain under 6 MB.
-    Keyed on content, a hand-built or patched system never reads another's
-    factors."""
-    return {}
 
 
 def _eliminate(chain, *eliminations):
@@ -296,11 +288,12 @@ def backward_sweep(aug: AugmentedSystem):
     Each level's right-hand sides are one contiguous (2n, B, k) array, B the
     batch entries and k the level's equations, or one column where g is
     constant over the periods, as the outer level's is.  The matrix work is
-    the chain of P and Q (``_chain``), shared by every horizon and batch.
-    A singular kept triangle leaves NaN in its inverse, which the recovery
-    reports."""
+    looked up in ``aug.chain``, shared by every horizon and batch of the
+    compiled level; a system without one factors from scratch, so none ever
+    reads another's factors.  A singular kept triangle leaves NaN in its
+    inverse, which the recovery reports."""
     P, Q, T = np.asarray(aug.P, dtype=float), np.asarray(aug.Q, dtype=float), aug.horizon
-    chain = _chain((P.shape, Q.shape), P.tobytes(), Q.tobytes())
+    chain = {} if aug.chain is None else aug.chain
     g = aug.g.reshape(len(P), -1, T)
     if not g.strides[-1]:
         g = g[..., :1]

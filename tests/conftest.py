@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csrchain import ModelParams, optimal_quantity, stationarity, sweep
+from csrchain import ModelParams, optimal_quantity, stationarity
 from csrchain.stationarity import (
     BLOCKS,
     WIDTH,
@@ -66,10 +66,9 @@ def draw_params(rng: np.random.Generator, horizon_T: int) -> ModelParams:
 
 
 def clear_caches():
-    """Forget every compiled game and reduction chain, so that the next
-    solve of any game starts cold."""
+    """Forget every compiled game, with its levels' reduction chains, so
+    that the next solve of any game starts cold."""
     stationarity._compiled.cache_clear()
-    sweep._chain.cache_clear()
 
 
 def vector_to_trajectory(z, params: ModelParams):

@@ -168,9 +168,9 @@ def test_solve_memory_at_long_horizon():
 
 
 def test_caches_retain_at_most_their_stated_bounds():
-    """After more distinct games than the caches hold, each solved at
-    several horizons, what they retain stays under the bounds their
-    docstrings state: 0.5 MB of compiled games, 6 MB of reduction chains."""
+    """After more distinct games than the cache holds, each solved at
+    several horizons, what it retains stays under 6.5 MB, above the 5 MB
+    its docstring states for 8 games with every chain full."""
     rng = np.random.default_rng(24)
     games = [draw_params(rng, 1) for _ in range(20)]
     clear_caches()

@@ -383,3 +383,12 @@ class TestParamsValidation:
     def test_non_finite_rejected(self):
         assert violations_of(v=float("nan")) == ["v must be finite, got nan"]
         assert violations_of(a=float("inf")) == ["a must be finite, got inf"]
+
+    @pytest.mark.parametrize("value", [10**400, -10**400], ids=["huge", "huge-negative"])
+    def test_integer_past_float_range_rejected(self, value):
+        """An int that no float holds is not finite: it is listed with the
+        other violations, not an OverflowError."""
+        with pytest.raises(ParamsError) as info:
+            make_params(a=value, b=-1.0)
+        assert info.value.violations == [f"a must be finite, got {value!r}",
+                                         "b must be positive, got -1.0"]

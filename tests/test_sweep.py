@@ -14,7 +14,7 @@ from csrchain import (
     trajectory_max_delta,
 )
 from csrchain.model import state_transition
-from csrchain.output import render_report
+from csrchain.output import emit_csv, render_report
 from csrchain.oracle import solve_inner_response, solve_retailer_response
 from csrchain import stationarity
 from csrchain.oracle import follower_stationarity_check, leader_stationarity_check
@@ -567,10 +567,8 @@ def cached_arrays(params) -> list:
     layout, levels = stationarity.compiled_game(params)
     arrays = list(layout[:3])
     for level in levels.values():
-        arrays += list(level)
-        chain = sweep._chain((level.P.shape, level.Q.shape), level.P.tobytes(),
-                             level.Q.tobytes())
-        arrays += [array for entry in chain.values() for array in entry]
+        arrays += list(level[:-1])
+        arrays += [array for entry in level.chain.values() for array in entry]
     return arrays
 
 
@@ -602,14 +600,57 @@ class TestCompiledOnce:
         clear_caches()
         horizons = range(1001, 1061, 2)
         warm = [everything_solved("ref", T) for T in horizons]
-        aug = assemble_augmented(make_params(horizon_T=1), "outer")
-        chain = sweep._chain((aug.P.shape, aug.Q.shape), aug.P.tobytes(), aug.Q.tobytes())
+        chain = stationarity.compiled_game(make_params(horizon_T=1))[1]["outer"].chain
         tails = {item for T in horizons for item in tail_eliminations(T).items()}
         assert len(chain) == sweep._CHAIN_ENTRIES < 10 + len(tails)   # 10 pair levels
         for T, results in zip(horizons, warm):
             clear_caches()
             cold = everything_solved("ref", T)
             assert all(bits(cold[name]) == bits(value) for name, value in results.items())
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)],
+                             ids=["positive-first", "negative-first"])
+    def test_signed_zero_is_order_independent(self, first, second, tmp_path):
+        """x1 = -0.0 and x1 = 0.0 compare equal but are two games: the
+        second solved after the first gives its cold solve's bits and CSV
+        bytes."""
+        def solved(x1, name):
+            trajectory, _ = solve_game(make_params(horizon_T=5, x1=x1))
+            emit_csv(trajectory, tmp_path / name)
+            blocks = {**stationarity.trajectory_blocks(trajectory), "q": trajectory.q}
+            csv = (tmp_path / name).read_bytes()
+            return {key: bits(path) for key, path in blocks.items()}, csv
+
+        clear_caches()
+        cold = solved(second, "cold.csv")
+        clear_caches()
+        solved(first, "first.csv")
+        assert solved(second, "warm.csv") == cold
+
+    @pytest.mark.parametrize("T", [5, 1025])
+    @pytest.mark.parametrize("level, batch", [("outer", ()), ("inner", (3,)), ("retailer", (3,))],
+                             ids=["outer", "inner-3", "retailer-3"])
+    def test_no_system_borrows_a_chain(self, level, batch, T, monkeypatch):
+        """After a warm solve of the game, a hand-built system and a
+        ``replace`` copy of a warm one carry no chain: each factors one
+        batched QR per reduction level, and gives a cold solve's bits."""
+        clear_caches()
+        aug = level_system(level, T, batch)
+        cold = _sweep_forward(aug, backward_sweep(aug))
+        solve_game(make_params(horizon_T=T))
+        warm = level_system(level, T, batch)
+        assert warm.chain is not None
+        built = AugmentedSystem(**{f.name: getattr(warm, f.name)
+                                   for f in dataclasses.fields(warm) if f.init})
+        calls = count_qr(monkeypatch)
+        for aug in (built, dataclasses.replace(warm, P=warm.P.copy(), Q=warm.Q.copy())):
+            assert aug.chain is None
+            calls.clear()
+            levels, final = backward_sweep(aug)
+            assert len(calls) == len(levels)
+            paths = _sweep_forward(aug, (levels, final))
+            assert paths.keys() == cold.keys()
+            assert all(bits(paths[name]) == bits(path) for name, path in cold.items())
 
     def test_cached_arrays_are_read_only(self):
         p = make_params(horizon_T=5)
