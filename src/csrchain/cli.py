@@ -5,15 +5,18 @@
 
 Writes ``<name>.trajectory.csv`` and ``<name>.report`` into the output
 directory; the option flags override the file's solver options.  Exit status is
-0 only when the solve succeeded and its residual max-norm is within tolerance;
-scenario problems and an unwritable output directory exit 2, solver failures 1.
-When a write fails, the artifact the run had already written is removed.
+0 only when the solve succeeded, every report value is finite and the residual
+max-norm is within tolerance; scenario problems and an unwritable output
+directory exit 2, solver failures and non-finite results 1.  When a write
+fails, the artifact the run had already written is removed.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .errors import CsrChainError, ScenarioError
 from .model import trajectory_max_delta
@@ -81,10 +84,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        trajectory, report = run(scenario)
+        # numpy's overflow warnings give way to the error naming what overflowed
+        with np.errstate(all="ignore"):
+            trajectory, report = run(scenario)
     except CsrChainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for name, value in vars(report).items():
+        if isinstance(value, float) and not np.isfinite(value):
+            print(f"error: {name} is {value}, not a finite number", file=sys.stderr)
+            return 1
     out_dir = path = Path(args.out_dir)
     written = []
     try:

@@ -34,7 +34,7 @@ class SweepSingularError(CsrChainError):
     def __init__(self, level):
         self.level = level
         super().__init__(
-            f"sweep breakdown: singular boundary system at the {level} level"
+            f"sweep breakdown: singular or non-finite recovery at the {level} level"
         )
 
 

@@ -32,7 +32,7 @@ over them, of all pairs and batch entries at once, is one BLAS call (numpy
 skips BLAS where the last axis is strided); a g constant over the periods,
 as the outer level's is, is carried as one column.  The final equation is
 the one linear solve of a reduction.  A singular final equation or kept
-triangle, or a non-finite recovery, raises SweepSingularError.
+triangle, or a non-finite recovery of y or v, raises SweepSingularError.
 
 The levels, as ``_LEVELS`` names their blocks:
 
@@ -95,7 +95,8 @@ class AugmentedSystem:
     shape (m, ..., T).  The outer level has no fixed path, so its g and
     sol_g are one column each, broadcast over the periods as read-only
     views (a zero stride, which the reduction reads as one column).  Only
-    ``assemble_augmented`` sets ``chain``, the compiled level's reductions.
+    ``assemble_augmented`` hands a system the compiled level's ``chain``;
+    any other, a ``dataclasses.replace`` copy too, starts with its own.
     """
 
     level: str
@@ -105,7 +106,7 @@ class AugmentedSystem:
     sol_G: np.ndarray
     sol_g: np.ndarray
     xt1: np.ndarray
-    chain: dict | None = field(default=None, init=False, repr=False, compare=False)
+    chain: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def horizon(self) -> int:
@@ -223,42 +224,39 @@ def assemble_augmented(params: ModelParams, level: str, fixed=None) -> Augmented
 
 def _inverse(R):
     """The inverses of the stacked triangles R, NaN in each that is
-    singular, which the recovery reports; the others keep their inverses,
-    as each is cached apart."""
-    try:
-        return np.linalg.inv(R)
-    except np.linalg.LinAlgError:
-        if len(R) == 1:
-            return np.full_like(R, np.nan)
-        return np.concatenate([_inverse(one) for one in np.split(R, len(R))])
+    singular (a zero on its diagonal), which the recovery reports; the
+    others keep their inverses, as each is cached apart.  A singular one is
+    inverted as all NaN, whose pivots are not zero, so nothing raises."""
+    nonsingular = R.diagonal(axis1=1, axis2=2).all(axis=1)
+    return np.linalg.inv(np.where(nonsingular[:, np.newaxis, np.newaxis], R, np.nan))
 
 
 _CHAIN_ENTRIES = 48   # per chain; the reference game at T = 100, 500, 1000, 2000, 10000 uses 34
 
 
-def _eliminate(chain, *eliminations):
-    """Eliminate, for each of a reduction level's eliminations (key, P1, Q1,
-    P2, Q2, g), the y shared by neighbouring equations P1 y[left] + Q1
-    y[shared] = g1 and P2 y[shared] + Q2 y[right] = g2, of every pair at
-    once: g = [g1; g2], (2m, B, c), stacks their right-hand sides, B batch
-    entries and c pairs (or one column common to all).  The matrix work, a
-    QR of [Q1; P2] = U R, the products with U^T and the inverse of the kept
-    triangle R, is looked up in ``chain`` by the key, and done for the
-    level's misses in one batched QR and inverse; the right-hand sides pass
-    through one product.  Returns, per elimination, the kept rows as
+def _eliminate(chain, P1, Q1, *eliminations):
+    """Eliminate, for each of a reduction level's eliminations (key, P2, Q2,
+    g), the y shared by neighbouring equations P1 y[left] + Q1 y[shared] =
+    g1, the level's own, and P2 y[shared] + Q2 y[right] = g2, of every pair
+    at once: g = [g1; g2], (2m, B, c), stacks their right-hand sides, B
+    batch entries and c pairs (or one column common to all).  The matrix
+    work, a QR of [Q1; P2] = U R, the products with U^T and the inverse of
+    the kept triangle R, is looked up in ``chain`` by the key, and done for
+    the level's misses in one batched QR and inverse; the right-hand sides
+    pass through one product.  Returns, per elimination, the kept rows as
     y[shared] = R^-1 (h - W1 y[left] - W2 y[right]), that is (R^-1, (W1;
     W2), h), and the reduced equation (P, Q, g) between the outer two.  R^-1
     stays out of the maps: R^-1 W1 and R^-1 W2 would save the recovery a
     product per level, but the large terms they subtract lose digits where
     R is ill-conditioned."""
-    m = len(eliminations[0][1])
+    m = len(P1)
     entries = [chain.get(key) for key, *_ in eliminations]
     missing = [i for i, entry in enumerate(entries) if entry is None]
     if missing:
-        U, R = np.linalg.qr(np.array([np.concatenate(eliminations[i][2:4]) for i in missing]),
+        U, R = np.linalg.qr(np.array([np.concatenate([Q1, eliminations[i][1]]) for i in missing]),
                             mode="complete")
         for i, U, R_inv in zip(missing, U, _inverse(R[:, :m])):
-            key, P1, _, _, Q2, _ = eliminations[i]
+            key, _, Q2, _ = eliminations[i]
             left, right = U[:m].T @ P1, U[m:].T @ Q2   # U^T [P1; 0], U^T [0; Q2]
             entries[i] = (U, R_inv, np.concatenate([left[:m], right[:m]]), left[m:], right[m:])
             for array in entries[i]:
@@ -288,12 +286,11 @@ def backward_sweep(aug: AugmentedSystem):
     Each level's right-hand sides are one contiguous (2n, B, k) array, B the
     batch entries and k the level's equations, or one column where g is
     constant over the periods, as the outer level's is.  The matrix work is
-    looked up in ``aug.chain``, shared by every horizon and batch of the
-    compiled level; a system without one factors from scratch, so none ever
-    reads another's factors.  A singular kept triangle leaves NaN in its
-    inverse, which the recovery reports."""
-    P, Q, T = np.asarray(aug.P, dtype=float), np.asarray(aug.Q, dtype=float), aug.horizon
-    chain = {} if aug.chain is None else aug.chain
+    looked up in ``aug.chain``: the compiled level's, shared by every horizon
+    and batch of the level, or a hand-built system's own, so none ever reads
+    another's factors.  A singular kept triangle leaves NaN in its inverse,
+    which the recovery reports."""
+    P, Q, T = aug.P, aug.Q, aug.horizon
     g = aug.g.reshape(len(P), -1, T)
     if not g.strides[-1]:
         g = g[..., :1]
@@ -301,12 +298,12 @@ def backward_sweep(aug: AugmentedSystem):
     while k + (tail is not None) > 1:
         j = len(levels)
         last = g[..., k - 1:k] if g.shape[-1] > 1 else g
-        pairs = [(j, P, Q, P, Q, _pairs(g, k // 2))] if k > 1 else []
-        tails = ([((j, T % (2 << j)), P, Q, *tail[:2], np.concatenate([last, tail[2]]))]
+        pairs = [(j, P, Q, _pairs(g, k // 2))] if k > 1 else []
+        tails = ([((j, T % (2 << j)), *tail[:2], np.concatenate([last, tail[2]]))]
                  if k % 2 and tail else [])
         if k % 2 and not tail:
             tail = (P, Q, last)
-        done, kept, kept_tail = _eliminate(chain, *pairs, *tails), None, None
+        done, kept, kept_tail = _eliminate(aug.chain, P, Q, *pairs, *tails), None, None
         if tails:
             kept_tail, tail = done.pop()
         if pairs:
@@ -368,6 +365,9 @@ def _sweep_forward(aug: AugmentedSystem, reduction) -> dict:
         (2 * m,) + ends.shape[1:])
     v = terms[:m, :, :-1] + terms[m:, :, 1:]
     v += aug.sol_g.reshape(m, -1, T)
+    # max and min propagate NaN and, unlike isfinite, allocate nothing of size T
+    if not (np.isfinite(v.max(initial=0.0)) and np.isfinite(v.min(initial=0.0))):
+        raise SweepSingularError(aug.level)
     y = ends.reshape((2 * n,) + batch + (T + 1,))
     return {**dict(zip(state, y[:n])), **dict(zip(costate, y[n:, ..., 1:])),
             **dict(zip(period, v.reshape((m,) + batch + (T,))))}
@@ -409,7 +409,7 @@ def solve_game(params: ModelParams):
 
     Returns (trajectory, report); the report's scenario labels keep their
     defaults.  Raises UndeterminedControlsError when tau*theta = 0 and
-    SweepSingularError when a recovery is singular.
+    SweepSingularError when a recovery is singular or non-finite.
     """
     started = time.perf_counter()
     aug = assemble_augmented(params, "outer")

@@ -169,8 +169,8 @@ def test_solve_memory_at_long_horizon():
 
 def test_caches_retain_at_most_their_stated_bounds():
     """After more distinct games than the cache holds, each solved at
-    several horizons, what it retains stays under 6.5 MB, above the 5 MB
-    its docstring states for 8 games with every chain full."""
+    several horizons, what it retains stays under the 5 MB its docstring
+    states for 8 games with every chain full."""
     rng = np.random.default_rng(24)
     games = [draw_params(rng, 1) for _ in range(20)]
     clear_caches()
@@ -184,4 +184,4 @@ def test_caches_retain_at_most_their_stated_bounds():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert retained <= 0.5e6 + 6e6
+    assert retained <= 5e6

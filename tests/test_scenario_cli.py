@@ -1,12 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csrchain import (
     ScenarioError,
@@ -519,6 +523,35 @@ class TestCli:
         assert (out / "reference.trajectory.csv").is_file()
         assert (out / "reference.report").is_file()
 
+    def test_overflowing_recovery_exits_one(self, tmp_path, capsys):
+        """At x1 = 1e308 the outer period unknowns overflow: the sweep names
+        its level, before the inner re-solve would meet them."""
+        path = write_scenario(tmp_path, REFERENCE_FILE.replace("x1 = 1", "x1 = 1e308"))
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: sweep breakdown: singular or non-finite recovery at the outer level"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"a": "1e308", "z": "1.5e308"}, "objective_manufacturer"),
+        ({"b": "1e-308"}, "objective_supplier"),
+        ({"z": "1e308"}, "objective_retailer"),
+        ({"v": "-1e308"}, "objective_supplier"),
+        ({"c": "1e308"}, "objective_supplier"),
+    ])
+    def test_non_finite_report_exits_one(self, tmp_path, capsys, changes, field):
+        """An overflowing report value is refused by name before any
+        artifact is written, in place of numpy's overflow warnings."""
+        text = REFERENCE_FILE
+        for key, value in changes.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        path = write_scenario(tmp_path, text)
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.fullmatch(rf"error: {field} is -?inf, not a finite number",
+                                              err[0])
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_scenario_exits_two(self, tmp_path, capsys):
         text = REFERENCE_FILE.replace("beta_s = 0.3", "beta_s = 1.5")
         code = main(["solve", str(write_scenario(tmp_path, text))])
@@ -651,3 +684,63 @@ def test_readme_library_use_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     solved, delta = capsys.readouterr().out.splitlines()
     assert float(solved.split()[0]) < 1e-8 and float(delta) < 1e-8
+
+
+# ModelParams' accepted range of each float field, (low, high, low open,
+# high open); alpha's depends on strict_alpha
+_MAX = sys.float_info.max
+_ACCEPTED = {
+    **dict.fromkeys(("beta_s", "beta_m", "beta_r"), (0.0, 1.0, True, True)),
+    **dict.fromkeys(("tau", "theta", "delta_s", "delta_m", "delta_r", "c"),
+                    (0.0, _MAX, False, False)),
+    **dict.fromkeys(("d", "d_hat"), (0.0, 1.0, False, True)),
+    "b": (0.0, _MAX, True, False),
+    **dict.fromkeys(("a", "v", "z", "x1"), (-_MAX, _MAX, False, False)),
+}
+
+
+def _accepted(low, high, open_low, open_high):
+    """Values in one accepted range: its extreme magnitudes, or any float."""
+    extremes = [value for value in (0.0, 1e-308, -1e-308, 1e308, -1e308)
+                if (low < value if open_low else low <= value)
+                and (value < high if open_high else value <= high)]
+    return st.one_of(st.sampled_from(extremes),
+                     st.floats(low, high, exclude_min=open_low, exclude_max=open_high))
+
+
+@st.composite
+def accepted_scenarios(draw):
+    """A scenario file: the reference parameters with any set of them
+    redrawn over its accepted range, at T = 1..12, with or without the
+    oracle."""
+    strict = draw(st.booleans())
+    ranges = {**_ACCEPTED, "alpha": (0.0, 1.0 if strict else _MAX, True, False)}
+    changed = draw(st.sets(st.sampled_from(sorted(ranges))))
+    values = {**REFERENCE, **{name: draw(_accepted(*ranges[name])) for name in sorted(changed)},
+              "horizon_T": draw(st.integers(1, 12))}
+    lines = [f"{name} = {value!r}" for name, value in values.items()]
+    lines += [f"strict_alpha = {strict}", f"oracle = {draw(st.booleans())}"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(text=accepted_scenarios())
+def test_cli_contract_over_accepted_parameters(text):
+    """Whatever accepted parameters a scenario holds, the command line
+    exits 0 with every report value finite, or 1 or 2 with an error line;
+    it never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenario(Path(tmp), text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["solve", str(path), "--out-dir", tmp])
+        if code == 0:
+            report = (Path(tmp) / "case.report").read_text(encoding="utf-8")
+            values = dict(line.split(": ", 1) for line in report.splitlines())
+            for label in ("scenario", "solver_path", "convexity_warning",
+                          "negative_investment_warning"):
+                del values[label]
+            assert all(np.isfinite(float(value)) for value in values.values()), values
+        else:
+            assert code in (1, 2)
+            assert any(line.startswith("error: ") for line in err.getvalue().splitlines())

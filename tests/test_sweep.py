@@ -632,19 +632,21 @@ class TestCompiledOnce:
                              ids=["outer", "inner-3", "retailer-3"])
     def test_no_system_borrows_a_chain(self, level, batch, T, monkeypatch):
         """After a warm solve of the game, a hand-built system and a
-        ``replace`` copy of a warm one carry no chain: each factors one
-        batched QR per reduction level, and gives a cold solve's bits."""
+        ``replace`` copy of a warm one each start from a fresh empty chain,
+        not the compiled level's: each factors one batched QR per reduction
+        level, and gives a cold solve's bits."""
         clear_caches()
         aug = level_system(level, T, batch)
         cold = _sweep_forward(aug, backward_sweep(aug))
         solve_game(make_params(horizon_T=T))
         warm = level_system(level, T, batch)
-        assert warm.chain is not None
+        compiled = stationarity.compiled_game(make_params(horizon_T=T))[1][level].chain
+        assert warm.chain is compiled
         built = AugmentedSystem(**{f.name: getattr(warm, f.name)
                                    for f in dataclasses.fields(warm) if f.init})
         calls = count_qr(monkeypatch)
         for aug in (built, dataclasses.replace(warm, P=warm.P.copy(), Q=warm.Q.copy())):
-            assert aug.chain is None
+            assert aug.chain == {} and aug.chain is not compiled
             calls.clear()
             levels, final = backward_sweep(aug)
             assert len(calls) == len(levels)
