@@ -7,8 +7,9 @@ Writes ``<name>.trajectory.csv`` and ``<name>.report`` into the output
 directory; the option flags override the file's solver options.  Exit status is
 0 only when the solve succeeded, every report value is finite and the residual
 max-norm is within tolerance; scenario problems and an unwritable output
-directory exit 2, solver failures and non-finite results 1.  When a write
-fails, the artifact the run had already written is removed.
+directory exit 2, solver failures, running out of memory and non-finite
+results 1.  When a write fails, the artifact the run had already written is
+removed.
 """
 from __future__ import annotations
 
@@ -89,6 +90,10 @@ def main(argv=None) -> int:
             trajectory, report = run(scenario)
     except CsrChainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory solving horizon_T = {scenario.params.horizon_T}: "
+              f"{str(exc) or 'no detail'}", file=sys.stderr)
         return 1
     for name, value in vars(report).items():
         if isinstance(value, float) and not np.isfinite(value):

@@ -38,6 +38,9 @@ PLAYERS = ("S", "M", "R")
 # Tolerance for the state-equation consistency check in total_objective,
 # relative to the magnitude of the state values involved.
 _STATE_CONSISTENCY_RTOL = 1e-6
+# The largest horizon whose (16, T + 1) float64 arrays, the widest the sweep
+# recovers, numpy can index; a longer one fails in numpy's own shape checks.
+MAX_HORIZON = np.iinfo(np.intp).max // (16 * 8) - 1
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,8 @@ class ModelParams:
         T = self.horizon_T
         if isinstance(T, bool) or not isinstance(T, int) or T < 1:   # bool is an int
             out.append(f"horizon_T must be an integer >= 1, got {T!r}")
+        elif T > MAX_HORIZON:
+            out.append(f"horizon_T must be at most {MAX_HORIZON}, got {T!r}")
         return out
 
 

@@ -93,12 +93,6 @@ class _Staircase:
         # a padded vector holds the system's own unknowns, or rows, at [real]
         self.n_padded = W * (T + 1)
         self.real = slice(L, self.n_padded - TRAIL)
-        # ||A||_1, from the column sums of period 1, 2, 3..T and T + 1
-        s1, s = np.abs(first).sum(axis=0), np.abs(group).sum(axis=0)
-        d1, e1, d, e = s1[:W], s1[W:-1], s[:W], s[W:-1]
-        sums = [d1, (e1 if T == 1 else e) + np.abs(terminal[:, :-1]).sum(axis=0)]
-        sums += [d + e1] * (T > 1) + [d + e] * (T > 2)
-        self.a_norm = float(max(s.max() for s in sums))
         # Q_t and R_t of every step, F, and the products the solves use
         D1, E1, D, E = first[:, :W], first[:, W:-1], group[:, :W], group[:, W:-1]
         work = np.vstack([np.eye(L, W), D1])
@@ -115,6 +109,15 @@ class _Staircase:
         self.Q, self.Rinv = Q, np.linalg.inv(R)
         self.G = self.Rinv[:-1] @ S                        # R_t^-1 S_t
         self.H = np.swapaxes(S @ self.Rinv[1:], 1, 2)      # R_t+1^-T S_t^T
+        # ||A||_1, the largest column sum of periods 1..T + 1: D1 and E1 of row
+        # group 1, D of groups 2..T, their E and the terminal rows.  Summed last:
+        # the factors, 24 times its size, fail first where T is too long for memory
+        s1, s = np.abs(first).sum(axis=0), np.abs(group).sum(axis=0)
+        sums = np.vstack([s1[:W], s1[W:-1], np.zeros((T - 1, W))])
+        sums[1:T] += s[:W]
+        sums[2:] += s[W:-1]
+        sums[T] += np.abs(terminal[:, :-1]).sum(axis=0)
+        self.a_norm = float(sums.max())
 
     def _pad(self, x):
         out = np.zeros((self.n_padded,) + x.shape[1:])

@@ -219,8 +219,8 @@ def _compiled(game: _Game) -> tuple:
     """The layout of ``period_layout`` and a dict that ``sweep`` fills with
     each level's compiled recursion, reduction chain included, the first
     time the level is solved.  An entry retains 16 kB of layout and
-    families, 8 kB of compiled levels and, with the three chains full, 0.57
-    MB of chains, so the 8 entries retain under 5 MB."""
+    families, 8 kB of compiled levels and its three chains, bounded as
+    ``sweep._CHAIN_ENTRIES`` states, so the 8 entries retain under 5 MB."""
     params = game.params
     if params.tau * params.theta == 0.0:
         raise UndeterminedControlsError()
@@ -416,7 +416,7 @@ def residual_norms(trajectory: Trajectory, params: ModelParams):
     The packed paths, turned into the rows in place, are the one array of
     size O(T) this holds: the max-norm is read off its extremes and the sum
     of squares is its dot product with itself, the zeros after the terminal
-    rows adding nothing.  A
+    rows adding nothing, scaled by the max-norm first where it overflows.  A
     NaN residual makes both norms NaN.  A trajectory without every block,
     such as one ``parse_csv`` read back, or with a path whose length is not
     its block's at horizon ``params.horizon_T`` raises ValueError naming it."""
@@ -427,5 +427,9 @@ def residual_norms(trajectory: Trajectory, params: ModelParams):
     values = period_residual(pack(blocks, params.horizon_T), period_layout(params))
     # maximum() may pick -0.0 from two equal zeros; abs() makes max|v| = +0.0
     res_max = abs(np.maximum(values.max(), -values.min()))
-    rms = np.sqrt(np.vdot(values, values) / (values.size - LEAD - TRAIL))
+    n = values.size - LEAD - TRAIL
+    rms = np.sqrt(np.vdot(values, values) / n)
+    if np.isinf(rms) and np.isfinite(res_max):   # rows past about 1e154
+        values /= res_max
+        rms = res_max * np.sqrt(np.vdot(values, values) / n)
     return float(res_max), float(rms)

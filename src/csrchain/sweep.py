@@ -92,11 +92,12 @@ class AugmentedSystem:
     batch-last: ``g`` has shape (2n, ..., T), a recursion row, the batch
     axes of the fixed paths, then the period.  The eliminated period
     unknowns are v[t] = sol_G @ (y[t], y[t+1]) + sol_g[:, ..., t], sol_g of
-    shape (m, ..., T).  The outer level has no fixed path, so its g and
-    sol_g are one column each, broadcast over the periods as read-only
-    views (a zero stride, which the reduction reads as one column).  Only
-    ``assemble_augmented`` hands a system the compiled level's ``chain``;
-    any other, a ``dataclasses.replace`` copy too, starts with its own.
+    shape (m, ..., T).  An assembled system's arrays are read-only, g and
+    sol_g views broadcast over the periods: one column each at the outer
+    level, which has no fixed path (a zero stride, which the reduction reads
+    as one column).  Only ``assemble_augmented`` hands a system the compiled
+    level's ``chain``; any other, a ``dataclasses.replace`` copy too, starts
+    with its own.
     """
 
     level: str
@@ -140,11 +141,10 @@ class SolveReport:
 class _Level(NamedTuple):
     """One level of a game, compiled once for every horizon: the recursion's
     P and Q, the solution map's sol_G, the states at t = 1, and the maps of
-    (e[t], 1), e the fixed paths, to g[t] and sol_g[t].  With no fixed path
-    the maps are g[t] and sol_g[t] themselves, one column each.  ``chain``
+    (e[t], 1), e the fixed paths, if any, to g[t] and sol_g[t].  ``chain``
     maps the key of each elimination of the level's reductions, j for the
     pairs of reduction level j and (j, T mod 2^(j+1)) for its tail, to (U,
-    R^-1, W, next P, next Q), read-only, as horizons need them."""
+    R^-1, W, next P, next Q), read-only, least recently used first."""
 
     P: np.ndarray
     Q: np.ndarray
@@ -176,14 +176,9 @@ def _compile_level(layout, level: str) -> _Level:
     m, n2 = len(period), len(y)
     G = np.linalg.solve(K[n2:, :m], K[n2:, m:])
     reduced = K[:n2, m:] - K[:n2, :m] @ G
-    # g[t] and sol_g[t] are the maps times (e[t], 1); with no fixed path that
-    # is the one column (1), multiplied here, once: the product turns the
-    # negated zeros of the maps into +0.0, which skipping it would not
-    maps = [-M[:, 2 * n2:] for M in (reduced, G)]
-    if not held:
-        maps = [M @ np.ones((1, 1)) for M in maps]
     compiled = _Level(reduced[:, :n2], reduced[:, n2:2 * n2], -G[:, :2 * n2],
-                      np.array([families[stepping[name]].boundary for name in state]), *maps, {})
+                      np.array([families[stepping[name]].boundary for name in state]),
+                      -reduced[:, 2 * n2:], -G[:, 2 * n2:], {})
     for array in compiled[:-1]:
         array.setflags(write=False)
     return compiled
@@ -196,7 +191,8 @@ def assemble_augmented(params: ModelParams, level: str, fixed=None) -> Augmented
     (..., T); the outer level has none.  The level is compiled
     (``_compile_level``) the first time it is solved, at any horizon, and
     kept with the game's layout (``stationarity.compiled_game``), read-only,
-    chain and all; a call only turns the fixed paths into g and sol_g.
+    chain and all; a call only turns the fixed paths, if any, into g and
+    sol_g by one product.
     """
     if level not in _LEVELS:
         raise ValueError(f"unknown level {level!r}; expected one of {tuple(_LEVELS)}")
@@ -210,13 +206,12 @@ def assemble_augmented(params: ModelParams, level: str, fixed=None) -> Augmented
         raise ValueError(f"the {level} level needs the fixed paths {held}, "
                          f"got {tuple(fixed or ())}")
     fixed = fixed_paths(fixed, T)
-    maps = compiled.g_map, compiled.sol_map
-    if held:
-        # e[:, ..., t] = (e[t], 1)
-        e = np.stack(np.broadcast_arrays(*(fixed[name] for name in held), np.ones(T)))
-        g, sol_g = [(M @ e.reshape(len(e), -1)).reshape((len(M),) + e.shape[1:]) for M in maps]
-    else:
-        g, sol_g = [np.broadcast_to(M, (len(M), T)) for M in maps]
+    # e[:, ..., t] = (e[t], 1), one column (1) with no fixed path; the product
+    # turns the maps' negated zeros into +0.0
+    e = np.array(np.broadcast_arrays(*(fixed[name] for name in held), np.ones(1)))
+    g, sol_g = [np.broadcast_to((M @ e.reshape(len(e), -1)).reshape(len(M), *e.shape[1:]),
+                                (len(M), *e.shape[1:-1], T))
+                for M in (compiled.g_map, compiled.sol_map)]
     aug = AugmentedSystem(level, compiled.P, compiled.Q, g, compiled.sol_G, sol_g, compiled.xt1)
     object.__setattr__(aug, "chain", compiled.chain)
     return aug
@@ -231,7 +226,11 @@ def _inverse(R):
     return np.linalg.inv(np.where(nonsingular[:, np.newaxis, np.newaxis], R, np.nan))
 
 
-_CHAIN_ENTRIES = 48   # per chain; the reference game at T = 100, 500, 1000, 2000, 10000 uses 34
+# Entries per chain, the least recently used forgotten first.  The reference
+# game at T = 100, 500, 1000, 2000, 10000 uses 34.  A full chain holds 0.22 MB
+# of arrays at the outer level, 0.06 MB at the inner and 0.01 MB at the
+# retailer's; a game's three full chains retain about 0.6 MB.
+_CHAIN_ENTRIES = 48
 
 
 def _eliminate(chain, P1, Q1, *eliminations):
@@ -242,28 +241,30 @@ def _eliminate(chain, P1, Q1, *eliminations):
     batch entries and c pairs (or one column common to all).  The matrix
     work, a QR of [Q1; P2] = U R, the products with U^T and the inverse of
     the kept triangle R, is looked up in ``chain`` by the key, and done for
-    the level's misses in one batched QR and inverse; the right-hand sides
-    pass through one product.  Returns, per elimination, the kept rows as
+    the level's misses in one batched QR and inverse, and the chain keeps
+    its ``_CHAIN_ENTRIES`` most recently used; the right-hand sides pass
+    through one product.  Returns, per elimination, the kept rows as
     y[shared] = R^-1 (h - W1 y[left] - W2 y[right]), that is (R^-1, (W1;
     W2), h), and the reduced equation (P, Q, g) between the outer two.  R^-1
     stays out of the maps: R^-1 W1 and R^-1 W2 would save the recovery a
     product per level, but the large terms they subtract lose digits where
     R is ill-conditioned."""
     m = len(P1)
-    entries = [chain.get(key) for key, *_ in eliminations]
+    # popped and put back: the chain runs from the least recently used entry
+    entries = [chain.pop(key, None) for key, *_ in eliminations]
     missing = [i for i, entry in enumerate(entries) if entry is None]
     if missing:
         U, R = np.linalg.qr(np.array([np.concatenate([Q1, eliminations[i][1]]) for i in missing]),
                             mode="complete")
         for i, U, R_inv in zip(missing, U, _inverse(R[:, :m])):
-            key, _, Q2, _ = eliminations[i]
+            _, _, Q2, _ = eliminations[i]
             left, right = U[:m].T @ P1, U[m:].T @ Q2   # U^T [P1; 0], U^T [0; Q2]
             entries[i] = (U, R_inv, np.concatenate([left[:m], right[:m]]), left[m:], right[m:])
             for array in entries[i]:
                 array.setflags(write=False)
-            if len(chain) >= _CHAIN_ENTRIES:   # forget the oldest
-                del chain[next(iter(chain))]
-            chain[key] = entries[i]
+    chain.update((key, entry) for (key, *_), entry in zip(eliminations, entries))
+    while len(chain) > _CHAIN_ENTRIES:
+        del chain[next(iter(chain))]
     done = []
     for (*_, g), (U, R_inv, W, P, Q) in zip(eliminations, entries):
         h = (U.T @ g.reshape(2 * m, -1)).reshape(g.shape)
@@ -357,7 +358,8 @@ def _sweep_forward(aug: AugmentedSystem, reduction) -> dict:
         raise SweepSingularError(aug.level) from None
     for level, (kept, kept_tail) in reversed(list(enumerate(levels))):
         ends = _undo(ends, T >> level, T % (1 << level) != 0, kept, kept_tail)
-    if not np.all(np.isfinite(ends)):
+    # max and min propagate NaN and, unlike isfinite, allocate nothing of size T
+    if not np.isfinite([ends.max(initial=0.0), ends.min(initial=0.0)]).all():
         raise SweepSingularError(aug.level)
     state, costate, period, _ = _LEVELS[aug.level]
     G, m = aug.sol_G, len(aug.sol_G)
@@ -365,8 +367,7 @@ def _sweep_forward(aug: AugmentedSystem, reduction) -> dict:
         (2 * m,) + ends.shape[1:])
     v = terms[:m, :, :-1] + terms[m:, :, 1:]
     v += aug.sol_g.reshape(m, -1, T)
-    # max and min propagate NaN and, unlike isfinite, allocate nothing of size T
-    if not (np.isfinite(v.max(initial=0.0)) and np.isfinite(v.min(initial=0.0))):
+    if not np.isfinite([v.max(initial=0.0), v.min(initial=0.0)]).all():
         raise SweepSingularError(aug.level)
     y = ends.reshape((2 * n,) + batch + (T + 1,))
     return {**dict(zip(state, y[:n])), **dict(zip(costate, y[n:, ..., 1:])),

@@ -76,6 +76,17 @@ def test_estimate_is_a_close_lower_bound(T):
         assert exact / 10.0 <= estimate <= exact * (1.0 + 1e-8)
 
 
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 7])
+def test_a_norm_is_the_stacked_matrix_norm(T):
+    """The staircase's ||A||_1, summed period by period, is the largest
+    column sum of the stacked matrix, at the horizons that leave periods 2
+    to T empty, one, or several."""
+    for params in cases(T):
+        A = assemble_system(params).matrix
+        assert oracle._Staircase(params).a_norm == pytest.approx(np.abs(A).sum(axis=0).max(),
+                                                                 rel=1e-14)
+
+
 @pytest.mark.parametrize("T", [1, 3, 12, 60])
 def test_solution_matches_two_solve_reference(T):
     eps = np.finfo(float).eps

@@ -19,8 +19,9 @@ from csrchain import (
     solve_game,
     trajectory_max_delta,
 )
-from csrchain import sweep
+from csrchain import cli, sweep
 from csrchain.cli import main, run
+from csrchain.model import MAX_HORIZON
 from csrchain.output import emit_csv, render_report
 
 from conftest import REFERENCE
@@ -530,6 +531,33 @@ class TestCli:
         assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: sweep breakdown: singular or non-finite recovery at the outer level"]
+        assert not (tmp_path / "out").exists()
+
+    def test_horizon_past_the_bound_exits_two(self, tmp_path, capsys):
+        """A horizon numpy cannot index is refused with the scenario, before
+        any array is sized by it."""
+        path = write_scenario(tmp_path, REFERENCE_FILE.replace("horizon_T = 3",
+                                                               f"horizon_T = {10**30}"))
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out"), "--oracle"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid scenario:",
+            f"  horizon_T must be at most {MAX_HORIZON}, got {10**30}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("message, detail", [
+        ((), "no detail"),
+        (("Unable to allocate 119. GiB for an array",), "Unable to allocate 119. GiB for an array"),
+    ], ids=["bare", "numpy"])
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch, message, detail):
+        """An accepted horizon too long for the memory at hand exits 1 with
+        one error line, not a traceback, and writes nothing."""
+        def solve_game(params):
+            raise MemoryError(*message)
+        monkeypatch.setattr(cli, "solve_game", solve_game)
+        path = write_scenario(tmp_path, REFERENCE_FILE)
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: out of memory solving horizon_T = 3: {detail}"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("changes, field", [

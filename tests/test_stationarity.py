@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from csrchain import (
     optimal_quantity,
     parse_csv,
     residual_norms,
+    solve_game,
 )
 from csrchain.stationarity import (
     ADJOINED,
@@ -632,6 +634,21 @@ class TestResidualEvaluator:
         for name, path in blocks.items():
             assert np.array_equal(back[name], path) and np.shares_memory(back[name], zb)
         assert np.count_nonzero(zb) == 2 * (15 * T + 4)
+
+    def test_rms_of_rows_past_the_square_range(self):
+        """Rows past about 1e154 overflow their sum of squares, yet the rms
+        is finite: it is scaled by the max-norm first, and agrees with an
+        overflow-free reference."""
+        p = make_params(tau=1e308, c=3.08e190, horizon_T=11)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj, report = solve_game(p)
+        rows = stacked_rows(period_residual(pack(trajectory_blocks(traj), 11), period_layout(p)))
+        assert np.isinf(np.vdot(rows, rows))
+        assert report.residual_max == np.max(np.abs(rows)) == pytest.approx(6.237e291, rel=1e-4)
+        assert np.isfinite(report.residual_rms)
+        assert report.residual_rms == pytest.approx(math.hypot(*rows) / math.sqrt(rows.size),
+                                                    rel=1e-14)
+        assert (report.residual_max, report.residual_rms) == residual_norms(traj, p)
 
     def test_non_finite_entries_give_nan_norms(self, reference_params):
         """A NaN residual must read as a miss of every tolerance."""

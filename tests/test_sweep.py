@@ -300,7 +300,9 @@ class TestBackwardSweep:
         """An overflowed forcing reaches the recovery as inf or nan, which no
         solve reports as a LinAlgError."""
         aug = assemble_augmented(reference_params, "inner", {"i_s": np.zeros(3)})
-        aug.g[0, 1] = np.inf
+        g = aug.g.copy()
+        g[0, 1] = np.inf
+        aug = dataclasses.replace(aug, g=g)
         with np.errstate(invalid="ignore"), \
                 pytest.raises(SweepSingularError, match="inner level"):
             _sweep_forward(aug, backward_sweep(aug))
@@ -503,6 +505,18 @@ class TestBatchLastReduction:
         assert aug.g.shape[1:] == batch + (7,)
         assert aug.sol_g.shape[1:] == batch + (7,)
 
+    @pytest.mark.parametrize("T", [1, 7])
+    @pytest.mark.parametrize("level", ["inner", "retailer"])
+    def test_empty_batch_solves_to_empty_paths(self, level, T):
+        """A (0, T) batch of fixed paths solves to empty paths, each of its
+        block's length; the finiteness checks of y and v read nothing."""
+        state, costate, period, _ = _LEVELS[level]
+        aug = level_system(level, T, (0,))
+        paths = _sweep_forward(aug, backward_sweep(aug))
+        assert paths.keys() == {*state, *costate, *period}
+        assert all(paths[name].shape == (0, T + 1) for name in state)
+        assert all(paths[name].shape == (0, T) for name in costate + period)
+
     @pytest.mark.parametrize("T", KERNEL_HORIZONS)
     @pytest.mark.parametrize("level, batch", LEVEL_BATCHES, ids=LEVEL_BATCH_IDS)
     def test_every_entry_satisfies_its_rows(self, level, batch, T):
@@ -593,10 +607,10 @@ class TestCompiledOnce:
                 for name, value in ascending[T].items():
                     assert bits(results[T][name]) == bits(value), (T, name)
 
-    def test_full_chain_forgets_its_oldest(self):
+    def test_full_chain_forgets_its_least_recently_used(self):
         """A chain holds at most ``_CHAIN_ENTRIES`` factors; past that it
-        forgets the oldest, which the next horizon needing them factors
-        again, to the same bits."""
+        forgets the least recently used, which the next horizon needing
+        them factors again, to the same bits."""
         clear_caches()
         horizons = range(1001, 1061, 2)
         warm = [everything_solved("ref", T) for T in horizons]
@@ -607,6 +621,20 @@ class TestCompiledOnce:
             clear_caches()
             cold = everything_solved("ref", T)
             assert all(bits(cold[name]) == bits(value) for name, value in results.items())
+
+    def test_full_chain_keeps_what_every_horizon_reads(self, monkeypatch):
+        """A scan of horizons that overfills the chain with tails keeps the
+        pairs' factors every horizon reads, as they are used most recently:
+        a horizon of the scan solved again factors nothing."""
+        clear_caches()
+        horizons = range(3001, 3101, 2)
+        for T in horizons:
+            solve_game(make_params(horizon_T=T))
+        chain = stationarity.compiled_game(make_params(horizon_T=1))[1]["outer"].chain
+        assert len(chain) == sweep._CHAIN_ENTRIES
+        calls = count_qr(monkeypatch)
+        solve_game(make_params(horizon_T=horizons[-1]))
+        assert calls == []
 
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)],
                              ids=["positive-first", "negative-first"])
@@ -653,6 +681,19 @@ class TestCompiledOnce:
             paths = _sweep_forward(aug, (levels, final))
             assert paths.keys() == cold.keys()
             assert all(bits(paths[name]) == bits(path) for name, path in cold.items())
+
+    @pytest.mark.parametrize("T", [1, 5, 1025])
+    @pytest.mark.parametrize("level, batch", LEVEL_BATCHES, ids=LEVEL_BATCH_IDS)
+    def test_assembled_arrays_are_read_only(self, level, batch, T):
+        """Every array of an assembled system, at every level, is read-only:
+        the compiled level's or a view broadcast over the periods."""
+        aug = level_system(level, T, batch)
+        arrays = [getattr(aug, f.name) for f in dataclasses.fields(aug)
+                  if isinstance(getattr(aug, f.name), np.ndarray)]
+        assert len(arrays) == 6
+        assert not any(array.flags.writeable for array in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            aug.g[..., 0] = 1.0
 
     def test_cached_arrays_are_read_only(self):
         p = make_params(horizon_T=5)
