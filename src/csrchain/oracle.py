@@ -21,10 +21,14 @@ out in one batched pass.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import SingularSystemError
-from .model import ModelParams, Trajectory, objective, optimal_quantity, rollout
+from .model import (
+    ORACLE_MAX_HORIZON, ModelParams, Trajectory, objective, optimal_quantity, rollout,
+)
 from .stationarity import (
     LEAD, TRAIL, WIDTH, period_layout, period_residual, stacked_rows,
     trajectory_from_blocks, unpack,
@@ -36,6 +40,7 @@ _COND_LIMIT = 1e12
 # stationarity checks, and the points of the single-period grid scan.
 _N_DIRECTIONS = 12
 _DIRECTION_SEED = 0
+_DIRECTION_HORIZONS = 16   # horizons whose seeded directions are kept
 _GRID_POINTS = 81
 
 
@@ -158,8 +163,12 @@ def dense_solve(params: ModelParams) -> Trajectory:
 
     One step of iterative refinement keeps the residual at roundoff level.
     Raises SingularSystemError (with a 1-norm condition estimate) if the
-    stacked matrix is numerically singular.
+    stacked matrix is numerically singular, and, before allocating, MemoryError
+    past ``ORACLE_MAX_HORIZON``.
     """
+    if params.horizon_T > ORACLE_MAX_HORIZON:
+        raise MemoryError(f"the oracle's factors at horizon_T = {params.horizon_T} are too "
+                          f"big for numpy to size; it solves horizon_T up to {ORACLE_MAX_HORIZON}")
     def residual(z):   # b - A z: minus the layout's rows, in the staircase's order
         return -stacked_rows(period_residual(system.packed(z), system.layout))
     try:
@@ -208,13 +217,23 @@ def solve_inner_response(params: ModelParams, i_s):
 # Stationarity checks against the objectives themselves
 # ---------------------------------------------------------------------------
 
-def _directions(T):
-    """Unit probe directions as rows: fixed-seed pseudorandom, then every
-    coordinate."""
+@functools.lru_cache(maxsize=_DIRECTION_HORIZONS)
+def _seeded_directions(T):
+    """The fixed-seed pseudorandom unit directions at horizon T, read-only,
+    drawn once per horizon."""
     rng = np.random.default_rng(_DIRECTION_SEED)
     eta = rng.standard_normal((_N_DIRECTIONS, T))
     eta /= np.linalg.norm(eta, axis=1, keepdims=True)
-    return np.vstack([eta, np.eye(T)])
+    eta.flags.writeable = False
+    return eta
+
+
+def _directions(T):
+    """Unit probe directions as rows, read-only: the seeded ones, then every
+    coordinate, built per call so that a kept horizon holds only 12 T."""
+    rows = np.vstack([_seeded_directions(T), np.eye(T)])
+    rows.flags.writeable = False
+    return rows
 
 
 def _worst_slope(payoff, path, trajectory) -> float:

@@ -21,10 +21,11 @@ and y[T+1], gives the unknown halves of both; undoing the levels recovers
 every y.  A level's matrix work does not depend on g, nor on T but for the
 tail eliminations, which the binary digits of T shape: it is done once per
 level of the game, the pairs' and the tail's misses of a reduction level in
-one batched QR and inverse, and kept in the level's chain, which every later
-horizon and batch of the level reuses.  The levels are compiled once per
-game, at any horizon, and kept with its layout (``stationarity.compiled_game``,
-the one cache), so a game solved before costs only the O(T) products.
+one batched QR and those of the whole reduction in one inverse, and kept in
+the level's chain, which every later horizon and batch of the level reuses.
+The levels are compiled once per game, at any horizon, and kept with its
+layout (``stationarity.compiled_game``, the one cache), so a game solved
+before costs only the O(T) products.
 
 Right-hand sides are stored batch-last, each level's as one contiguous
 (2n, B, k) array of B batch entries and k equations, so that every product
@@ -92,10 +93,10 @@ class AugmentedSystem:
     batch-last: ``g`` has shape (2n, ..., T), a recursion row, the batch
     axes of the fixed paths, then the period.  The eliminated period
     unknowns are v[t] = sol_G @ (y[t], y[t+1]) + sol_g[:, ..., t], sol_g of
-    shape (m, ..., T).  An assembled system's arrays are read-only, g and
-    sol_g views broadcast over the periods: one column each at the outer
-    level, which has no fixed path (a zero stride, which the reduction reads
-    as one column).  Only ``assemble_augmented`` hands a system the compiled
+    shape (m, ..., T).  An assembled system's arrays are read-only; at the
+    outer level, which has no fixed path, g and sol_g are one column each,
+    viewed over the periods with a zero stride, which the reduction reads as
+    one column.  Only ``assemble_augmented`` hands a system the compiled
     level's ``chain``; any other, a ``dataclasses.replace`` copy too, starts
     with its own.
     """
@@ -155,6 +156,11 @@ class _Level(NamedTuple):
     chain: dict
 
 
+# level -> ``np.ix_`` of its rows and columns of a row group, derived from
+# the first game compiled: no parameter changes the table's structure
+_SELECTIONS = {}
+
+
 def _compile_level(layout, level: str) -> _Level:
     """The level's rows of the layout's ``group``, the recursions stepping y
     in y order and then its algebraic families, over the columns (v[t],
@@ -162,14 +168,18 @@ def _compile_level(layout, level: str) -> _Level:
     e[t], 1) = 0.  One solve against the algebraic rows eliminates v."""
     _, group, _, families = layout
     state, costate, period, held = _LEVELS[level]
-    y, blocks = state + costate, {*state, *costate, *period, *held}
-    stepping = {fam.terms[0][0]: i for i, fam in enumerate(families) if fam.boundary is not None}
-    rows = [stepping[name] for name in y] + [
-        i for i, fam in enumerate(families)
-        if fam.boundary is None and all(block in blocks for block, _, _ in fam.terms)]
-    columns = ([(name, 0) for name in period + y] + [(name, 1) for name in y]
-               + [(name, 0) for name in held])
-    K = group[np.ix_(rows, [PERIOD_COLUMNS.index(key) for key in columns] + [-1])]
+    y = state + costate
+    if level not in _SELECTIONS:
+        blocks = {*y, *period, *held}
+        stepping = {fam.terms[0][0]: i for i, fam in enumerate(families) if fam.boundary is not None}
+        rows = [stepping[name] for name in y] + [
+            i for i, fam in enumerate(families)
+            if fam.boundary is None and all(block in blocks for block, _, _ in fam.terms)]
+        columns = ([(name, 0) for name in period + y] + [(name, 1) for name in y]
+                   + [(name, 0) for name in held])
+        _SELECTIONS[level] = np.ix_(rows, [PERIOD_COLUMNS.index(key) for key in columns] + [-1])
+    rows, columns = _SELECTIONS[level]
+    K = group[rows, columns]
     K[:, -1] *= -1.0
     # K (v, o) = 0 with o = (y[t], y[t+1], e[t], 1): v = -G o on the
     # algebraic rows, which leaves the recursions reduced o = 0.
@@ -177,7 +187,7 @@ def _compile_level(layout, level: str) -> _Level:
     G = np.linalg.solve(K[n2:, :m], K[n2:, m:])
     reduced = K[:n2, m:] - K[:n2, :m] @ G
     compiled = _Level(reduced[:, :n2], reduced[:, n2:2 * n2], -G[:, :2 * n2],
-                      np.array([families[stepping[name]].boundary for name in state]),
+                      np.array([families[i].boundary for i in rows[:len(state), 0]]),
                       -reduced[:, 2 * n2:], -G[:, 2 * n2:], {})
     for array in compiled[:-1]:
         array.setflags(write=False)
@@ -209,9 +219,12 @@ def assemble_augmented(params: ModelParams, level: str, fixed=None) -> Augmented
     # e[:, ..., t] = (e[t], 1), one column (1) with no fixed path; the product
     # turns the maps' negated zeros into +0.0
     e = np.array(np.broadcast_arrays(*(fixed[name] for name in held), np.ones(1)))
-    g, sol_g = [np.broadcast_to((M @ e.reshape(len(e), -1)).reshape(len(M), *e.shape[1:]),
-                                (len(M), *e.shape[1:-1], T))
+    g, sol_g = [(M @ e.reshape(len(e), -1)).reshape(len(M), *e.shape[1:])
                 for M in (compiled.g_map, compiled.sol_map)]
+    if held:
+        g.flags.writeable = sol_g.flags.writeable = False
+    else:   # the one column, a zero-stride view over the periods
+        g, sol_g = np.broadcast_to(g, (len(g), T)), np.broadcast_to(sol_g, (len(sol_g), T))
     aug = AugmentedSystem(level, compiled.P, compiled.Q, g, compiled.sol_G, sol_g, compiled.xt1)
     object.__setattr__(aug, "chain", compiled.chain)
     return aug
@@ -223,7 +236,9 @@ def _inverse(R):
     others keep their inverses, as each is cached apart.  A singular one is
     inverted as all NaN, whose pivots are not zero, so nothing raises."""
     nonsingular = R.diagonal(axis1=1, axis2=2).all(axis=1)
-    return np.linalg.inv(np.where(nonsingular[:, np.newaxis, np.newaxis], R, np.nan))
+    if not nonsingular.all():
+        R = np.where(nonsingular[:, np.newaxis, np.newaxis], R, np.nan)
+    return np.linalg.inv(R)
 
 
 # Entries per chain, the least recently used forgotten first.  The reference
@@ -239,37 +254,51 @@ def _eliminate(chain, P1, Q1, *eliminations):
     g1, the level's own, and P2 y[shared] + Q2 y[right] = g2, of every pair
     at once: g = [g1; g2], (2m, B, c), stacks their right-hand sides, B
     batch entries and c pairs (or one column common to all).  The matrix
-    work, a QR of [Q1; P2] = U R, the products with U^T and the inverse of
-    the kept triangle R, is looked up in ``chain`` by the key, and done for
-    the level's misses in one batched QR and inverse, and the chain keeps
-    its ``_CHAIN_ENTRIES`` most recently used; the right-hand sides pass
-    through one product.  Returns, per elimination, the kept rows as
-    y[shared] = R^-1 (h - W1 y[left] - W2 y[right]), that is (R^-1, (W1;
-    W2), h), and the reduced equation (P, Q, g) between the outer two.  R^-1
-    stays out of the maps: R^-1 W1 and R^-1 W2 would save the recovery a
-    product per level, but the large terms they subtract lose digits where
-    R is ill-conditioned."""
+    work, a QR of [Q1; P2] = U R and the products with U^T, is looked up in
+    ``chain`` by the key, and done for the level's misses in one batched QR;
+    the right-hand sides pass through one product.  Returns, per
+    elimination, [its key, its factors (U, R^-1, (W1; W2), P, Q), h = U^T
+    g]: the kept rows y[shared] = R^-1 (h[:m] - W1 y[left] - W2 y[right])
+    and the reduced equation (P, Q, h[m:]) between the outer two.  A miss
+    holds R in place of R^-1 until ``_store`` inverts it.  R^-1 stays out
+    of the maps: R^-1 W1 and R^-1 W2 would save the recovery a product per
+    level, but the large terms they subtract lose digits where R is
+    ill-conditioned."""
     m = len(P1)
-    # popped and put back: the chain runs from the least recently used entry
-    entries = [chain.pop(key, None) for key, *_ in eliminations]
+    entries = [chain.get(key) for key, *_ in eliminations]
     missing = [i for i, entry in enumerate(entries) if entry is None]
     if missing:
         U, R = np.linalg.qr(np.array([np.concatenate([Q1, eliminations[i][1]]) for i in missing]),
                             mode="complete")
-        for i, U, R_inv in zip(missing, U, _inverse(R[:, :m])):
+        U.flags.writeable = False
+        for i, U, R in zip(missing, U, R[:, :m]):
             _, _, Q2, _ = eliminations[i]
             left, right = U[:m].T @ P1, U[m:].T @ Q2   # U^T [P1; 0], U^T [0; Q2]
-            entries[i] = (U, R_inv, np.concatenate([left[:m], right[:m]]), left[m:], right[m:])
-            for array in entries[i]:
-                array.setflags(write=False)
-    chain.update((key, entry) for (key, *_), entry in zip(eliminations, entries))
+            W = np.concatenate([left[:m], right[:m]])
+            for array in (left, right, W):
+                array.flags.writeable = False
+            entries[i] = (U, R, W, left[m:], right[m:])
+    return [[key, entry, (entry[0].T @ g.reshape(2 * m, -1)).reshape(g.shape)]
+            for (key, *_, g), entry in zip(eliminations, entries)]
+
+
+def _store(chain, eliminated):
+    """Invert the kept triangles of a sweep's misses, the eliminations whose
+    keys ``chain`` lacks, in one call, each in place of its R, and only then
+    store every elimination's factors in the chain, which keeps its
+    ``_CHAIN_ENTRIES`` most recently used."""
+    missing = [done for done in eliminated if done[0] not in chain]
+    if missing:
+        R_inv = _inverse(np.array([entry[1] for _, entry, _ in missing]))
+        R_inv.flags.writeable = False
+        for done, inverse in zip(missing, R_inv):
+            U, _, *rest = done[1]
+            done[1] = (U, inverse, *rest)
+    for key, entry, _ in eliminated:
+        chain.pop(key, None)   # the chain runs from the least recently used entry
+        chain[key] = entry
     while len(chain) > _CHAIN_ENTRIES:
         del chain[next(iter(chain))]
-    done = []
-    for (*_, g), (U, R_inv, W, P, Q) in zip(eliminations, entries):
-        h = (U.T @ g.reshape(2 * m, -1)).reshape(g.shape)
-        done.append(((R_inv, W, h[:m]), (P, Q, h[m:])))
-    return done
 
 
 def _pairs(g, p):
@@ -289,13 +318,15 @@ def backward_sweep(aug: AugmentedSystem):
     constant over the periods, as the outer level's is.  The matrix work is
     looked up in ``aug.chain``: the compiled level's, shared by every horizon
     and batch of the level, or a hand-built system's own, so none ever reads
-    another's factors.  A singular kept triangle leaves NaN in its inverse,
-    which the recovery reports."""
+    another's factors.  The kept triangles of every level's misses are
+    inverted at the end, in one call (``_store``).  A singular kept
+    triangle leaves NaN in its inverse, which the recovery reports."""
     P, Q, T = aug.P, aug.Q, aug.horizon
-    g = aug.g.reshape(len(P), -1, T)
+    m = len(P)
+    g = aug.g.reshape(m, -1, T)
     if not g.strides[-1]:
         g = g[..., :1]
-    k, tail, levels = T, None, []
+    k, tail, levels, eliminated = T, None, [], []
     while k + (tail is not None) > 1:
         j = len(levels)
         last = g[..., k - 1:k] if g.shape[-1] > 1 else g
@@ -304,13 +335,19 @@ def backward_sweep(aug: AugmentedSystem):
                  if k % 2 and tail else [])
         if k % 2 and not tail:
             tail = (P, Q, last)
-        done, kept, kept_tail = _eliminate(aug.chain, P, Q, *pairs, *tails), None, None
+        done = _eliminate(aug.chain, P, Q, *pairs, *tails)
         if tails:
-            kept_tail, tail = done.pop()
+            _, (*_, P_tail, Q_tail), h = done[-1]
+            tail = (P_tail, Q_tail, h[m:])
         if pairs:
-            kept, (P, Q, g) = done.pop()
+            _, (*_, P, Q), h = done[0]
+            g = h[m:]
+        levels.append((done[0] if pairs else None, done[-1] if tails else None))
+        eliminated += done
         k //= 2
-        levels.append((kept, kept_tail))
+    _store(aug.chain, eliminated)
+    levels = [tuple(done and (done[1][1], done[1][2], done[2][:m]) for done in level)
+              for level in levels]
     P, Q, g = tail or (P, Q, g)
     return levels, (P, Q, g[..., 0].reshape(aug.g.shape[:-1]))
 

@@ -278,6 +278,19 @@ class TestChecksMatchLoop:
         assert rows.shape == reference.shape == (12 + T, T)
         assert np.max(np.abs(rows - reference)) <= 2 * EPS
 
+    @pytest.mark.parametrize("T", [1, 3, 60])
+    def test_probe_directions_kept_per_horizon(self, T):
+        """The seeded directions are drawn once per horizon and kept; every
+        call returns read-only rows with the bits of a fresh build."""
+        eta = np.random.default_rng(oracle._DIRECTION_SEED).standard_normal((12, T))
+        eta /= np.linalg.norm(eta, axis=1, keepdims=True)
+        fresh = np.vstack([eta, np.eye(T)])
+        for _ in range(2):
+            rows = oracle._directions(T)
+            assert not rows.flags.writeable
+            assert (rows.shape, rows.tobytes()) == (fresh.shape, fresh.tobytes())
+        assert oracle._seeded_directions(T) is oracle._seeded_directions(T)
+
     @pytest.mark.parametrize("point", ["solved", "perturbed"])
     @pytest.mark.parametrize("level", ["R", "M", "S"])
     @pytest.mark.parametrize("params", CASES, ids=CASE_IDS)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from csrchain import (
     total_objective,
     trajectory_max_delta,
 )
-from csrchain.model import Controls, Trajectory
+from csrchain.model import ORACLE_MAX_HORIZON, Controls, Trajectory
 from csrchain.oracle import solve_inner_response, solve_retailer_response
 
 from conftest import draw_params, make_params, vector_to_trajectory
@@ -89,6 +90,30 @@ class TestDenseSolve:
     def test_degenerate_tax_structure_rejected(self):
         with pytest.raises(UndeterminedControlsError):
             dense_solve(make_params(theta=0.0))
+
+    def test_horizon_past_the_oracle_bound_refused(self):
+        """A horizon whose factors numpy cannot size is refused by a
+        MemoryError naming T and the bound, before anything is allocated."""
+        p = make_params(horizon_T=10**16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError) as info:
+                dense_solve(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            f"the oracle's factors at horizon_T = {10**16} are too big for numpy to "
+            f"size; it solves horizon_T up to {ORACLE_MAX_HORIZON}")
+        assert peak < 1 << 16
+
+    def test_oracle_bound_is_the_last_sizable(self):
+        """The bound is the last T whose (T + 1, 19, 19) float64 factors
+        numpy sizes: at it, numpy itself fails to allocate them, at once."""
+        assert 19 * 19 * 8 * (ORACLE_MAX_HORIZON + 1) <= np.iinfo(np.intp).max
+        assert 19 * 19 * 8 * (ORACLE_MAX_HORIZON + 2) > np.iinfo(np.intp).max
+        with pytest.raises(MemoryError, match="^Unable to allocate"):
+            dense_solve(make_params(horizon_T=ORACLE_MAX_HORIZON))
 
 
 class TestResponseSolvers:

@@ -162,11 +162,11 @@ class TestAssembleAugmented:
             assemble_augmented(reference_params, "middle")
 
 
-def count_qr(monkeypatch):
-    """The list that every later np.linalg.qr call appends to."""
+def count_calls(monkeypatch, name):
+    """The list that every later call of np.linalg's ``name`` appends to."""
     calls = []
-    qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    function = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(1) or function(*a, **k))
     return calls
 
 
@@ -205,11 +205,34 @@ class TestBackwardSweep:
         batched QR."""
         clear_caches()
         aug = assemble_augmented(make_params(horizon_T=T), "outer")
-        calls = count_qr(monkeypatch)
+        calls = count_calls(monkeypatch, "qr")
         levels, final = backward_sweep(aug)
         assert len(levels) == int(np.ceil(np.log2(T)))
         assert len(calls) == len(levels)
         assert [part.shape for part in final] == [(8, 8), (8, 8), (8,)]
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 5, 12, 40, 257])
+    def test_one_inverse_per_cold_sweep(self, T, monkeypatch):
+        """A cold solve inverts the kept triangles of each of its two
+        reductions, the outer one and the inner re-solve, in one call, and
+        factors one batched QR per reduction level of each; so does the
+        manufacturer check's cold retailer reduction.  Warm, neither
+        inverts nor factors anything."""
+        p = make_params(horizon_T=T)
+        levels = int(np.ceil(np.log2(T)))
+        inverses = 1 if levels else 0   # at T = 1 nothing is paired
+        clear_caches()
+        inv, qr = count_calls(monkeypatch, "inv"), count_calls(monkeypatch, "qr")
+        trajectory, _ = solve_game(p)
+        assert (len(inv), len(qr)) == (2 * inverses, 2 * levels)
+        inv.clear(), qr.clear()
+        follower_stationarity_check(trajectory, p, "M")
+        assert (len(inv), len(qr)) == (inverses, levels)
+        inv.clear(), qr.clear()
+        solve_game(p)
+        follower_stationarity_check(trajectory, p, "M")
+        leader_stationarity_check(trajectory, p)
+        assert inv == [] and qr == []
 
     @pytest.mark.parametrize("T", [1, 2, 3, 5, 12, 1023, 1024, 1025, 10000])
     def test_same_horizon_again_factors_nothing(self, T, monkeypatch):
@@ -218,7 +241,7 @@ class TestBackwardSweep:
         p = make_params(horizon_T=T)
         clear_caches()
         solve_game(p)
-        calls = count_qr(monkeypatch)
+        calls = count_calls(monkeypatch, "qr")
         solve_game(p)
         assert calls == []
 
@@ -234,7 +257,7 @@ class TestBackwardSweep:
         aug = assemble_augmented(p, "outer")
         backward_sweep(aug)
         aug = assemble_augmented(make_params(horizon_T=T), "outer")
-        calls = count_qr(monkeypatch)
+        calls = count_calls(monkeypatch, "qr")
         levels, _ = backward_sweep(aug)
         tails, seen_tails = tail_eliminations(T), tail_eliminations(seen)
         unseen = [j for j in range(len(levels)) if T >> j > 1 >= seen >> j
@@ -359,16 +382,46 @@ def table_augmented(params, level, fixed):
         xt1=np.array([stepping[name].boundary for name in state]))
 
 
+def zero_coefficient_params(horizon_T):
+    """A draw with d = d_hat = 0 and every delta 0: the table's structure
+    with every term those coefficients scale zero."""
+    return dataclasses.replace(draw_params(np.random.default_rng(93), horizon_T), d=0.0,
+                               d_hat=0.0, delta_s=0.0, delta_m=0.0, delta_r=0.0)
+
+
+GAMES = {"ref": make_params,
+         "draw0": lambda horizon_T: draw_params(np.random.default_rng(91), horizon_T),
+         "draw1": lambda horizon_T: draw_params(np.random.default_rng(92), horizon_T),
+         "zero": zero_coefficient_params}
+
+
 class TestSelectionFromLayout:
     @pytest.mark.parametrize("T", [1, 2, 12])
-    @pytest.mark.parametrize("case", [0, 1, 2], ids=["ref", "draw0", "draw1"])
+    @pytest.mark.parametrize("case", list(GAMES))
     @pytest.mark.parametrize("level", list(_LEVELS))
     def test_equals_table_construction(self, level, case, T):
         """Each level's rows and columns of the layout's group give the
         arrays the table's own level construction gives, bit for bit, with
         batched fixed paths."""
-        p = make_params(horizon_T=T) if case == 0 else draw_params(
-            np.random.default_rng(90 + case), T)
+        self.assert_table_construction(GAMES[case](horizon_T=T), level)
+
+    @pytest.mark.parametrize("first", ["zero", "ref"])
+    @pytest.mark.parametrize("level", list(_LEVELS))
+    def test_one_selection_for_every_game(self, level, first, monkeypatch):
+        """Each level's rows and columns are derived once per process, from
+        the first game compiled, and serve every game: whether a game with
+        zero coefficients or the reference comes first, both give the
+        table construction's arrays."""
+        monkeypatch.setattr(sweep, "_SELECTIONS", {})
+        clear_caches()
+        order = [first] + [case for case in ("zero", "ref") if case != first]
+        for case in order:
+            self.assert_table_construction(GAMES[case](horizon_T=5), level)
+        assert list(sweep._SELECTIONS) == [level]
+
+    @staticmethod
+    def assert_table_construction(p, level):
+        T = p.horizon_T
         rng = np.random.default_rng(T)
         fixed = {name: rng.uniform(-5, 5, (3, T)) for name in _LEVELS[level][3]}
         aug, ref = assemble_augmented(p, level, fixed), table_augmented(p, level, fixed)
@@ -544,11 +597,6 @@ class TestBatchLastReduction:
         assert all(h.shape == (8, 1, 1) for _, _, h in kept)
 
 
-GAMES = {"ref": make_params,
-         "draw0": lambda horizon_T: draw_params(np.random.default_rng(91), horizon_T),
-         "draw1": lambda horizon_T: draw_params(np.random.default_rng(92), horizon_T)}
-
-
 def everything_solved(game, T) -> dict:
     """Every trajectory array and report float of the game's solve at
     horizon T, and every path of each pair in LEVEL_BATCHES solved alone."""
@@ -632,7 +680,7 @@ class TestCompiledOnce:
             solve_game(make_params(horizon_T=T))
         chain = stationarity.compiled_game(make_params(horizon_T=1))[1]["outer"].chain
         assert len(chain) == sweep._CHAIN_ENTRIES
-        calls = count_qr(monkeypatch)
+        calls = count_calls(monkeypatch, "qr")
         solve_game(make_params(horizon_T=horizons[-1]))
         assert calls == []
 
@@ -672,7 +720,7 @@ class TestCompiledOnce:
         assert warm.chain is compiled
         built = AugmentedSystem(**{f.name: getattr(warm, f.name)
                                    for f in dataclasses.fields(warm) if f.init})
-        calls = count_qr(monkeypatch)
+        calls = count_calls(monkeypatch, "qr")
         for aug in (built, dataclasses.replace(warm, P=warm.P.copy(), Q=warm.Q.copy())):
             assert aug.chain == {} and aug.chain is not compiled
             calls.clear()
