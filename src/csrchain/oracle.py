@@ -1,15 +1,16 @@
 """Independent verification path for the game solver.
 
 ``dense_solve`` solves the full stacked stationarity system, all 15T + 4
-unknowns at once, by one Householder QR per period over the system's
-staircase, in O(T) time and memory.  It factors the blocks of
-``stationarity.period_layout``, with its right-hand side and refinement
-residual from ``period_residual``, the evaluator of ``residual_norms``, but
-shares no step of the sweep: no control elimination, no level recursion, no
-cyclic reduction.  The stationarity checks go one level deeper: they
-differentiate the players' objectives themselves (by central differences
-along re-solved follower reactions), so they validate the derived equations
-against the payoffs rather than one solver against another.
+unknowns at once, by Householder QRs over the system's staircase, segmented
+so that O(sqrt T) of them factor it, in O(T) time and memory.  It factors
+the blocks of ``stationarity.period_layout``, with its right-hand side and
+refinement residual from ``period_residual``, the evaluator of
+``residual_norms``, but shares no step of the sweep: no control
+elimination, no level recursion, no cyclic reduction.  The stationarity
+checks go one level deeper: they differentiate the players' objectives
+themselves (by central differences along re-solved follower reactions), so
+they validate the derived equations against the payoffs rather than one
+solver against another.
 
 All perturbation directions are fixed-seed pseudorandom, plus every
 coordinate direction, so results are reproducible and single-period
@@ -22,6 +23,7 @@ out in one batched pass.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .stationarity import (
 from .sweep import _solve_level
 
 _COND_LIMIT = 1e12
+_SEGMENT_FROM = 13   # the least horizon whose staircase is segmented
 # The fixed probe sets: seeded directions (plus every coordinate) for the
 # stationarity checks, and the points of the single-period grid scan.
 _N_DIRECTIONS = 12
@@ -70,10 +73,36 @@ def _solve_with_estimate(solve, solve_transposed, residual, a_norm, b):
     return z, dz, a_norm * float(inv_norm)
 
 
+def _segment_length(T):
+    """The periods m of a segment at horizon T: the one that factors the
+    staircase in the fewest QRs, (m - 1) + (T - 1) // m + (T - 1) % m, the
+    least on a tie.  Below ``_SEGMENT_FROM``, up to the T = 12 of a scenario
+    batch, m = 1: period-by-period steps, whose bits those horizons keep
+    (segments time faster only from about T = 7)."""
+    if T < _SEGMENT_FROM:
+        return 1
+    # past 3 isqrt(T) + 5, m - 1 alone exceeds the count at m = isqrt(T)
+    return min(range(1, 3 * math.isqrt(T) + 6), key=lambda m: m - 1 + (T - 1) // m + (T - 1) % m)
+
+
+def _pad(x, T):
+    """x, the system's unknowns or rows along its first axis, zero-padded
+    to the staircase's W (T + 1)."""
+    out = np.zeros((WIDTH * (T + 1),) + x.shape[1:])
+    out[LEAD:WIDTH * (T + 1) - TRAIL] = x
+    return out
+
+
+def _packed(z, T):
+    """The staircase's unknowns z as packed paths, a view of a padded copy."""
+    return _pad(z, T).reshape(T + 1, WIDTH).T
+
+
 class _Staircase:
-    """The stacked stationarity system in period order, eliminated by one
-    Householder QR per period (stable almost-block-diagonal elimination;
-    Diaz, Fairweather & Keast, ACM TOMS 9, 1983).
+    """The stacked stationarity system in period order, eliminated by
+    Householder QRs in O(T) memory, O(sqrt T) of them (stable
+    almost-block-diagonal elimination; Diaz, Fairweather & Keast, ACM TOMS 9,
+    1983; segmented by S. J. Wright, SIAM J. Sci. Stat. Comput. 13, 1992).
 
     Row group t touches only the W = 15 columns of periods t and t + 1, as
     the [D | E] of ``stationarity.period_layout`` over (z[t], z[t+1]).  The
@@ -81,42 +110,71 @@ class _Staircase:
     padded, each with an identity row, so every step has one shape and the
     padding solves to zero.
 
-    Step t factors [the L rows carried from t - 1; row group t] over the
-    columns of period t as Q_t [R_t; 0]; Q_t^T turns [0; E] into the
-    coupling S_t of the kept rows and the L rows carried on.  The last
-    carried rows and the terminal rows leave one square block F at T + 1, so
-    A = Q U with U block upper bidiagonal: R_1..R_T and F on its diagonal,
-    S_t beside them.  Only per-period blocks are held, O(T) memory.  In the
-    padded row order step t acts on rows W t .. W t + W + L - 1 and leaves
-    U's row block t in the first W of them, so Q^T and Q apply in place.
+    Segments.  Row groups 2 .. K m + 1 form K segments of m (``_segment_length``)
+    periods each, all with the same rows [D | E].  One run of m - 1 QRs
+    eliminates the m - 1 interior periods of every segment at once: step i
+    factors [the W rows carried; row group i] over the columns of interior
+    period i as Qs_i [Rs_i; 0], which keeps the rows A_i z[start] + Rs_i z[i]
+    + B_i z[i + 1] and carries W rows over (z[start], z[i + 1]) on.  The
+    last carry is the segment's interface block [X | Y] over its first and
+    last period.  In the padded row order step i acts on a segment's row
+    groups i - 1 and i, kept rows first, so the carry ends in its group m.
+
+    Interface.  Row group 1, each segment's [X | Y], the (T - 1) % m row
+    groups left over and the terminal rows form a staircase of N blocks
+    [D_t | E_t] over the interface periods (``columns``).  Step t factors
+    [the L rows carried from t - 1; block t] over the columns of its first
+    period as Q_t [R_t; 0]; Q_t^T turns [0; E_t] into the coupling S_t of the
+    kept rows and the L rows carried on.  The last carried rows and the
+    terminal rows leave one square block F, so the interface is Q U with U
+    block upper bidiagonal: R_1..R_N and F on its diagonal, S_t beside them.
+    In its padded row order step t acts on rows W t .. W t + W + L - 1 and
+    leaves U's row block t in the first W of them, so Q^T and Q apply in
+    place.  With m = 1 there are no interior periods, and the interface is
+    the whole system.
     """
 
     def __init__(self, params: ModelParams):
-        self.layout = first, group, terminal, _ = period_layout(params)
+        first, group, terminal, _ = period_layout(params)
         self.T = T = params.horizon_T
         W, L = WIDTH, LEAD
-        # a padded vector holds the system's own unknowns, or rows, at [real]
-        self.n_padded = W * (T + 1)
-        self.real = slice(L, self.n_padded - TRAIL)
-        # Q_t and R_t of every step, F, and the products the solves use
+        self.m = m = _segment_length(T)
+        self.K = K = (T - 1) // m
+        N = T - K * (m - 1)
         D1, E1, D, E = first[:, :W], first[:, W:-1], group[:, :W], group[:, W:-1]
+        X, Y = D, E
+        if m > 1:   # the segments' run: Qs_i, Rs_i, A_i, B_i, and the interface block X, Y
+            Qs = np.empty((m - 1, 2 * W, 2 * W))
+            Rs, A = np.empty((2, m - 1, W, W))
+            for i in range(m - 1):
+                Qs[i], r = np.linalg.qr(np.vstack([Y, D]), mode="complete")
+                Rs[i] = r[:W]
+                A[i], X, Y = Qs[i, :W, :W].T @ X, Qs[i, :W, W:].T @ X, Qs[i, W:, W:].T @ E
+            self.Qs, self.A, self.B = Qs, A, np.swapaxes(Qs[:, W:, :W], 1, 2) @ E
+            self.Rs_inv = np.linalg.inv(Rs)
+            self.GA, self.GB = self.Rs_inv @ A, self.Rs_inv @ self.B
+            # the interface's row groups, each segment's by its last, and periods
+            ends = np.arange(K * m + 1, T + 1)
+            self.rows = np.concatenate([[0], np.arange(m, K * m + 1, m), ends[:-1]])
+            self.columns = np.concatenate([[0], np.arange(1, K * m + 1, m), ends])
+        # the interface's Q_t and R_t of every step, F, and the products the solves use
+        Es = np.empty((N, W, W))
+        Es[0], Es[1:K + 1], Es[K + 1:] = E1, Y, E
         work = np.vstack([np.eye(L, W), D1])
-        Q = np.empty((T, L + W, L + W))
-        R = np.empty((T + 1, W, W))
-        for t in range(T):
+        Q = np.empty((N, L + W, L + W))
+        R = np.empty((N + 1, W, W))
+        for t in range(N):
             Q[t], r = np.linalg.qr(work, mode="complete")
             R[t] = r[:W]
-            work[:L] = Q[t, L:, W:].T @ (E if t else E1)
-            work[L:] = D
-        R[T] = np.vstack([work[:L], terminal[:, :-1], np.eye(TRAIL, W, W - TRAIL)])
-        S = np.swapaxes(Q[:, L:, :W], 1, 2) @ E
-        S[0] = Q[0, L:, :W].T @ E1
+            work[:L] = Q[t, L:, W:].T @ Es[t]
+            work[L:] = X if t < K else D
+        R[N] = np.vstack([work[:L], terminal[:, :-1], np.eye(TRAIL, W, W - TRAIL)])
+        S = np.swapaxes(Q[:, L:, :W], 1, 2) @ Es
         self.Q, self.Rinv = Q, np.linalg.inv(R)
         self.G = self.Rinv[:-1] @ S                        # R_t^-1 S_t
         self.H = np.swapaxes(S @ self.Rinv[1:], 1, 2)      # R_t+1^-T S_t^T
         # ||A||_1, the largest column sum of periods 1..T + 1: D1 and E1 of row
-        # group 1, D of groups 2..T, their E and the terminal rows.  Summed last:
-        # the factors, 24 times its size, fail first where T is too long for memory
+        # group 1, D of groups 2..T, their E and the terminal rows
         s1, s = np.abs(first).sum(axis=0), np.abs(group).sum(axis=0)
         sums = np.vstack([s1[:W], s1[W:-1], np.zeros((T - 1, W))])
         sums[1:T] += s[:W]
@@ -124,63 +182,97 @@ class _Staircase:
         sums[T] += np.abs(terminal[:, :-1]).sum(axis=0)
         self.a_norm = float(sums.max())
 
-    def _pad(self, x):
-        out = np.zeros((self.n_padded,) + x.shape[1:])
-        out[self.real] = x
-        return out
-
     def solve(self, B):
-        """Solutions of A z = b for the columns b of B, (n, k): Q^T b, then
-        back substitution in U."""
-        T, W, L = self.T, WIDTH, LEAD
-        x = self._pad(B)
-        for t in range(T):
+        """Solutions of A z = b for the columns b of B, (n, k): Q^T b, the
+        segments' run first, then back substitution in the interface's U
+        and in the segments' kept rows."""
+        T, W, L, m, K, N = self.T, WIDTH, LEAD, self.m, self.K, len(self.Q)
+        x = _pad(B, T)
+        k = x.shape[1]
+        if m > 1:   # the segments' run, then the interface's rows gathered
+            groups = x[L:L + W * T].reshape(T, W, k)
+            seg = groups[1:K * m + 1].reshape(K, m, W, k)
+            for i in range(1, m):
+                seg[:, i - 1:i + 1] = (self.Qs[i - 1].T @ seg[:, i - 1:i + 1].reshape(K, 2 * W, k)
+                                       ).reshape(K, 2, W, k)
+            x = np.concatenate([x[:L], groups[self.rows].reshape(-1, k), x[L + W * T:]])
+        for t in range(N):
             x[W * t:W * t + W + L] = self.Q[t].T @ x[W * t:W * t + W + L]
-        z = self.Rinv @ x.reshape(T + 1, W, -1)
-        for t in range(T - 1, -1, -1):
+        z = self.Rinv @ x.reshape(N + 1, W, k)
+        for t in range(N - 1, -1, -1):
             z[t] -= self.G[t] @ z[t + 1]
-        return z.reshape(self.n_padded, -1)[self.real]
+        if m > 1:   # each interior from its kept row, last first, every segment at once
+            w, z = z, np.empty((T + 1, W, k))
+            z[self.columns] = w
+            zs = z[1:K * m + 1].reshape(K, m, W, k)
+            interior = self.Rs_inv @ seg[:, :-1] - self.GA @ zs[:, :1]
+            after = z[m + 1:K * m + 2:m]
+            for i in range(m - 1, 0, -1):
+                zs[:, i] = after = interior[:, i - 1] - self.GB[i - 1] @ after
+        return z.reshape(W * (T + 1), k)[LEAD:-TRAIL]
 
     def solve_transposed(self, c):
-        """The solution of A^T x = c: forward substitution in U^T, then the
-        Q_t in reverse."""
-        T, W, L = self.T, WIDTH, LEAD
-        eta = (self._pad(c).reshape(T + 1, 1, W) @ self.Rinv)[:, 0]   # R^-T c, per block
-        for t in range(1, T + 1):
+        """The solution of A^T x = c: forward substitution in U^T, the
+        segments' kept rows first, then the interface's Q_t in reverse and
+        the segments' run in reverse."""
+        T, W, L, m, K, N = self.T, WIDTH, LEAD, self.m, self.K, len(self.Q)
+        eta = _pad(c, T).reshape(T + 1, W)
+        if m > 1:   # the kept rows' part, taken off the interface's columns
+            cs, eta = eta[1:K * m + 1].reshape(K, m, W), eta[self.columns]
+            y = np.empty((K, m - 1, W))
+            y[:, 0] = cs[:, 1] @ self.Rs_inv[0]
+            for i in range(1, m - 1):
+                y[:, i] = (cs[:, i + 1] - y[:, i - 1] @ self.B[i - 1]) @ self.Rs_inv[i]
+            eta[1:K + 1] -= y.reshape(K, -1) @ self.A.reshape(-1, W)
+            eta[2:K + 2] -= y[:, -1] @ self.B[-1]
+        eta = (eta[:, np.newaxis] @ self.Rinv)[:, 0]       # R^-T c, per block
+        for t in range(1, N + 1):
             eta[t] -= self.H[t - 1] @ eta[t - 1]
         x = eta.reshape(-1)
-        for t in range(T - 1, -1, -1):
+        for t in range(N - 1, -1, -1):
             x[W * t:W * t + W + L] = self.Q[t] @ x[W * t:W * t + W + L]
-        return x[self.real]
-
-    def packed(self, z):
-        """The staircase's unknowns z as packed paths, a view of a padded copy."""
-        return self._pad(z).reshape(self.T + 1, WIDTH).T
+        if m > 1:   # the interface's rows back in place, then the segments' run in reverse
+            out = np.empty(W * (T + 1))
+            out[:L], out[L + W * T:] = x[:L], x[L + W * N:]
+            groups = out[L:L + W * T].reshape(T, W)
+            groups[self.rows] = x[L:L + W * N].reshape(N, W)
+            seg = groups[1:K * m + 1].reshape(K, m, W)
+            seg[:, :-1] = y
+            for i in range(m - 1, 0, -1):
+                seg[:, i - 1:i + 1] = (seg[:, i - 1:i + 1].reshape(K, 2 * W) @ self.Qs[i - 1].T
+                                       ).reshape(K, 2, W)
+            x = out
+        return x[LEAD:-TRAIL]
 
 
 def dense_solve(params: ModelParams) -> Trajectory:
-    """Solve the full-horizon stationarity system by staircase QR, in O(T).
+    """Solve the full-horizon stationarity system by segmented staircase
+    QR, in O(T).
 
     One step of iterative refinement keeps the residual at roundoff level.
     Raises SingularSystemError (with a 1-norm condition estimate) if the
     stacked matrix is numerically singular, and, before allocating, MemoryError
     past ``ORACLE_MAX_HORIZON``.
     """
-    if params.horizon_T > ORACLE_MAX_HORIZON:
-        raise MemoryError(f"the oracle's factors at horizon_T = {params.horizon_T} are too "
+    T = params.horizon_T
+    if T > ORACLE_MAX_HORIZON:
+        raise MemoryError(f"the oracle's arrays at horizon_T = {T} are too "
                           f"big for numpy to size; it solves horizon_T up to {ORACLE_MAX_HORIZON}")
+    layout = period_layout(params)
+
     def residual(z):   # b - A z: minus the layout's rows, in the staircase's order
-        return -stacked_rows(period_residual(system.packed(z), system.layout))
+        return -stacked_rows(period_residual(_packed(z, T), layout))
     try:
+        # the O(T) arrays first: a horizon too long for memory fails before any QR
+        b = residual(np.zeros(WIDTH * T + LEAD))
         system = _Staircase(params)
-        b = residual(np.zeros(system.n_padded - LEAD - TRAIL))
         z, dz, cond = _solve_with_estimate(system.solve, system.solve_transposed, residual,
                                            system.a_norm, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(float("inf")) from exc
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularSystemError(cond)
-    return trajectory_from_blocks(unpack(system.packed(z + dz)), params)
+    return trajectory_from_blocks(unpack(_packed(z + dz, T)), params)
 
 
 # ---------------------------------------------------------------------------

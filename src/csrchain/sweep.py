@@ -185,7 +185,8 @@ def _compile_level(layout, level: str) -> _Level:
     # algebraic rows, which leaves the recursions reduced o = 0.
     m, n2 = len(period), len(y)
     G = np.linalg.solve(K[n2:, :m], K[n2:, m:])
-    reduced = K[:n2, m:] - K[:n2, :m] @ G
+    # in long double, rounded once: the recursion's digits bound the sweep's
+    reduced = (K[:n2, m:] - K[:n2, :m].astype(np.longdouble) @ G).astype(float)
     compiled = _Level(reduced[:, :n2], reduced[:, n2:2 * n2], -G[:, :2 * n2],
                       np.array([families[i].boundary for i in rows[:len(state), 0]]),
                       -reduced[:, 2 * n2:], -G[:, 2 * n2:], {})

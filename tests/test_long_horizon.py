@@ -109,8 +109,8 @@ def report_values(path) -> dict:
 
 
 def test_cli_oracle_reports_at_ten_thousand_periods(tmp_path):
-    """The oracle holds per-period factors only, so it runs where a
-    (15T + 4)^2 matrix (180 GB at T = 10000) never could."""
+    """The oracle holds O(sqrt T) factors and O(T) right-hand sides only,
+    so it runs where a (15T + 4)^2 matrix (180 GB at T = 10000) never could."""
     text = REFERENCE_FILE.replace("horizon_T = 3", "horizon_T = 10000")
     out = tmp_path / "out"
     assert main(["solve", str(write_scenario(tmp_path, text)), "--out-dir", str(out),

@@ -92,9 +92,9 @@ class TestDenseSolve:
             dense_solve(make_params(theta=0.0))
 
     def test_horizon_past_the_oracle_bound_refused(self):
-        """A horizon whose factors numpy cannot size is refused by a
+        """A horizon whose arrays numpy cannot size is refused by a
         MemoryError naming T and the bound, before anything is allocated."""
-        p = make_params(horizon_T=10**16)
+        p = make_params(horizon_T=5 * 10**16)
         tracemalloc.start()
         try:
             with pytest.raises(MemoryError) as info:
@@ -103,15 +103,16 @@ class TestDenseSolve:
         finally:
             tracemalloc.stop()
         assert str(info.value) == (
-            f"the oracle's factors at horizon_T = {10**16} are too big for numpy to "
+            f"the oracle's arrays at horizon_T = {5 * 10**16} are too big for numpy to "
             f"size; it solves horizon_T up to {ORACLE_MAX_HORIZON}")
         assert peak < 1 << 16
 
     def test_oracle_bound_is_the_last_sizable(self):
-        """The bound is the last T whose (T + 1, 19, 19) float64 factors
-        numpy sizes: at it, numpy itself fails to allocate them, at once."""
-        assert 19 * 19 * 8 * (ORACLE_MAX_HORIZON + 1) <= np.iinfo(np.intp).max
-        assert 19 * 19 * 8 * (ORACLE_MAX_HORIZON + 2) > np.iinfo(np.intp).max
+        """The bound is the last T whose (T + 1, 15, 3) float64 arrays, the
+        padded solves of three right-hand sides, numpy sizes: at it, numpy
+        itself fails to allocate the oracle's O(T) arrays, at once."""
+        assert 15 * 3 * 8 * (ORACLE_MAX_HORIZON + 1) <= np.iinfo(np.intp).max
+        assert 15 * 3 * 8 * (ORACLE_MAX_HORIZON + 2) > np.iinfo(np.intp).max
         with pytest.raises(MemoryError, match="^Unable to allocate"):
             dense_solve(make_params(horizon_T=ORACLE_MAX_HORIZON))
 

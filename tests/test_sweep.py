@@ -18,7 +18,7 @@ from csrchain.output import emit_csv, render_report
 from csrchain.oracle import solve_inner_response, solve_retailer_response
 from csrchain import stationarity
 from csrchain.oracle import follower_stationarity_check, leader_stationarity_check
-from csrchain.stationarity import equation_table, period_rows
+from csrchain.stationarity import assemble_system, equation_table, period_rows
 from csrchain.sweep import (
     AugmentedSystem,
     _inner_consistency_delta,
@@ -30,7 +30,9 @@ from csrchain.sweep import (
     solve_inner_given_supplier,
 )
 
-from conftest import clear_caches, draw_params, level_table, make_params
+from conftest import (
+    clear_caches, draw_params, level_table, make_params, vector_to_trajectory,
+)
 
 OUTER_STATE, OUTER_COSTATE, OUTER_PERIOD, _ = _LEVELS["outer"]
 
@@ -369,7 +371,7 @@ def table_augmented(params, level, fixed):
     K[:, -1] *= -1.0
     m, n2 = len(period), len(y)
     G = np.linalg.solve(K[n2:, :m], K[n2:, m:])
-    reduced = K[:n2, m:] - K[:n2, :m] @ G
+    reduced = (K[:n2, m:] - K[:n2, :m].astype(np.longdouble) @ G).astype(float)
     e = (np.stack(np.broadcast_arrays(*(fixed[name] for name in held), np.ones(T)))
          if held else np.ones((1, 1)))
     g, sol_g = [(-M[:, 2 * n2:] @ e.reshape(len(e), -1)).reshape((len(M),) + e.shape[1:])
@@ -871,6 +873,23 @@ class TestForwardPass:
             assert np.allclose(xt[t + 1], expected, rtol=1e-12, atol=1e-12)
 
 
+def refined_lu(params):
+    """The stacked system solved by dense LU, then refined three times with
+    its residual formed in long double."""
+    system = assemble_system(params)
+    A, b = system.matrix, system.rhs
+    z = np.linalg.solve(A, b)
+    for _ in range(3):
+        z = z + np.linalg.solve(A, (b - A.astype(np.longdouble) @ z).astype(float))
+    return vector_to_trajectory(z, params)
+
+
+def test_long_double_is_wider_than_double():
+    """The reduced recursions are formed in long double and rounded once,
+    which adds digits only where long double is wider than double."""
+    assert np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
 class TestSolveGame:
     def test_matches_oracle_on_reference(self, reference_params):
         traj, report = solve_game(reference_params)
@@ -878,6 +897,13 @@ class TestSolveGame:
         assert trajectory_max_delta(traj, reference) <= 1e-8
         assert report.residual_max <= 1e-9
         assert report.inner_consistency_delta <= 1e-8
+
+    @pytest.mark.parametrize("T", [40, 60])
+    def test_matches_refined_lu_at_audit_horizons(self, T):
+        """The sweep alone, held to a solve more accurate than the oracle, so
+        the sweep-oracle agreement cannot pass through rounding the two share."""
+        p = make_params(horizon_T=T)
+        assert trajectory_max_delta(solve_game(p)[0], refined_lu(p)) <= 1e-8
 
     def test_single_period_closed_form(self):
         """At horizon 1 all costates vanish, leaving an explicit solution:
