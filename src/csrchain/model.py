@@ -41,10 +41,6 @@ _STATE_CONSISTENCY_RTOL = 1e-6
 # The largest horizon whose (16, T + 1) float64 arrays, the widest the sweep
 # recovers, numpy can index; a longer one fails in numpy's own shape checks.
 MAX_HORIZON = np.iinfo(np.intp).max // (16 * 8) - 1
-# The largest horizon whose (T + 1, 15, 3) float64 arrays, the oracle's
-# padded solves of three right-hand sides, numpy can size;
-# ``oracle.dense_solve`` refuses a longer.
-ORACLE_MAX_HORIZON = np.iinfo(np.intp).max // (15 * 3 * 8) - 1
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,7 @@ import math
 import numpy as np
 
 from .errors import SingularSystemError
-from .model import (
-    ORACLE_MAX_HORIZON, ModelParams, Trajectory, objective, optimal_quantity, rollout,
-)
+from .model import ModelParams, Trajectory, objective, optimal_quantity, rollout
 from .stationarity import (
     LEAD, TRAIL, WIDTH, period_layout, period_residual, stacked_rows,
     trajectory_from_blocks, unpack,
@@ -77,8 +75,11 @@ def _segment_length(T):
     """The periods m of a segment at horizon T: the one that factors the
     staircase in the fewest QRs, (m - 1) + (T - 1) // m + (T - 1) % m, the
     least on a tie.  Below ``_SEGMENT_FROM``, up to the T = 12 of a scenario
-    batch, m = 1: period-by-period steps, whose bits those horizons keep
-    (segments time faster only from about T = 7)."""
+    batch, m = 1: one QR per period, kept for speed.  Timed in one process
+    on one BLAS thread, the rule's segments made ``dense_solve`` 3-14%
+    slower at T = 5..8 and 3-8% faster at T = 9..12, and in paired
+    scenario_batch runs without this threshold the median op read slower
+    in 5 of 6 pairs."""
     if T < _SEGMENT_FROM:
         return 1
     # past 3 isqrt(T) + 5, m - 1 alone exceeds the count at m = isqrt(T)
@@ -122,16 +123,24 @@ class _Staircase:
 
     Interface.  Row group 1, each segment's [X | Y], the (T - 1) % m row
     groups left over and the terminal rows form a staircase of N blocks
-    [D_t | E_t] over the interface periods (``columns``).  Step t factors
-    [the L rows carried from t - 1; block t] over the columns of its first
-    period as Q_t [R_t; 0]; Q_t^T turns [0; E_t] into the coupling S_t of the
+    [D_t | E_t] over the interface periods: the first, each segment's
+    first, and those after the last segment.  Its rows are three slices of
+    the padded order: the padding with row group 1, every m-th row group
+    from m + 1 to K m + 1 (each segment's last, where its carry ends), and
+    all rows after the last segment.  Step t factors [the L rows carried
+    from t - 1; block t] over the columns of its first period as
+    Q_t [R_t; 0]; Q_t^T turns [0; E_t] into the coupling S_t of the
     kept rows and the L rows carried on.  The last carried rows and the
     terminal rows leave one square block F, so the interface is Q U with U
     block upper bidiagonal: R_1..R_N and F on its diagonal, S_t beside them.
     In its padded row order step t acts on rows W t .. W t + W + L - 1 and
     leaves U's row block t in the first W of them, so Q^T and Q apply in
-    place.  With m = 1 there are no interior periods, and the interface is
-    the whole system.
+    place.  One call inverts every kept triangle: Rs_1..Rs_m-1, R_1..R_N, F.
+    With m = 1 there are no interior periods, the interface is the whole
+    system, and m > 1 guards skip every segment step, for speed, as
+    ``_SEGMENT_FROM`` does: a draft whose m = 1 path built empty segment and
+    index arrays read scenario_batch's median op 5.0% slower in each of 10
+    paired runs.
     """
 
     def __init__(self, params: ModelParams):
@@ -143,34 +152,31 @@ class _Staircase:
         N = T - K * (m - 1)
         D1, E1, D, E = first[:, :W], first[:, W:-1], group[:, :W], group[:, W:-1]
         X, Y = D, E
+        R = np.empty((m + N, W, W))   # every kept triangle: Rs_1..Rs_m-1, R_1..R_N, F
         if m > 1:   # the segments' run: Qs_i, Rs_i, A_i, B_i, and the interface block X, Y
             Qs = np.empty((m - 1, 2 * W, 2 * W))
-            Rs, A = np.empty((2, m - 1, W, W))
+            A = np.empty((m - 1, W, W))
             for i in range(m - 1):
                 Qs[i], r = np.linalg.qr(np.vstack([Y, D]), mode="complete")
-                Rs[i] = r[:W]
+                R[i] = r[:W]
                 A[i], X, Y = Qs[i, :W, :W].T @ X, Qs[i, :W, W:].T @ X, Qs[i, W:, W:].T @ E
             self.Qs, self.A, self.B = Qs, A, np.swapaxes(Qs[:, W:, :W], 1, 2) @ E
-            self.Rs_inv = np.linalg.inv(Rs)
-            self.GA, self.GB = self.Rs_inv @ A, self.Rs_inv @ self.B
-            # the interface's row groups, each segment's by its last, and periods
-            ends = np.arange(K * m + 1, T + 1)
-            self.rows = np.concatenate([[0], np.arange(m, K * m + 1, m), ends[:-1]])
-            self.columns = np.concatenate([[0], np.arange(1, K * m + 1, m), ends])
         # the interface's Q_t and R_t of every step, F, and the products the solves use
         Es = np.empty((N, W, W))
         Es[0], Es[1:K + 1], Es[K + 1:] = E1, Y, E
         work = np.vstack([np.eye(L, W), D1])
         Q = np.empty((N, L + W, L + W))
-        R = np.empty((N + 1, W, W))
         for t in range(N):
             Q[t], r = np.linalg.qr(work, mode="complete")
-            R[t] = r[:W]
+            R[m - 1 + t] = r[:W]
             work[:L] = Q[t, L:, W:].T @ Es[t]
             work[L:] = X if t < K else D
-        R[N] = np.vstack([work[:L], terminal[:, :-1], np.eye(TRAIL, W, W - TRAIL)])
+        R[-1] = np.vstack([work[:L], terminal[:, :-1], np.eye(TRAIL, W, W - TRAIL)])
         S = np.swapaxes(Q[:, L:, :W], 1, 2) @ Es
-        self.Q, self.Rinv = Q, np.linalg.inv(R)
+        Rinv = np.linalg.inv(R)
+        self.Q, self.Rs_inv, self.Rinv = Q, Rinv[:m - 1], Rinv[m - 1:]
+        if m > 1:   # the run's kept rows solved for its interior periods
+            self.GA, self.GB = self.Rs_inv @ self.A, self.Rs_inv @ self.B
         self.G = self.Rinv[:-1] @ S                        # R_t^-1 S_t
         self.H = np.swapaxes(S @ self.Rinv[1:], 1, 2)      # R_t+1^-T S_t^T
         # ||A||_1, the largest column sum of periods 1..T + 1: D1 and E1 of row
@@ -190,12 +196,11 @@ class _Staircase:
         x = _pad(B, T)
         k = x.shape[1]
         if m > 1:   # the segments' run, then the interface's rows gathered
-            groups = x[L:L + W * T].reshape(T, W, k)
-            seg = groups[1:K * m + 1].reshape(K, m, W, k)
+            seg = x[L + W:L + W * (K * m + 1)].reshape(K, m, W, k)
             for i in range(1, m):
                 seg[:, i - 1:i + 1] = (self.Qs[i - 1].T @ seg[:, i - 1:i + 1].reshape(K, 2 * W, k)
                                        ).reshape(K, 2, W, k)
-            x = np.concatenate([x[:L], groups[self.rows].reshape(-1, k), x[L + W * T:]])
+            x = np.concatenate([x[:L + W], seg[:, -1].reshape(-1, k), x[L + W * (K * m + 1):]])
         for t in range(N):
             x[W * t:W * t + W + L] = self.Q[t].T @ x[W * t:W * t + W + L]
         z = self.Rinv @ x.reshape(N + 1, W, k)
@@ -203,8 +208,8 @@ class _Staircase:
             z[t] -= self.G[t] @ z[t + 1]
         if m > 1:   # each interior from its kept row, last first, every segment at once
             w, z = z, np.empty((T + 1, W, k))
-            z[self.columns] = w
             zs = z[1:K * m + 1].reshape(K, m, W, k)
+            z[0], zs[:, 0], z[K * m + 1:] = w[0], w[1:K + 1], w[K + 1:]
             interior = self.Rs_inv @ seg[:, :-1] - self.GA @ zs[:, :1]
             after = z[m + 1:K * m + 2:m]
             for i in range(m - 1, 0, -1):
@@ -218,7 +223,8 @@ class _Staircase:
         T, W, L, m, K, N = self.T, WIDTH, LEAD, self.m, self.K, len(self.Q)
         eta = _pad(c, T).reshape(T + 1, W)
         if m > 1:   # the kept rows' part, taken off the interface's columns
-            cs, eta = eta[1:K * m + 1].reshape(K, m, W), eta[self.columns]
+            cs = eta[1:K * m + 1].reshape(K, m, W)
+            eta = np.concatenate([eta[:1], cs[:, 0], eta[K * m + 1:]])
             y = np.empty((K, m - 1, W))
             y[:, 0] = cs[:, 1] @ self.Rs_inv[0]
             for i in range(1, m - 1):
@@ -233,16 +239,19 @@ class _Staircase:
             x[W * t:W * t + W + L] = self.Q[t] @ x[W * t:W * t + W + L]
         if m > 1:   # the interface's rows back in place, then the segments' run in reverse
             out = np.empty(W * (T + 1))
-            out[:L], out[L + W * T:] = x[:L], x[L + W * N:]
-            groups = out[L:L + W * T].reshape(T, W)
-            groups[self.rows] = x[L:L + W * N].reshape(N, W)
-            seg = groups[1:K * m + 1].reshape(K, m, W)
-            seg[:, :-1] = y
+            out[:L + W], out[L + W * (K * m + 1):] = x[:L + W], x[L + W * (K + 1):]
+            seg = out[L + W:L + W * (K * m + 1)].reshape(K, m, W)
+            seg[:, :-1], seg[:, -1] = y, x[L + W:L + W * (K + 1)].reshape(K, W)
             for i in range(m - 1, 0, -1):
                 seg[:, i - 1:i + 1] = (seg[:, i - 1:i + 1].reshape(K, 2 * W) @ self.Qs[i - 1].T
                                        ).reshape(K, 2, W)
             x = out
         return x[LEAD:-TRAIL]
+
+
+# The largest horizon whose (T + 1, 15, 3) float64 arrays, the padded solves
+# of three right-hand sides, numpy can size; ``dense_solve`` refuses a longer.
+ORACLE_MAX_HORIZON = np.iinfo(np.intp).max // (15 * 3 * 8) - 1
 
 
 def dense_solve(params: ModelParams) -> Trajectory:

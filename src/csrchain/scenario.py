@@ -85,7 +85,8 @@ def load_scenario(path, **overrides) -> Scenario:
     if not path.exists():
         raise ScenarioError([f"scenario file not found: {path}"])
     try:
-        text = path.read_text(encoding="utf-8")
+        # a byte-order mark is no text, stripped after decoding so error offsets count it
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ScenarioError([f"scenario file {path} is not UTF-8 text: "
                              f"{exc.reason} at byte {exc.start}"]) from None

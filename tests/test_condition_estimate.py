@@ -5,9 +5,9 @@ per period up to T = 12 and a segmented staircase, O(sqrt T) QRs, past it,
 and estimates kappa_1 from the same staircase solves that give the solution
 and its refinement.  These tests hold the estimate against the exact
 kappa_1, the staircase's solves against the stacked matrix, count the
-factorizations, and keep the dense LU of the stacked matrix as a test-only
-witness for the solution: the former two-solve refinement, and the
-estimator run through LU solves.
+factorizations and inverses, and keep the dense LU of the stacked matrix as
+a test-only witness for the solution: the former two-solve refinement, and
+the estimator run through LU solves.
 """
 import os
 import subprocess
@@ -28,6 +28,7 @@ from csrchain.oracle import _solve_with_estimate
 from csrchain.stationarity import BLOCK_NAMES, assemble_system, unpack
 
 from conftest import REFERENCE, draw_params, make_params, vector_to_trajectory
+from test_sweep import count_calls
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -100,11 +101,14 @@ def staircase_matrix(params):
     return out
 
 
-@pytest.mark.parametrize("T", [1, 2, 7, 13, 16, 40])
+@pytest.mark.parametrize("T", [1, 2, 7, 13, 14, 15, 16, 40])
 def test_solves_match_the_stacked_matrix(T):
     """Both staircase solves, period by period (T <= 12) or in segments,
     leave residuals at roundoff against the stacked matrix A: A z = B for
-    three right-hand sides at once, and A^T x = c."""
+    three right-hand sides at once, and A^T x = c.  T = 14 (m = 3, K = 4)
+    is the least segmented horizon with a row group left over after the
+    last segment, T = 15 the least with m = 2, so the interface's slices
+    meet both of their ends."""
     rng = np.random.default_rng(T)
     for params in cases(T):
         A = staircase_matrix(params)
@@ -172,6 +176,15 @@ def test_one_qr_per_period_and_no_svd(monkeypatch):
         assert len(calls) == rule_qr_calls(T)
         if T > 12:
             assert len(calls) < T
+
+
+@pytest.mark.parametrize("T", [3, 40, 1000])
+def test_one_inverse_per_solve(T, monkeypatch):
+    """Every kept triangle, the segments' run's and the interface's, is
+    inverted in one call, period by period or in segments."""
+    calls = count_calls(monkeypatch, "inv")
+    dense_solve(make_params(horizon_T=T))
+    assert len(calls) == 1
 
 
 def test_factorization_failure_reports_infinite_estimate(monkeypatch, reference_params):

@@ -18,8 +18,8 @@ from csrchain import (
     total_objective,
     trajectory_max_delta,
 )
-from csrchain.model import ORACLE_MAX_HORIZON, Controls, Trajectory
-from csrchain.oracle import solve_inner_response, solve_retailer_response
+from csrchain.model import Controls, Trajectory
+from csrchain.oracle import ORACLE_MAX_HORIZON, solve_inner_response, solve_retailer_response
 
 from conftest import draw_params, make_params, vector_to_trajectory
 

@@ -169,6 +169,24 @@ class TestLoadScenario:
             load_scenario(path)
         assert str(path) in str(excinfo.value)
 
+    def test_byte_order_mark_is_not_text(self, tmp_path):
+        """A file saved with a UTF-8 byte-order mark loads as the file
+        without it, whether its first line is a comment (the shipped
+        reference scenario) or a key."""
+        reference = REPO / "scenarios" / "reference.scenario"
+        for plain in (reference, write_scenario(tmp_path, REFERENCE_FILE)):
+            bom = tmp_path / "bom" / plain.name
+            bom.parent.mkdir(exist_ok=True)
+            bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+            assert load_scenario(bom) == load_scenario(plain)
+
+    def test_non_utf8_byte_counted_from_the_byte_order_mark(self, tmp_path):
+        path = tmp_path / "binary.scenario"
+        path.write_bytes(b"\xef\xbb\xbf" + REFERENCE_FILE.encode() + b"# \xff\n")
+        with pytest.raises(ScenarioError) as excinfo:
+            load_scenario(path)
+        assert str(excinfo.value).endswith(f"at byte {3 + len(REFERENCE_FILE) + 2}")
+
     def test_unreadable_file_names_file(self, tmp_path, monkeypatch):
         path = write_scenario(tmp_path, REFERENCE_FILE)
 
@@ -697,6 +715,15 @@ class TestCli:
         assert code == 0
         for name in ("reference.trajectory.csv", "reference.report"):
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_golden_artifacts_from_a_byte_order_marked_copy(self, tmp_path):
+        """The reference scenario saved with a UTF-8 byte-order mark, as
+        some editors save it, still reproduces the committed artifacts."""
+        path = tmp_path / "reference.scenario"
+        path.write_bytes(b"\xef\xbb\xbf" + (REPO / "scenarios" / "reference.scenario").read_bytes())
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        for name in ("reference.trajectory.csv", "reference.report"):
+            assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes()
 
     def test_shipped_reference_scenario(self, tmp_path):
         code = main(["solve", "scenarios/reference.scenario",
