@@ -10,7 +10,10 @@ elimination, no level recursion, no cyclic reduction.  The stationarity
 checks go one level deeper: they differentiate the players' objectives
 themselves (by central differences along re-solved follower reactions), so
 they validate the derived equations against the payoffs rather than one
-solver against another.
+solver against another.  The three checks and the single-period grid scan
+share one evaluation of a player's payoff along its followers' reaction:
+R's state rolled out, M's retailer response or S's inner response
+re-solved, then the player's objective summed.
 
 All perturbation directions are fixed-seed pseudorandom, plus every
 coordinate direction, so results are reproducible and single-period
@@ -75,11 +78,9 @@ def _segment_length(T):
     """The periods m of a segment at horizon T: the one that factors the
     staircase in the fewest QRs, (m - 1) + (T - 1) // m + (T - 1) % m, the
     least on a tie.  Below ``_SEGMENT_FROM``, up to the T = 12 of a scenario
-    batch, m = 1: one QR per period, kept for speed.  Timed in one process
-    on one BLAS thread, the rule's segments made ``dense_solve`` 3-14%
-    slower at T = 5..8 and 3-8% faster at T = 9..12, and in paired
-    scenario_batch runs without this threshold the median op read slower
-    in 5 of 6 pairs."""
+    batch, m = 1: one QR per period, kept because scenario batches ran
+    slower without it; CHANGES.md's entries on the segmented staircase and
+    on its interface slices hold the timings."""
     if T < _SEGMENT_FROM:
         return 1
     # past 3 isqrt(T) + 5, m - 1 alone exceeds the count at m = isqrt(T)
@@ -137,10 +138,9 @@ class _Staircase:
     leaves U's row block t in the first W of them, so Q^T and Q apply in
     place.  One call inverts every kept triangle: Rs_1..Rs_m-1, R_1..R_N, F.
     With m = 1 there are no interior periods, the interface is the whole
-    system, and m > 1 guards skip every segment step, for speed, as
-    ``_SEGMENT_FROM`` does: a draft whose m = 1 path built empty segment and
-    index arrays read scenario_batch's median op 5.0% slower in each of 10
-    paired runs.
+    system, and m > 1 guards skip every segment step.  They are kept, as
+    ``_SEGMENT_FROM`` is, for speed at a scenario batch's T <= 12 (see
+    ``_segment_length``).
     """
 
     def __init__(self, params: ModelParams):
@@ -337,17 +337,39 @@ def _directions(T):
     return rows
 
 
-def _worst_slope(payoff, path, trajectory) -> float:
-    """Max central-difference slope of ``payoff`` at ``path`` over the
-    probe directions, with a step scaled to the trajectory's investments.
+def _reaction_payoff(player, params, own, controls, q):
+    """The player's payoff at quantity q, summed over periods 1..T, for each
+    path of the batch ``own`` (..., T) of its own investments, along its
+    followers' reaction: its leaders' paths held at ``controls`` (S has
+    none) and the rest recomputed, R's state rolled out, M's retailer
+    response and S's inner response re-solved.  Paths of a horizon other
+    than the params' are refused."""
+    if own.shape[-1] != params.horizon_T:
+        raise ValueError(f"the trajectory has horizon {own.shape[-1]}, "
+                         f"the parameters horizon_T = {params.horizon_T}")
+    if player == "R":
+        i_s, i_m, i_r = controls.i_s, controls.i_m, own
+        x = rollout(params, i_s, i_m, i_r)
+    elif player == "M":
+        i_s, i_m = controls.i_s, own
+        i_r, x = solve_retailer_response(params, i_s, i_m)
+    else:
+        i_s = own
+        i_m, i_r, x = solve_inner_response(params, i_s)
+    return objective(player, params, x, i_s, i_m, i_r, q)
 
-    ``payoff`` takes every probe at once, the +h probes stacked over the
-    -h probes as one (2k, T) batch, and returns their k + k values.
-    """
-    h = 1e-5 * (1.0 + float(np.max(np.abs(trajectory.controls.stacked()))))
+
+def _worst_slope(player, params, trajectory) -> float:
+    """Max central-difference slope of the player's payoff along its
+    followers' reaction, at the trajectory's path of the player, over the
+    probe directions, with a step scaled to the trajectory's investments.
+    Every probe, the +h ones stacked over the -h ones, is one batch."""
+    c = trajectory.controls
+    path = getattr(c, "i_" + player.lower())
+    h = 1e-5 * (1.0 + float(np.max(np.abs(c.stacked()))))
     eta = _directions(len(path))
-    values = payoff(np.concatenate([path + h * eta, path - h * eta]))
-    plus, minus = np.split(values, 2)
+    probes = np.concatenate([path + h * eta, path - h * eta])
+    plus, minus = np.split(_reaction_payoff(player, params, probes, c, trajectory.q[0]), 2)
     return float(np.max(np.abs(plus - minus) / (2.0 * h)))
 
 
@@ -361,33 +383,15 @@ def follower_stationarity_check(trajectory: Trajectory, params: ModelParams,
     before differencing the manufacturer's objective.  Either way every
     probe is evaluated in one batched call.
     """
-    c = trajectory.controls
-    q = trajectory.q[0]
-    if level == "R":
-        def payoff(i_r):
-            x = rollout(params, c.i_s, c.i_m, i_r)
-            return objective("R", params, x, c.i_s, c.i_m, i_r, q)
-        path = c.i_r
-    elif level == "M":
-        def payoff(i_m):
-            i_r, x = solve_retailer_response(params, c.i_s, i_m)
-            return objective("M", params, x, c.i_s, i_m, i_r, q)
-        path = c.i_m
-    else:
+    if level not in ("R", "M"):
         raise ValueError(f"unknown follower level {level!r}; expected 'R' or 'M'")
-    return _worst_slope(payoff, path, trajectory)
+    return _worst_slope(level, params, trajectory)
 
 
 def leader_stationarity_check(trajectory: Trajectory, params: ModelParams) -> float:
     """Max directional derivative of the supplier's objective with the whole
     follower subsystem re-solved for every probe, all probes in one solve."""
-    c = trajectory.controls
-    q = trajectory.q[0]
-
-    def payoff(i_s):
-        i_m, i_r, x = solve_inner_response(params, i_s)
-        return objective("S", params, x, i_s, i_m, i_r, q)
-    return _worst_slope(payoff, c.i_s, trajectory)
+    return _worst_slope("S", params, trajectory)
 
 
 def grid_scan_supplier(params: ModelParams, center: float, half_width: float) -> float:
@@ -401,9 +405,7 @@ def grid_scan_supplier(params: ModelParams, center: float, half_width: float) ->
     if params.horizon_T != 1:
         raise ValueError("grid scan is a single-period check; horizon_T must be 1")
     grid = np.linspace(center - half_width, center + half_width, _GRID_POINTS)
-    i_s = grid[:, np.newaxis]
-    i_m, i_r, x = solve_inner_response(params, i_s)
-    values = objective("S", params, x, i_s, i_m, i_r, optimal_quantity(params))
+    values = _reaction_payoff("S", params, grid[:, np.newaxis], None, optimal_quantity(params))
     diffs = np.diff(values)
     signs = np.sign(diffs)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]

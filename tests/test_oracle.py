@@ -206,6 +206,18 @@ class TestStationarityChecks:
         with pytest.raises(ValueError, match="level"):
             follower_stationarity_check(traj, reference_params, "S")
 
+    @pytest.mark.parametrize("player", ["R", "M", "S"])
+    def test_trajectory_of_another_horizon_refused(self, player):
+        """Each check refuses a trajectory whose horizon is not the params',
+        naming both horizons, before any probe is evaluated."""
+        traj, _ = solve_game(make_params(horizon_T=5))
+        p = make_params(horizon_T=4)
+        with pytest.raises(ValueError, match="horizon 5.*horizon_T = 4"):
+            if player == "S":
+                leader_stationarity_check(traj, p)
+            else:
+                follower_stationarity_check(traj, p, player)
+
 
 class TestGridScan:
     def test_scan_matches_solver_at_horizon_one(self):
