@@ -263,7 +263,10 @@ def check_state_consistency(trajectory: Trajectory, params: ModelParams) -> floa
 
 def trajectory_max_delta(first: Trajectory, second: Trajectory) -> float:
     """Max absolute difference over every component both trajectories carry;
-    NaN when any compared entry is NaN."""
+    NaN when any compared entry is NaN.  Trajectories of two horizons are
+    refused."""
+    if first.horizon != second.horizon:
+        raise ValueError(f"the trajectories have horizons {first.horizon} and {second.horizon}")
     deltas = []
     for field in fields(Trajectory):
         a, b = getattr(first, field.name), getattr(second, field.name)
@@ -279,8 +282,12 @@ def total_objective(player: str, trajectory: Trajectory, params: ModelParams):
 
     Rejects trajectories whose state path does not satisfy the state
     equation (beyond a scale-relative tolerance), since the objective is
-    only meaningful on feasible paths.
+    only meaningful on feasible paths, and trajectories of a horizon other
+    than the params'.
     """
+    if trajectory.horizon != params.horizon_T:
+        raise ValueError(f"the trajectory has horizon {trajectory.horizon}, "
+                         f"the parameters horizon_T = {params.horizon_T}")
     gap = check_state_consistency(trajectory, params)
     scale = 1.0 + float(np.max(np.abs(trajectory.x)))
     # Written so that a NaN gap (or scale) fails the check too.

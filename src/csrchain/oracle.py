@@ -15,17 +15,17 @@ share one evaluation of a player's payoff along its followers' reaction:
 R's state rolled out, M's retailer response or S's inner response
 re-solved, then the player's objective summed.
 
-All perturbation directions are fixed-seed pseudorandom, plus every
-coordinate direction, so results are reproducible and single-period
-deviations cannot hide in a random subspace.  A perturbed leader path moves
-only the right-hand side of the follower level, so each check re-solves that
-level once, by the sweep's cyclic reduction, with every probe, +h and -h, a
-batch entry of its right-hand side; the retailer check rolls all its probes
-out in one batched pass.
+Each check probes the T coordinate directions only.  Along a re-solved
+reaction every payoff is quadratic in the player's own path, so the central
+difference along any unit direction eta is exactly eta . g, g the coordinate
+slopes: no other direction can read a slope the coordinates miss.  A
+perturbed leader path moves only the right-hand side of the follower level,
+so each check re-solves that level once, by the sweep's cyclic reduction,
+with every probe, +h and -h, a batch entry of its right-hand side; the
+retailer check rolls all its probes out in one batched pass.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -40,12 +40,7 @@ from .sweep import _solve_level
 
 _COND_LIMIT = 1e12
 _SEGMENT_FROM = 13   # the least horizon whose staircase is segmented
-# The fixed probe sets: seeded directions (plus every coordinate) for the
-# stationarity checks, and the points of the single-period grid scan.
-_N_DIRECTIONS = 12
-_DIRECTION_SEED = 0
-_DIRECTION_HORIZONS = 16   # horizons whose seeded directions are kept
-_GRID_POINTS = 81
+_GRID_POINTS = 81   # the points of the single-period grid scan
 
 
 def _solve_with_estimate(solve, solve_transposed, residual, a_norm, b):
@@ -318,25 +313,6 @@ def solve_inner_response(params: ModelParams, i_s):
 # Stationarity checks against the objectives themselves
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=_DIRECTION_HORIZONS)
-def _seeded_directions(T):
-    """The fixed-seed pseudorandom unit directions at horizon T, read-only,
-    drawn once per horizon."""
-    rng = np.random.default_rng(_DIRECTION_SEED)
-    eta = rng.standard_normal((_N_DIRECTIONS, T))
-    eta /= np.linalg.norm(eta, axis=1, keepdims=True)
-    eta.flags.writeable = False
-    return eta
-
-
-def _directions(T):
-    """Unit probe directions as rows, read-only: the seeded ones, then every
-    coordinate, built per call so that a kept horizon holds only 12 T."""
-    rows = np.vstack([_seeded_directions(T), np.eye(T)])
-    rows.flags.writeable = False
-    return rows
-
-
 def _reaction_payoff(player, params, own, controls, q):
     """The player's payoff at quantity q, summed over periods 1..T, for each
     path of the batch ``own`` (..., T) of its own investments, along its
@@ -362,21 +338,23 @@ def _reaction_payoff(player, params, own, controls, q):
 def _worst_slope(player, params, trajectory) -> float:
     """Max central-difference slope of the player's payoff along its
     followers' reaction, at the trajectory's path of the player, over the
-    probe directions, with a step scaled to the trajectory's investments.
-    Every probe, the +h ones stacked over the -h ones, is one batch."""
+    T coordinate directions: the infinity norm of the central-difference
+    gradient, with a step scaled to the trajectory's investments.  Every
+    probe, the +h ones stacked over the -h ones, is one batch."""
     c = trajectory.controls
     path = getattr(c, "i_" + player.lower())
     h = 1e-5 * (1.0 + float(np.max(np.abs(c.stacked()))))
-    eta = _directions(len(path))
-    probes = np.concatenate([path + h * eta, path - h * eta])
+    eye = np.eye(len(path))
+    probes = np.concatenate([path + h * eye, path - h * eye])
     plus, minus = np.split(_reaction_payoff(player, params, probes, c, trajectory.q[0]), 2)
     return float(np.max(np.abs(plus - minus) / (2.0 * h)))
 
 
 def follower_stationarity_check(trajectory: Trajectory, params: ModelParams,
                                 level: str) -> float:
-    """Max directional derivative of a follower's objective along its
-    re-solved reaction; near zero exactly at a nested stationary point.
+    """Max coordinate slope of a follower's objective along its re-solved
+    reaction, which fixes its slope along every other direction; near zero
+    exactly at a nested stationary point.
 
     Level R perturbs the retailer path with the state re-rolled.  Level M
     perturbs the manufacturer path and re-solves the retailer's response
@@ -389,7 +367,7 @@ def follower_stationarity_check(trajectory: Trajectory, params: ModelParams,
 
 
 def leader_stationarity_check(trajectory: Trajectory, params: ModelParams) -> float:
-    """Max directional derivative of the supplier's objective with the whole
+    """Max coordinate slope of the supplier's objective with the whole
     follower subsystem re-solved for every probe, all probes in one solve."""
     return _worst_slope("S", params, trajectory)
 

@@ -24,9 +24,9 @@ level of the game, the pairs' and the tail's misses of a reduction level in
 one batched QR and those of the whole reduction in one inverse, and kept in
 the level's chain, which every later horizon and batch of the level reuses.
 The levels are compiled once per game, at any horizon, and kept with its
-layout (``stationarity.compiled_game``, one of the process's three caches,
-with ``_SELECTIONS`` and ``oracle._seeded_directions``), so a game solved
-before costs only the O(T) products.
+layout (``stationarity.compiled_game``, one of the process's two caches,
+with ``_SELECTIONS``), so a game solved before costs only the O(T)
+products.
 
 Right-hand sides are stored batch-last, each level's as one contiguous
 (2n, B, k) array of B batch entries and k equations, so that every product

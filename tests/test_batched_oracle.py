@@ -52,24 +52,15 @@ def loop_objective(player, params, x, i_s, i_m, i_r, q):
     return total
 
 
-def loop_directions(T, n_directions, seed):
-    rng = np.random.default_rng(seed)
-    dirs = []
-    for _ in range(n_directions):
-        eta = rng.standard_normal(T)
-        dirs.append(eta / np.linalg.norm(eta))
-    dirs.extend(np.eye(T))
-    return dirs
-
-
 def probe_step(trajectory):
     return 1e-5 * (1.0 + float(np.max(np.abs(trajectory.controls.stacked()))))
 
 
-def loop_worst_slope(objective, path, trajectory, n_directions=12, seed=0):
+def loop_worst_slope(objective, path, trajectory):
+    """The largest central-difference slope over the coordinate directions."""
     h = probe_step(trajectory)
     return max(abs(objective(path + h * eta) - objective(path - h * eta)) / (2.0 * h)
-               for eta in loop_directions(len(path), n_directions, seed))
+               for eta in np.eye(len(path)))
 
 
 def loop_check(trajectory, params, level):
@@ -271,26 +262,6 @@ class TestBatchedResponsesWithTails:
 
 
 class TestChecksMatchLoop:
-    @pytest.mark.parametrize("T", [1, 3, 60])
-    def test_probe_directions_match_loop(self, T):
-        rows = oracle._directions(T)
-        reference = np.array(loop_directions(T, 12, 0))
-        assert rows.shape == reference.shape == (12 + T, T)
-        assert np.max(np.abs(rows - reference)) <= 2 * EPS
-
-    @pytest.mark.parametrize("T", [1, 3, 60])
-    def test_probe_directions_kept_per_horizon(self, T):
-        """The seeded directions are drawn once per horizon and kept; every
-        call returns read-only rows with the bits of a fresh build."""
-        eta = np.random.default_rng(oracle._DIRECTION_SEED).standard_normal((12, T))
-        eta /= np.linalg.norm(eta, axis=1, keepdims=True)
-        fresh = np.vstack([eta, np.eye(T)])
-        for _ in range(2):
-            rows = oracle._directions(T)
-            assert not rows.flags.writeable
-            assert (rows.shape, rows.tobytes()) == (fresh.shape, fresh.tobytes())
-        assert oracle._seeded_directions(T) is oracle._seeded_directions(T)
-
     @pytest.mark.parametrize("point", ["solved", "perturbed"])
     @pytest.mark.parametrize("level", ["R", "M", "S"])
     @pytest.mark.parametrize("params", CASES, ids=CASE_IDS)
@@ -299,6 +270,36 @@ class TestChecksMatchLoop:
         reference = loop_check(trajectory, params, level)
         value = batched_check(trajectory, params, level)
         assert abs(value - reference) <= check_tolerance(trajectory, params, level)
+
+    @pytest.mark.parametrize("point", ["solved", "perturbed"])
+    @pytest.mark.parametrize("player", ["R", "M", "S"])
+    @pytest.mark.parametrize("params", CASES, ids=CASE_IDS)
+    def test_directional_slope_is_coordinate_combination(self, params, player, point, points):
+        """Along its followers' reaction a player's payoff J is quadratic in
+        its own path, so the central-difference slope along a unit eta is
+        eta . g, g the coordinate slopes: the checks' coordinate probes fix
+        the slope along every direction.
+
+        Each difference of two J values errs by a few eps max|J|, and eta . g
+        sums T of them weighted by |eta_i|, so the gap is scaled by
+        (1 + |eta|_1) eps max|J| / h.  Worst seen over 64 directions from
+        each of default_rng(T + k), k = 0, 7, 99 and 1000 (the four drawn
+        here are the first of k = 0): 182.8 at solved points, where every
+        slope is roundoff, and 21.8 at perturbed points; the bound is 512.
+        """
+        trajectory = points[id(params), point]
+        c = trajectory.controls
+        path = getattr(c, "i_" + player.lower())
+        T, h = len(path), probe_step(trajectory)
+        eta = np.random.default_rng(T).standard_normal((4, T))
+        eta /= np.linalg.norm(eta, axis=1, keepdims=True)
+        rows = np.vstack([np.eye(T), eta])
+        J = oracle._reaction_payoff(player, params, np.concatenate([path + h * rows, path - h * rows]),
+                                    c, trajectory.q[0])
+        plus, minus = np.split(J, 2)
+        slopes = (plus - minus) / (2.0 * h)
+        scale = (1.0 + np.abs(eta).sum(axis=1)) * EPS * np.max(np.abs(J)) / h
+        assert np.all(np.abs(slopes[T:] - eta @ slopes[:T]) <= 512 * scale)
 
     def test_grid_scan_matches_reference_loop(self):
         p = make_params(horizon_T=1)

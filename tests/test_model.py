@@ -235,6 +235,11 @@ class TestTotalObjective:
         with pytest.raises(TrajectoryConsistencyError):
             total_objective("S", traj, reference_params)
 
+    def test_rejects_trajectory_of_another_horizon(self):
+        traj = solve_game(make_params(horizon_T=3))[0]
+        with pytest.raises(ValueError, match=r"horizon 3.*horizon_T = 4"):
+            total_objective("S", traj, make_params(horizon_T=4))
+
     def test_consistency_check_measures_gap(self):
         p = make_params()
         traj = make_trajectory(p, [1, 1, 1], [1, 1, 1], [1, 1, 1])
@@ -290,6 +295,11 @@ class TestTrajectoryMaxDelta:
         other = copy.deepcopy(solved)
         self.path(other, component)[0] += 0.5
         assert trajectory_max_delta(solved, other) == pytest.approx(0.5, rel=1e-9)
+
+    def test_rejects_trajectories_of_two_horizons(self, solved):
+        longer = solve_game(make_params(horizon_T=4))[0]
+        with pytest.raises(ValueError, match=r"horizons 3 and 4"):
+            trajectory_max_delta(solved, longer)
 
 
 class TestParamsValidation:

@@ -150,8 +150,9 @@ class TestResponseSolvers:
 
 
 class TestStationarityChecks:
-    def test_solution_passes_all_levels(self, reference_params):
-        p = reference_params
+    @pytest.mark.parametrize("T", [3, 200])
+    def test_solution_passes_all_levels(self, T):
+        p = make_params(horizon_T=T)
         traj, _ = solve_game(p)
         assert follower_stationarity_check(traj, p, "R") <= 1e-6
         assert follower_stationarity_check(traj, p, "M") <= 1e-6
