@@ -38,9 +38,10 @@ PLAYERS = ("S", "M", "R")
 # Tolerance for the state-equation consistency check in total_objective,
 # relative to the magnitude of the state values involved.
 _STATE_CONSISTENCY_RTOL = 1e-6
-# The largest horizon whose (16, T + 1) float64 arrays, the widest the sweep
-# recovers, numpy can index; a longer one fails in numpy's own shape checks.
-MAX_HORIZON = np.iinfo(np.intp).max // (16 * 8) - 1
+# The largest horizon whose (T + 1, 15, 3) float64 arrays, the oracle's padded
+# solves of three right-hand sides and the widest O(T) arrays of any solver,
+# numpy can size; a longer one would fail in numpy's own shape checks.
+MAX_HORIZON = np.iinfo(np.intp).max // (15 * 3 * 8) - 1
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .errors import SingularSystemError
 from .model import ModelParams, Trajectory, objective, optimal_quantity, rollout
 from .stationarity import (
     LEAD, TRAIL, WIDTH, period_layout, period_residual, stacked_rows,
-    trajectory_from_blocks, unpack,
+    trajectory_from_blocks, unpack, unstack,
 )
 from .sweep import _solve_level
 
@@ -88,11 +88,6 @@ def _pad(x, T):
     out = np.zeros((WIDTH * (T + 1),) + x.shape[1:])
     out[LEAD:WIDTH * (T + 1) - TRAIL] = x
     return out
-
-
-def _packed(z, T):
-    """The staircase's unknowns z as packed paths, a view of a padded copy."""
-    return _pad(z, T).reshape(T + 1, WIDTH).T
 
 
 class _Staircase:
@@ -244,28 +239,19 @@ class _Staircase:
         return x[LEAD:-TRAIL]
 
 
-# The largest horizon whose (T + 1, 15, 3) float64 arrays, the padded solves
-# of three right-hand sides, numpy can size; ``dense_solve`` refuses a longer.
-ORACLE_MAX_HORIZON = np.iinfo(np.intp).max // (15 * 3 * 8) - 1
-
-
 def dense_solve(params: ModelParams) -> Trajectory:
     """Solve the full-horizon stationarity system by segmented staircase
     QR, in O(T).
 
     One step of iterative refinement keeps the residual at roundoff level.
     Raises SingularSystemError (with a 1-norm condition estimate) if the
-    stacked matrix is numerically singular, and, before allocating, MemoryError
-    past ``ORACLE_MAX_HORIZON``.
+    stacked matrix is numerically singular.
     """
     T = params.horizon_T
-    if T > ORACLE_MAX_HORIZON:
-        raise MemoryError(f"the oracle's arrays at horizon_T = {T} are too "
-                          f"big for numpy to size; it solves horizon_T up to {ORACLE_MAX_HORIZON}")
     layout = period_layout(params)
 
     def residual(z):   # b - A z: minus the layout's rows, in the staircase's order
-        return -stacked_rows(period_residual(_packed(z, T), layout))
+        return -stacked_rows(period_residual(unstack(z, T), layout))
     try:
         # the O(T) arrays first: a horizon too long for memory fails before any QR
         b = residual(np.zeros(WIDTH * T + LEAD))
@@ -276,7 +262,7 @@ def dense_solve(params: ModelParams) -> Trajectory:
         raise SingularSystemError(float("inf")) from exc
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularSystemError(cond)
-    return trajectory_from_blocks(unpack(_packed(z + dz, T)), params)
+    return trajectory_from_blocks(unpack(unstack(z + dz, T)), params)
 
 
 # ---------------------------------------------------------------------------

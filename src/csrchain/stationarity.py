@@ -51,8 +51,8 @@ from .model import (
     state_transition,
 )
 
-# Unknown blocks of the stacked vector in column order, each with the first
-# and last time it covers (the last as an offset from T).
+# The unknown blocks, each with the first and last time it covers (the last
+# as an offset from T); COLUMNS orders them within a period.
 BLOCKS = (
     ("x", 1, 1), ("i_s", 1, 0), ("i_m", 1, 0), ("i_r", 1, 0),
     ("lam", 1, 0), ("lam_prime", 1, 0), ("mu_prime", 1, 0), ("nu", 1, 0),
@@ -73,7 +73,8 @@ def block_length(name: str, T: int) -> int:
 # ---------------------------------------------------------------------------
 
 class Family(NamedTuple):
-    """One equation family: rows t = first..T of
+    """One equation family: rows t = 1..T, or 2..T for a recursion stepping
+    a costate, of
 
         sum(coefficient * block[t + shift] for block, shift, coefficient in terms)
             = constant
@@ -84,7 +85,6 @@ class Family(NamedTuple):
     """
 
     label: str
-    first: int
     terms: tuple
     constant: float
     boundary: float | None = None
@@ -117,40 +117,40 @@ def equation_table(params: ModelParams) -> tuple[Family, ...]:
     ds, dm, dr = params.delta_s, params.delta_m, params.delta_r
     net = 1.0 - params.tau
     return (
-        Family("costate_r", 2, (("p_r", 0, 1.0), ("x", 0, -2 * dr), ("p_r", 1, -al)),
+        Family("costate_r", (("p_r", 0, 1.0), ("x", 0, -2 * dr), ("p_r", 1, -al)),
                0.0, boundary=0.0),
-        Family("costate_m", 2, (("p_m", 0, 1.0), ("x", 0, -2 * dm), ("p_m", 1, -al),
-                                ("u", 0, -2 * dr)),
+        Family("costate_m", (("p_m", 0, 1.0), ("x", 0, -2 * dm), ("p_m", 1, -al),
+                             ("u", 0, -2 * dr)),
                0.0, boundary=0.0),
-        Family("costate_s", 2, (("p_s", 0, 1.0), ("x", 0, -2 * ds), ("p_s", 1, -al),
-                                ("u_prime", 0, -2 * dm), ("w", 0, -2 * dr)),
+        Family("costate_s", (("p_s", 0, 1.0), ("x", 0, -2 * ds), ("p_s", 1, -al),
+                             ("u_prime", 0, -2 * dm), ("w", 0, -2 * dr)),
                0.0, boundary=0.0),
-        Family("r_step", 2, (("r", 0, 1.0), ("r", 1, -al), ("u_prime", 0, -2 * dr)),
+        Family("r_step", (("r", 0, 1.0), ("r", 1, -al), ("u_prime", 0, -2 * dr)),
                0.0, boundary=0.0),
-        Family("state", 1, (("x", 1, 1.0), ("x", 0, -al), ("i_s", 0, -bs),
-                            ("i_m", 0, -bm), ("i_r", 0, -br)),
+        Family("state", (("x", 1, 1.0), ("x", 0, -al), ("i_s", 0, -bs),
+                         ("i_m", 0, -bm), ("i_r", 0, -br)),
                0.0, boundary=params.x1),
-        Family("foc_r", 1, (("i_s", 0, k), ("i_m", 0, k), ("i_r", 0, 2 * k),
-                            ("p_r", 1, br)), net),
-        Family("foc_m", 1, (("i_s", 0, k), ("i_m", 0, 2 * k), ("i_r", 0, k),
-                            ("p_m", 1, bm), ("lam", 0, k)), net),
-        Family("m_react", 1, (("i_m", 0, k), ("p_m", 1, br), ("lam", 0, 2 * k)),
+        Family("foc_r", (("i_s", 0, k), ("i_m", 0, k), ("i_r", 0, 2 * k),
+                         ("p_r", 1, br)), net),
+        Family("foc_m", (("i_s", 0, k), ("i_m", 0, 2 * k), ("i_r", 0, k),
+                         ("p_m", 1, bm), ("lam", 0, k)), net),
+        Family("m_react", (("i_m", 0, k), ("p_m", 1, br), ("lam", 0, 2 * k)),
                -params.d_hat),
-        Family("foc_s", 1, (("i_s", 0, 2 * k), ("i_m", 0, k), ("i_r", 0, k),
-                            ("p_s", 1, bs), ("lam_prime", 0, k),
-                            ("mu_prime", 0, k)), net),
-        Family("s_react_m", 1, (("i_s", 0, k), ("p_s", 1, bm), ("lam_prime", 0, k),
-                                ("mu_prime", 0, 2 * k), ("nu", 0, k)), -params.d),
-        Family("s_react_r", 1, (("i_s", 0, k), ("p_s", 1, br),
-                                ("lam_prime", 0, 2 * k), ("mu_prime", 0, k)), 0.0),
-        Family("s_react_l", 1, (("mu_prime", 0, k), ("nu", 0, 2 * k),
-                                ("r", 1, br)), 0.0),
-        Family("u_step", 1, (("u", 1, 1.0), ("u", 0, -al), ("lam", 0, -br)),
+        Family("foc_s", (("i_s", 0, 2 * k), ("i_m", 0, k), ("i_r", 0, k),
+                         ("p_s", 1, bs), ("lam_prime", 0, k),
+                         ("mu_prime", 0, k)), net),
+        Family("s_react_m", (("i_s", 0, k), ("p_s", 1, bm), ("lam_prime", 0, k),
+                             ("mu_prime", 0, 2 * k), ("nu", 0, k)), -params.d),
+        Family("s_react_r", (("i_s", 0, k), ("p_s", 1, br),
+                             ("lam_prime", 0, 2 * k), ("mu_prime", 0, k)), 0.0),
+        Family("s_react_l", (("mu_prime", 0, k), ("nu", 0, 2 * k),
+                             ("r", 1, br)), 0.0),
+        Family("u_step", (("u", 1, 1.0), ("u", 0, -al), ("lam", 0, -br)),
                0.0, boundary=0.0),
-        Family("w_step", 1, (("w", 1, 1.0), ("w", 0, -al), ("lam_prime", 0, -br)),
+        Family("w_step", (("w", 1, 1.0), ("w", 0, -al), ("lam_prime", 0, -br)),
                0.0, boundary=0.0),
-        Family("u_prime_step", 1, (("u_prime", 1, 1.0), ("u_prime", 0, -al),
-                                   ("mu_prime", 0, -bm), ("nu", 0, -br)),
+        Family("u_prime_step", (("u_prime", 1, 1.0), ("u_prime", 0, -al),
+                                ("mu_prime", 0, -bm), ("nu", 0, -br)),
                0.0, boundary=0.0),
     )
 
@@ -227,7 +227,7 @@ def _compiled(game: _Game) -> tuple:
     families = equation_table(params)
     group = period_rows(families, PERIOD_COLUMNS)
     # a boundary row is a one-term family: its stepped block's fixed entry
-    ends = {at_end: [Family(fam.label, 1, ((fam.terms[0][0], 0, 1.0),), fam.boundary)
+    ends = {at_end: [Family(fam.label, ((fam.terms[0][0], 0, 1.0),), fam.boundary)
                      for fam in families if fam.boundary is not None and fam.at_end == at_end]
             for at_end in (False, True)}
     layout = (np.vstack([period_rows(ends[False], PERIOD_COLUMNS), group[LEAD:]]), group,
@@ -318,6 +318,15 @@ def stacked_rows(rows: np.ndarray) -> np.ndarray:
     return flat[..., :flat.shape[-1] - LEAD - TRAIL]
 
 
+def unstack(z: np.ndarray, T: int) -> np.ndarray:
+    """The stacked unknowns z, (..., 15 T + 4) in period order (each period's
+    COLUMNS, those it lacks left out), as packed paths (..., WIDTH, T + 1): a
+    view of a copy zero-padded where a period lacks a column."""
+    padded = np.zeros(np.shape(z)[:-1] + (WIDTH * (T + 1),))
+    padded[..., LEAD:WIDTH * (T + 1) - TRAIL] = z
+    return np.swapaxes(padded.reshape(padded.shape[:-1] + (T + 1, WIDTH)), -1, -2)
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonians (the objects the finite-difference checks differentiate)
 # ---------------------------------------------------------------------------
@@ -358,17 +367,11 @@ def hamiltonian(player, point, q, params: ModelParams):
 
 @dataclass(frozen=True)
 class StationaritySystem:
-    """The stacked linear stationarity system A z = rhs, its rows in period
-    order (``stacked_rows``)."""
+    """The stacked linear stationarity system A z = rhs, its rows and its
+    unknowns in period order (``stacked_rows``, ``unstack``)."""
 
     matrix: np.ndarray
     rhs: np.ndarray
-
-
-def split_blocks(z: np.ndarray, T: int) -> dict:
-    """Block name -> the block's entries of the stacked ``z``, along its last axis."""
-    bounds = np.cumsum([block_length(name, T) for name in BLOCK_NAMES])[:-1]
-    return dict(zip(BLOCK_NAMES, np.split(z, bounds, axis=-1)))
 
 
 def assemble_system(params: ModelParams) -> StationaritySystem:
@@ -376,17 +379,19 @@ def assemble_system(params: ModelParams) -> StationaritySystem:
 
     The system is affine, so its matrix is the Jacobian of the residual: the
     layout's rows with their constants zeroed, at every unit vector in one
-    batched evaluation; ``rhs`` is minus the residual at zero.  The columns
-    follow ``split_blocks``, the rows ``stacked_rows``.
+    batched evaluation; ``rhs`` is minus the residual at zero.  Columns and
+    rows are in period order (``unstack``, ``stacked_rows``), so the matrix is
+    the staircase ``oracle.dense_solve`` factors.  A non-finite coefficient,
+    such as -2 delta_r at delta_r = 1e308, is refused with a ValueError.
     """
     layout = period_layout(params)
     T = params.horizon_T
     linear = [np.hstack([rows[:, :-1], np.zeros((len(rows), 1))]) for rows in layout[:3]]
-    n = sum(block_length(name, T) for name in BLOCK_NAMES)
-    A = stacked_rows(period_residual(pack(split_blocks(np.eye(n), T), T), linear)).T
-    rhs = -stacked_rows(period_residual(pack(split_blocks(np.zeros(n), T), T), layout))
+    n = WIDTH * (T + 1) - LEAD - TRAIL
+    A = stacked_rows(period_residual(unstack(np.eye(n), T), linear)).T
+    rhs = -stacked_rows(period_residual(unstack(np.zeros(n), T), layout))
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(rhs)):
-        raise AssertionError("non-finite coefficients in assembled system")
+        raise ValueError("non-finite coefficients in assembled system")
     return StationaritySystem(matrix=A, rhs=rhs)
 
 

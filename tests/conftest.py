@@ -8,8 +8,9 @@ from csrchain.stationarity import (
     block_length,
     equation_table,
     hamiltonian,
-    split_blocks,
     trajectory_from_blocks,
+    unpack,
+    unstack,
 )
 
 
@@ -72,8 +73,8 @@ def clear_caches():
 
 
 def vector_to_trajectory(z, params: ModelParams):
-    """The trajectory of a stacked vector, its blocks in ``split_blocks`` order."""
-    return trajectory_from_blocks(split_blocks(z, params.horizon_T), params)
+    """The trajectory of a stacked vector, its unknowns in period order."""
+    return trajectory_from_blocks(unpack(unstack(z, params.horizon_T)), params)
 
 
 def level_table(params: ModelParams, blocks):
@@ -91,6 +92,12 @@ def family(params: ModelParams, label: str):
 FIRST = {name: first for name, first, _ in BLOCKS}
 
 
+def first_period(fam) -> int:
+    """The family's first row t: the least t at which every term's block
+    has an entry, the latest of its blocks' first times less the shift."""
+    return max(FIRST[block] - shift for block, shift, _ in fam.terms)
+
+
 def reference_residual_vector(blocks, families, T):
     """The families' rows at the block paths (name -> path, leading batch
     axes broadcast), built family by family from slices of the paths and
@@ -101,10 +108,11 @@ def reference_residual_vector(blocks, families, T):
     batch = np.broadcast_shapes(*(np.shape(path)[:-1] for path in blocks.values()))
     parts = []
     for fam in families:
-        count = T - fam.first + 1
+        first = first_period(fam)
+        count = T - first + 1
         total = 0.0
         for block, shift, coef in fam.terms:
-            start = fam.first + shift - FIRST[block]
+            start = first + shift - FIRST[block]
             total = total + coef * blocks[block][..., start:start + count]
         rows = [total - fam.constant]
         if fam.boundary is not None:

@@ -25,7 +25,7 @@ from csrchain import (
     trajectory_max_delta,
 )
 from csrchain.oracle import _solve_with_estimate
-from csrchain.stationarity import BLOCK_NAMES, assemble_system, unpack
+from csrchain.stationarity import assemble_system
 
 from conftest import REFERENCE, draw_params, make_params, vector_to_trajectory
 from test_sweep import count_calls
@@ -90,17 +90,6 @@ def test_a_norm_is_the_stacked_matrix_norm(T):
                                                                  rel=1e-14)
 
 
-def staircase_matrix(params):
-    """The stacked matrix with its columns in the staircase's order, period
-    by period, where ``assemble_system`` has them block by block."""
-    A = assemble_system(params).matrix
-    blocks = unpack(oracle._packed(np.arange(len(A), dtype=float), params.horizon_T))
-    order = np.concatenate([blocks[name] for name in BLOCK_NAMES]).astype(int)
-    out = np.empty_like(A)
-    out[:, order] = A
-    return out
-
-
 @pytest.mark.parametrize("T", [1, 2, 7, 13, 14, 15, 16, 40])
 def test_solves_match_the_stacked_matrix(T):
     """Both staircase solves, period by period (T <= 12) or in segments,
@@ -111,7 +100,7 @@ def test_solves_match_the_stacked_matrix(T):
     meet both of their ends."""
     rng = np.random.default_rng(T)
     for params in cases(T):
-        A = staircase_matrix(params)
+        A = assemble_system(params).matrix
         system = oracle._Staircase(params)
         B, c = rng.standard_normal((len(A), 3)), rng.standard_normal(len(A))
         z, x = system.solve(B), system.solve_transposed(c)

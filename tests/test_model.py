@@ -360,19 +360,21 @@ class TestParamsValidation:
         assert violations_of(horizon_T=horizon) == [
             f"horizon_T must be an integer >= 1, got {horizon!r}"]
 
-    @pytest.mark.parametrize("horizon", [MAX_HORIZON + 1, 2**63 - 1, 10**29],
-                             ids=["bound-plus-one", "int64-max", "1e29"])
+    @pytest.mark.parametrize("horizon", [MAX_HORIZON + 1, 5 * 10**16, 2**63 - 1, 10**29],
+                             ids=["bound-plus-one", "5e16", "int64-max", "1e29"])
     def test_horizon_past_the_bound_refused(self, horizon):
-        """numpy cannot index the sweep's (16, T + 1) arrays past the bound,
-        so such a horizon is refused before any array is sized by it."""
+        """numpy cannot size the oracle's (T + 1, 15, 3) arrays past the
+        bound, so such a horizon is refused before any array is sized by it:
+        5e16 too, whose (16, T + 1) sweep arrays numpy could size."""
         assert violations_of(horizon_T=horizon) == [
             f"horizon_T must be at most {MAX_HORIZON}, got {horizon!r}"]
 
     def test_horizon_bound_is_the_last_indexable(self):
         """The bound is accepted (building the parameters allocates nothing),
-        and is the last T whose (16, T + 1) float64 shape numpy sizes."""
-        assert make_params(horizon_T=MAX_HORIZON).horizon_T == MAX_HORIZON
-        assert 16 * (MAX_HORIZON + 1) * 8 <= np.iinfo(np.intp).max < 16 * (MAX_HORIZON + 2) * 8
+        and is the last T whose (T + 1, 15, 3) float64 shape numpy sizes."""
+        assert make_params(horizon_T=MAX_HORIZON).horizon_T == MAX_HORIZON == 25620477880152154
+        assert 15 * 3 * 8 * (MAX_HORIZON + 1) <= np.iinfo(np.intp).max
+        assert 15 * 3 * 8 * (MAX_HORIZON + 2) > np.iinfo(np.intp).max
 
     @pytest.mark.parametrize("name", ["tau", "theta", "delta_s", "delta_m", "delta_r", "c"])
     def test_negative_refused(self, name):

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +17,8 @@ from csrchain import (
     total_objective,
     trajectory_max_delta,
 )
-from csrchain.model import Controls, Trajectory
-from csrchain.oracle import ORACLE_MAX_HORIZON, solve_inner_response, solve_retailer_response
+from csrchain.model import MAX_HORIZON, Controls, Trajectory
+from csrchain.oracle import solve_inner_response, solve_retailer_response
 
 from conftest import draw_params, make_params, vector_to_trajectory
 
@@ -91,30 +90,15 @@ class TestDenseSolve:
         with pytest.raises(UndeterminedControlsError):
             dense_solve(make_params(theta=0.0))
 
-    def test_horizon_past_the_oracle_bound_refused(self):
-        """A horizon whose arrays numpy cannot size is refused by a
-        MemoryError naming T and the bound, before anything is allocated."""
-        p = make_params(horizon_T=5 * 10**16)
-        tracemalloc.start()
-        try:
-            with pytest.raises(MemoryError) as info:
-                dense_solve(p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert str(info.value) == (
-            f"the oracle's arrays at horizon_T = {5 * 10**16} are too big for numpy to "
-            f"size; it solves horizon_T up to {ORACLE_MAX_HORIZON}")
-        assert peak < 1 << 16
-
     def test_oracle_bound_is_the_last_sizable(self):
-        """The bound is the last T whose (T + 1, 15, 3) float64 arrays, the
-        padded solves of three right-hand sides, numpy sizes: at it, numpy
-        itself fails to allocate the oracle's O(T) arrays, at once."""
-        assert 15 * 3 * 8 * (ORACLE_MAX_HORIZON + 1) <= np.iinfo(np.intp).max
-        assert 15 * 3 * 8 * (ORACLE_MAX_HORIZON + 2) > np.iinfo(np.intp).max
+        """The horizon bound of ``ModelParams`` is the last T whose
+        (T + 1, 15, 3) float64 arrays, the oracle's padded solves of three
+        right-hand sides, numpy sizes: at it, numpy itself fails to allocate
+        the oracle's O(T) arrays, at once."""
+        assert 15 * 3 * 8 * (MAX_HORIZON + 1) <= np.iinfo(np.intp).max
+        assert 15 * 3 * 8 * (MAX_HORIZON + 2) > np.iinfo(np.intp).max
         with pytest.raises(MemoryError, match="^Unable to allocate"):
-            dense_solve(make_params(horizon_T=ORACLE_MAX_HORIZON))
+            dense_solve(make_params(horizon_T=MAX_HORIZON))
 
 
 class TestResponseSolvers:

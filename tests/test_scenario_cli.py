@@ -19,7 +19,7 @@ from csrchain import (
     solve_game,
     trajectory_max_delta,
 )
-from csrchain import cli, sweep
+from csrchain import cli, scenario, sweep
 from csrchain.cli import main, run
 from csrchain.model import MAX_HORIZON
 from csrchain.output import emit_csv, render_report
@@ -225,6 +225,21 @@ class TestLoadScenario:
         text = REFERENCE_FILE.replace("name = reference", f"name = {name}")
         with pytest.raises(ScenarioError, match="line 1: field 'name'"):
             load_scenario(write_scenario(tmp_path, text))
+
+    def test_name_the_encoding_cannot_spell_is_a_name_problem(self, tmp_path, monkeypatch):
+        """A name the file-system encoding cannot spell, whose encoding
+        raises UnicodeEncodeError, is the 'name' problem, not a traceback."""
+        path = write_scenario(tmp_path, REFERENCE_FILE.replace("name = reference",
+                                                               "name = café"))
+
+        def fsencode(name):
+            raise UnicodeEncodeError("ascii", name, 3, 4, "ordinal not in range(128)")
+        monkeypatch.setattr(scenario.os, "fsencode", fsencode)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert info.value.violations == [
+            "line 1: field 'name' must be a plain file name the file system can store, "
+            "without path separators, got 'café'"]
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         text = "# header\n\n" + REFERENCE_FILE.replace(
@@ -562,6 +577,18 @@ class TestCli:
             f"  horizon_T must be at most {MAX_HORIZON}, got {10**30}"]
         assert not (tmp_path / "out").exists()
 
+    def test_horizon_one_past_the_bound_exits_two(self, tmp_path, capsys):
+        """The first horizon past the one bound, 25620477880152155, is
+        refused with the scenario, its error line naming the bound."""
+        horizon = 25620477880152155
+        path = write_scenario(tmp_path, REFERENCE_FILE.replace("horizon_T = 3",
+                                                               f"horizon_T = {horizon}"))
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid scenario:",
+            f"  horizon_T must be at most 25620477880152154, got {horizon}"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("message, detail", [
         ((), "no detail"),
         (("Unable to allocate 119. GiB for an array",), "Unable to allocate 119. GiB for an array"),
@@ -713,6 +740,17 @@ class TestCli:
         code = main(["solve", str(REPO / "scenarios" / "reference.scenario"),
                      "--out-dir", str(tmp_path)])
         assert code == 0
+        for name in ("reference.trajectory.csv", "reference.report"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_module_run_reproduces_the_golden_artifacts(self, tmp_path):
+        """``python -m csrchain.cli solve`` runs the command line as a
+        program: exit 0, and the committed artifacts byte for byte."""
+        result = subprocess.run(
+            [sys.executable, "-m", "csrchain.cli", "solve",
+             str(REPO / "scenarios" / "reference.scenario"), "--out-dir", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")}, capture_output=True)
+        assert result.returncode == 0, result.stderr.decode(errors="replace")
         for name in ("reference.trajectory.csv", "reference.report"):
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 

@@ -29,10 +29,10 @@ from csrchain.stationarity import (
     period_layout,
     period_residual,
     period_rows,
-    split_blocks,
     stacked_rows,
     trajectory_blocks,
     unpack,
+    unstack,
 )
 from csrchain.sweep import _LEVELS, assemble_augmented
 
@@ -40,6 +40,7 @@ from conftest import (
     WITNESS,
     draw_params,
     family,
+    first_period,
     gradient_check_worst,
     hamiltonian_slope,
     homogeneous,
@@ -235,7 +236,7 @@ class TestLayoutAgainstHamiltonians:
         the LEAD families that row group 1 replaces by the forward boundary
         rows, those starting at t = 2, must come first in the table."""
         families = equation_table(params)
-        assert [fam.first for fam in families] == [2] * LEAD + [1] * (len(families) - LEAD)
+        assert [first_period(fam) for fam in families] == [2] * LEAD + [1] * (len(families) - LEAD)
         assert period_layout(params)[3] == families
 
     @pytest.mark.parametrize("params", LAYOUT_CASES, ids=["ref", "draw0", "draw1", "draw2"])
@@ -318,7 +319,7 @@ class TestRecursionEnds:
         for fam in recursions:
             block, shift, coef = fam.terms[0]
             assert coef == 1.0
-            stepped = [t + shift for t in range(fam.first, T + 1)]
+            stepped = [t + shift for t in range(first_period(fam), T + 1)]
             left = [t for t in span[block] if t not in stepped]
             assert len(left) == 1
             assert sorted(stepped + left) == list(span[block])
@@ -363,11 +364,11 @@ class TestAssembleSystem:
         assert triples == sorted(
             [("x", False, p.x1)] + [(name, False, 0.0) for name in ("u", "w", "u_prime")]
             + [(name, True, 0.0) for name in ("p_r", "p_m", "p_s", "r")])
-        columns = split_blocks(np.arange(15 * T + 4), T)
+        columns = unpack(unstack(np.arange(15 * T + 4), T))
         units = unit_rows(system.matrix)
         assert len(units) == len(recursions)
         for fam in recursions:
-            column = columns[fam.terms[0][0]][-1 if fam.at_end else 0]
+            column = int(columns[fam.terms[0][0]][-1 if fam.at_end else 0])
             rows = [i for i in units if system.matrix[i, column] == 1.0]
             assert len(rows) == 1
             assert system.rhs[rows[0]] == fam.boundary
@@ -390,12 +391,17 @@ class TestAssembleSystem:
         with pytest.raises(UndeterminedControlsError):
             assemble_system(make_params(theta=0.0))
 
+    def test_non_finite_coefficient_refused(self):
+        """delta_r = 1e308 is a valid parameter, but the coefficient
+        -2 delta_r of the costate recursions overflows to -inf."""
+        with pytest.raises(ValueError, match="^non-finite coefficients in assembled system$"):
+            assemble_system(make_params(delta_r=1e308))
+
 
 def staircase_rows(params):
     """[A | b] of the per-period layout laid out as the staircase the oracle
     factors: row group t over the columns of periods t and t + 1, the
-    terminal rows over period T + 1, the padded columns dropped and each
-    column moved to its stacked index."""
+    terminal rows over period T + 1, the padded columns dropped."""
     first, group, terminal, _ = period_layout(params)
     T, W = params.horizon_T, WIDTH
     dense = np.zeros((W * T + len(terminal), W * (T + 1) + 1))
@@ -404,15 +410,9 @@ def staircase_rows(params):
         dense[W * t:W * t + W, W * t:W * t + 2 * W] = rows[:, :-1]
         dense[W * t:W * t + W, -1] = rows[:, -1]
     dense[W * T:, W * T:] = terminal
-    stacked = split_blocks(np.arange(15 * T + 4), T)
-    columns = np.full((T + 1, W), -1)
-    for j, (name, first, last) in enumerate(COLUMNS):
-        columns[first - 1:T + last, j] = stacked[name]
-    real = columns.ravel() >= 0
-    assert not dense[:, :-1][:, ~real].any()
-    A = np.zeros((len(dense), 15 * T + 4))
-    A[:, columns.ravel()[real]] = dense[:, :-1][:, real]
-    return np.column_stack([A, dense[:, -1]])
+    padded = np.r_[:LEAD, W * (T + 1) - TRAIL:W * (T + 1)]
+    assert not dense[:, padded].any()
+    return np.delete(dense, padded, axis=1)
 
 
 def family_rows(params):
@@ -421,8 +421,8 @@ def family_rows(params):
     residual at zero."""
     T, n = params.horizon_T, 15 * params.horizon_T + 4
     families = equation_table(params)
-    A = reference_residual_vector(split_blocks(np.eye(n), T), homogeneous(families), T).T
-    b = -reference_residual_vector(split_blocks(np.zeros(n), T), families, T)
+    A = reference_residual_vector(unpack(unstack(np.eye(n), T)), homogeneous(families), T).T
+    b = -reference_residual_vector(unpack(unstack(np.zeros(n), T)), families, T)
     return np.column_stack([A, b])
 
 
@@ -455,17 +455,19 @@ class TestMatrixAgainstStaircase:
     read one per-period layout (``period_layout``, built by ``period_rows``)
     through one evaluator.  The per-family reference residual of the tests
     reads the table by slices of the block paths instead, and so checks that
-    layout independently.  The stacked system, the layout laid out as a
-    staircase, and the reference's Jacobian agree exactly, as sets of rows."""
+    layout independently.  The stacked system is the layout laid out as a
+    staircase, row for row and column for column, and the reference's
+    Jacobian agrees with both exactly, as a set of rows."""
 
     @pytest.mark.parametrize("params", STAIRCASE_CASES,
                              ids=[f"{'ref' if i < 4 else 'draw'}-T{p.horizon_T}"
                                   for i, p in enumerate(STAIRCASE_CASES)])
     def test_augmented_rows_equal(self, params):
         stacked = augmented(params)
-        for rows in (staircase_rows(params), family_rows(params)):
-            assert rows.shape == stacked.shape
-            assert np.array_equal(sorted_rows(rows), sorted_rows(stacked))
+        assert np.array_equal(staircase_rows(params), stacked)
+        rows = family_rows(params)
+        assert rows.shape == stacked.shape
+        assert np.array_equal(sorted_rows(rows), sorted_rows(stacked))
 
 
 class TestResiduals:
@@ -595,14 +597,14 @@ class TestResidualEvaluator:
 
     @pytest.mark.parametrize("T", [1, 4])
     def test_batched_unit_vectors(self, T):
-        """The paths ``assemble_system`` packs, one batch entry per unknown:
-        every entry gives the rows of its unit vector packed alone."""
+        """The paths ``assemble_system`` unstacks, one batch entry per
+        unknown: every entry gives the rows of its unit vector unstacked
+        alone."""
         params = make_params(horizon_T=T)
         layout, n = period_layout(params), 15 * T + 4
-        batched = period_residual(pack(split_blocks(np.eye(n), T), T), layout)
+        batched = period_residual(unstack(np.eye(n), T), layout)
         for k, z in enumerate(np.eye(n)):
-            assert np.array_equal(batched[k],
-                                  period_residual(pack(split_blocks(z, T), T), layout))
+            assert np.array_equal(batched[k], period_residual(unstack(z, T), layout))
 
     def test_batched_mixed_with_unbatched(self):
         """Paths with different leading batch axes, or none: ``pack``
