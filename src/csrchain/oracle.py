@@ -21,8 +21,12 @@ difference along any unit direction eta is exactly eta . g, g the coordinate
 slopes: no other direction can read a slope the coordinates miss.  A
 perturbed leader path moves only the right-hand side of the follower level,
 so each check re-solves that level once, by the sweep's cyclic reduction,
-with every probe, +h and -h, a batch entry of its right-hand side; the
-retailer check rolls all its probes out in one batched pass.
+with the base path and every +h probe a batch entry of its right-hand side;
+the retailer check rolls them out in one batched pass.  The reaction is
+affine in the leader's path, so each -h probe's followers and state are the
++h probe's reflected through the base: T + 1 paths solved, not 2T.  The
+reflection carries the roundoff of two solves, which about doubles the
+checks' readings at a solved point.
 """
 from __future__ import annotations
 
@@ -299,41 +303,63 @@ def solve_inner_response(params: ModelParams, i_s):
 # Stationarity checks against the objectives themselves
 # ---------------------------------------------------------------------------
 
-def _reaction_payoff(player, params, own, controls, q):
-    """The player's payoff at quantity q, summed over periods 1..T, for each
-    path of the batch ``own`` (..., T) of its own investments, along its
-    followers' reaction: its leaders' paths held at ``controls`` (S has
-    none) and the rest recomputed, R's state rolled out, M's retailer
-    response and S's inner response re-solved.  Paths of a horizon other
-    than the params' are refused."""
+def _reaction(player, params, own, controls):
+    """The state and the investments (x, i_s, i_m, i_r) along the player's
+    followers' reaction, for each path of the batch ``own`` (..., T) of its
+    own investments: its leaders' paths held at ``controls`` (S has none)
+    and the rest recomputed, R's state rolled out, M's retailer response and
+    S's inner response re-solved.  Paths of a horizon other than the
+    params' are refused."""
     if own.shape[-1] != params.horizon_T:
         raise ValueError(f"the trajectory has horizon {own.shape[-1]}, "
                          f"the parameters horizon_T = {params.horizon_T}")
     if player == "R":
-        i_s, i_m, i_r = controls.i_s, controls.i_m, own
-        x = rollout(params, i_s, i_m, i_r)
-    elif player == "M":
-        i_s, i_m = controls.i_s, own
-        i_r, x = solve_retailer_response(params, i_s, i_m)
-    else:
-        i_s = own
-        i_m, i_r, x = solve_inner_response(params, i_s)
-    return objective(player, params, x, i_s, i_m, i_r, q)
+        return rollout(params, controls.i_s, controls.i_m, own), controls.i_s, controls.i_m, own
+    if player == "M":
+        i_r, x = solve_retailer_response(params, controls.i_s, own)
+        return x, controls.i_s, own, i_r
+    i_m, i_r, x = solve_inner_response(params, own)
+    return x, own, i_m, i_r
+
+
+def _reaction_payoff(player, params, own, controls, q):
+    """The player's payoff at quantity q, summed over periods 1..T, along
+    its followers' reaction (``_reaction``), for each path of ``own``."""
+    return objective(player, params, *_reaction(player, params, own, controls), q)
+
+
+def _probe_reactions(player, params, controls, steps):
+    """The reactions (x, i_s, i_m, i_r) at the player's path plus and minus
+    each row of ``steps`` (k, T), as two batches of k.
+
+    The reaction is affine in the player's path: each follower level's
+    right-hand side is affine in its fixed paths, and the rollout in i_r.
+    So one batch solves the base path and the k +steps, and each -step's
+    state and followers are the +step's reflected through the base,
+    2 base - plus; its own path is the path minus the step, its leaders'
+    are held."""
+    own = "SMR".index(player)
+    path = (controls.i_s, controls.i_m, controls.i_r)[own]
+    x, *paths = _reaction(player, params, np.vstack([path, path + steps]), controls)
+    leaders, followers = paths[:own], paths[own + 1:]
+    plus = [x[1:], *leaders, *(p[1:] for p in paths[own:])]
+    minus = [2.0 * x[0] - x[1:], *leaders, path - steps, *(2.0 * p[0] - p[1:] for p in followers)]
+    return plus, minus
 
 
 def _worst_slope(player, params, trajectory) -> float:
     """Max central-difference slope of the player's payoff along its
     followers' reaction, at the trajectory's path of the player, over the
     T coordinate directions: the infinity norm of the central-difference
-    gradient, with a step scaled to the trajectory's investments.  Every
-    probe, the +h ones stacked over the -h ones, is one batch."""
+    gradient, with a step scaled to the trajectory's investments.  The base
+    path and the T +h probes are one batch, the -h probes their reflections
+    (``_probe_reactions``)."""
     c = trajectory.controls
-    path = getattr(c, "i_" + player.lower())
     h = 1e-5 * (1.0 + float(np.max(np.abs(c.stacked()))))
-    eye = np.eye(len(path))
-    probes = np.concatenate([path + h * eye, path - h * eye])
-    plus, minus = np.split(_reaction_payoff(player, params, probes, c, trajectory.q[0]), 2)
-    return float(np.max(np.abs(plus - minus) / (2.0 * h)))
+    plus, minus = _probe_reactions(player, params, c, h * np.eye(trajectory.horizon))
+    q = trajectory.q[0]
+    return float(np.max(np.abs(objective(player, params, *plus, q)
+                               - objective(player, params, *minus, q)) / (2.0 * h)))
 
 
 def follower_stationarity_check(trajectory: Trajectory, params: ModelParams,
@@ -345,7 +371,7 @@ def follower_stationarity_check(trajectory: Trajectory, params: ModelParams,
     Level R perturbs the retailer path with the state re-rolled.  Level M
     perturbs the manufacturer path and re-solves the retailer's response
     before differencing the manufacturer's objective.  Either way every
-    probe is evaluated in one batched call.
+    probe is evaluated from one batched call (``_probe_reactions``).
     """
     if level not in ("R", "M"):
         raise ValueError(f"unknown follower level {level!r}; expected 'R' or 'M'")
@@ -354,7 +380,8 @@ def follower_stationarity_check(trajectory: Trajectory, params: ModelParams,
 
 def leader_stationarity_check(trajectory: Trajectory, params: ModelParams) -> float:
     """Max coordinate slope of the supplier's objective with the whole
-    follower subsystem re-solved for every probe, all probes in one solve."""
+    follower subsystem re-solved for every probe: the base path and the +h
+    probes in one solve, the -h probes reflected (``_probe_reactions``)."""
     return _worst_slope("S", params, trajectory)
 
 
@@ -371,8 +398,9 @@ def grid_scan_supplier(params: ModelParams, center: float, half_width: float) ->
     grid = np.linspace(center - half_width, center + half_width, _GRID_POINTS)
     values = _reaction_payoff("S", params, grid[:, np.newaxis], None, optimal_quantity(params))
     diffs = np.diff(values)
-    signs = np.sign(diffs)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    steps = np.nonzero(diffs)[0]   # a difference of exactly zero can sit at the turn
+    signs = np.sign(diffs[steps])
+    flips = steps[np.nonzero(signs[:-1] * signs[1:] < 0)[0]]
     if flips.size == 0:
         raise ValueError(
             "no interior stationary point of the supplier objective inside "

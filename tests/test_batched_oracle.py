@@ -261,6 +261,71 @@ class TestBatchedResponsesWithTails:
                 assert np.max(np.abs(batched[j] - one)) <= tol
 
 
+def reflection_tolerance(params, player, controls, path):
+    """Bound on |reflected - direct| for the state and the followers of one
+    -h probe, ``path`` the player's path minus the step.
+
+    The reflected path 2 b - p carries the errors of the base solve b and
+    the probe solve p, and the direct solve of ``path`` has its own: four
+    single-solve errors e at most, plus the one rounding of 2 b - p, within
+    3 eps max|y|.  A follower level's e is k eps max|y|, y every path the
+    level solves for, and k >= 12, so 4 e plus the rounding is within 5 e,
+    2.5 times ``reduction_tolerance``.
+
+    The rollout x[t + 1] = alpha x[t] + beta_s i_s + beta_m i_m + beta_r i_r
+    rounds step t within d[t] = 4 eps of the sum of its |terms|, and the
+    recursion carries each error on times alpha a period, so its e at t is
+    E[t], E[t + 1] = alpha E[t] + d[t].  max|x| alone would not bound it:
+    the investments cancel in the sum (max|i| 2.2e6 against max|x| 190 on
+    the reference at T = 4097), and the errors pile up over 1 / (1 - alpha)
+    periods.  Worst seen over these cases, as a share of the bound: the
+    inner level's 9.4% (draw at T = 20), the retailer level's 7.0% (draw at
+    T = 50) and the rollout's 4.9% (draw at T = 60).  The rollout's largest
+    gap, 1.1e4 eps max|x| (reference at T = 4097), was 1.5% of its bound.
+    """
+    if player == "R":
+        x = rollout(params, controls.i_s, controls.i_m, path)
+        betas = np.array([params.beta_s, params.beta_m, params.beta_r])
+        d = 4 * EPS * (np.abs(params.alpha * x[:-1])
+                       + np.abs(betas[:, np.newaxis] * [controls.i_s, controls.i_m, path]).sum(axis=0))
+        E = worst = 0.0
+        for d_t in d:
+            E = params.alpha * E + d_t
+            worst = max(worst, E)
+        return 4 * worst + 3 * EPS * np.max(np.abs(x))
+    if player == "M":
+        return 2.5 * reduction_tolerance(params, "retailer", {"i_s": controls.i_s, "i_m": path})
+    return 2.5 * reduction_tolerance(params, "inner", {"i_s": path})
+
+
+class TestReflectedProbes:
+    """Each check solves its base path and the +h probes in one batch, and
+    forms the -h probes' state and followers as the +h ones reflected
+    through the base (``oracle._probe_reactions``).  The reflections against
+    a direct solve of path - h e_k, at every coordinate for the audit
+    horizons and at the first, middle and last at the long ones."""
+
+    @pytest.mark.parametrize("player", ["R", "M", "S"])
+    @pytest.mark.parametrize("params", CASES + LONG_CASES, ids=CASE_IDS + LONG_IDS)
+    def test_reflection_matches_direct_solve(self, params, player):
+        trajectory = solve_game(params)[0]
+        c = trajectory.controls
+        T = params.horizon_T
+        own = "SMR".index(player)
+        path = (c.i_s, c.i_m, c.i_r)[own]
+        coords = np.arange(T) if T <= 60 else np.array([0, T // 2, T - 1])
+        steps = np.zeros((len(coords), T))
+        steps[np.arange(len(coords)), coords] = probe_step(trajectory)
+        _, minus = oracle._probe_reactions(player, params, c, steps)
+        direct = oracle._reaction(player, params, path - steps, c)
+        assert np.array_equal(minus[own + 1], path - steps)
+        reflected = [0] + list(range(own + 2, 4))   # x, then the followers' paths
+        for k, step in enumerate(steps):
+            tol = reflection_tolerance(params, player, c, path - step)
+            for j in reflected:
+                assert np.max(np.abs(minus[j][k] - direct[j][k])) <= tol
+
+
 class TestChecksMatchLoop:
     @pytest.mark.parametrize("point", ["solved", "perturbed"])
     @pytest.mark.parametrize("level", ["R", "M", "S"])
@@ -330,7 +395,9 @@ def count_calls(monkeypatch, name):
 
 
 class TestOneFollowerSolvePerCheck:
-    """Each check factors its follower system once, whatever the probe count."""
+    """Each check factors its follower system once, whatever the probe count,
+    for T + 1 paths of the player: the base and the T +h probes, its last
+    argument in every call."""
 
     def test_leader_check_solves_once(self, monkeypatch):
         p = make_params(horizon_T=20)
@@ -338,6 +405,7 @@ class TestOneFollowerSolvePerCheck:
         calls = count_calls(monkeypatch, "solve_inner_response")
         leader_stationarity_check(trajectory, p)
         assert len(calls) == 1
+        assert calls[0][-1].shape == (21, 20)
 
     def test_manufacturer_check_solves_once(self, monkeypatch):
         p = make_params(horizon_T=20)
@@ -345,6 +413,7 @@ class TestOneFollowerSolvePerCheck:
         calls = count_calls(monkeypatch, "solve_retailer_response")
         follower_stationarity_check(trajectory, p, "M")
         assert len(calls) == 1
+        assert calls[0][-1].shape == (21, 20)
 
     def test_retailer_check_rolls_out_once(self, monkeypatch):
         p = make_params(horizon_T=20)
@@ -352,6 +421,7 @@ class TestOneFollowerSolvePerCheck:
         calls = count_calls(monkeypatch, "rollout")
         follower_stationarity_check(trajectory, p, "R")
         assert len(calls) == 1
+        assert calls[0][-1].shape == (21, 20)
 
     def test_grid_scan_solves_once(self, monkeypatch):
         p = make_params(horizon_T=1)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csrchain.cli import main
-from csrchain.oracle import dense_solve
+from csrchain.oracle import dense_solve, follower_stationarity_check, leader_stationarity_check
 from csrchain.sweep import solve_game
 from csrchain.stationarity import (
     equation_table, period_layout, residual_norms, trajectory_blocks,
@@ -190,6 +190,24 @@ def test_oracle_memory_is_linear_in_horizon():
     small, large = oracle_peak_bytes(2000), oracle_peak_bytes(4000)
     assert small < 40e6
     assert large <= 2.2 * small
+
+
+@pytest.mark.parametrize("level, bound", [("R", 3.5e6), ("M", 7.5e6), ("S", 12e6)])
+def test_check_memory_at_two_hundred_periods(level, bound):
+    """Each check solves the base path and the T +h probes, T + 1 paths, and
+    reflects the -h probes' followers through the base.  Traced peaks on the
+    reference at T = 200, solving all 2T probes against reflecting: R 4.2 ->
+    2.9 MB, M 9.9 -> 5.2 MB, S 19.6 -> 10.0 MB.  Each bound lies between
+    the two.  A first call fills the follower level's reduction chain, so
+    the peak read is the same whichever test solved the game before."""
+    params = make_params(horizon_T=200)
+    trajectory, _ = solve_game(params)
+    if level == "S":
+        check, args = leader_stationarity_check, (trajectory, params)
+    else:
+        check, args = follower_stationarity_check, (trajectory, params, level)
+    check(*args)
+    assert peak_bytes(check, *args) <= bound
 
 
 def test_solve_memory_at_long_horizon():

@@ -212,6 +212,17 @@ class TestGridScan:
         found = grid_scan_supplier(p, center=i_s + 3.0, half_width=20.0)
         assert found == pytest.approx(i_s, abs=1e-4)
 
+    def test_scan_finds_a_turn_at_a_zero_difference(self):
+        """A first difference of exactly zero at the turn still brackets it.
+        On this grid the difference beside the turn is 0.0 in float64, so a
+        sign change of adjacent differences never shows there, and the scan
+        once reported no interior stationary point in [96.3099, 103.784]."""
+        p = make_params(horizon_T=1)
+        i_s = solve_game(p)[0].controls.i_s[0]
+        half_width = 71 / 19
+        found = grid_scan_supplier(p, center=i_s + half_width / 80, half_width=half_width)
+        assert found == pytest.approx(i_s, abs=1e-4)
+
     def test_scan_requires_single_period(self, reference_params):
         with pytest.raises(ValueError, match="horizon_T must be 1"):
             grid_scan_supplier(reference_params, center=0.0, half_width=1.0)
