@@ -35,7 +35,7 @@ from .errors import ParamsError, TrajectoryConsistencyError
 
 PLAYERS = ("S", "M", "R")
 
-# Tolerance for the state-equation consistency check in total_objective,
+# Tolerance for the state-equation consistency check in total_objectives,
 # relative to the magnitude of the state values involved.
 _STATE_CONSISTENCY_RTOL = 1e-6
 # The largest horizon whose (T + 1, 15, 3) float64 arrays, the oracle's padded
@@ -279,7 +279,14 @@ def trajectory_max_delta(first: Trajectory, second: Trajectory) -> float:
 
 
 def total_objective(player: str, trajectory: Trajectory, params: ModelParams):
-    """Sum of the player's stage payoffs over t = 1..T.
+    """Sum of the player's stage payoffs over t = 1..T
+    (``total_objectives``)."""
+    return total_objectives((player,), trajectory, params)[0]
+
+
+def total_objectives(players, trajectory: Trajectory, params: ModelParams) -> tuple:
+    """Each player's sum of stage payoffs over t = 1..T, the trajectory
+    checked once for them all.
 
     Rejects trajectories whose state path does not satisfy the state
     equation (beyond a scale-relative tolerance), since the objective is
@@ -298,7 +305,8 @@ def total_objective(player: str, trajectory: Trajectory, params: ModelParams):
             f"{_STATE_CONSISTENCY_RTOL * scale:.3e}); objective undefined"
         )
     c = trajectory.controls
-    return float(objective(player, params, trajectory.x, c.i_s, c.i_m, c.i_r, trajectory.q))
+    return tuple(float(objective(player, params, trajectory.x, c.i_s, c.i_m, c.i_r, trajectory.q))
+                 for player in players)
 
 
 def objective(player: str, params: ModelParams, x, i_s, i_m, i_r, q):

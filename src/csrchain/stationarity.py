@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UndeterminedControlsError
+from .errors import CsrChainError, UndeterminedControlsError
 from .model import (
     Controls,
     ModelParams,
@@ -176,13 +176,20 @@ def _check_length(name: str, path, T: int):
                          f"axis must have length {length} at horizon {T}")
 
 
+def all_finite(array: np.ndarray) -> bool:
+    """Whether every entry of ``array`` is finite, read off its extremes,
+    which, unlike isfinite, allocate nothing of the array's size: a NaN is
+    both extremes and fails both comparisons."""
+    return -np.inf < array.min(initial=0.0) and array.max(initial=0.0) < np.inf
+
+
 def fixed_paths(fixed, T: int) -> dict:
     """Block name -> float array of each fixed path, refused with a
     ValueError unless its last axis has its block's length and it is finite."""
     fixed = {name: np.asarray(path, dtype=float) for name, path in (fixed or {}).items()}
     for name, path in fixed.items():
         _check_length(name, path, T)
-        if not np.all(np.isfinite(path)):
+        if not all_finite(path):
             raise ValueError(f"fixed path {name!r} has a NaN or infinite entry")
     return fixed
 
@@ -220,12 +227,19 @@ def _compiled(game: _Game) -> tuple:
     each level's compiled recursion, reduction chain included, the first
     time the level is solved.  An entry retains 16 kB of layout and
     families, 8 kB of compiled levels and its three chains, bounded as
-    ``sweep._CHAIN_ENTRIES`` states, so the 8 entries retain under 5 MB."""
+    ``sweep._CHAIN_ENTRIES`` states, so the 8 entries retain under 5 MB.
+    A game is refused here, once for every solver, if tau*theta = 0 or a
+    coefficient of its table overflows, as -2 delta_r does at delta_r =
+    1e308; the error names each overflowed family and term."""
     params = game.params
     if params.tau * params.theta == 0.0:
         raise UndeterminedControlsError()
     families = equation_table(params)
     group = period_rows(families, PERIOD_COLUMNS)
+    if not all_finite(group):
+        raise CsrChainError("non-finite coefficients in the equation table: " + ", ".join(
+            f"{fam.label} on {block}[t{'+1' if shift else ''}] ({coef})"
+            for fam in families for block, shift, coef in fam.terms if not -np.inf < coef < np.inf))
     # a boundary row is a one-term family: its stepped block's fixed entry
     ends = {at_end: [Family(fam.label, ((fam.terms[0][0], 0, 1.0),), fam.boundary)
                      for fam in families if fam.boundary is not None and fam.at_end == at_end]
@@ -251,7 +265,8 @@ def compiled_game(params: ModelParams) -> tuple:
 
 def period_layout(params: ModelParams) -> tuple:
     """The game compiled period by period, (first, group, terminal,
-    families), shared read-only; tau*theta = 0 is refused.  Row group t is
+    families), shared read-only; tau*theta = 0 and an overflowed coefficient
+    are refused (``_compiled``).  Row group t is
     D z[t] + E z[t + 1] - c over packed paths z: ``group`` is [D | E | c]
     over PERIOD_COLUMNS for t > 1, a row per family of ``families``, and
     ``first`` for t = 1, where the forward recursions' boundary rows replace
@@ -381,8 +396,7 @@ def assemble_system(params: ModelParams) -> StationaritySystem:
     layout's rows with their constants zeroed, at every unit vector in one
     batched evaluation; ``rhs`` is minus the residual at zero.  Columns and
     rows are in period order (``unstack``, ``stacked_rows``), so the matrix is
-    the staircase ``oracle.dense_solve`` factors.  A non-finite coefficient,
-    such as -2 delta_r at delta_r = 1e308, is refused with a ValueError.
+    the staircase ``oracle.dense_solve`` factors.
     """
     layout = period_layout(params)
     T = params.horizon_T
@@ -390,8 +404,6 @@ def assemble_system(params: ModelParams) -> StationaritySystem:
     n = WIDTH * (T + 1) - LEAD - TRAIL
     A = stacked_rows(period_residual(unstack(np.eye(n), T), linear)).T
     rhs = -stacked_rows(period_residual(unstack(np.zeros(n), T), layout))
-    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(rhs)):
-        raise ValueError("non-finite coefficients in assembled system")
     return StationaritySystem(matrix=A, rhs=rhs)
 
 

@@ -26,7 +26,10 @@ the level's chain, which every later horizon and batch of the level reuses.
 The levels are compiled once per game, at any horizon, and kept with its
 layout (``stationarity.compiled_game``, one of the process's two caches,
 with ``_SELECTIONS``), so a game solved before costs only the O(T)
-products.
+products: the backward sweep makes one pass per reduction level, one chain
+lookup and one product with the cached U^T per elimination, and puts the
+chain's order of use right once, at its end; the recovery makes its two
+products per level and the final equation's one solve.
 
 Right-hand sides are stored batch-last, each level's as one contiguous
 (2n, B, k) array of B batch entries and k equations, so that every product
@@ -63,11 +66,12 @@ from .model import (
     ModelParams,
     Trajectory,
     optimal_quantity,
-    total_objective,
+    total_objectives,
 )
 from .scenario import Scenario
 from .stationarity import (
     PERIOD_COLUMNS,
+    all_finite,
     compiled_game,
     fixed_paths,
     residual_norms,
@@ -145,8 +149,9 @@ class _Level(NamedTuple):
     P and Q, the solution map's sol_G, the states at t = 1, and the maps of
     (e[t], 1), e the fixed paths, if any, to g[t] and sol_g[t].  ``chain``
     maps the key of each elimination of the level's reductions, j for the
-    pairs of reduction level j and (j, T mod 2^(j+1)) for its tail, to (U,
-    R^-1, W, next P, next Q), read-only, least recently used first."""
+    pairs of reduction level j and (j, T mod 2^(j+1)) for its tail, to [U,
+    R^-1, W, next P, next Q] (``_factor``), each array read-only, least
+    recently used first."""
 
     P: np.ndarray
     Q: np.ndarray
@@ -220,7 +225,9 @@ def assemble_augmented(params: ModelParams, level: str, fixed=None) -> Augmented
     fixed = fixed_paths(fixed, T)
     # e[:, ..., t] = (e[t], 1), one column (1) with no fixed path; the product
     # turns the maps' negated zeros into +0.0
-    e = np.array(np.broadcast_arrays(*(fixed[name] for name in held), np.ones(1)))
+    e = np.ones((len(held) + 1,) + np.broadcast(*fixed.values(), np.ones(1)).shape)
+    for row, name in zip(e, held):
+        row[...] = fixed[name]
     g, sol_g = [(M @ e.reshape(len(e), -1)).reshape(len(M), *e.shape[1:])
                 for M in (compiled.g_map, compiled.sol_map)]
     if held:
@@ -250,57 +257,25 @@ def _inverse(R):
 _CHAIN_ENTRIES = 48
 
 
-def _eliminate(chain, P1, Q1, *eliminations):
-    """Eliminate, for each of a reduction level's eliminations (key, P2, Q2,
-    g), the y shared by neighbouring equations P1 y[left] + Q1 y[shared] =
-    g1, the level's own, and P2 y[shared] + Q2 y[right] = g2, of every pair
-    at once: g = [g1; g2], (2m, B, c), stacks their right-hand sides, B
-    batch entries and c pairs (or one column common to all).  The matrix
-    work, a QR of [Q1; P2] = U R and the products with U^T, is looked up in
-    ``chain`` by the key, and done for the level's misses in one batched QR;
-    the right-hand sides pass through one product.  Returns, per
-    elimination, [its key, its factors (U, R^-1, (W1; W2), P, Q), h = U^T
-    g]: the kept rows y[shared] = R^-1 (h[:m] - W1 y[left] - W2 y[right])
-    and the reduced equation (P, Q, h[m:]) between the outer two.  A miss
-    holds R in place of R^-1 until ``_store`` inverts it.  R^-1 stays out
-    of the maps: R^-1 W1 and R^-1 W2 would save the recovery a product per
-    level, but the large terms they subtract lose digits where R is
+def _factor(P1, Q1, nexts):
+    """Yields the factors of eliminating, for each (P2, Q2) of ``nexts``, the y
+    shared by neighbouring equations P1 y[left] + Q1 y[shared] = g1 and
+    P2 y[shared] + Q2 y[right] = g2, from one batched QR [Q1; P2] = U R:
+    [U, R, W, P, Q], the kept rows y[shared] = R^-1 (h[:m] - W1 y[left] -
+    W2 y[right]), W = (W1; W2), and the reduced equation P y[left] + Q
+    y[right] = h[m:] between the outer two, h = U^T [g1; g2].  R stands in
+    for R^-1 until ``backward_sweep`` inverts it.  R^-1 stays out of the
+    maps: R^-1 W1 and R^-1 W2 would save the recovery a product per level,
+    but the large terms they subtract lose digits where R is
     ill-conditioned."""
     m = len(P1)
-    entries = [chain.get(key) for key, *_ in eliminations]
-    missing = [i for i, entry in enumerate(entries) if entry is None]
-    if missing:
-        U, R = np.linalg.qr(np.array([np.concatenate([Q1, eliminations[i][1]]) for i in missing]),
-                            mode="complete")
-        U.flags.writeable = False
-        for i, U, R in zip(missing, U, R[:, :m]):
-            _, _, Q2, _ = eliminations[i]
-            left, right = U[:m].T @ P1, U[m:].T @ Q2   # U^T [P1; 0], U^T [0; Q2]
-            W = np.concatenate([left[:m], right[:m]])
-            for array in (left, right, W):
-                array.flags.writeable = False
-            entries[i] = (U, R, W, left[m:], right[m:])
-    return [[key, entry, (entry[0].T @ g.reshape(2 * m, -1)).reshape(g.shape)]
-            for (key, *_, g), entry in zip(eliminations, entries)]
-
-
-def _store(chain, eliminated):
-    """Invert the kept triangles of a sweep's misses, the eliminations whose
-    keys ``chain`` lacks, in one call, each in place of its R, and only then
-    store every elimination's factors in the chain, which keeps its
-    ``_CHAIN_ENTRIES`` most recently used."""
-    missing = [done for done in eliminated if done[0] not in chain]
-    if missing:
-        R_inv = _inverse(np.array([entry[1] for _, entry, _ in missing]))
-        R_inv.flags.writeable = False
-        for done, inverse in zip(missing, R_inv):
-            U, _, *rest = done[1]
-            done[1] = (U, inverse, *rest)
-    for key, entry, _ in eliminated:
-        chain.pop(key, None)   # the chain runs from the least recently used entry
-        chain[key] = entry
-    while len(chain) > _CHAIN_ENTRIES:
-        del chain[next(iter(chain))]
+    U, R = np.linalg.qr(np.array([np.concatenate([Q1, P2]) for P2, _ in nexts]), mode="complete")
+    U.flags.writeable = False
+    for U, R, (_, Q2) in zip(U, R[:, :m], nexts):
+        left, right = U[:m].T @ P1, U[m:].T @ Q2   # U^T [P1; 0], U^T [0; Q2]
+        W = np.concatenate([left[:m], right[:m]])
+        left.flags.writeable = right.flags.writeable = W.flags.writeable = False
+        yield [U, R, W, left[m:], right[m:]]
 
 
 def _pairs(g, p):
@@ -314,42 +289,61 @@ def _pairs(g, p):
 
 def backward_sweep(aug: AugmentedSystem):
     """Cyclic reduction of the level: returns each level's kept rows of the
-    pairs and of the tail, and the final equation between y[1] and y[T+1].
-    Each level's right-hand sides are one contiguous (2n, B, k) array, B the
-    batch entries and k the level's equations, or one column where g is
-    constant over the periods, as the outer level's is.  The matrix work is
-    looked up in ``aug.chain``: the compiled level's, shared by every horizon
-    and batch of the level, or a hand-built system's own, so none ever reads
-    another's factors.  The kept triangles of every level's misses are
-    inverted at the end, in one call (``_store``).  A singular kept
-    triangle leaves NaN in its inverse, which the recovery reports."""
+    pairs and of the tail, (R^-1, W, h[:m]) or None, and the final equation
+    between y[1] and y[T+1].  Each level's right-hand sides are one
+    contiguous (2n, B, k) array, B the batch entries and k the level's
+    equations, or one column where g is constant over the periods, as the
+    outer level's is.  One pass runs the levels: it takes each elimination,
+    the pairs' and then the tail's, out of ``aug.chain`` by its key and
+    applies its U^T to [g1; g2] in one product.  ``aug.chain`` is the
+    compiled level's, shared by every horizon and batch of the level, or a
+    hand-built system's own, so none ever reads another's factors.  A
+    level's misses are factored in one batched QR (``_factor``), and the
+    kept triangles of every level's misses inverted at the end, in one
+    call; the sweep's eliminations then go back to the chain at once, in
+    order of use, and the least recently used past ``_CHAIN_ENTRIES`` are
+    forgotten.  A singular kept triangle leaves NaN in its inverse, which
+    the recovery reports."""
     P, Q, T = aug.P, aug.Q, aug.horizon
     m = len(P)
     g = aug.g.reshape(m, -1, T)
     if not g.strides[-1]:
         g = g[..., :1]
-    k, tail, levels, eliminated = T, None, [], []
+    k, tail, levels, chain, used, missed = T, None, [], aug.chain, {}, []
     while k + (tail is not None) > 1:
         j = len(levels)
         last = g[..., k - 1:k] if g.shape[-1] > 1 else g
-        pairs = [(j, P, Q, _pairs(g, k // 2))] if k > 1 else []
-        tails = ([((j, T % (2 << j)), *tail[:2], np.concatenate([last, tail[2]]))]
-                 if k % 2 and tail else [])
-        if k % 2 and not tail:
+        # the level's eliminations, the pairs' and then the tail's, each
+        # (key, the next equation's P2 and Q2, [g1; g2])
+        steps = [(j, P, Q, _pairs(g, k // 2))] if k > 1 else []
+        if k % 2 and tail:
+            steps.append(((j, T % (2 << j)), *tail[:2], np.concatenate([last, tail[2]])))
+        elif k % 2:
             tail = (P, Q, last)
-        done = _eliminate(aug.chain, P, Q, *pairs, *tails)
-        if tails:
-            _, (*_, P_tail, Q_tail), h = done[-1]
-            tail = (P_tail, Q_tail, h[m:])
-        if pairs:
-            _, (*_, P, Q), h = done[0]
-            g = h[m:]
-        levels.append((done[0] if pairs else None, done[-1] if tails else None))
-        eliminated += done
+        factors = [chain.pop(step[0], None) for step in steps]
+        if None in factors:
+            new = [i for i, entry in enumerate(factors) if entry is None]
+            for i, entry in zip(new, _factor(P, Q, [steps[i][1:3] for i in new])):
+                factors[i] = entry
+                missed.append((entry, j, steps[i][0] != j))   # its level and slot
+        used.update(zip([step[0] for step in steps], factors))
+        level = [None, None]
+        for (key, _, _, rhs), (U, R_inv, W, P_next, Q_next) in zip(steps, factors):
+            h = (U.T @ rhs.reshape(2 * m, -1)).reshape(rhs.shape)
+            if key == j:
+                level[0], P, Q, g = [R_inv, W, h[:m]], P_next, Q_next, h[m:]
+            else:
+                level[1], tail = [R_inv, W, h[:m]], (P_next, Q_next, h[m:])
+        levels.append(level)
         k //= 2
-    _store(aug.chain, eliminated)
-    levels = [tuple(done and (done[1][1], done[1][2], done[2][:m]) for done in level)
-              for level in levels]
+    if missed:
+        R_inv = _inverse(np.array([entry[1] for entry, _, _ in missed]))
+        R_inv.flags.writeable = False
+        for (entry, at, slot), inverse in zip(missed, R_inv):
+            entry[1] = levels[at][slot][0] = inverse
+    chain.update(used)
+    while len(chain) > _CHAIN_ENTRIES:
+        del chain[next(iter(chain))]
     P, Q, g = tail or (P, Q, g)
     return levels, (P, Q, g[..., 0].reshape(aug.g.shape[:-1]))
 
@@ -362,19 +356,17 @@ def _undo(ends, k, tail, kept, kept_tail):
     in one over ``ends``, then R^-1 after the subtraction.  The recovered y
     are interleaved with their neighbours, as the next level's product needs
     its ends contiguous and in order."""
-    p = k // 2
+    p, m = k // 2, len(ends)
     up = np.empty(ends.shape[:2] + (k + 1 + tail,))
     up[..., :2 * p + 1:2] = ends[..., :p + 1]
     if kept:
         R_inv, W, h = kept
-        m = len(h)
         terms = (W @ ends.reshape(m, -1)).reshape((2 * m,) + ends.shape[1:])
         shared = h - terms[:m, :, :p]
         shared -= terms[m:, :, 1:p + 1]
         up[..., 1:2 * p:2] = (R_inv @ shared.reshape(m, -1)).reshape(shared.shape)
     if kept_tail:
         R_inv, W, h = kept_tail
-        m = len(h)
         up[..., 2 * p + 1] = R_inv @ (h[..., 0] - W[:m] @ ends[..., p] - W[m:] @ ends[..., -1])
     if up.shape[-1] > 2 * p + 1:
         up[..., -1] = ends[..., -1]
@@ -383,22 +375,25 @@ def _undo(ends, k, tail, kept, kept_tail):
 
 def _sweep_forward(aug: AugmentedSystem, reduction) -> dict:
     """Block name -> path of everything the level solved for, recovered
-    from the reduction; each path has the fixed paths' batch axes."""
+    from the reduction; each path has the fixed paths' batch axes.  The
+    final equation's solve gives y[1]'s costates and y[T + 1]'s states, the
+    reduction levels are undone from the last (``_undo``), and v follows
+    from y in one product.  y and v are each checked finite once, off their
+    extremes (``stationarity.all_finite``)."""
     levels, (P, Q, g) = reduction
     T, n = aug.horizon, len(aug.xt1)
     batch = aug.g.shape[1:-1]
     ends = np.zeros((2 * n, g[0].size, 2))
     ends[:n, :, 0] = aug.xt1[:, np.newaxis]
     try:
-        ends[n:, :, 0], ends[:n, :, 1] = np.split(np.linalg.solve(
-            np.hstack([P[:, n:], Q[:, :n]]),
-            g.reshape(2 * n, -1) - (P[:, :n] @ aug.xt1)[:, np.newaxis]), 2)
+        y1 = np.linalg.solve(np.hstack([P[:, n:], Q[:, :n]]),
+                             g.reshape(2 * n, -1) - (P[:, :n] @ aug.xt1)[:, np.newaxis])
     except np.linalg.LinAlgError:
         raise SweepSingularError(aug.level) from None
-    for level, (kept, kept_tail) in reversed(list(enumerate(levels))):
-        ends = _undo(ends, T >> level, T % (1 << level) != 0, kept, kept_tail)
-    # max and min propagate NaN and, unlike isfinite, allocate nothing of size T
-    if not np.isfinite([ends.max(initial=0.0), ends.min(initial=0.0)]).all():
+    ends[n:, :, 0], ends[:n, :, 1] = y1[:n], y1[n:]
+    for j in range(len(levels) - 1, -1, -1):
+        ends = _undo(ends, T >> j, T % (1 << j) != 0, *levels[j])
+    if not all_finite(ends):
         raise SweepSingularError(aug.level)
     state, costate, period, _ = _LEVELS[aug.level]
     G, m = aug.sol_G, len(aug.sol_G)
@@ -406,7 +401,7 @@ def _sweep_forward(aug: AugmentedSystem, reduction) -> dict:
         (2 * m,) + ends.shape[1:])
     v = terms[:m, :, :-1] + terms[m:, :, 1:]
     v += aug.sol_g.reshape(m, -1, T)
-    if not np.isfinite([v.max(initial=0.0), v.min(initial=0.0)]).all():
+    if not all_finite(v):
         raise SweepSingularError(aug.level)
     y = ends.reshape((2 * n,) + batch + (T + 1,))
     return {**dict(zip(state, y[:n])), **dict(zip(costate, y[n:, ..., 1:])),
@@ -448,8 +443,11 @@ def solve_game(params: ModelParams):
     """Assemble, sweep, and recover the nested equilibrium trajectory.
 
     Returns (trajectory, report); the report's scenario labels keep their
-    defaults.  Raises UndeterminedControlsError when tau*theta = 0 and
-    SweepSingularError when a recovery is singular or non-finite.
+    defaults.  Raises UndeterminedControlsError when tau*theta = 0, a
+    CsrChainError naming them when coefficients of the game overflow, and
+    SweepSingularError when a recovery is singular or non-finite.  The
+    state equation is checked once for the three objectives
+    (``model.total_objectives``).
     """
     started = time.perf_counter()
     aug = assemble_augmented(params, "outer")
@@ -460,13 +458,14 @@ def solve_game(params: ModelParams):
     controls = trajectory.controls
     negative = bool(min(controls.i_s.min(), controls.i_m.min(),
                         controls.i_r.min()) < 0.0)
+    supplier, manufacturer, retailer = total_objectives("SMR", trajectory, params)
     report = SolveReport(
         horizon_T=params.horizon_T,
         residual_max=res_max,
         residual_rms=res_rms,
-        objective_supplier=total_objective("S", trajectory, params),
-        objective_manufacturer=total_objective("M", trajectory, params),
-        objective_retailer=total_objective("R", trajectory, params),
+        objective_supplier=supplier,
+        objective_manufacturer=manufacturer,
+        objective_retailer=retailer,
         quantity=optimal_quantity(params),
         negative_investment_warning=negative,
         inner_consistency_delta=inner_delta,

@@ -566,6 +566,17 @@ class TestCli:
             "error: sweep breakdown: singular or non-finite recovery at the outer level"]
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_coefficient_exits_one(self, tmp_path, capsys):
+        """At delta_r = 1e308 the coefficient -2 delta_r overflows: one
+        error line names each family and term it overflows in."""
+        path = write_scenario(tmp_path, REFERENCE_FILE.replace("delta_r = 0.03",
+                                                               "delta_r = 1e308"))
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out"), "--oracle"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite coefficients in the equation table: costate_r on x[t] (-inf), "
+            "costate_m on u[t] (-inf), costate_s on w[t] (-inf), r_step on u_prime[t] (-inf)"]
+        assert not (tmp_path / "out").exists()
+
     def test_horizon_past_the_bound_exits_two(self, tmp_path, capsys):
         """A horizon numpy cannot index is refused with the scenario, before
         any array is sized by it."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from csrchain import (
+    CsrChainError,
     UndeterminedControlsError,
     dense_solve,
     emit_csv,
@@ -393,9 +394,16 @@ class TestAssembleSystem:
 
     def test_non_finite_coefficient_refused(self):
         """delta_r = 1e308 is a valid parameter, but the coefficient
-        -2 delta_r of the costate recursions overflows to -inf."""
-        with pytest.raises(ValueError, match="^non-finite coefficients in assembled system$"):
-            assemble_system(make_params(delta_r=1e308))
+        -2 delta_r overflows to -inf in four families: the game is refused
+        where it is compiled, naming each family and term, whichever
+        solver asks for it first."""
+        message = ("non-finite coefficients in the equation table: costate_r on x[t] (-inf), "
+                   "costate_m on u[t] (-inf), costate_s on w[t] (-inf), "
+                   "r_step on u_prime[t] (-inf)")
+        for solve in (assemble_system, solve_game, dense_solve):
+            with pytest.raises(CsrChainError) as info:
+                solve(make_params(delta_r=1e308))
+            assert str(info.value) == message
 
 
 def staircase_rows(params):

@@ -11,6 +11,7 @@ from csrchain import (
     residual_norms,
     solve_game,
     sweep,
+    total_objective,
     trajectory_max_delta,
 )
 from csrchain.model import state_transition
@@ -686,6 +687,39 @@ class TestCompiledOnce:
         solve_game(make_params(horizon_T=horizons[-1]))
         assert calls == []
 
+    def test_chain_order_follows_use(self):
+        """Each level's chain runs from the least recently used elimination
+        to the most: after a sweep its eliminations come last, in the order
+        it used them, the pairs' before the tail's at each reduction level.
+        The order after solving T = 1000, 1001 and 1000 again, then a batch
+        of 3 at T = 1000 at the inner level, follows from the digits of T."""
+        def used(T):
+            """The keys a reduction at horizon T uses, in order: at each
+            reduction level j, j while the level pairs equations, then the
+            tail's key where it eliminates the tail."""
+            tails, keys = tail_eliminations(T), []
+            for j in range(T.bit_length()):
+                keys += [j] if T >> j > 1 else []
+                keys += [(j, tails[j])] if j in tails else []
+            return keys
+
+        def lru(horizons):
+            order = {}
+            for T in horizons:
+                for key in used(T):
+                    order.pop(key, None)
+                    order[key] = None
+            return list(order)
+
+        clear_caches()
+        for T in (1000, 1001, 1000):
+            solve_game(make_params(horizon_T=T))
+        solve_inner_given_supplier(make_params(horizon_T=1000), np.ones((3, 1000)))
+        levels = stationarity.compiled_game(make_params(horizon_T=1))[1]
+        assert list(levels["outer"].chain) == lru([1000, 1001, 1000])
+        assert list(levels["inner"].chain) == lru([1000, 1001, 1000, 1000])
+        assert used(1000)[-3:] == [8, (8, 488), (9, 1000)]   # 1000 = 0b1111101000
+
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)],
                              ids=["positive-first", "negative-first"])
     def test_signed_zero_is_order_independent(self, first, second, tmp_path):
@@ -891,6 +925,20 @@ def test_long_double_is_wider_than_double():
 
 
 class TestSolveGame:
+    @pytest.mark.parametrize("T", [1, 3, 47, 1000])
+    @pytest.mark.parametrize("draw", [None, 0, 1], ids=["reference", "draw-1", "draw-2"])
+    def test_objectives_are_total_objective(self, draw, T):
+        """The report's objectives, summed after one state check for all
+        three, are ``total_objective``'s bit for bit."""
+        rng = np.random.default_rng(T)
+        draws = [draw_params(rng, T) for _ in range(2)]
+        p = make_params(horizon_T=T) if draw is None else draws[draw]
+        trajectory, report = solve_game(p)
+        for player, value in [("S", report.objective_supplier),
+                              ("M", report.objective_manufacturer),
+                              ("R", report.objective_retailer)]:
+            assert value.hex() == total_objective(player, trajectory, p).hex()
+
     def test_matches_oracle_on_reference(self, reference_params):
         traj, report = solve_game(reference_params)
         reference = dense_solve(reference_params)
