@@ -26,7 +26,6 @@ from .model import (
 from .oracle import (
     dense_solve,
     follower_stationarity_check,
-    grid_scan_supplier,
     leader_stationarity_check,
 )
 from .output import emit_csv, emit_report, parse_csv
@@ -53,7 +52,6 @@ __all__ = [
     "emit_csv",
     "emit_report",
     "follower_stationarity_check",
-    "grid_scan_supplier",
     "inverse_demand",
     "leader_stationarity_check",
     "load_scenario",

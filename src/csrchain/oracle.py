@@ -2,18 +2,18 @@
 
 ``dense_solve`` solves the full stacked stationarity system, all 15T + 4
 unknowns at once, by Householder QRs over the system's staircase, segmented
-so that O(sqrt T) of them factor it, in O(T) time and memory.  It factors
-the blocks of ``stationarity.period_layout``, with its right-hand side and
-refinement residual from ``period_residual``, the evaluator of
-``residual_norms``, but shares no step of the sweep: no control
+so that O(sqrt T) of them factor it, in O(T) time and memory; each QR is
+numpy's complete QR, called through ``stationarity.qr_complete`` as the
+sweep's are.  It factors the blocks of ``stationarity.period_layout``, with
+its right-hand side and refinement residual from ``period_residual``, the
+evaluator of ``residual_norms``, but shares no step of the sweep: no control
 elimination, no level recursion, no cyclic reduction.  The stationarity
 checks go one level deeper: they differentiate the players' objectives
 themselves (by central differences along re-solved follower reactions), so
 they validate the derived equations against the payoffs rather than one
-solver against another.  The three checks and the single-period grid scan
-share one evaluation of a player's payoff along its followers' reaction:
-R's state rolled out, M's retailer response or S's inner response
-re-solved, then the player's objective summed.
+solver against another.  The three checks share one evaluation of a
+player's followers' reaction (``_reaction``): R's state rolled out, M's
+retailer response or S's inner response re-solved.
 
 Each check probes the T coordinate directions only.  Along a re-solved
 reaction every payoff is quadratic in the player's own path, so the central
@@ -35,16 +35,15 @@ import math
 import numpy as np
 
 from .errors import SingularSystemError
-from .model import ModelParams, Trajectory, objective, optimal_quantity, rollout
+from .model import ModelParams, Trajectory, objective, rollout
 from .stationarity import (
-    LEAD, TRAIL, WIDTH, period_layout, period_residual, stacked_rows,
+    LEAD, TRAIL, WIDTH, period_layout, period_residual, qr_complete, stacked_rows,
     trajectory_from_blocks, unpack, unstack,
 )
 from .sweep import _solve_level
 
 _COND_LIMIT = 1e12
 _SEGMENT_FROM = 13   # the least horizon whose staircase is segmented
-_GRID_POINTS = 81   # the points of the single-period grid scan
 
 
 def _solve_with_estimate(solve, solve_transposed, residual, a_norm, b):
@@ -151,7 +150,7 @@ class _Staircase:
             Qs = np.empty((m - 1, 2 * W, 2 * W))
             A = np.empty((m - 1, W, W))
             for i in range(m - 1):
-                Qs[i], r = np.linalg.qr(np.vstack([Y, D]), mode="complete")
+                Qs[i], r = qr_complete(np.vstack([Y, D]))
                 R[i] = r[:W]
                 A[i], X, Y = Qs[i, :W, :W].T @ X, Qs[i, :W, W:].T @ X, Qs[i, W:, W:].T @ E
             self.Qs, self.A, self.B = Qs, A, np.swapaxes(Qs[:, W:, :W], 1, 2) @ E
@@ -161,7 +160,7 @@ class _Staircase:
         work = np.vstack([np.eye(L, W), D1])
         Q = np.empty((N, L + W, L + W))
         for t in range(N):
-            Q[t], r = np.linalg.qr(work, mode="complete")
+            Q[t], r = qr_complete(work)
             R[m - 1 + t] = r[:W]
             work[:L] = Q[t, L:, W:].T @ Es[t]
             work[L:] = X if t < K else D
@@ -322,12 +321,6 @@ def _reaction(player, params, own, controls):
     return x, own, i_m, i_r
 
 
-def _reaction_payoff(player, params, own, controls, q):
-    """The player's payoff at quantity q, summed over periods 1..T, along
-    its followers' reaction (``_reaction``), for each path of ``own``."""
-    return objective(player, params, *_reaction(player, params, own, controls), q)
-
-
 def _probe_reactions(player, params, controls, steps):
     """The reactions (x, i_s, i_m, i_r) at the player's path plus and minus
     each row of ``steps`` (k, T), as two batches of k.
@@ -383,31 +376,3 @@ def leader_stationarity_check(trajectory: Trajectory, params: ModelParams) -> fl
     follower subsystem re-solved for every probe: the base path and the +h
     probes in one solve, the -h probes reflected (``_probe_reactions``)."""
     return _worst_slope("S", params, trajectory)
-
-
-def grid_scan_supplier(params: ModelParams, center: float, half_width: float) -> float:
-    """Single-period brute-force cross-check: scan the supplier's investment
-    over a grid (followers re-solved at every point, in one batched solve),
-    locate the sign change of the first difference of its objective, and
-    refine by fitting a parabola through the bracketing triple.
-
-    Only defined for horizon 1, where the supplier's choice is a scalar.
-    """
-    if params.horizon_T != 1:
-        raise ValueError("grid scan is a single-period check; horizon_T must be 1")
-    grid = np.linspace(center - half_width, center + half_width, _GRID_POINTS)
-    values = _reaction_payoff("S", params, grid[:, np.newaxis], None, optimal_quantity(params))
-    diffs = np.diff(values)
-    steps = np.nonzero(diffs)[0]   # a difference of exactly zero can sit at the turn
-    signs = np.sign(diffs[steps])
-    flips = steps[np.nonzero(signs[:-1] * signs[1:] < 0)[0]]
-    if flips.size == 0:
-        raise ValueError(
-            "no interior stationary point of the supplier objective inside "
-            f"the scanned range [{grid[0]:.6g}, {grid[-1]:.6g}]"
-        )
-    j = flips[0] + 1   # grid index bracketed by the difference sign change
-    x3 = grid[j - 1:j + 2]
-    y3 = values[j - 1:j + 2]
-    coeff = np.polyfit(x3, y3, 2)
-    return float(-coeff[1] / (2.0 * coeff[0]))

@@ -40,6 +40,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import CsrChainError, UndeterminedControlsError
 from .model import (
@@ -181,6 +182,36 @@ def all_finite(array: np.ndarray) -> bool:
     which, unlike isfinite, allocate nothing of the array's size: a NaN is
     both extremes and fails both comparisons."""
     return -np.inf < array.min(initial=0.0) and array.max(initial=0.0) < np.inf
+
+
+def _qr_invalid(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+@functools.cache
+def _below_diagonal(shape):
+    """The read-only mask of the strict lower triangle of a ``shape`` matrix."""
+    below = np.tri(*shape, -1, dtype=bool)
+    below.flags.writeable = False
+    return below
+
+
+def qr_complete(a):
+    """``np.linalg.qr(a, mode="complete")``, bit for bit, of a tall float64
+    matrix or stack of them, without the wrapper's per-call type checks and
+    second ``errstate``: the same two LAPACK gufuncs of numpy's
+    ``_umath_linalg``, ``qr_r_raw`` and then ``qr_complete``, under numpy's
+    error contract (overflow, division and underflow ignored, an invalid
+    result raising LinAlgError), then the strict lower triangle zeroed by a
+    mask cached per shape.  Every QR of the sweep and the oracle is one
+    call of this."""
+    a = a.astype(float)   # qr_r_raw overwrites its argument with R and the reflectors
+    with np.errstate(call=_qr_invalid, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        q = _umath_linalg.qr_complete(a, _umath_linalg.qr_r_raw(a, signature="d->d"),
+                                      signature="dd->d")
+    np.copyto(a, 0.0, where=_below_diagonal(a.shape[-2:]))
+    return q, a
 
 
 def fixed_paths(fixed, T: int) -> dict:
@@ -432,11 +463,13 @@ def residual_norms(trajectory: Trajectory, params: ModelParams):
 
     The packed paths, turned into the rows in place, are the one array of
     size O(T) this holds: the max-norm is read off its extremes and the sum
-    of squares is its dot product with itself, the zeros after the terminal
-    rows adding nothing, scaled by the max-norm first where it overflows.  A
-    NaN residual makes both norms NaN.  A trajectory without every block,
-    such as one ``parse_csv`` read back, or with a path whose length is not
-    its block's at horizon ``params.horizon_T`` raises ValueError naming it."""
+    of squares is one einsum over it, whose order of summation, unlike a
+    BLAS dot's, does not depend on the thread count, the zeros after the
+    terminal rows adding nothing, scaled by the max-norm first where it
+    overflows.  A NaN residual makes both norms NaN.  A trajectory without
+    every block, such as one ``parse_csv`` read back, or with a path whose
+    length is not its block's at horizon ``params.horizon_T`` raises
+    ValueError naming it."""
     blocks = trajectory_blocks(trajectory)
     missing = [name for name, path in blocks.items() if path is None]
     if missing:
@@ -445,8 +478,8 @@ def residual_norms(trajectory: Trajectory, params: ModelParams):
     # maximum() may pick -0.0 from two equal zeros; abs() makes max|v| = +0.0
     res_max = abs(np.maximum(values.max(), -values.min()))
     n = values.size - LEAD - TRAIL
-    rms = np.sqrt(np.vdot(values, values) / n)
+    rms = np.sqrt(np.einsum("ij,ij->", values, values) / n)
     if np.isinf(rms) and np.isfinite(res_max):   # rows past about 1e154
         values /= res_max
-        rms = res_max * np.sqrt(np.vdot(values, values) / n)
+        rms = res_max * np.sqrt(np.einsum("ij,ij->", values, values) / n)
     return float(res_max), float(rms)

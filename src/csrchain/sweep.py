@@ -21,8 +21,9 @@ and y[T+1], gives the unknown halves of both; undoing the levels recovers
 every y.  A level's matrix work does not depend on g, nor on T but for the
 tail eliminations, which the binary digits of T shape: it is done once per
 level of the game, the pairs' and the tail's misses of a reduction level in
-one batched QR and those of the whole reduction in one inverse, and kept in
-the level's chain, which every later horizon and batch of the level reuses.
+one batched QR (``stationarity.qr_complete``) and those of the whole
+reduction in one inverse, and kept in the level's chain, which every later
+horizon and batch of the level reuses.
 The levels are compiled once per game, at any horizon, and kept with its
 layout (``stationarity.compiled_game``, one of the process's two caches,
 with ``_SELECTIONS``), so a game solved before costs only the O(T)
@@ -74,6 +75,7 @@ from .stationarity import (
     all_finite,
     compiled_game,
     fixed_paths,
+    qr_complete,
     residual_norms,
     trajectory_blocks,
     trajectory_from_blocks,
@@ -269,7 +271,7 @@ def _factor(P1, Q1, nexts):
     but the large terms they subtract lose digits where R is
     ill-conditioned."""
     m = len(P1)
-    U, R = np.linalg.qr(np.array([np.concatenate([Q1, P2]) for P2, _ in nexts]), mode="complete")
+    U, R = qr_complete(np.array([np.concatenate([Q1, P2]) for P2, _ in nexts]))
     U.flags.writeable = False
     for U, R, (_, Q2) in zip(U, R[:, :m], nexts):
         left, right = U[:m].T @ P1, U[m:].T @ Q2   # U^T [P1; 0], U^T [0; Q2]

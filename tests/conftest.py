@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
-from csrchain import ModelParams, optimal_quantity, stationarity
+from csrchain import ModelParams, optimal_quantity, oracle, stationarity
+from csrchain.model import objective
 from csrchain.stationarity import (
     BLOCKS,
     WIDTH,
@@ -64,6 +67,55 @@ def draw_params(rng: np.random.Generator, horizon_T: int) -> ModelParams:
         x1=rng.uniform(-1.0, 3.0),
         horizon_T=horizon_T,
     )
+
+
+def patch_bindings(monkeypatch, original, replacement):
+    """Bind ``replacement`` in place of ``original`` in every csrchain
+    module that binds it by name, as a module that imported it holds its
+    own binding."""
+    for module in [m for name, m in sys.modules.items()
+                   if name == "csrchain" or name.startswith("csrchain.")]:
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, replacement)
+
+
+def reaction_payoff(player, params: ModelParams, own, controls, q):
+    """The player's payoff at quantity q, summed over periods 1..T, along
+    its followers' reaction (``oracle._reaction``), for each path of the
+    batch ``own``."""
+    return objective(player, params, *oracle._reaction(player, params, own, controls), q)
+
+
+GRID_POINTS = 81   # the points of the single-period grid scan
+
+
+def grid_scan_supplier(params: ModelParams, center: float, half_width: float) -> float:
+    """Single-period brute-force cross-check: scan the supplier's investment
+    over a grid (followers re-solved at every point, in one batched solve),
+    locate the sign change of the first difference of its objective, and
+    refine by fitting a parabola through the bracketing triple.
+
+    Only defined for horizon 1, where the supplier's choice is a scalar.
+    """
+    if params.horizon_T != 1:
+        raise ValueError("grid scan is a single-period check; horizon_T must be 1")
+    grid = np.linspace(center - half_width, center + half_width, GRID_POINTS)
+    values = reaction_payoff("S", params, grid[:, np.newaxis], None, optimal_quantity(params))
+    diffs = np.diff(values)
+    steps = np.nonzero(diffs)[0]   # a difference of exactly zero can sit at the turn
+    signs = np.sign(diffs[steps])
+    flips = steps[np.nonzero(signs[:-1] * signs[1:] < 0)[0]]
+    if flips.size == 0:
+        raise ValueError(
+            "no interior stationary point of the supplier objective inside "
+            f"the scanned range [{grid[0]:.6g}, {grid[-1]:.6g}]"
+        )
+    j = flips[0] + 1   # grid index bracketed by the difference sign change
+    x3 = grid[j - 1:j + 2]
+    y3 = values[j - 1:j + 2]
+    coeff = np.polyfit(x3, y3, 2)
+    return float(-coeff[1] / (2.0 * coeff[0]))
 
 
 def clear_caches():

@@ -15,7 +15,6 @@ from csrchain import (
     UndeterminedControlsError,
     dense_solve,
     follower_stationarity_check,
-    grid_scan_supplier,
     leader_stationarity_check,
     load_scenario,
     optimal_quantity,
@@ -31,6 +30,7 @@ from conftest import (
     REFERENCE,
     draw_params,
     gradient_check_worst,
+    grid_scan_supplier,
     make_params,
     random_evaluation_point,
 )

@@ -14,7 +14,6 @@ import pytest
 from csrchain import (
     Controls,
     follower_stationarity_check,
-    grid_scan_supplier,
     leader_stationarity_check,
     optimal_quantity,
     oracle,
@@ -27,7 +26,7 @@ from csrchain import (
 from csrchain.oracle import solve_inner_response, solve_retailer_response
 from csrchain.sweep import _LEVELS, _solve_level, solve_inner_given_supplier
 
-from conftest import dense_level, draw_params, make_params
+from conftest import dense_level, draw_params, grid_scan_supplier, make_params, reaction_payoff
 
 EPS = np.finfo(float).eps
 
@@ -359,8 +358,8 @@ class TestChecksMatchLoop:
         eta = np.random.default_rng(T).standard_normal((4, T))
         eta /= np.linalg.norm(eta, axis=1, keepdims=True)
         rows = np.vstack([np.eye(T), eta])
-        J = oracle._reaction_payoff(player, params, np.concatenate([path + h * rows, path - h * rows]),
-                                    c, trajectory.q[0])
+        J = reaction_payoff(player, params, np.concatenate([path + h * rows, path - h * rows]),
+                            c, trajectory.q[0])
         plus, minus = np.split(J, 2)
         slopes = (plus - minus) / (2.0 * h)
         scale = (1.0 + np.abs(eta).sum(axis=1)) * EPS * np.max(np.abs(J)) / h

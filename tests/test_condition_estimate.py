@@ -22,12 +22,13 @@ from csrchain import (
     SingularSystemError,
     dense_solve,
     oracle,
+    stationarity,
     trajectory_max_delta,
 )
 from csrchain.oracle import _solve_with_estimate
 from csrchain.stationarity import assemble_system
 
-from conftest import REFERENCE, draw_params, make_params, vector_to_trajectory
+from conftest import REFERENCE, draw_params, make_params, patch_bindings, vector_to_trajectory
 from test_sweep import count_calls
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -147,16 +148,16 @@ def test_one_qr_per_period_and_no_svd(monkeypatch):
     """One QR per period up to T = 12; past it the segmented staircase's
     count, which grows as sqrt T: 15 at T = 40, 64 at T = 1000."""
     calls = []
-    qr = np.linalg.qr
+    qr = stationarity.qr_complete
 
-    def counting_qr(A, mode="reduced"):
+    def counting_qr(A):
         calls.append(A.shape)
-        return qr(A, mode=mode)
+        return qr(A)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense_solve must not compute an SVD")
 
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    patch_bindings(monkeypatch, qr, counting_qr)
     monkeypatch.setattr(np.linalg, "cond", forbidden)
     monkeypatch.setattr(np.linalg, "svd", forbidden)
     for T in (3, 40, 1000):
@@ -180,7 +181,7 @@ def test_factorization_failure_reports_infinite_estimate(monkeypatch, reference_
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "qr", singular)
+    patch_bindings(monkeypatch, stationarity.qr_complete, singular)
     with pytest.raises(SingularSystemError) as excinfo:
         dense_solve(reference_params)
     assert excinfo.value.cond_estimate == float("inf")

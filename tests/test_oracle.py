@@ -8,7 +8,6 @@ from csrchain import (
     UndeterminedControlsError,
     dense_solve,
     follower_stationarity_check,
-    grid_scan_supplier,
     leader_stationarity_check,
     optimal_quantity,
     residual_norms,
@@ -20,7 +19,7 @@ from csrchain import (
 from csrchain.model import MAX_HORIZON, Controls, Trajectory
 from csrchain.oracle import solve_inner_response, solve_retailer_response
 
-from conftest import draw_params, make_params, vector_to_trajectory
+from conftest import draw_params, grid_scan_supplier, make_params, vector_to_trajectory
 
 
 def zero_control_trajectory(params):

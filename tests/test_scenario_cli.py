@@ -505,6 +505,26 @@ class TestCli:
             ))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("T", [1000, 10000])
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, T):
+        """The report and the trajectory of a long solve, oracle off, are the
+        same bytes under one and two OpenBLAS threads: no emitted number
+        passes through a BLAS reduction whose order the thread count sets."""
+        text = REFERENCE_FILE.replace("horizon_T = 3", f"horizon_T = {T}") + "oracle = false\n"
+        scenario_path = write_scenario(tmp_path, text)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            subprocess.run([sys.executable, "-c", "import sys; from csrchain.cli import main; "
+                            "sys.exit(main(sys.argv[1:]))", "solve", str(scenario_path),
+                            "--tolerance", "1e-6", "--out-dir", str(out)],
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                "PYTHONPATH": str(REPO / "src")},
+                           capture_output=True, check=True)
+            outs.append([(out / f"reference.{kind}").read_bytes()
+                         for kind in ("report", "trajectory.csv")])
+        assert outs[0] == outs[1]
+
     def test_degenerate_tax_structure_exits_nonzero(self, tmp_path, capsys):
         text = REFERENCE_FILE.replace("theta = 0.05", "theta = 0")
         scenario_path = write_scenario(tmp_path, text)

@@ -1,5 +1,7 @@
+import ast
 import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from csrchain.stationarity import (
     period_layout,
     period_residual,
     period_rows,
+    qr_complete,
     stacked_rows,
     trajectory_blocks,
     unpack,
@@ -672,3 +675,66 @@ class TestResidualEvaluator:
         expected = reference_norms(reference_residual_vector(
             trajectory_blocks(traj), equation_table(p), p.horizon_T))
         assert np.isnan(expected).all()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "csrchain"
+
+# every shape of matrix the solvers factor: the sweep's [Q1; P2] of the
+# outer, inner and retailer levels, the oracle's segment and interface steps
+QR_SHAPES = [(16, 8), (8, 4), (4, 2), (30, 15), (19, 15)]
+
+
+def numpy_or_error(function, a):
+    """``function(a)``, or the LinAlgError it raised."""
+    try:
+        return function(a)
+    except np.linalg.LinAlgError as exc:
+        return exc
+
+
+class TestQrComplete:
+    """``qr_complete`` is ``np.linalg.qr(a, mode="complete")`` called
+    straight through numpy's private LAPACK gufuncs, so a numpy that changes
+    them fails here, not in the solvers' last bits."""
+
+    @pytest.mark.parametrize("stack", [(), (1,), (3,)], ids=["single", "stack1", "stack3"])
+    @pytest.mark.parametrize("shape", QR_SHAPES, ids=[f"{m}x{n}" for m, n in QR_SHAPES])
+    def test_equals_numpy_bit_for_bit(self, shape, stack):
+        a = np.random.default_rng(sum(shape) + len(stack)).standard_normal(stack + shape)
+        before = a.copy()
+        expected = np.linalg.qr(a, mode="complete")
+        got = qr_complete(a)
+        assert np.array_equal(a, before)
+        for want, have in zip(expected, got):
+            assert have.dtype == want.dtype and have.shape == want.shape
+            assert have.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", QR_SHAPES, ids=[f"{m}x{n}" for m, n in QR_SHAPES])
+    def test_non_finite_input_as_numpy(self, shape, bad):
+        """A NaN or infinite entry raises LinAlgError exactly where numpy's
+        call does and otherwise gives numpy's bits, NaN and all, with no
+        RuntimeWarning, which the suite turns into an error."""
+        a = np.random.default_rng(7).standard_normal((2,) + shape)
+        a[1, shape[0] // 2, shape[1] - 1] = bad
+        expected = numpy_or_error(lambda x: np.linalg.qr(x, mode="complete"), a)
+        got = numpy_or_error(qr_complete, a)
+        if isinstance(expected, np.linalg.LinAlgError):
+            assert isinstance(got, np.linalg.LinAlgError)
+        else:
+            assert [part.tobytes() for part in got] == [part.tobytes() for part in expected]
+
+    def test_no_module_calls_numpy_qr(self):
+        """Every QR of the package goes through ``qr_complete``, which the
+        QR-count tests patch: no module calls ``np.linalg.qr``, nor imports
+        it, so no new call site escapes the counts."""
+        found = []
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr == "qr" \
+                        and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+                    found.append(f"{path.name}:{node.lineno}")
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg") \
+                        and any(alias.name == "qr" for alias in node.names):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []

@@ -32,7 +32,7 @@ from csrchain.sweep import (
 )
 
 from conftest import (
-    clear_caches, draw_params, level_table, make_params, vector_to_trajectory,
+    clear_caches, draw_params, level_table, make_params, patch_bindings, vector_to_trajectory,
 )
 
 OUTER_STATE, OUTER_COSTATE, OUTER_PERIOD, _ = _LEVELS["outer"]
@@ -173,6 +173,15 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def count_qr(monkeypatch):
+    """The list that every later QR of the package appends to: each is one
+    call of ``stationarity.qr_complete``, counted wherever a module binds it."""
+    calls = []
+    qr = stationarity.qr_complete
+    patch_bindings(monkeypatch, qr, lambda a: calls.append(1) or qr(a))
+    return calls
+
+
 def tail_eliminations(T):
     """Reduction level -> the digits of T below and at it, for each level
     that eliminates the tail: the level's equation count T >> j is odd and
@@ -208,7 +217,7 @@ class TestBackwardSweep:
         batched QR."""
         clear_caches()
         aug = assemble_augmented(make_params(horizon_T=T), "outer")
-        calls = count_calls(monkeypatch, "qr")
+        calls = count_qr(monkeypatch)
         levels, final = backward_sweep(aug)
         assert len(levels) == int(np.ceil(np.log2(T)))
         assert len(calls) == len(levels)
@@ -225,7 +234,7 @@ class TestBackwardSweep:
         levels = int(np.ceil(np.log2(T)))
         inverses = 1 if levels else 0   # at T = 1 nothing is paired
         clear_caches()
-        inv, qr = count_calls(monkeypatch, "inv"), count_calls(monkeypatch, "qr")
+        inv, qr = count_calls(monkeypatch, "inv"), count_qr(monkeypatch)
         trajectory, _ = solve_game(p)
         assert (len(inv), len(qr)) == (2 * inverses, 2 * levels)
         inv.clear(), qr.clear()
@@ -244,7 +253,7 @@ class TestBackwardSweep:
         p = make_params(horizon_T=T)
         clear_caches()
         solve_game(p)
-        calls = count_calls(monkeypatch, "qr")
+        calls = count_qr(monkeypatch)
         solve_game(p)
         assert calls == []
 
@@ -260,7 +269,7 @@ class TestBackwardSweep:
         aug = assemble_augmented(p, "outer")
         backward_sweep(aug)
         aug = assemble_augmented(make_params(horizon_T=T), "outer")
-        calls = count_calls(monkeypatch, "qr")
+        calls = count_qr(monkeypatch)
         levels, _ = backward_sweep(aug)
         tails, seen_tails = tail_eliminations(T), tail_eliminations(seen)
         unseen = [j for j in range(len(levels)) if T >> j > 1 >= seen >> j
@@ -683,7 +692,7 @@ class TestCompiledOnce:
             solve_game(make_params(horizon_T=T))
         chain = stationarity.compiled_game(make_params(horizon_T=1))[1]["outer"].chain
         assert len(chain) == sweep._CHAIN_ENTRIES
-        calls = count_calls(monkeypatch, "qr")
+        calls = count_qr(monkeypatch)
         solve_game(make_params(horizon_T=horizons[-1]))
         assert calls == []
 
@@ -756,7 +765,7 @@ class TestCompiledOnce:
         assert warm.chain is compiled
         built = AugmentedSystem(**{f.name: getattr(warm, f.name)
                                    for f in dataclasses.fields(warm) if f.init})
-        calls = count_calls(monkeypatch, "qr")
+        calls = count_qr(monkeypatch)
         for aug in (built, dataclasses.replace(warm, P=warm.P.copy(), Q=warm.Q.copy())):
             assert aug.chain == {} and aug.chain is not compiled
             calls.clear()
