@@ -6,7 +6,6 @@ of one right-hand side.  The loop below is the reference they replaced: each
 probe solved, rolled out and summed on its own.
 """
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -26,7 +25,9 @@ from csrchain import (
 from csrchain.oracle import solve_inner_response, solve_retailer_response
 from csrchain.sweep import _LEVELS, _solve_level, solve_inner_given_supplier
 
-from conftest import dense_level, draw_params, grid_scan_supplier, make_params, reaction_payoff
+from conftest import (
+    dense_level, draw_params, grid_scan_supplier, make_params, patch_bindings, reaction_payoff,
+)
 
 EPS = np.finfo(float).eps
 
@@ -439,11 +440,7 @@ class TestNoDenseFollowerSystem:
         p20, p1 = make_params(horizon_T=20), make_params(horizon_T=1)
         trajectory = solve_game(p20)[0]
         i_s = solve_game(p1)[0].controls.i_s[0]
-        original = stationarity.assemble_system
-        for module in [m for name, m in sys.modules.items()
-                       if name == "csrchain" or name.startswith("csrchain.")]:
-            if getattr(module, "assemble_system", None) is original:
-                monkeypatch.setattr(module, "assemble_system", refuse)
+        patch_bindings(monkeypatch, stationarity.assemble_system, refuse)
         assert stationarity.assemble_system is refuse
         for level in ("R", "M"):
             follower_stationarity_check(trajectory, p20, level)
