@@ -5,15 +5,22 @@ class CsrChainError(Exception):
     """Base class for all csrchain errors."""
 
 
-class ParamsError(CsrChainError):
+class _ViolationsError(CsrChainError):
+    """One error for a list of problems: ``violations``, one message each,
+    joined in the message under the class's ``header``."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__(f"{self.header}:\n  " + "\n  ".join(self.violations))
+
+
+class ParamsError(_ViolationsError):
     """Model parameters violate their invariants.
 
     ``violations`` lists every offending field with the bound it breaks.
     """
 
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("invalid model parameters:\n  " + "\n  ".join(self.violations))
+    header = "invalid model parameters"
 
 
 class UndeterminedControlsError(CsrChainError):
@@ -57,13 +64,11 @@ class TrajectoryConsistencyError(CsrChainError):
     """A trajectory violates the state equation beyond tolerance."""
 
 
-class ScenarioError(CsrChainError):
+class ScenarioError(_ViolationsError):
     """Scenario file failed to parse or validate.
 
     ``violations`` carries one message per problem, each naming the line or
     field involved.
     """
 
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("invalid scenario:\n  " + "\n  ".join(self.violations))
+    header = "invalid scenario"

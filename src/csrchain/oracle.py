@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import SingularSystemError
-from .model import ModelParams, Trajectory, objective, rollout
+from .model import PLAYERS, ModelParams, Trajectory, objective, rollout
 from .stationarity import (
     LEAD, TRAIL, WIDTH, period_layout, period_residual, qr_complete, stacked_rows,
     trajectory_from_blocks, unpack, unstack,
@@ -331,7 +331,7 @@ def _probe_reactions(player, params, controls, steps):
     state and followers are the +step's reflected through the base,
     2 base - plus; its own path is the path minus the step, its leaders'
     are held."""
-    own = "SMR".index(player)
+    own = PLAYERS.index(player)
     path = (controls.i_s, controls.i_m, controls.i_r)[own]
     x, *paths = _reaction(player, params, np.vstack([path, path + steps]), controls)
     leaders, followers = paths[:own], paths[own + 1:]

@@ -286,7 +286,8 @@ def compiled_game(params: ModelParams) -> tuple:
     """(``period_layout(params)``, the game's dict of compiled levels), one
     entry per game at every horizon, keyed on every bit of every parameter
     but ``horizon_T``, which nothing compiled depends on.  The process keeps
-    one other cache: ``sweep._SELECTIONS``, each level's rows and columns."""
+    two other caches: ``sweep._SELECTIONS``, each level's rows and columns,
+    and ``_below_diagonal``, each QR shape's mask."""
     values = _GAME_KEY(params)
     # struct, not numpy, whose per-call heap block set T = 10000 solves page-faulting
     game = _Game((*values, struct.pack(f"{len(values)}d", *values)))

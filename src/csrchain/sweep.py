@@ -25,12 +25,13 @@ one batched QR (``stationarity.qr_complete``) and those of the whole
 reduction in one inverse, and kept in the level's chain, which every later
 horizon and batch of the level reuses.
 The levels are compiled once per game, at any horizon, and kept with its
-layout (``stationarity.compiled_game``, one of the process's two caches,
-with ``_SELECTIONS``), so a game solved before costs only the O(T)
-products: the backward sweep makes one pass per reduction level, one chain
-lookup and one product with the cached U^T per elimination, and puts the
-chain's order of use right once, at its end; the recovery makes its two
-products per level and the final equation's one solve.
+layout (``stationarity.compiled_game``, one of the process's three caches,
+with ``_SELECTIONS`` and ``stationarity._below_diagonal``), so a game solved
+before costs only the O(T) products: the backward sweep makes one pass per
+reduction level, one chain lookup and one product with the cached U^T per
+elimination, and puts the chain's order of use right once, at its end; the
+recovery (``forward_pass``, of any level) makes its two products per level
+and the final equation's one solve.
 
 Right-hand sides are stored batch-last, each level's as one contiguous
 (2n, B, k) array of B batch entries and k equations, so that every product
@@ -64,6 +65,7 @@ import numpy as np
 
 from .errors import SweepSingularError
 from .model import (
+    PLAYERS,
     ModelParams,
     Trajectory,
     optimal_quantity,
@@ -375,11 +377,11 @@ def _undo(ends, k, tail, kept, kept_tail):
     return up
 
 
-def _sweep_forward(aug: AugmentedSystem, reduction) -> dict:
-    """Block name -> path of everything the level solved for, recovered
-    from the reduction; each path has the fixed paths' batch axes.  The
-    final equation's solve gives y[1]'s costates and y[T + 1]'s states, the
-    reduction levels are undone from the last (``_undo``), and v follows
+def forward_pass(aug: AugmentedSystem, reduction) -> dict:
+    """Block name -> path of everything the level, any level, solved for,
+    recovered from the reduction; each path has the fixed paths' batch axes.
+    The final equation's solve gives y[1]'s costates and y[T + 1]'s states,
+    the reduction levels are undone from the last (``_undo``), and v follows
     from y in one product.  y and v are each checked finite once, off their
     extremes (``stationarity.all_finite``)."""
     levels, (P, Q, g) = reduction
@@ -410,19 +412,11 @@ def _sweep_forward(aug: AugmentedSystem, reduction) -> dict:
             **dict(zip(period, v.reshape((m,) + batch + (T,))))}
 
 
-def forward_pass(aug: AugmentedSystem, reduction,
-                 params: ModelParams) -> Trajectory:
-    """Forward pass over the outer system, yielding the full trajectory."""
-    if aug.level != "outer":
-        raise ValueError("forward_pass recovers the full game; pass the outer system")
-    return trajectory_from_blocks(_sweep_forward(aug, reduction), params)
-
-
-def _solve_level(params: ModelParams, level: str, fixed) -> dict:
+def _solve_level(params: ModelParams, level: str, fixed=None) -> dict:
     """Block name -> path of everything the level solves for, given its
-    fixed paths (which may carry batch axes)."""
+    fixed paths (which may carry batch axes); the outer level has none."""
     aug = assemble_augmented(params, level, fixed)
-    return _sweep_forward(aug, backward_sweep(aug))
+    return forward_pass(aug, backward_sweep(aug))
 
 
 def solve_inner_given_supplier(params: ModelParams, supplier_investments):
@@ -452,15 +446,14 @@ def solve_game(params: ModelParams):
     (``model.total_objectives``).
     """
     started = time.perf_counter()
-    aug = assemble_augmented(params, "outer")
-    trajectory = forward_pass(aug, backward_sweep(aug), params)
+    trajectory = trajectory_from_blocks(_solve_level(params, "outer"), params)
     res_max, res_rms = residual_norms(trajectory, params)
     inner_delta = _inner_consistency_delta(params, trajectory)
     elapsed = time.perf_counter() - started
     controls = trajectory.controls
     negative = bool(min(controls.i_s.min(), controls.i_m.min(),
                         controls.i_r.min()) < 0.0)
-    supplier, manufacturer, retailer = total_objectives("SMR", trajectory, params)
+    supplier, manufacturer, retailer = total_objectives(PLAYERS, trajectory, params)
     report = SolveReport(
         horizon_T=params.horizon_T,
         residual_max=res_max,

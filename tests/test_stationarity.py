@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from csrchain import (
     CsrChainError,
@@ -723,6 +724,25 @@ class TestQrComplete:
             assert isinstance(got, np.linalg.LinAlgError)
         else:
             assert [part.tobytes() for part in got] == [part.tobytes() for part in expected]
+
+    def test_invalid_flag_raises_as_numpy(self, monkeypatch):
+        """A factorization that leaves the FP invalid flag set raises numpy's
+        LinAlgError, message and all."""
+        real = _umath_linalg.qr_r_raw
+
+        def invalid(*args, **kwargs):
+            tau = real(*args, **kwargs)
+            np.sqrt(np.full(1, -1.0))
+            return tau
+
+        monkeypatch.setattr(_umath_linalg, "qr_r_raw", invalid)
+        a = np.random.default_rng(3).standard_normal((2, 6, 4))
+        messages = []
+        for qr in (qr_complete, lambda x: np.linalg.qr(x, mode="complete")):
+            with pytest.raises(np.linalg.LinAlgError) as excinfo:
+                qr(a)
+            messages.append(str(excinfo.value))
+        assert messages == ["Incorrect argument found while performing QR factorization"] * 2
 
     def test_no_module_calls_numpy_qr(self):
         """Every QR of the package goes through ``qr_complete``, which the

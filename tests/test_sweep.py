@@ -19,12 +19,13 @@ from csrchain.output import emit_csv, render_report
 from csrchain.oracle import solve_inner_response, solve_retailer_response
 from csrchain import stationarity
 from csrchain.oracle import follower_stationarity_check, leader_stationarity_check
-from csrchain.stationarity import assemble_system, equation_table, period_rows
+from csrchain.stationarity import (
+    assemble_system, equation_table, period_rows, trajectory_from_blocks,
+)
 from csrchain.sweep import (
     AugmentedSystem,
     _inner_consistency_delta,
     _LEVELS,
-    _sweep_forward,
     assemble_augmented,
     backward_sweep,
     forward_pass,
@@ -204,7 +205,7 @@ class TestBackwardSweep:
         p = reference_params
         T = p.horizon_T
         aug = assemble_augmented(p, "outer")
-        traj = forward_pass(aug, backward_sweep(aug), p)
+        traj = trajectory_from_blocks(forward_pass(aug, backward_sweep(aug)), p)
         inner = solve_inner_given_supplier(p, traj.controls.i_s)
         for path in (traj.p_r, traj.p_m, traj.p_s, traj.r, inner["p_m"], inner["p_r"]):
             assert path.shape == (T,)
@@ -301,7 +302,7 @@ class TestBackwardSweep:
             P[4:, :4] = 0.0
             stripped = dataclasses.replace(aug, P=P, g=forcing,
                                            xt1=np.array([1.0, 0.0, 0.0, 0.0]))
-            paths = _sweep_forward(stripped, backward_sweep(stripped))
+            paths = forward_pass(stripped, backward_sweep(stripped))
             xt = np.stack([paths[name] for name in OUTER_STATE])
             Pt = np.stack([paths[name] for name in OUTER_COSTATE])
             assert np.max(np.abs(Pt)) <= roundoff_bound(T, np.max(np.abs(xt)))
@@ -327,7 +328,7 @@ class TestBackwardSweep:
             )
             reduction = backward_sweep(aug)
             with pytest.raises(SweepSingularError) as excinfo:
-                _sweep_forward(aug, reduction)
+                forward_pass(aug, reduction)
             assert excinfo.value.level == level
             assert f"{level} level" in str(excinfo.value)
 
@@ -340,7 +341,7 @@ class TestBackwardSweep:
         aug = dataclasses.replace(aug, g=g)
         with np.errstate(invalid="ignore"), \
                 pytest.raises(SweepSingularError, match="inner level"):
-            _sweep_forward(aug, backward_sweep(aug))
+            forward_pass(aug, backward_sweep(aug))
 
 
 class TestLevelEnds:
@@ -349,7 +350,7 @@ class TestLevelEnds:
         """A level's states are the blocks its forward recursions step, its
         costates those its backward (``at_end``) ones step; ``xt1`` holds the
         states' boundary values, and every costate's is 0.0, which
-        ``_sweep_forward`` assumes when it leaves y[..., T, n:] zero."""
+        ``forward_pass`` assumes when it leaves y[..., T, n:] zero."""
         p = reference_params
         state, costate, period, held = _LEVELS[level]
         recursions = [fam for fam in level_table(p, {*state, *costate, *period, *held})
@@ -517,7 +518,7 @@ class TestOneSolvePerReduction:
         monkeypatch.setattr(np.linalg, "solve",
                             lambda *a, **k: calls.append(a[0]) or solve(*a, **k))
         reduction = backward_sweep(aug)
-        paths = _sweep_forward(aug, reduction)
+        paths = forward_pass(aug, reduction)
         n = len(aug.xt1)
         _, (P, Q, _) = reduction
         assert len(calls) == 1
@@ -577,7 +578,7 @@ class TestBatchLastReduction:
         block's length; the finiteness checks of y and v read nothing."""
         state, costate, period, _ = _LEVELS[level]
         aug = level_system(level, T, (0,))
-        paths = _sweep_forward(aug, backward_sweep(aug))
+        paths = forward_pass(aug, backward_sweep(aug))
         assert paths.keys() == {*state, *costate, *period}
         assert all(paths[name].shape == (0, T + 1) for name in state)
         assert all(paths[name].shape == (0, T) for name in costate + period)
@@ -588,7 +589,7 @@ class TestBatchLastReduction:
         """Every batch entry's y and v satisfy the level's recursion and
         elimination rows to roundoff, at every tail pattern of T."""
         aug = level_system(level, T, batch)
-        paths = _sweep_forward(aug, backward_sweep(aug))
+        paths = forward_pass(aug, backward_sweep(aug))
         assert all(path.shape[:len(batch)] == batch for path in paths.values())
         for index in np.ndindex(batch):
             for rows, size in level_rows(aug, paths, index):
@@ -622,7 +623,7 @@ def everything_solved(game, T) -> dict:
         rng = np.random.default_rng(T)
         fixed = {name: rng.uniform(-5, 5, batch + (T,)) for name in _LEVELS[level][3]}
         aug = assemble_augmented(p, level, fixed)
-        paths = _sweep_forward(aug, backward_sweep(aug))
+        paths = forward_pass(aug, backward_sweep(aug))
         out.update((f"{level}{batch}.{name}", path) for name, path in paths.items())
     return out
 
@@ -758,7 +759,7 @@ class TestCompiledOnce:
         level, and gives a cold solve's bits."""
         clear_caches()
         aug = level_system(level, T, batch)
-        cold = _sweep_forward(aug, backward_sweep(aug))
+        cold = forward_pass(aug, backward_sweep(aug))
         solve_game(make_params(horizon_T=T))
         warm = level_system(level, T, batch)
         compiled = stationarity.compiled_game(make_params(horizon_T=T))[1][level].chain
@@ -771,7 +772,7 @@ class TestCompiledOnce:
             calls.clear()
             levels, final = backward_sweep(aug)
             assert len(calls) == len(levels)
-            paths = _sweep_forward(aug, (levels, final))
+            paths = forward_pass(aug, (levels, final))
             assert paths.keys() == cold.keys()
             assert all(bits(paths[name]) == bits(path) for name, path in cold.items())
 
@@ -872,6 +873,24 @@ class TestSingularKeptTriangle:
 
 
 class TestForwardPass:
+    def test_every_level_recovered_by_it(self, monkeypatch):
+        """Every level is recovered by the one function: the outer level and
+        the inner consistency re-solve of ``solve_game``, the retailer level
+        of the manufacturer check and the inner level of the leader check."""
+        levels = []
+
+        def counted(aug, *args):
+            levels.append(aug.level)
+            return forward_pass(aug, *args)
+
+        patch_bindings(monkeypatch, forward_pass, counted)
+        p = make_params(horizon_T=20)
+        traj, _ = solve_game(p)
+        for level in ("R", "M"):
+            follower_stationarity_check(traj, p, level)
+        leader_stationarity_check(traj, p)
+        assert levels == ["outer", "inner", "retailer", "inner"]
+
     def test_zero_drive_means_zero_trajectory(self):
         p = make_params(tau=1.0, d=0.0, d_hat=0.0, x1=0.0)
         traj, report = solve_game(p)
@@ -893,11 +912,6 @@ class TestForwardPass:
         x2 = solve_game(p2)[0].x
         assert np.allclose(x2 - x0, 2.0 * (x1 - x0), rtol=1e-9, atol=1e-9)
 
-    def test_rejects_inner_system(self, reference_params):
-        aug = assemble_augmented(reference_params, "inner", {"i_s": np.zeros(3)})
-        with pytest.raises(ValueError, match="outer"):
-            forward_pass(aug, backward_sweep(aug), reference_params)
-
     def test_zero_investment_channels_reduce_to_carryover(self, reference_params):
         """With the costates' coefficients in the state rows (B) forced to
         zero the forward recursion must collapse to xt_{t+1} = A xt_t + f_t,
@@ -908,7 +922,7 @@ class TestForwardPass:
         stripped = dataclasses.replace(aug, Q=Q, xt1=np.array([1.0, 0.0, 0.0, 0.0]))
         assert np.array_equal(Q[:4, :4], np.eye(4))
         assert np.array_equal(stripped.P[:4, 4:], np.zeros((4, 4)))
-        paths = _sweep_forward(stripped, backward_sweep(stripped))
+        paths = forward_pass(stripped, backward_sweep(stripped))
         xt = np.stack([paths[name] for name in OUTER_STATE], axis=1)
         expected = np.array([1.0, 0.0, 0.0, 0.0])
         for t in range(reference_params.horizon_T):
