@@ -2,16 +2,30 @@
 
 
 class CsrChainError(Exception):
-    """Base class for all csrchain errors."""
+    """Base class for all csrchain errors.
+
+    ``args`` holds what the error was raised with, as ``Exception`` stores
+    it, and the message is the class's ``message`` template formatted with
+    ``args``, so every error pickles and reads the same after the trip.
+    """
+
+    message = "{}"
+
+    def __str__(self):
+        return self.message.format(*self.args)
 
 
 class _ViolationsError(CsrChainError):
     """One error for a list of problems: ``violations``, one message each,
-    joined in the message under the class's ``header``."""
+    joined one per line into the class's ``message``."""
 
     def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__(f"{self.header}:\n  " + "\n  ".join(self.violations))
+        super().__init__(list(violations))
+
+    violations = property(lambda self: self.args[0])
+
+    def __str__(self):
+        return self.message.format("\n  ".join(self.violations))
 
 
 class ParamsError(_ViolationsError):
@@ -20,29 +34,23 @@ class ParamsError(_ViolationsError):
     ``violations`` lists every offending field with the bound it breaks.
     """
 
-    header = "invalid model parameters"
+    message = "invalid model parameters:\n  {}"
 
 
 class UndeterminedControlsError(CsrChainError):
     """tau*theta == 0: the control first-order conditions lose all dependence
     on the investments, so the period system cannot determine them."""
 
-    def __init__(self):
-        super().__init__(
-            "controls undetermined by FOC: tau*theta = 0 makes every control "
-            "first-order condition independent of the investments"
-        )
+    message = ("controls undetermined by FOC: tau*theta = 0 makes every control "
+               "first-order condition independent of the investments")
 
 
 class SweepSingularError(CsrChainError):
     """Recovering a level's cyclic reduction met a singular or non-finite
     solve; ``level`` names the level: ``outer``, ``inner`` or ``retailer``."""
 
-    def __init__(self, level):
-        self.level = level
-        super().__init__(
-            f"sweep breakdown: singular or non-finite recovery at the {level} level"
-        )
+    message = "sweep breakdown: singular or non-finite recovery at the {} level"
+    level = property(lambda self: self.args[0])
 
 
 class SingularSystemError(CsrChainError):
@@ -52,16 +60,15 @@ class SingularSystemError(CsrChainError):
     infinite when the factorization met an exactly zero pivot.
     """
 
-    def __init__(self, cond_estimate):
-        self.cond_estimate = cond_estimate
-        super().__init__(
-            f"stationarity system is numerically singular "
-            f"(1-norm condition estimate {cond_estimate:.3e})"
-        )
+    message = "stationarity system is numerically singular (1-norm condition estimate {:.3e})"
+    cond_estimate = property(lambda self: self.args[0])
 
 
 class TrajectoryConsistencyError(CsrChainError):
-    """A trajectory violates the state equation beyond tolerance."""
+    """A trajectory violates the state equation beyond tolerance: raised with
+    the state equation's gap and the tolerance it exceeds."""
+
+    message = "state equation violated by {:.3e} (tolerance {:.3e}); objective undefined"
 
 
 class ScenarioError(_ViolationsError):
@@ -71,4 +78,4 @@ class ScenarioError(_ViolationsError):
     field involved.
     """
 
-    header = "invalid scenario"
+    message = "invalid scenario:\n  {}"

@@ -278,6 +278,13 @@ def trajectory_max_delta(first: Trajectory, second: Trajectory) -> float:
     return float(np.max(deltas))
 
 
+def check_horizon(horizon: int, params: ModelParams) -> None:
+    """Refuse a trajectory, or a path, of a horizon other than the params'."""
+    if horizon != params.horizon_T:
+        raise ValueError(f"the trajectory has horizon {horizon}, "
+                         f"the parameters horizon_T = {params.horizon_T}")
+
+
 def total_objective(player: str, trajectory: Trajectory, params: ModelParams):
     """Sum of the player's stage payoffs over t = 1..T
     (``total_objectives``)."""
@@ -293,17 +300,12 @@ def total_objectives(players, trajectory: Trajectory, params: ModelParams) -> tu
     only meaningful on feasible paths, and trajectories of a horizon other
     than the params'.
     """
-    if trajectory.horizon != params.horizon_T:
-        raise ValueError(f"the trajectory has horizon {trajectory.horizon}, "
-                         f"the parameters horizon_T = {params.horizon_T}")
+    check_horizon(trajectory.horizon, params)
     gap = check_state_consistency(trajectory, params)
     scale = 1.0 + float(np.max(np.abs(trajectory.x)))
     # Written so that a NaN gap (or scale) fails the check too.
     if not gap <= _STATE_CONSISTENCY_RTOL * scale:
-        raise TrajectoryConsistencyError(
-            f"state equation violated by {gap:.3e} (tolerance "
-            f"{_STATE_CONSISTENCY_RTOL * scale:.3e}); objective undefined"
-        )
+        raise TrajectoryConsistencyError(gap, _STATE_CONSISTENCY_RTOL * scale)
     c = trajectory.controls
     return tuple(float(objective(player, params, trajectory.x, c.i_s, c.i_m, c.i_r, trajectory.q))
                  for player in players)

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import SingularSystemError
-from .model import PLAYERS, ModelParams, Trajectory, objective, rollout
+from .model import PLAYERS, ModelParams, Trajectory, check_horizon, objective, rollout
 from .stationarity import (
     LEAD, TRAIL, WIDTH, period_layout, period_residual, qr_complete, stacked_rows,
     trajectory_from_blocks, unpack, unstack,
@@ -309,9 +309,7 @@ def _reaction(player, params, own, controls):
     and the rest recomputed, R's state rolled out, M's retailer response and
     S's inner response re-solved.  Paths of a horizon other than the
     params' are refused."""
-    if own.shape[-1] != params.horizon_T:
-        raise ValueError(f"the trajectory has horizon {own.shape[-1]}, "
-                         f"the parameters horizon_T = {params.horizon_T}")
+    check_horizon(own.shape[-1], params)
     if player == "R":
         return rollout(params, controls.i_s, controls.i_m, own), controls.i_s, controls.i_m, own
     if player == "M":

@@ -44,6 +44,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import CsrChainError, UndeterminedControlsError
 from .model import (
+    PARAM_FIELDS,
     Controls,
     ModelParams,
     Trajectory,
@@ -241,15 +242,18 @@ TRAIL = sum(last == 0 for _, _, last in BLOCKS)
 _CHUNK = 384   # periods per product in period_residual, which bounds its temporaries
 
 
-# every ModelParams field but the horizon, which nothing compiled depends on
-_GAME_KEY = operator.attrgetter(*(f.name for f in fields(ModelParams) if f.name != "horizon_T"))
+# the coefficients, every ModelParams field but the horizon, which nothing
+# compiled depends on, and strict_alpha, a validation mode nothing compiled reads
+_GAME_KEY = operator.attrgetter(*PARAM_FIELDS[float])
 
 
 class _Game(tuple):
-    """A game without its horizon, as a cache key: every ``ModelParams``
-    field but ``horizon_T``, then their float64 bytes, which tell -0.0 from
-    0.0.  Its ``params``, the params it was made from, compile the game on
-    a miss."""
+    """A game without its horizon, as a cache key: its coefficients, every
+    ``ModelParams`` field but ``horizon_T`` and ``strict_alpha``, then their
+    float64 bytes, which tell -0.0 from 0.0; the values tell apart what the
+    bytes round together, a ``Fraction`` or an int past 2**53, which
+    ``equation_table`` computes with in its own arithmetic.  Its
+    ``params``, the params it was made from, compile the game on a miss."""
 
 
 @functools.lru_cache(maxsize=8)
@@ -284,10 +288,12 @@ def _compiled(game: _Game) -> tuple:
 
 def compiled_game(params: ModelParams) -> tuple:
     """(``period_layout(params)``, the game's dict of compiled levels), one
-    entry per game at every horizon, keyed on every bit of every parameter
-    but ``horizon_T``, which nothing compiled depends on.  The process keeps
-    two other caches: ``sweep._SELECTIONS``, each level's rows and columns,
-    and ``_below_diagonal``, each QR shape's mask."""
+    entry per game at every horizon, keyed on every bit of every coefficient:
+    not on ``horizon_T``, which nothing compiled depends on, nor on
+    ``strict_alpha``, a validation mode, so a game read under either mode
+    shares its entry.  The process keeps two other caches:
+    ``sweep._SELECTIONS``, each level's rows and columns, and
+    ``_below_diagonal``, each QR shape's mask."""
     values = _GAME_KEY(params)
     # struct, not numpy, whose per-call heap block set T = 10000 solves page-faulting
     game = _Game((*values, struct.pack(f"{len(values)}d", *values)))

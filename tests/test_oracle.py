@@ -196,7 +196,7 @@ class TestStationarityChecks:
         naming both horizons, before any probe is evaluated."""
         traj, _ = solve_game(make_params(horizon_T=5))
         p = make_params(horizon_T=4)
-        with pytest.raises(ValueError, match="horizon 5.*horizon_T = 4"):
+        with pytest.raises(ValueError, match="^the trajectory has horizon 5, the parameters horizon_T = 4$"):
             if player == "S":
                 leader_stationarity_check(traj, p)
             else:

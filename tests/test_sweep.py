@@ -730,6 +730,15 @@ class TestCompiledOnce:
         assert list(levels["inner"].chain) == lru([1000, 1001, 1000, 1000])
         assert used(1000)[-3:] == [8, (8, 488), (9, 1000)]   # 1000 = 0b1111101000
 
+    def test_validation_mode_shares_the_entry(self):
+        """``strict_alpha`` is a validation mode that nothing compiled reads:
+        a game read under either mode is one cache entry, compiled once."""
+        clear_caches()
+        params = make_params()
+        entry = stationarity.compiled_game(params)
+        assert stationarity.compiled_game(dataclasses.replace(params, strict_alpha=False)) is entry
+        assert stationarity._compiled.cache_info().misses == 1
+
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)],
                              ids=["positive-first", "negative-first"])
     def test_signed_zero_is_order_independent(self, first, second, tmp_path):
