@@ -19,7 +19,6 @@ from .model import (
     social_benefit,
     stage_payoff,
     state_transition,
-    tax_return,
     total_objective,
     trajectory_max_delta,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "solve_game",
     "stage_payoff",
     "state_transition",
-    "tax_return",
     "total_objective",
     "trajectory_max_delta",
 ]

@@ -50,9 +50,12 @@ class ModelParams:
 
     Building a set that breaks any invariant ``validate`` checks raises
     ParamsError listing every violation, so no reader checks them again.
-    ``strict_alpha`` is a validation mode, not an economic quantity: when
-    True (default) the carryover rate must satisfy 0 < alpha <= 1; when
-    False only alpha > 0 is required.
+    A valid set holds each float field as a Python float, whatever real
+    number it was given (a numpy float32, an int, a Fraction), and the
+    horizon as an int; bounds are checked on the float values, and a
+    violation quotes the value given.  ``strict_alpha`` is a validation
+    mode, not an economic quantity: when True (default) the carryover rate
+    must satisfy 0 < alpha <= 1; when False only alpha > 0 is required.
     """
 
     alpha: float          # CSR-stock carryover rate per period
@@ -82,6 +85,9 @@ class ModelParams:
         violations = self.validate()
         if violations:
             raise ParamsError(violations)
+        # as floats, which every solver computes with and the game cache keys on
+        for name in PARAM_FIELDS[float]:
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def validate(self) -> list[str]:
         """Return every violated invariant (empty list when valid)."""
@@ -90,7 +96,9 @@ class ModelParams:
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, numbers.Real):   # bool is an int
                 out.append(f"{name} must be a real number, got {val!r}")
-            elif not abs(val) <= sys.float_info.max:   # math.isfinite(10**400) overflows
+            # math.isfinite(10**400) overflows, and a numpy float32 would
+            # compare in float32, the bound cast to inf
+            elif not abs(float(val) if isinstance(val, np.floating) else val) <= sys.float_info.max:
                 out.append(f"{name} must be finite, got {val!r}")
             else:
                 finite.add(name)
@@ -106,7 +114,7 @@ class ModelParams:
         )
         out += [f"{name} must {bound}, got {getattr(self, name)!r}"
                 for names, bound, holds in bounds for name in names
-                if name in finite and not holds(getattr(self, name))]
+                if name in finite and not holds(float(getattr(self, name)))]
         T = self.horizon_T
         if isinstance(T, bool) or not isinstance(T, int) or T < 1:   # bool is an int
             out.append(f"horizon_T must be an integer >= 1, got {T!r}")
@@ -187,11 +195,6 @@ def inverse_demand(q: float, params: ModelParams) -> float:
     return params.a - params.b * q
 
 
-def tax_return(i_own: float, i_total: float, params: ModelParams) -> float:
-    """Tax-return payment tau * i_own * (1 + theta * i_total)."""
-    return params.tau * i_own * (1.0 + params.theta * i_total)
-
-
 def social_benefit(x: float, delta_j: float) -> float:
     """Quadratic social benefit delta_j * x**2."""
     return delta_j * x * x
@@ -215,26 +218,37 @@ def optimal_quantity(params: ModelParams) -> float:
     return max(0.0, (params.a - params.v) / (2.0 * params.b))
 
 
-def stage_payoff(player: str, x, q, controls_t, params: ModelParams):
-    """Period payoff of one player at state x, quantity q, investments controls_t."""
+def stage_payoffs(players, x, q, controls_t, params: ModelParams) -> list:
+    """Period payoff of each of ``players``, in their order, at state x,
+    quantity q and investments controls_t, the terms they share, the price
+    and the tax return's factor 1 + theta * (i_s + i_m + i_r), formed once.
+    A payoff is the player's trading margin on q, plus its social benefit,
+    plus its tax return tau * i_own * (1 + theta * i_total), minus its
+    investment, plus, for S and M, its share of the next player's
+    investment."""
     i_s, i_m, i_r = controls_t
-    i_total = i_s + i_m + i_r
-    if player == "S":
-        return ((params.v - params.c) * q
-                + social_benefit(x, params.delta_s)
-                + tax_return(i_s, i_total, params)
-                - i_s + params.d * i_m)
-    if player == "M":
-        return ((inverse_demand(q, params) - params.v) * q
-                + social_benefit(x, params.delta_m)
-                + tax_return(i_m, i_total, params)
-                - i_m + params.d_hat * i_r)
-    if player == "R":
-        return ((params.z - inverse_demand(q, params)) * q
-                + social_benefit(x, params.delta_r)
-                + tax_return(i_r, i_total, params)
-                - i_r)
-    raise ValueError(f"unknown player {player!r}; expected one of {PLAYERS}")
+    price = inverse_demand(q, params)
+    factor = 1.0 + params.theta * (i_s + i_m + i_r)
+    payoffs = []
+    for player in players:
+        if player == "S":
+            payoffs.append((params.v - params.c) * q + social_benefit(x, params.delta_s)
+                           + params.tau * i_s * factor - i_s + params.d * i_m)
+        elif player == "M":
+            payoffs.append((price - params.v) * q + social_benefit(x, params.delta_m)
+                           + params.tau * i_m * factor - i_m + params.d_hat * i_r)
+        elif player == "R":
+            payoffs.append((params.z - price) * q + social_benefit(x, params.delta_r)
+                           + params.tau * i_r * factor - i_r)
+        else:
+            raise ValueError(f"unknown player {player!r}; expected one of {PLAYERS}")
+    return payoffs
+
+
+def stage_payoff(player: str, x, q, controls_t, params: ModelParams):
+    """Period payoff of one player at state x, quantity q, investments
+    controls_t (``stage_payoffs``)."""
+    return stage_payoffs((player,), x, q, controls_t, params)[0]
 
 
 def rollout(params: ModelParams, i_s, i_m, i_r) -> np.ndarray:
@@ -307,8 +321,10 @@ def total_objectives(players, trajectory: Trajectory, params: ModelParams) -> tu
     if not gap <= _STATE_CONSISTENCY_RTOL * scale:
         raise TrajectoryConsistencyError(gap, _STATE_CONSISTENCY_RTOL * scale)
     c = trajectory.controls
-    return tuple(float(objective(player, params, trajectory.x, c.i_s, c.i_m, c.i_r, trajectory.q))
-                 for player in players)
+    stages = np.array(stage_payoffs(players, trajectory.x[:-1], trajectory.q,
+                                    (c.i_s, c.i_m, c.i_r), params))
+    # the running totals of every player in one pass, as ``objective`` sums
+    return tuple(float(total) for total in np.add.accumulate(stages, axis=-1, out=stages)[:, -1])
 
 
 def objective(player: str, params: ModelParams, x, i_s, i_m, i_r, q):
@@ -318,5 +334,5 @@ def objective(player: str, params: ModelParams, x, i_s, i_m, i_r, q):
     np.add.accumulate adds strictly left to right (np.sum adds pairwise), so
     each sum is bit-identical to a running total over t.
     """
-    stage = stage_payoff(player, x[..., :-1], q, (i_s, i_m, i_r), params)
-    return np.add.accumulate(stage, axis=-1)[..., -1]
+    stage, = stage_payoffs((player,), x[..., :-1], q, (i_s, i_m, i_r), params)
+    return np.add.accumulate(stage, axis=-1, out=stage)[..., -1]

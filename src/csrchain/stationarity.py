@@ -66,10 +66,6 @@ _SPAN = {name: last - first + 1 for name, first, last in BLOCKS}   # length - T
 _CONTROLS = tuple(f.name for f in fields(Controls))   # blocks under Trajectory.controls
 
 
-def block_length(name: str, T: int) -> int:
-    return T + _SPAN[name]
-
-
 # ---------------------------------------------------------------------------
 # The equation table
 # ---------------------------------------------------------------------------
@@ -170,12 +166,14 @@ def period_rows(families, columns) -> np.ndarray:
     return rows
 
 
-def _check_length(name: str, path, T: int):
-    """Refuse a path whose last axis is not its block's length at horizon T."""
-    length = block_length(name, T)
-    if np.shape(path)[-1:] != (length,):
-        raise ValueError(f"path {name!r} has shape {np.shape(path)}; its last "
+def _batch_shape(name: str, path, T: int) -> tuple:
+    """The leading (batch) axes of a path, refused unless its last axis is
+    its block's length at horizon T."""
+    shape, length = np.shape(path), T + _SPAN[name]
+    if shape[-1:] != (length,):
+        raise ValueError(f"path {name!r} has shape {shape}; its last "
                          f"axis must have length {length} at horizon {T}")
+    return shape[:-1]
 
 
 def all_finite(array: np.ndarray) -> bool:
@@ -220,7 +218,7 @@ def fixed_paths(fixed, T: int) -> dict:
     ValueError unless its last axis has its block's length and it is finite."""
     fixed = {name: np.asarray(path, dtype=float) for name, path in (fixed or {}).items()}
     for name, path in fixed.items():
-        _check_length(name, path, T)
+        _batch_shape(name, path, T)
         if not all_finite(path):
             raise ValueError(f"fixed path {name!r} has a NaN or infinite entry")
     return fixed
@@ -247,13 +245,12 @@ _CHUNK = 384   # periods per product in period_residual, which bounds its tempor
 _GAME_KEY = operator.attrgetter(*PARAM_FIELDS[float])
 
 
-class _Game(tuple):
-    """A game without its horizon, as a cache key: its coefficients, every
-    ``ModelParams`` field but ``horizon_T`` and ``strict_alpha``, then their
-    float64 bytes, which tell -0.0 from 0.0; the values tell apart what the
-    bytes round together, a ``Fraction`` or an int past 2**53, which
-    ``equation_table`` computes with in its own arithmetic.  Its
-    ``params``, the params it was made from, compile the game on a miss."""
+class _Game(bytes):
+    """A game without its horizon, as a cache key: the float64 bytes of its
+    coefficients, every ``ModelParams`` field but ``horizon_T`` and
+    ``strict_alpha``, which tell -0.0 from 0.0.  The bytes are the game, as
+    ``ModelParams`` holds each coefficient as a float.  Its ``params``, the
+    params it was made from, compile the game on a miss."""
 
 
 @functools.lru_cache(maxsize=8)
@@ -296,7 +293,7 @@ def compiled_game(params: ModelParams) -> tuple:
     ``_below_diagonal``, each QR shape's mask."""
     values = _GAME_KEY(params)
     # struct, not numpy, whose per-call heap block set T = 10000 solves page-faulting
-    game = _Game((*values, struct.pack(f"{len(values)}d", *values)))
+    game = _Game(struct.pack(f"{len(values)}d", *values))
     game.params = params
     return _compiled(game)
 
@@ -320,11 +317,12 @@ def pack(blocks: dict, T: int) -> np.ndarray:
     period, (..., WIDTH, T + 1): row j holds block COLUMNS[j] at periods
     1..T + 1, zero where it has no entry.  A path whose last axis is not its
     block's length at horizon T is refused with a ValueError."""
-    zb = np.empty(np.broadcast_shapes(*{np.shape(path)[:-1] for path in blocks.values()})
+    batch = {_batch_shape(name, blocks[name], T) for name, _, _ in COLUMNS}
+    # one batch shape, as a solve's paths have, needs no broadcast
+    zb = np.empty((batch.pop() if len(batch) == 1 else np.broadcast_shapes(*batch))
                   + (WIDTH, T + 1))
     zb[..., :LEAD, 0] = zb[..., WIDTH - TRAIL:, T] = 0.0
     for j, (name, first, last) in enumerate(COLUMNS):
-        _check_length(name, blocks[name], T)
         zb[..., j, first - 1:T + last] = blocks[name]
     return zb
 
@@ -342,16 +340,15 @@ def period_residual(zb: np.ndarray, layout) -> np.ndarray:
     t, column T the terminal rows, then zeros.  The products run left to
     right, _CHUNK periods at a time, each stored in columns no later product
     reads, so zb is the one array of size O(T)."""
-    T = zb.shape[-1] - 1
-    (D1, E1, c1), (D, E, c) = [(rows[:, :WIDTH], rows[:, WIDTH:-1], rows[:, -1])
-                               for rows in layout[:2]]
-    start = zb[..., 0] @ D1.T + zb[..., 1] @ E1.T - c1
-    end = zb[..., T] @ layout[2][:, :-1].T - layout[2][:, -1]
+    T, k = zb.shape[-1] - 1, WIDTH - TRAIL
+    first, group, terminal = layout[:3]
+    start = zb[..., 0] @ first[:, :WIDTH].T + zb[..., 1] @ first[:, WIDTH:-1].T - first[:, -1]
+    end = zb[..., T] @ terminal[:, :-1].T - terminal[:, -1]
     # one product [D | E] (z[t]; z[t + 1]) per chunk, over a copy of its
-    # columns, so it writes straight into them; E reads z[t + 1] only in its
-    # nonzero columns, the stepped blocks, a prefix of COLUMNS
-    k = E.any(axis=0).nonzero()[0].max(initial=-1) + 1
-    DE = np.hstack([D, E[:, :k]])
+    # columns, so it writes straight into them; E reads z[t + 1] only in the
+    # k blocks a recursion steps, the first of COLUMNS, so [D | E[:, :k]] is
+    # a view of the group's leading columns
+    DE, c = group[:, :WIDTH + k], group[:, -1]
     operand = np.empty(zb.shape[:-2] + (WIDTH + k, min(T, _CHUNK)))
     for a in range(0, T, _CHUNK):
         b = min(a + _CHUNK, T)

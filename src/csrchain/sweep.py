@@ -129,7 +129,10 @@ class SolveReport:
     """Diagnostics of one solve.  The scenario's labels (name, seed,
     tolerance) keep a Scenario's defaults and the oracle fields None unless
     set by the caller, as ``cli.run`` sets them from the scenario.  No field
-    flags convexity: every solved game has tau*theta > 0."""
+    flags convexity: every solved game has tau*theta > 0.
+    ``timing_seconds`` is the wall time of the whole ``solve_game`` call,
+    the solve and every check and objective it reports; it stays in memory,
+    as no emitted file carries it."""
 
     horizon_T: int
     residual_max: float
@@ -432,7 +435,10 @@ def _inner_consistency_delta(params: ModelParams, trajectory: Trajectory) -> flo
     the solved supplier path."""
     inner = solve_inner_given_supplier(params, trajectory.controls.i_s)
     solved = trajectory_blocks(trajectory)
-    return float(np.max([np.max(np.abs(inner[name] - solved[name])) for name in inner]))
+    gaps = (path - solved[name] for name, path in inner.items())
+    # each block's difference made absolute in place, a temporary fewer per
+    # block; np.max, unlike Python's max, keeps a NaN
+    return float(np.max([np.abs(gap, out=gap).max() for gap in gaps]))
 
 
 def solve_game(params: ModelParams):
@@ -442,18 +448,18 @@ def solve_game(params: ModelParams):
     defaults.  Raises UndeterminedControlsError when tau*theta = 0, a
     CsrChainError naming them when coefficients of the game overflow, and
     SweepSingularError when a recovery is singular or non-finite.  The
-    state equation is checked once for the three objectives
-    (``model.total_objectives``).
+    three objectives are summed in one pass, after one check of the state
+    equation (``model.total_objectives``).
     """
     started = time.perf_counter()
     trajectory = trajectory_from_blocks(_solve_level(params, "outer"), params)
     res_max, res_rms = residual_norms(trajectory, params)
     inner_delta = _inner_consistency_delta(params, trajectory)
-    elapsed = time.perf_counter() - started
     controls = trajectory.controls
     negative = bool(min(controls.i_s.min(), controls.i_m.min(),
                         controls.i_r.min()) < 0.0)
     supplier, manufacturer, retailer = total_objectives(PLAYERS, trajectory, params)
+    elapsed = time.perf_counter() - started
     report = SolveReport(
         horizon_T=params.horizon_T,
         residual_max=res_max,

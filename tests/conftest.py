@@ -8,7 +8,7 @@ from csrchain.model import objective
 from csrchain.stationarity import (
     BLOCKS,
     WIDTH,
-    block_length,
+    _SPAN,
     equation_table,
     hamiltonian,
     trajectory_from_blocks,
@@ -30,6 +30,17 @@ REFERENCE = dict(
 @pytest.fixture
 def reference_params():
     return ModelParams(**REFERENCE)
+
+
+def block_length(name: str, T: int) -> int:
+    """The length of block ``name``'s path at horizon T."""
+    return T + _SPAN[name]
+
+
+def tax_return(i_own, i_total, params: ModelParams):
+    """The tax-return payment tau * i_own * (1 + theta * i_total), the term
+    each stage payoff carries, written alone."""
+    return params.tau * i_own * (1.0 + params.theta * i_total)
 
 
 def make_params(**overrides):

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,13 +18,12 @@ from csrchain import (
     solve_game,
     stage_payoff,
     state_transition,
-    tax_return,
     total_objective,
     trajectory_max_delta,
 )
 from csrchain.model import MAX_HORIZON, PARAM_FIELDS, check_state_consistency
 
-from conftest import make_params
+from conftest import clear_caches, make_params, tax_return
 
 
 def make_trajectory(params, i_s, i_m, i_r):
@@ -84,6 +85,21 @@ class TestTaxReturn:
             base = tax_return(own, 0.0, p)
             assert tax_return(own, total, p) - base == pytest.approx(
                 total / 2.0 * (tax_return(own, 2.0, p) - base), rel=1e-12)
+
+
+    @pytest.mark.parametrize("player, own", [("S", 0), ("M", 1), ("R", 2)])
+    def test_stage_payoff_carries_it(self, player, own):
+        """A stage payoff's tax-return term, the payoff less the payoff at
+        tau = 0, is the tax return on the player's own investment."""
+        p = make_params(tau=0.3, theta=0.2)
+        untaxed = dataclasses.replace(p, tau=0.0)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            x, q = rng.uniform(-2, 2), rng.uniform(0, 5)
+            controls = tuple(rng.uniform(-3, 3, size=3))
+            assert (stage_payoff(player, x, q, controls, p)
+                    - stage_payoff(player, x, q, controls, untaxed)) == pytest.approx(
+                tax_return(controls[own], sum(controls), p), rel=1e-9, abs=1e-12)
 
 
 class TestSocialBenefit:
@@ -418,3 +434,56 @@ class TestParamsValidation:
             make_params(a=value, b=-1.0)
         assert info.value.violations == [f"a must be finite, got {value!r}",
                                          "b must be positive, got -1.0"]
+
+    @pytest.mark.parametrize("value", [np.float32(0.25), np.float16(0.25), Fraction(1, 4), 1,
+                                       np.int64(1), np.longdouble(0.25)],
+                             ids=["float32", "float16", "fraction", "int", "int64", "longdouble"])
+    def test_float_fields_are_held_as_floats(self, value):
+        """Whatever real number a float field is given, a valid set holds
+        it as the Python float that rounds it, as the solvers compute with."""
+        p = make_params(tau=value, d=value * 0.5, x1=value)
+        for name in PARAM_FIELDS[float]:
+            assert type(getattr(p, name)) is float
+        assert (p.tau, p.d, p.x1) == (float(value), float(value * 0.5), float(value))
+
+    def test_float32_parameters_build_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = make_params(tau=np.float32(0.1), theta=np.float32(0.05))
+        assert p == make_params(tau=float(np.float32(0.1)), theta=float(np.float32(0.05)))
+
+    def test_float32_game_and_its_float64_twin_solve_alike(self):
+        """A float32 game and its float64 twin are one game: the twin solved
+        warm after it reads the bits of the twin solved cold."""
+        twin = make_params(tau=float(np.float32(0.1)), theta=float(np.float32(0.05)),
+                           horizon_T=20)
+        clear_caches()
+        cold, _ = solve_game(twin)
+        clear_caches()
+        solve_game(make_params(tau=np.float32(0.1), theta=np.float32(0.05), horizon_T=20))
+        warm, _ = solve_game(twin)
+        assert trajectory_max_delta(cold, warm) == 0.0
+        assert all(np.array_equal(getattr(cold, f.name), getattr(warm, f.name))
+                   for f in dataclasses.fields(cold) if f.name != "controls")
+        assert np.array_equal(cold.controls.stacked(), warm.controls.stacked())
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ({"beta_s": np.float32(1.5)}, "beta_s must lie in (0, 1), got np.float32(1.5)"),
+        ({"a": np.float32("inf")}, "a must be finite, got np.float32(inf)"),
+        ({"v": np.float32("nan")}, "v must be finite, got np.float32(nan)"),
+        ({"b": Fraction(-1, 2)}, "b must be positive, got Fraction(-1, 2)"),
+        ({"tau": -1}, "tau must be nonnegative, got -1"),
+        ({"c": Fraction(10**400)}, f"c must be finite, got Fraction({10**400}, 1)"),
+    ], ids=["float32-bound", "float32-inf", "float32-nan", "fraction", "int", "fraction-huge"])
+    def test_violations_quote_the_value_given(self, overrides, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert violations_of(**overrides) == [expected]
+
+    def test_a_bound_holds_for_the_float_held(self):
+        """The bounds are checked on the float a value rounds to, so a set
+        whose float would break one is refused."""
+        below_one = Fraction(10**20 - 1, 10**20)
+        assert float(below_one) == 1.0
+        assert violations_of(beta_s=below_one) == [
+            f"beta_s must lie in (0, 1), got {below_one!r}"]

@@ -26,7 +26,6 @@ from csrchain.stationarity import (
     TRAIL,
     WIDTH,
     assemble_system,
-    block_length,
     equation_table,
     hamiltonian,
     pack,
@@ -43,6 +42,7 @@ from csrchain.sweep import _LEVELS, assemble_augmented
 
 from conftest import (
     WITNESS,
+    block_length,
     draw_params,
     family,
     first_period,
@@ -243,6 +243,16 @@ class TestLayoutAgainstHamiltonians:
         families = equation_table(params)
         assert [first_period(fam) for fam in families] == [2] * LEAD + [1] * (len(families) - LEAD)
         assert period_layout(params)[3] == families
+
+    @pytest.mark.parametrize("params", LAYOUT_CASES, ids=["ref", "draw0", "draw1", "draw2"])
+    def test_next_period_read_in_the_stepped_blocks_alone(self, params):
+        """E, the row group's z[t + 1] columns, is nonzero in each of the
+        WIDTH - TRAIL blocks a recursion steps, the first of COLUMNS, and
+        nowhere else, so ``period_residual`` reads [D | E] as the group's
+        first 2 WIDTH - TRAIL columns."""
+        group = period_layout(params)[1]
+        assert group[:, WIDTH:2 * WIDTH - TRAIL].any(axis=0).all()
+        assert not group[:, 2 * WIDTH - TRAIL:-1].any()
 
     @pytest.mark.parametrize("params", LAYOUT_CASES, ids=["ref", "draw0", "draw1", "draw2"])
     def test_boundary_rows(self, params):

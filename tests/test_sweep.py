@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from csrchain import (
     total_objective,
     trajectory_max_delta,
 )
-from csrchain.model import state_transition
+from csrchain.model import stage_payoff, state_transition
 from csrchain.output import emit_csv, render_report
 from csrchain.oracle import solve_inner_response, solve_retailer_response
 from csrchain import stationarity
@@ -971,6 +972,53 @@ class TestSolveGame:
                               ("R", report.objective_retailer)]:
             assert value.hex() == total_objective(player, trajectory, p).hex()
 
+    @pytest.mark.parametrize("T", [1, 7, 60, 2000])
+    @pytest.mark.parametrize("draw", [None, 0, 1, 2, 3],
+                             ids=["reference", "draw-1", "draw-2", "draw-3", "draw-4"])
+    def test_objectives_are_running_totals_of_stage_payoffs(self, draw, T):
+        """The report's objectives, summed for the three players in one
+        pass, are each a plain running total over t of the scalar stage
+        payoffs, bit for bit."""
+        rng = np.random.default_rng(T)
+        draws = [draw_params(rng, T) for _ in range(4)]
+        p = make_params(horizon_T=T) if draw is None else draws[draw]
+        trajectory, report = solve_game(p)
+        x, q, c = trajectory.x.tolist(), trajectory.q.tolist(), trajectory.controls
+        controls = list(zip(c.i_s.tolist(), c.i_m.tolist(), c.i_r.tolist()))
+        for player, value in [("S", report.objective_supplier),
+                              ("M", report.objective_manufacturer),
+                              ("R", report.objective_retailer)]:
+            total = 0.0
+            for t in range(T):
+                total += stage_payoff(player, x[t], q[t], controls[t], p)
+            assert value.hex() == total.hex()
+
+    def test_timing_covers_the_objectives(self, monkeypatch):
+        """``timing_seconds`` is the whole solve's, the objectives summed
+        after the checks included."""
+        objectives = sweep.total_objectives
+
+        def slow_objectives(*args):
+            time.sleep(0.05)
+            return objectives(*args)
+        patch_bindings(monkeypatch, objectives, slow_objectives)
+        assert solve_game(make_params())[1].timing_seconds >= 0.05
+
+    def test_norms_do_not_depend_on_the_game_solved_before(self):
+        """Two games solved in alternation, each warm after the first round,
+        read the residual norms each reads solved cold."""
+        games = [make_params(horizon_T=500), draw_params(np.random.default_rng(8), 500)]
+        cold = []
+        for p in games:
+            clear_caches()
+            report = solve_game(p)[1]
+            cold.append(bits(report.residual_max) + bits(report.residual_rms))
+        clear_caches()
+        for _ in range(2):
+            for p, expected in zip(games, cold):
+                _, report = solve_game(p)
+                assert bits(report.residual_max) + bits(report.residual_rms) == expected
+
     def test_matches_oracle_on_reference(self, reference_params):
         traj, report = solve_game(reference_params)
         reference = dense_solve(reference_params)
@@ -1107,4 +1155,30 @@ class TestInnerLevel:
         """A NaN in the last inner component compared still reaches the delta."""
         traj, _ = solve_game(reference_params)
         traj.lam[1] = np.nan
+        assert np.isnan(_inner_consistency_delta(reference_params, traj))
+
+    def test_consistency_delta_of_an_exact_match_is_positive_zero(self, monkeypatch,
+                                                                  reference_params):
+        """A re-solve that gives back the solved blocks, its zeros negated,
+        reads +0.0."""
+        traj, _ = solve_game(reference_params)
+        solved = stationarity.trajectory_blocks(traj)
+        monkeypatch.setattr(sweep, "solve_inner_given_supplier", lambda params, i_s: {
+            name: np.where(solved[name] == 0.0, -0.0, solved[name])
+            for name in ("x", "u", "p_m", "p_r", "i_m", "i_r", "lam")})
+        delta = _inner_consistency_delta(reference_params, traj)
+        assert bits(delta) == bits(0.0)
+
+    @pytest.mark.parametrize("name", ["x", "u", "p_m", "p_r", "i_m", "i_r", "lam"])
+    def test_consistency_delta_of_a_nan_entry_is_nan(self, monkeypatch, reference_params, name):
+        """A NaN in any block of the re-solve reaches the delta."""
+        traj, _ = solve_game(reference_params)
+        resolve = sweep.solve_inner_given_supplier
+
+        def with_nan(params, i_s):
+            inner = resolve(params, i_s)
+            inner[name] = inner[name].copy()
+            inner[name][-1] = np.nan
+            return inner
+        monkeypatch.setattr(sweep, "solve_inner_given_supplier", with_nan)
         assert np.isnan(_inner_consistency_delta(reference_params, traj))
