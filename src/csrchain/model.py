@@ -218,37 +218,29 @@ def optimal_quantity(params: ModelParams) -> float:
     return max(0.0, (params.a - params.v) / (2.0 * params.b))
 
 
-def stage_payoffs(players, x, q, controls_t, params: ModelParams) -> list:
-    """Period payoff of each of ``players``, in their order, at state x,
-    quantity q and investments controls_t, the terms they share, the price
-    and the tax return's factor 1 + theta * (i_s + i_m + i_r), formed once.
-    A payoff is the player's trading margin on q, plus its social benefit,
-    plus its tax return tau * i_own * (1 + theta * i_total), minus its
-    investment, plus, for S and M, its share of the next player's
+def stage_payoff(player: str, x, q, controls_t, params: ModelParams):
+    """Period payoff of one player at state x, quantity q, investments controls_t."""
+    i_s, i_m, i_r = controls_t
+    return _stage_payoff(player, x, q, controls_t, 1.0 + params.theta * (i_s + i_m + i_r), params)
+
+
+def _stage_payoff(player: str, x, q, controls_t, factor, params: ModelParams):
+    """``stage_payoff`` given the factor 1 + theta * (i_s + i_m + i_r) that
+    every player's tax return tau * i_own * factor shares: the player's
+    trading margin on q, plus its social benefit, plus its tax return, minus
+    its investment, plus, for S and M, its share of the next player's
     investment."""
     i_s, i_m, i_r = controls_t
-    price = inverse_demand(q, params)
-    factor = 1.0 + params.theta * (i_s + i_m + i_r)
-    payoffs = []
-    for player in players:
-        if player == "S":
-            payoffs.append((params.v - params.c) * q + social_benefit(x, params.delta_s)
-                           + params.tau * i_s * factor - i_s + params.d * i_m)
-        elif player == "M":
-            payoffs.append((price - params.v) * q + social_benefit(x, params.delta_m)
-                           + params.tau * i_m * factor - i_m + params.d_hat * i_r)
-        elif player == "R":
-            payoffs.append((params.z - price) * q + social_benefit(x, params.delta_r)
-                           + params.tau * i_r * factor - i_r)
-        else:
-            raise ValueError(f"unknown player {player!r}; expected one of {PLAYERS}")
-    return payoffs
-
-
-def stage_payoff(player: str, x, q, controls_t, params: ModelParams):
-    """Period payoff of one player at state x, quantity q, investments
-    controls_t (``stage_payoffs``)."""
-    return stage_payoffs((player,), x, q, controls_t, params)[0]
+    if player == "S":
+        return ((params.v - params.c) * q + social_benefit(x, params.delta_s)
+                + params.tau * i_s * factor - i_s + params.d * i_m)
+    if player == "M":
+        return ((inverse_demand(q, params) - params.v) * q + social_benefit(x, params.delta_m)
+                + params.tau * i_m * factor - i_m + params.d_hat * i_r)
+    if player == "R":
+        return ((params.z - inverse_demand(q, params)) * q + social_benefit(x, params.delta_r)
+                + params.tau * i_r * factor - i_r)
+    raise ValueError(f"unknown player {player!r}; expected one of {PLAYERS}")
 
 
 def rollout(params: ModelParams, i_s, i_m, i_r) -> np.ndarray:
@@ -321,10 +313,11 @@ def total_objectives(players, trajectory: Trajectory, params: ModelParams) -> tu
     if not gap <= _STATE_CONSISTENCY_RTOL * scale:
         raise TrajectoryConsistencyError(gap, _STATE_CONSISTENCY_RTOL * scale)
     c = trajectory.controls
-    stages = np.array(stage_payoffs(players, trajectory.x[:-1], trajectory.q,
-                                    (c.i_s, c.i_m, c.i_r), params))
-    # the running totals of every player in one pass, as ``objective`` sums
-    return tuple(float(total) for total in np.add.accumulate(stages, axis=-1, out=stages)[:, -1])
+    factor = 1.0 + params.theta * (c.i_s + c.i_m + c.i_r)   # shared by every player
+    stages = (_stage_payoff(player, trajectory.x[:-1], trajectory.q, (c.i_s, c.i_m, c.i_r),
+                            factor, params) for player in players)
+    # each player's running total in place, as ``objective`` sums
+    return tuple(float(np.add.accumulate(stage, out=stage)[-1]) for stage in stages)
 
 
 def objective(player: str, params: ModelParams, x, i_s, i_m, i_r, q):
@@ -334,5 +327,5 @@ def objective(player: str, params: ModelParams, x, i_s, i_m, i_r, q):
     np.add.accumulate adds strictly left to right (np.sum adds pairwise), so
     each sum is bit-identical to a running total over t.
     """
-    stage, = stage_payoffs((player,), x[..., :-1], q, (i_s, i_m, i_r), params)
+    stage = stage_payoff(player, x[..., :-1], q, (i_s, i_m, i_r), params)
     return np.add.accumulate(stage, axis=-1, out=stage)[..., -1]

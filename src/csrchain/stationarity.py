@@ -66,6 +66,10 @@ _SPAN = {name: last - first + 1 for name, first, last in BLOCKS}   # length - T
 _CONTROLS = tuple(f.name for f in fields(Controls))   # blocks under Trajectory.controls
 
 
+def block_length(name: str, T: int) -> int:
+    return T + _SPAN[name]
+
+
 # ---------------------------------------------------------------------------
 # The equation table
 # ---------------------------------------------------------------------------
@@ -169,7 +173,7 @@ def period_rows(families, columns) -> np.ndarray:
 def _batch_shape(name: str, path, T: int) -> tuple:
     """The leading (batch) axes of a path, refused unless its last axis is
     its block's length at horizon T."""
-    shape, length = np.shape(path), T + _SPAN[name]
+    shape, length = np.shape(path), block_length(name, T)
     if shape[-1:] != (length,):
         raise ValueError(f"path {name!r} has shape {shape}; its last "
                          f"axis must have length {length} at horizon {T}")
@@ -318,9 +322,7 @@ def pack(blocks: dict, T: int) -> np.ndarray:
     1..T + 1, zero where it has no entry.  A path whose last axis is not its
     block's length at horizon T is refused with a ValueError."""
     batch = {_batch_shape(name, blocks[name], T) for name, _, _ in COLUMNS}
-    # one batch shape, as a solve's paths have, needs no broadcast
-    zb = np.empty((batch.pop() if len(batch) == 1 else np.broadcast_shapes(*batch))
-                  + (WIDTH, T + 1))
+    zb = np.empty(np.broadcast_shapes(*batch) + (WIDTH, T + 1))
     zb[..., :LEAD, 0] = zb[..., WIDTH - TRAIL:, T] = 0.0
     for j, (name, first, last) in enumerate(COLUMNS):
         zb[..., j, first - 1:T + last] = blocks[name]

@@ -435,10 +435,7 @@ def _inner_consistency_delta(params: ModelParams, trajectory: Trajectory) -> flo
     the solved supplier path."""
     inner = solve_inner_given_supplier(params, trajectory.controls.i_s)
     solved = trajectory_blocks(trajectory)
-    gaps = (path - solved[name] for name, path in inner.items())
-    # each block's difference made absolute in place, a temporary fewer per
-    # block; np.max, unlike Python's max, keeps a NaN
-    return float(np.max([np.abs(gap, out=gap).max() for gap in gaps]))
+    return float(np.max([np.max(np.abs(inner[name] - solved[name])) for name in inner]))
 
 
 def solve_game(params: ModelParams):

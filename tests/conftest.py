@@ -8,7 +8,7 @@ from csrchain.model import objective
 from csrchain.stationarity import (
     BLOCKS,
     WIDTH,
-    _SPAN,
+    block_length,
     equation_table,
     hamiltonian,
     trajectory_from_blocks,
@@ -30,11 +30,6 @@ REFERENCE = dict(
 @pytest.fixture
 def reference_params():
     return ModelParams(**REFERENCE)
-
-
-def block_length(name: str, T: int) -> int:
-    """The length of block ``name``'s path at horizon T."""
-    return T + _SPAN[name]
 
 
 def tax_return(i_own, i_total, params: ModelParams):

@@ -26,6 +26,7 @@ from csrchain.stationarity import (
     TRAIL,
     WIDTH,
     assemble_system,
+    block_length,
     equation_table,
     hamiltonian,
     pack,
@@ -42,7 +43,6 @@ from csrchain.sweep import _LEVELS, assemble_augmented
 
 from conftest import (
     WITNESS,
-    block_length,
     draw_params,
     family,
     first_period,

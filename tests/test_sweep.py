@@ -976,9 +976,9 @@ class TestSolveGame:
     @pytest.mark.parametrize("draw", [None, 0, 1, 2, 3],
                              ids=["reference", "draw-1", "draw-2", "draw-3", "draw-4"])
     def test_objectives_are_running_totals_of_stage_payoffs(self, draw, T):
-        """The report's objectives, summed for the three players in one
-        pass, are each a plain running total over t of the scalar stage
-        payoffs, bit for bit."""
+        """The report's objectives, formed for the three players over the
+        terms they share, are each a plain running total over t of the
+        scalar stage payoffs, bit for bit."""
         rng = np.random.default_rng(T)
         draws = [draw_params(rng, T) for _ in range(4)]
         p = make_params(horizon_T=T) if draw is None else draws[draw]
